@@ -243,8 +243,8 @@ func benchPredictor(b *testing.B, make func() blbp.IndirectPredictor) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := make()
-		for ri := range tr.Records {
-			r := &tr.Records[ri]
+		for ri := 0; ri < tr.Len(); ri++ {
+			r := tr.Record(ri)
 			switch {
 			case r.Type == blbp.CondDirect:
 				p.OnCond(r.PC, r.Taken)
@@ -256,7 +256,7 @@ func benchPredictor(b *testing.B, make func() blbp.IndirectPredictor) {
 			}
 		}
 	}
-	b.SetBytes(int64(len(tr.Records)))
+	b.SetBytes(int64(tr.Len()))
 }
 
 // BenchmarkBLBPThroughput measures BLBP's per-branch cost over a trace.
@@ -297,7 +297,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := spec.Build()
-		if len(tr.Records) == 0 {
+		if tr.Len() == 0 {
 			b.Fatal("empty trace")
 		}
 	}

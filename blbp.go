@@ -48,8 +48,9 @@ const (
 // Record is one executed branch in a trace.
 type Record = trace.Record
 
-// Trace is an in-memory branch trace.
-type Trace = trace.Trace
+// Trace is an in-memory branch trace, stored columnar; iterate it with Len
+// and Record(i).
+type Trace = trace.Columns
 
 // TraceStats summarizes a trace's branch population (branch mix,
 // polymorphism, target-count distribution).

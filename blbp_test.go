@@ -95,8 +95,8 @@ func TestTraceIORoundTripViaAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != len(tr.Records) {
-		t.Errorf("round trip lost records: %d vs %d", len(got.Records), len(tr.Records))
+	if got.Len() != tr.Len() {
+		t.Errorf("round trip lost records: %d vs %d", got.Len(), tr.Len())
 	}
 	st := blbp.AnalyzeTrace(got)
 	if st.IndirectCount() == 0 {

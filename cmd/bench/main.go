@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -156,8 +155,8 @@ func fastest(reps int, f func()) time.Duration {
 func measurePredictor(name string, tr *blbp.Trace, reps int, mk func() blbp.IndirectPredictor) Entry {
 	d := fastest(reps, func() {
 		p := mk()
-		for ri := range tr.Records {
-			r := &tr.Records[ri]
+		for i := 0; i < tr.Len(); i++ {
+			r := tr.Record(i)
 			switch {
 			case r.Type == blbp.CondDirect:
 				p.OnCond(r.PC, r.Taken)
@@ -169,7 +168,7 @@ func measurePredictor(name string, tr *blbp.Trace, reps int, mk func() blbp.Indi
 			}
 		}
 	})
-	n := int64(len(tr.Records))
+	n := int64(tr.Len())
 	return Entry{
 		Name: name, Events: n, Unit: "branches",
 		Seconds: d.Seconds(), PerSecond: float64(n) / d.Seconds(),
@@ -196,88 +195,54 @@ func measureEngine(tr *blbp.Trace, reps int) (Entry, error) {
 }
 
 // measureSpillDecode times decoding the spill-file encoding of tr — the
-// per-trace cost of a warm start from the trace cache's persistent tier.
-// The v1 entry re-encodes with the legacy whole-payload codec so the report
-// carries the before/after of the blocked (SPL2) decoder side by side, and
-// decode selects the record-slice or columnar destination: the columnar
-// spill_decode entry decodes the same SPL2 bytes straight into pooled
-// column arrays (trace.ReadSpillColumns).
-func measureSpillDecode(name string, tr *blbp.Trace, reps int, write func(io.Writer, trace.SpillHeader, *trace.Trace) error, decode func([]byte, int) error) (Entry, error) {
+// per-trace cost of a warm start from the trace cache's persistent tier —
+// recycling the column arena between repetitions as a warm-start loop does.
+func measureSpillDecode(tr *blbp.Trace, reps int) (Entry, error) {
 	var buf bytes.Buffer
 	h := trace.SpillHeader{Name: tr.Name, Seed: 1, Instructions: tr.Instructions()}
-	if err := write(&buf, h, tr); err != nil {
+	if err := trace.WriteSpillColumns(&buf, h, tr); err != nil {
 		return Entry{}, err
 	}
 	data := buf.Bytes()
 	var decErr error
 	d := fastest(reps, func() {
-		if err := decode(data, len(tr.Records)); err != nil {
+		_, got, err := trace.ReadSpillColumns(bytes.NewReader(data))
+		if err != nil {
 			decErr = err
+			return
 		}
+		if got.Len() != tr.Len() {
+			decErr = fmt.Errorf("decoded %d records, want %d", got.Len(), tr.Len())
+		}
+		trace.ReleaseColumns(got)
 	})
 	if decErr != nil {
 		return Entry{}, decErr
 	}
-	n := int64(len(tr.Records))
+	n := int64(tr.Len())
 	return Entry{
-		Name: name, Events: n, Unit: "records",
+		Name: "spill_decode", Events: n, Unit: "records",
 		Seconds: d.Seconds(), PerSecond: float64(n) / d.Seconds(),
 	}, nil
 }
 
-// decodeSpillRecords decodes a spill image into the record-slice form.
-func decodeSpillRecords(data []byte, want int) error {
-	_, got, err := trace.ReadSpill(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	if len(got.Records) != want {
-		return fmt.Errorf("decoded %d records, want %d", len(got.Records), want)
-	}
-	return nil
-}
-
-// decodeSpillColumns decodes a spill image through the columnar fast path,
-// recycling the column arena between repetitions as a warm-start loop does.
-func decodeSpillColumns(data []byte, want int) error {
-	_, got, err := trace.ReadSpillColumns(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	n := got.Len()
-	trace.ReleaseColumns(got)
-	if n != want {
-		return fmt.Errorf("decoded %d records, want %d", n, want)
-	}
-	return nil
-}
-
 // measureSimRun runs one full-engine pass (hashed perceptron + BLBP) over
-// the micro trace through the record-slice reference loop or the columnar
-// segmented loop, so the report tracks the replay representations side by
-// side on identical predictions.
-func measureSimRun(name string, tr *blbp.Trace, reps int, columnar bool) (Entry, error) {
-	cols := tr.Columns()
+// the micro trace through sim.Run and returns records per second.
+func measureSimRun(tr *blbp.Trace, reps int) (Entry, error) {
 	var simErr error
 	d := fastest(reps, func() {
 		cp := blbp.NewHashedPerceptron()
 		ips := []blbp.IndirectPredictor{blbp.NewBLBP(blbp.DefaultBLBPConfig())}
-		var err error
-		if columnar {
-			_, err = sim.RunColumns(cols, cp, ips, sim.Options{})
-		} else {
-			_, err = sim.RunRecords(tr, cp, ips, sim.Options{})
-		}
-		if err != nil {
+		if _, err := sim.Run(tr, cp, ips, sim.Options{}); err != nil {
 			simErr = err
 		}
 	})
 	if simErr != nil {
 		return Entry{}, simErr
 	}
-	n := int64(len(tr.Records))
+	n := int64(tr.Len())
 	return Entry{
-		Name: name, Events: n, Unit: "records",
+		Name: "sim_run_columnar", Events: n, Unit: "records",
 		Seconds: d.Seconds(), PerSecond: float64(n) / d.Seconds(),
 	}, nil
 }
@@ -414,29 +379,15 @@ func run(base int64, reps, parallel int, batchOnly bool, specFile string, bo bat
 	}
 	rep.Results = append(rep.Results, engine)
 
-	simRecords, err := measureSimRun("sim_run_records", tr, reps, false)
+	simRun, err := measureSimRun(tr, reps)
 	if err != nil {
 		return nil, nil, err
 	}
-	simColumnar, err := measureSimRun("sim_run_columnar", tr, reps, true)
+	spill, err := measureSpillDecode(tr, reps)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Results = append(rep.Results, simRecords, simColumnar)
-
-	spillV1, err := measureSpillDecode("spill_decode_v1", tr, reps, trace.WriteSpillV1, decodeSpillRecords)
-	if err != nil {
-		return nil, nil, err
-	}
-	spillV2, err := measureSpillDecode("spill_decode_records", tr, reps, trace.WriteSpill, decodeSpillRecords)
-	if err != nil {
-		return nil, nil, err
-	}
-	spillCols, err := measureSpillDecode("spill_decode", tr, reps, trace.WriteSpill, decodeSpillColumns)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Results = append(rep.Results, spillV1, spillV2, spillCols)
+	rep.Results = append(rep.Results, simRun, spill)
 
 	specs, err := suiteSpecs(base, specFile)
 	if err != nil {

@@ -28,19 +28,16 @@ func TestRunProducesCompleteReport(t *testing.T) {
 	want := map[string]bool{
 		"blbp_micro": false, "ittage_micro": false,
 		"engine_end_to_end": false, "suite_pass": false,
-		"suite_pass_parallel":  false,
-		"suite_pass_cold":      false,
-		"suite_pass_warm":      false,
-		"sim_run_records":      false,
-		"sim_run_columnar":     false,
-		"spill_decode_v1":      false,
-		"spill_decode_records": false,
-		"spill_decode":         false,
-		"single_stream":        false,
-		"batch_b1":             false,
-		"batch_b8":             false,
-		"batch_shards_1":       false,
-		"batch_shards_2":       false,
+		"suite_pass_parallel": false,
+		"suite_pass_cold":     false,
+		"suite_pass_warm":     false,
+		"sim_run_columnar":    false,
+		"spill_decode":        false,
+		"single_stream":       false,
+		"batch_b1":            false,
+		"batch_b8":            false,
+		"batch_shards_1":      false,
+		"batch_shards_2":      false,
 	}
 	for _, e := range rep.Results {
 		if _, ok := want[e.Name]; !ok {

@@ -34,7 +34,7 @@ func runFingerprint(tr *blbp.Trace) uint64 {
 		Trace        string
 		Records      int
 		Instructions int64
-	}{tr.Name, len(tr.Records), tr.Instructions()})
+	}{tr.Name, tr.Len(), tr.Instructions()})
 }
 
 // pass is one built predictor pass: the conditional predictor, the indirect
@@ -65,7 +65,6 @@ func snapshotRun(tr *blbp.Trace, names []string, configs configFlags, path strin
 	if err := tr.Validate(); err != nil {
 		return err
 	}
-	cols := tr.Columns()
 	c := snapshot.NewContainer(runSnapName, runFingerprint(tr))
 	re := c.Section("run")
 	re.Int(snapAt)
@@ -83,7 +82,7 @@ func snapshotRun(tr *blbp.Trace, names []string, configs configFlags, path strin
 		if err != nil {
 			return err
 		}
-		pr, err := sim.RunColumnsUntil(cols, ps.cp, []predictor.Indirect{ps.p}, sim.Options{}, snapAt)
+		pr, err := sim.RunColumnsUntil(tr, ps.cp, []predictor.Indirect{ps.p}, sim.Options{}, snapAt)
 		if err != nil {
 			return err
 		}
@@ -99,11 +98,11 @@ func snapshotRun(tr *blbp.Trace, names []string, configs configFlags, path strin
 		return err
 	}
 	stop := snapAt
-	if n := cols.Len(); stop > n {
+	if n := tr.Len(); stop > n {
 		stop = n
 	}
 	fmt.Printf("snapshot of %s at record %d/%d (%d passes) written to %s\n",
-		tr.Name, stop, cols.Len(), len(names), path)
+		tr.Name, stop, tr.Len(), len(names), path)
 	return nil
 }
 
@@ -125,7 +124,6 @@ func resumeRun(tr *blbp.Trace, names []string, configs configFlags, path string)
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	cols := tr.Columns()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -191,7 +189,7 @@ func resumeRun(tr *blbp.Trace, names []string, configs configFlags, path string)
 		if err := sd.Finish(); err != nil {
 			return nil, err
 		}
-		res, err := sim.ResumeColumns(cols, ps.cp, []predictor.Indirect{ps.p}, pr)
+		res, err := sim.ResumeColumns(tr, ps.cp, []predictor.Indirect{ps.p}, pr)
 		if err != nil {
 			return nil, err
 		}

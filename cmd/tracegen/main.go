@@ -188,7 +188,7 @@ func runInspect(args []string) error {
 	}
 	st := blbp.AnalyzeTrace(tr)
 	tb := report.NewTable(
-		fmt.Sprintf("Trace %s: %d instructions, %d branch records", tr.Name, st.Instructions, len(tr.Records)),
+		fmt.Sprintf("Trace %s: %d instructions, %d branch records", tr.Name, st.Instructions, tr.Len()),
 		"metric", "value",
 	)
 	for _, bt := range []blbp.BranchType{

@@ -57,7 +57,7 @@ func ExampleWriteTrace() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(back.Records) == len(tr.Records))
+	fmt.Println(back.Len() == tr.Len())
 	// Output:
 	// true
 }

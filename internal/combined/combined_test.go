@@ -89,7 +89,7 @@ func TestTrainWithoutTargetFallback(t *testing.T) {
 func TestConsolidatedEngineRun(t *testing.T) {
 	// Full engine pass with the combined predictor in both roles over a
 	// synthetic stream with correlated conditionals and indirect targets.
-	tr := &trace.Trace{Name: "consolidated"}
+	tr := trace.NewColumns("consolidated", 0)
 	// Period-3 outcome pattern (T,T,N): learnable from history, unlike an
 	// iid stream which no predictor can beat beyond its bias.
 	for i := 0; i < 3000; i++ {

@@ -9,36 +9,18 @@ import (
 )
 
 // BenchmarkSimRun drives one full engine pass (hashed perceptron + BLBP)
-// over the same mixed trace through both replay representations, so the
-// record-slice reference loop and the class-segmented columnar loop are
-// compared head to head on identical predictions. ns/op is per record.
+// over a mixed trace through Run. ns/op is per record.
 func BenchmarkSimRun(b *testing.B) {
 	const nRec = 1 << 16
 	tr := genEquivTrace(1234, nRec, 0x62)
 	if err := tr.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	cols := tr.Columns()
-	pass := func() (cond.Predictor, []predictor.Indirect) {
-		return cond.NewHashedPerceptron(cond.DefaultHPConfig()),
-			[]predictor.Indirect{core.New(core.DefaultConfig())}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += nRec {
+		cp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
+		if _, err := Run(tr, cp, []predictor.Indirect{core.New(core.DefaultConfig())}, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("records", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i += nRec {
-			cp, ips := pass()
-			if _, err := RunRecords(tr, cp, ips, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i += nRec {
-			cp, ips := pass()
-			if _, err := RunColumns(cols, cp, ips, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

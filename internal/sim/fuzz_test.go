@@ -18,9 +18,9 @@ import (
 // shape's high nibble biases the expected same-class run length (so fuzzing
 // explores both long homogeneous segments and pathological per-record
 // alternation) and its low bits perturb the PC/target pools.
-func genEquivTrace(seed int64, n int, shape uint8) *trace.Trace {
+func genEquivTrace(seed int64, n int, shape uint8) *trace.Columns {
 	rng := rand.New(rand.NewSource(seed))
-	tr := &trace.Trace{Name: "fuzz"}
+	tr := trace.NewColumns("fuzz", 0)
 	runBias := int(shape>>4) + 1 // 1..16: expected run length
 	pcSpan := uint64(shape&0xF) + 4
 	last := trace.CondDirect
@@ -57,110 +57,110 @@ func equivPredictors() (cond.Predictor, []predictor.Indirect) {
 	}
 }
 
-// FuzzColumnarEquivalence is the differential gate for the columnar replay
-// path: for any valid trace, the columnar engine (Run/RunColumns), the
-// shared-tape replay, and the spill round trip through the columnar decoder
-// must all reproduce the record-slice reference (RunRecords) bit for bit —
-// every Result field, all six branch types, predictions included.
+// checkEquivalence is the differential gate for the segmented replay path:
+// for one generated trace, the engine (Run), the shared-tape replay, the
+// consolidated predictor, and the spill round trip through the columnar
+// decoder must all reproduce the record-at-a-time oracle (referenceRun)
+// bit for bit — every Result field, all six branch types, predictions
+// included.
+func checkEquivalence(t *testing.T, seed int64, nRec int, shape uint8) {
+	t.Helper()
+	tr := genEquivTrace(seed, nRec, shape)
+
+	cpRef, ipsRef := equivPredictors()
+	ref, err := referenceRun(tr, cpRef, ipsRef, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cpRun, ipsRun := equivPredictors()
+	got, err := Run(tr, cpRun, ipsRun, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("seed %d: Run diverged:\n got %+v\nwant %+v", seed, got, ref)
+	}
+
+	// Shared-tape replay under a cond key (segment loop interchange + span
+	// feeding) must match too.
+	tape, err := NewTape(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpTape, ipsTape := equivPredictors()
+	tapeRes, err := tape.Run("hp", cpTape, ipsTape, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tapeRes, ref) {
+		t.Fatalf("seed %d: tape replay diverged:\n got %+v\nwant %+v", seed, tapeRes, ref)
+	}
+
+	// The consolidated predictor shares state between the conditional and
+	// indirect sides (and trains with targets), so it pins down the
+	// within-segment call ordering and the TargetTrainer hoist.
+	ccRef := combined.New(core.DefaultConfig())
+	refC, err := referenceRun(tr, ccRef, []predictor.Indirect{ccRef.Indirect()}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccRun := combined.New(core.DefaultConfig())
+	gotC, err := Run(tr, ccRun, []predictor.Indirect{ccRun.Indirect()}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotC, refC) {
+		t.Fatalf("seed %d: Run (consolidated) diverged:\n got %+v\nwant %+v", seed, gotC, refC)
+	}
+
+	// Spill round trip: decoding through the columnar fast path must
+	// reproduce every record and the same replay results. (The encoded
+	// bytes themselves are pinned by the trace package's golden test.)
+	h := trace.SpillHeader{Name: tr.Name, Seed: seed, Instructions: tr.Instructions()}
+	var spill bytes.Buffer
+	if err := trace.WriteSpillColumns(&spill, h, tr); err != nil {
+		t.Fatal(err)
+	}
+	_, cols, err := trace.ReadSpillColumns(bytes.NewReader(spill.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.ReleaseColumns(cols)
+	if cols.Len() != tr.Len() {
+		t.Fatalf("seed %d: spill decode: %d records, want %d", seed, cols.Len(), tr.Len())
+	}
+	for i := 0; i < tr.Len(); i++ {
+		if cols.Record(i) != tr.Record(i) {
+			t.Fatalf("seed %d: spill decode record %d = %+v, want %+v", seed, i, cols.Record(i), tr.Record(i))
+		}
+	}
+	cpSp, ipsSp := equivPredictors()
+	spRes, err := Run(cols, cpSp, ipsSp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spRes, ref) {
+		t.Fatalf("seed %d: replay of spill-decoded columns diverged:\n got %+v\nwant %+v", seed, spRes, ref)
+	}
+}
+
+// FuzzColumnarEquivalence runs checkEquivalence on fuzzed trace shapes.
 func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(0x22))
 	f.Add(int64(7), uint16(50), uint8(0xF1))
 	f.Add(int64(42), uint16(900), uint8(0x08))
 	f.Add(int64(-3), uint16(64), uint8(0x00))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8) {
-		nRec := int(n) % 2048
-		if nRec == 0 {
-			return
-		}
-		tr := genEquivTrace(seed, nRec, shape)
-
-		cpRef, ipsRef := equivPredictors()
-		ref, err := RunRecords(tr, cpRef, ipsRef, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cpCol, ipsCol := equivPredictors()
-		got, err := Run(tr, cpCol, ipsCol, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("columnar Run diverged:\n got %+v\nwant %+v", got, ref)
-		}
-
-		// Shared-tape replay under a cond key (segment loop interchange +
-		// span feeding) must match too.
-		tape, err := NewTape(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpTape, ipsTape := equivPredictors()
-		tapeRes, err := tape.Run("hp", cpTape, ipsTape, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tapeRes, ref) {
-			t.Fatalf("tape replay diverged:\n got %+v\nwant %+v", tapeRes, ref)
-		}
-
-		// The consolidated predictor shares state between the conditional
-		// and indirect sides (and trains with targets), so it pins down the
-		// within-segment call ordering and the TargetTrainer hoist.
-		ccRef := combined.New(core.DefaultConfig())
-		refC, err := RunRecords(tr, ccRef, []predictor.Indirect{ccRef.Indirect()}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ccCol := combined.New(core.DefaultConfig())
-		gotC, err := Run(tr, ccCol, []predictor.Indirect{ccCol.Indirect()}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotC, refC) {
-			t.Fatalf("columnar Run (consolidated) diverged:\n got %+v\nwant %+v", gotC, refC)
-		}
-
-		// Spill round trip: the columnar writer must produce the exact bytes
-		// of the record-slice writer, and decoding through the columnar fast
-		// path must reproduce every record and the same replay results.
-		h := trace.SpillHeader{Name: tr.Name, Seed: seed, Instructions: tr.Instructions()}
-		var want, gotBuf bytes.Buffer
-		if err := trace.WriteSpill(&want, h, tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.WriteSpillColumns(&gotBuf, h, tr.Columns()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), gotBuf.Bytes()) {
-			t.Fatal("WriteSpillColumns bytes differ from WriteSpill")
-		}
-		_, cols, err := trace.ReadSpillColumns(bytes.NewReader(want.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer trace.ReleaseColumns(cols)
-		if cols.Len() != len(tr.Records) {
-			t.Fatalf("columnar decode: %d records, want %d", cols.Len(), len(tr.Records))
-		}
-		for i := range tr.Records {
-			if cols.Record(i) != tr.Records[i] {
-				t.Fatalf("columnar decode record %d = %+v, want %+v", i, cols.Record(i), tr.Records[i])
-			}
-		}
-		cpSp, ipsSp := equivPredictors()
-		spRes, err := RunColumns(cols, cpSp, ipsSp, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(spRes, ref) {
-			t.Fatalf("replay of spill-decoded columns diverged:\n got %+v\nwant %+v", spRes, ref)
+		if nRec := int(n) % 2048; nRec > 0 {
+			checkEquivalence(t, seed, nRec, shape)
 		}
 	})
 }
 
 // TestColumnarEquivalenceSeeds runs the differential on the fuzz seed
-// corpus so `go test` exercises it without the fuzz engine.
+// corpus (plus two edge shapes) so `go test` exercises it without the fuzz
+// engine.
 func TestColumnarEquivalenceSeeds(t *testing.T) {
 	cases := []struct {
 		seed  int64
@@ -171,19 +171,6 @@ func TestColumnarEquivalenceSeeds(t *testing.T) {
 		{99, 2047, 0x71}, {5, 1, 0x30},
 	}
 	for _, c := range cases {
-		tr := genEquivTrace(c.seed, int(c.n)%2048, c.shape)
-		cpRef, ipsRef := equivPredictors()
-		ref, err := RunRecords(tr, cpRef, ipsRef, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpCol, ipsCol := equivPredictors()
-		got, err := Run(tr, cpCol, ipsCol, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("seed %d: columnar Run diverged:\n got %+v\nwant %+v", c.seed, got, ref)
-		}
+		checkEquivalence(t, c.seed, int(c.n)%2048, c.shape)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // counters. Together with the predictors' own snapshots (see
 // predictor.Snapshotter) it is everything needed to resume a run in another
 // process with bit-identical results: RunColumnsUntil → snapshot →
-// RestorePausedRun → ResumeColumns equals one uninterrupted RunColumns.
+// RestorePausedRun → ResumeColumns equals one uninterrupted Run.
 type PausedRun struct {
 	next    int // index of the first unprocessed record
 	stack   *ras.Stack
@@ -26,7 +26,7 @@ type PausedRun struct {
 // Next returns the index of the first unprocessed trace record.
 func (pr *PausedRun) Next() int { return pr.next }
 
-// validateRun is the shared argument check of the columnar entry points.
+// validateRun is the shared argument check of the engine entry points.
 func validateRun(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect) error {
 	if cols == nil {
 		return fmt.Errorf("sim: nil trace")
@@ -43,10 +43,10 @@ func validateRun(cols *trace.Columns, cp cond.Predictor, indirects []predictor.I
 	return nil
 }
 
-// runRange replays records [pr.next, stop) of the columnar trace, advancing
-// pr. The segment bodies are RunColumns' loop verbatim with the iteration
-// bounds clamped to the range; at full range ([0, Len)) the clamps are
-// no-ops and the replay is bit-identical to the uninterrupted engine.
+// runRange replays records [pr.next, stop) of the trace, advancing pr. Each
+// segment's iteration bounds are clamped to the range; at full range
+// ([0, Len)) the clamps are no-ops, so Run and the resume entry points
+// share one loop.
 func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect, pr *PausedRun, stop int) {
 	stack := pr.stack
 	shared := &pr.shared
@@ -139,7 +139,7 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 }
 
 // finalize closes out a fully replayed run: the shared instruction count
-// and per-predictor identity/shared-counter copies of RunColumns' epilogue.
+// and the per-predictor identity and shared-counter copies.
 func finalize(cols *trace.Columns, indirects []predictor.Indirect, pr *PausedRun) []Result {
 	pr.shared.Instructions = cols.Instructions()
 	perPred := pr.perPred
@@ -177,7 +177,7 @@ func RunColumnsUntil(cols *trace.Columns, cp cond.Predictor, indirects []predict
 // and returns the final results. cp and indirects must hold the same state
 // they had when the run paused (the same instances, or fresh ones restored
 // from snapshots); the combined outcome is bit-identical to one
-// uninterrupted RunColumns over the whole trace.
+// uninterrupted Run over the whole trace.
 func ResumeColumns(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect, pr *PausedRun) ([]Result, error) {
 	if err := validateRun(cols, cp, indirects); err != nil {
 		return nil, err

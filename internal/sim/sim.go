@@ -7,8 +7,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"blbp/internal/cond"
 	"blbp/internal/predictor"
 	"blbp/internal/ras"
@@ -82,149 +80,26 @@ const instructionSize = 4
 // identical event stream; conditional and return statistics are duplicated
 // into every Result.
 //
-// Replay runs over the trace's columnar form (built and cached on first
-// use; see trace.Columns) via RunColumns. Results are bit-identical to the
-// record-slice reference RunRecords.
+// The trace is validated once up front (cached on the columns across
+// passes) instead of inside the hot loop. Segments are then replayed in
+// order and every record within a segment in order, so each predictor
+// observes exactly the interleaved record stream — only the per-record type
+// switch and the cond.TargetTrainer assertion are hoisted to the segment
+// level. Within conditional segments the per-record call sequence (predict,
+// train, update history, feed indirects) is preserved verbatim: VPC and the
+// consolidated predictor share state between the conditional and indirect
+// sides, so the relative order of those calls is observable. The segment
+// loop lives in runRange (resume.go), shared with the checkpoint/resume
+// entry points so the interrupted and uninterrupted paths cannot drift.
 //
 // VPC shares state with the conditional predictor, so a VPC instance must
 // be the only indirect predictor in its pass and must be paired with its
 // own *cond.HashedPerceptron as cp; see package vpc.
-func Run(tr *trace.Trace, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("sim: nil trace")
-	}
-	// Validate once up front (cached on the trace across passes) instead of
-	// re-checking every record inside the hot loop; the columnar build then
-	// inherits the validation.
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return RunColumns(tr.Columns(), cp, indirects, opts)
-}
-
-// RunColumns is the engine proper: Run over a columnar trace. Segments are
-// replayed in order and every record within a segment in order, so each
-// predictor observes exactly the interleaved event stream of the
-// record-slice loop — only the per-record type switch and the
-// cond.TargetTrainer assertion are hoisted to the segment level. Within
-// conditional segments the per-record call sequence (predict, train, update
-// history, feed indirects) is preserved verbatim: VPC and the consolidated
-// predictor share state between the conditional and indirect sides, so the
-// relative order of those calls is observable. The segment loop lives in
-// runRange (resume.go), shared with the checkpoint/resume entry points so
-// the interrupted and uninterrupted paths cannot drift.
-func RunColumns(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
+func Run(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
 	if err := validateRun(cols, cp, indirects); err != nil {
 		return nil, err
 	}
 	pr := &PausedRun{stack: ras.New(opts.rasDepth()), perPred: make([]Result, len(indirects))}
 	runRange(cols, cp, indirects, pr, cols.Len())
 	return finalize(cols, indirects, pr), nil
-}
-
-// RunRecords is the record-slice reference engine: the original per-record
-// loop over tr.Records, kept verbatim (modulo the hoisted TargetTrainer
-// assertion) as the differential baseline for the columnar path — the
-// FuzzColumnarEquivalence gate and the sim_run_records bench entry compare
-// against it. New callers should use Run.
-func RunRecords(tr *trace.Trace, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("sim: nil trace")
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("sim: nil conditional predictor")
-	}
-	if len(indirects) == 0 {
-		return nil, fmt.Errorf("sim: no indirect predictors")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	stack := ras.New(opts.rasDepth())
-	var shared Result
-	perPred := make([]Result, len(indirects))
-	tt, hasTT := cp.(cond.TargetTrainer)
-
-	for ri := range tr.Records {
-		r := &tr.Records[ri]
-		shared.Instructions += r.Instructions()
-
-		switch r.Type {
-		case trace.CondDirect:
-			shared.CondBranches++
-			pred := cp.Predict(r.PC)
-			if pred != r.Taken {
-				shared.CondMispredicts++
-			}
-			if hasTT {
-				tt.TrainWithTarget(r.PC, r.Taken, r.Target)
-			} else {
-				cp.Train(r.PC, r.Taken)
-			}
-			cp.UpdateHistory(r.PC, r.Taken)
-			for _, ip := range indirects {
-				ip.OnCond(r.PC, r.Taken)
-			}
-
-		case trace.IndirectJump, trace.IndirectCall:
-			for i, ip := range indirects {
-				perPred[i].IndirectBranches++
-				pred, ok := ip.Predict(r.PC)
-				if !ok {
-					perPred[i].NoPrediction++
-					perPred[i].IndirectMispredicts++
-				} else if pred != r.Target {
-					perPred[i].IndirectMispredicts++
-				}
-				ip.Update(r.PC, r.Target)
-			}
-			if r.Type == trace.IndirectCall {
-				stack.Push(r.PC + instructionSize)
-			}
-			cp.OnOther(r.PC, r.Target, r.Type)
-
-		case trace.Return:
-			shared.Returns++
-			if !stack.Predict(r.Target) {
-				shared.ReturnMispredicts++
-			}
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-
-		case trace.DirectCall:
-			stack.Push(r.PC + instructionSize)
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-
-		case trace.UncondDirect:
-			cp.OnOther(r.PC, r.Target, r.Type)
-			for _, ip := range indirects {
-				ip.OnOther(r.PC, r.Target, r.Type)
-			}
-		}
-	}
-
-	for i, ip := range indirects {
-		perPred[i].Trace = tr.Name
-		perPred[i].Predictor = ip.Name()
-		perPred[i].Instructions = shared.Instructions
-		perPred[i].CondBranches = shared.CondBranches
-		perPred[i].CondMispredicts = shared.CondMispredicts
-		perPred[i].Returns = shared.Returns
-		perPred[i].ReturnMispredicts = shared.ReturnMispredicts
-	}
-	return perPred, nil
-}
-
-// RunOne is a convenience wrapper for a single indirect predictor.
-func RunOne(tr *trace.Trace, cp cond.Predictor, ip predictor.Indirect, opts Options) (Result, error) {
-	res, err := Run(tr, cp, []predictor.Indirect{ip}, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
 }

@@ -26,8 +26,17 @@ func (s *stubIndirect) StorageBits() int                               { return 
 
 var _ predictor.Indirect = (*stubIndirect)(nil)
 
-func buildTrace() *trace.Trace {
-	tr := &trace.Trace{Name: "unit"}
+// runOne runs a single indirect predictor and returns its Result.
+func runOne(tr *trace.Columns, cp cond.Predictor, ip predictor.Indirect, opts Options) (Result, error) {
+	res, err := Run(tr, cp, []predictor.Indirect{ip}, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+func buildTrace() *trace.Columns {
+	tr := trace.NewColumns("unit", 0)
 	// 10 conditional (taken), 4 indirect to 0xAAAA, 2 indirect to 0xBBBB,
 	// one call/return pair.
 	for i := 0; i < 10; i++ {
@@ -47,7 +56,7 @@ func buildTrace() *trace.Trace {
 func TestCountsWithStub(t *testing.T) {
 	tr := buildTrace()
 	stub := &stubIndirect{target: 0xAAAA, have: true}
-	res, err := RunOne(tr, cond.NewBimodal(1024), stub, Options{})
+	res, err := runOne(tr, cond.NewBimodal(1024), stub, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +88,7 @@ func TestCountsWithStub(t *testing.T) {
 func TestNoPredictionCountsAsMispredict(t *testing.T) {
 	tr := buildTrace()
 	stub := &stubIndirect{have: false}
-	res, err := RunOne(tr, cond.NewBimodal(1024), stub, Options{})
+	res, err := runOne(tr, cond.NewBimodal(1024), stub, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +115,9 @@ func TestMPKIComputation(t *testing.T) {
 }
 
 func TestReturnMispredictOnColdStack(t *testing.T) {
-	tr := &trace.Trace{Name: "ret"}
+	tr := trace.NewColumns("ret", 0)
 	tr.Append(trace.Record{PC: 0x100, Target: 0x9999, Type: trace.Return, Taken: true})
-	res, err := RunOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
+	res, err := runOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +127,10 @@ func TestReturnMispredictOnColdStack(t *testing.T) {
 }
 
 func TestCallReturnMatchingAcrossIndirectCalls(t *testing.T) {
-	tr := &trace.Trace{Name: "icall"}
+	tr := trace.NewColumns("icall", 0)
 	tr.Append(trace.Record{PC: 0x100, Target: 0x8000, Type: trace.IndirectCall, Taken: true})
 	tr.Append(trace.Record{PC: 0x8010, Target: 0x104, Type: trace.Return, Taken: true})
-	res, err := RunOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
+	res, err := runOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestMultiPredictorSinglePass(t *testing.T) {
 func TestRealPredictorsEndToEnd(t *testing.T) {
 	// A monomorphic indirect branch stream: all real predictors should
 	// converge to near-zero indirect MPKI.
-	tr := &trace.Trace{Name: "mono"}
+	tr := trace.NewColumns("mono", 0)
 	for i := 0; i < 2000; i++ {
 		tr.Append(trace.Record{PC: 0x100, Target: 0x140, InstrBefore: 8, Type: trace.CondDirect, Taken: i%3 != 0})
 		tr.Append(trace.Record{PC: 0x200, Target: 0x7000, InstrBefore: 5, Type: trace.IndirectJump, Taken: true})
@@ -186,7 +195,8 @@ func TestErrorCases(t *testing.T) {
 	if _, err := Run(tr, cond.NewBimodal(4), nil, Options{}); err == nil {
 		t.Error("empty predictor list accepted")
 	}
-	badTrace := &trace.Trace{Records: []trace.Record{{Type: trace.BranchType(7), Taken: true}}}
+	badTrace := trace.NewColumns("bad", 1)
+	badTrace.Append(trace.Record{Type: trace.BranchType(7), Taken: true})
 	if _, err := Run(badTrace, cond.NewBimodal(4), []predictor.Indirect{&stubIndirect{}}, Options{}); err == nil {
 		t.Error("invalid record accepted")
 	}
@@ -212,7 +222,7 @@ func TestAccountingMatchesTraceAnalysis(t *testing.T) {
 	for _, spec := range specs {
 		tr := spec.Build()
 		st := trace.Analyze(tr)
-		res, err := RunOne(tr, cond.NewBimodal(1024), &stubIndirect{}, Options{})
+		res, err := runOne(tr, cond.NewBimodal(1024), &stubIndirect{}, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -236,7 +246,7 @@ func TestRASOverflowVisibleInEngine(t *testing.T) {
 		MaxDepth: 100, MinDepth: 80, Work: 8,
 	})
 	tr := spec.Build()
-	res, err := RunOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
+	res, err := runOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func TestRASOverflowVisibleInEngine(t *testing.T) {
 		t.Error("recursion past RAS depth produced no return mispredicts")
 	}
 	// A deeper RAS must strictly help.
-	res2, err := RunOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{RASDepth: 256})
+	res2, err := runOne(tr, cond.NewBimodal(64), &stubIndirect{}, Options{RASDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

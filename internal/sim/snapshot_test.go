@@ -111,14 +111,13 @@ func restorePass(blob []byte, cp cond.Predictor, indirects []predictor.Indirect)
 
 func TestSnapshotRestoreSplits(t *testing.T) {
 	const nRec = 1200
-	tr := genEquivTrace(11, nRec, 0x42)
-	cols := tr.Columns()
+	cols := genEquivTrace(11, nRec, 0x42)
 	// Split points: before any event, pre-warmup, mid-run, post-warmup, and
 	// the degenerate snapshot-at-end.
 	splits := []int{0, 7, nRec / 2, nRec - 3, nRec}
 	for _, kind := range []string{"suite", "consolidated"} {
 		cpRef, ipsRef := passPredictors(kind)
-		ref, err := RunColumns(cols, cpRef, ipsRef, Options{})
+		ref, err := Run(cols, cpRef, ipsRef, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +164,7 @@ func TestSnapshotRestoreSplits(t *testing.T) {
 // payload byte and the header fields are all semantic.
 func TestSnapshotRejectsDamage(t *testing.T) {
 	const nRec = 600
-	tr := genEquivTrace(23, nRec, 0x31)
-	cols := tr.Columns()
+	cols := genEquivTrace(23, nRec, 0x31)
 	cpA, ipsA := passPredictors("suite")
 	pr, err := RunColumnsUntil(cols, cpA, ipsA, Options{}, 300)
 	if err != nil {
@@ -204,12 +202,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if nRec == 0 {
 			return
 		}
-		tr := genEquivTrace(seed, nRec, shape)
-		cols := tr.Columns()
+		cols := genEquivTrace(seed, nRec, shape)
 		split := nRec * int(splitFrac) / 255
 		for _, kind := range []string{"suite", "consolidated"} {
 			cpRef, ipsRef := passPredictors(kind)
-			ref, err := RunColumns(cols, cpRef, ipsRef, Options{})
+			ref, err := Run(cols, cpRef, ipsRef, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,9 +21,8 @@ import (
 // tape, driving only their indirect predictors over the record stream,
 // instead of re-simulating the conditional and return sides.
 //
-// The tape replays the trace's columnar form (trace.Columns): its loops run
-// segment by segment, skipping classes a memo does not observe and feeding
-// predictors whole same-class runs at a time.
+// The tape's loops run segment by segment, skipping classes a memo does
+// not observe and feeding predictors whole same-class runs at a time.
 //
 // A Tape is safe for concurrent use: the scheduler runs many passes of the
 // same workload at once and they all share one tape.
@@ -48,22 +47,11 @@ type rasMemo struct {
 	mispredicts int64
 }
 
-// NewTape validates the trace and builds (or reuses) its columnar form. The
-// conditional and RAS sides are filled in lazily on first use.
-func NewTape(tr *trace.Trace) (*Tape, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("sim: nil trace")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return NewTapeColumns(tr.Columns())
-}
-
-// NewTapeColumns builds a tape directly over a columnar trace. The
-// pass-invariant totals are read from the columns' precomputed counts, so
-// construction is O(1) after validation.
-func NewTapeColumns(cols *trace.Columns) (*Tape, error) {
+// NewTape validates the trace and builds a tape over it. The pass-invariant
+// totals are read from the columns' precomputed counts, so construction is
+// O(1) after validation; the conditional and RAS sides are filled in lazily
+// on first use.
+func NewTape(cols *trace.Columns) (*Tape, error) {
 	if cols == nil {
 		return nil, fmt.Errorf("sim: nil trace")
 	}
@@ -181,7 +169,7 @@ func (tp *Tape) returnMispredicts(depth int) int64 {
 // through one call instead of one interface call per record.
 func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
 	if condKey == "" {
-		return RunColumns(tp.cols, cp, indirects, opts)
+		return Run(tp.cols, cp, indirects, opts)
 	}
 	if cp == nil {
 		return nil, fmt.Errorf("sim: nil conditional predictor")

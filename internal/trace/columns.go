@@ -5,15 +5,16 @@ import (
 	"sync"
 )
 
-// Columns is the columnar (structure-of-arrays) form of a trace: one
-// parallel array per Record field plus a packed taken bitset, and a
-// precomputed run-length class segmentation. It exists for the replay hot
-// path — `sim` walks millions of records per pass, and the array-of-structs
-// layout makes every pass pay a 6-way type switch, a bounds-checked struct
-// load, and a per-record Taken byte for fields most classes never touch.
-// The columnar layout streams each field contiguously, and the segmentation
-// lets replay loops hoist the type dispatch (and any per-class interface
-// assertions) out of the per-record path entirely.
+// Columns is the in-memory trace, stored columnar (structure-of-arrays):
+// one parallel array per Record field plus a packed taken bitset, and a
+// precomputed run-length class segmentation. The layout serves the replay
+// hot path — `sim` walks millions of records per pass, and an
+// array-of-structs layout would make every pass pay a 6-way type switch, a
+// bounds-checked struct load, and a per-record Taken byte for fields most
+// classes never touch. The columnar layout streams each field contiguously,
+// and the segmentation lets replay loops hoist the type dispatch (and any
+// per-class interface assertions) out of the per-record path entirely.
+// Record(i) materializes one record for cold paths.
 //
 // Segmentation is run-length, not per-class index lists, on purpose:
 // predictors are stateful and must observe the interleaved record stream in
@@ -21,10 +22,10 @@ import (
 // of identical BranchType. Replaying segments in order visits every record
 // exactly once in trace order.
 //
-// A Columns is built once (by a workload generator, the spill decoder, or
-// Trace.Columns) and is read-only afterwards: the accessor methods return
-// the underlying arrays, and callers must not mutate them. Like Trace, a
-// successful Validate is cached so repeated passes skip the check.
+// A Columns is built once (by a workload generator, a decoder, or Append)
+// and is read-only afterwards: the accessor methods return the underlying
+// arrays, and callers must not mutate them. A successful Validate is cached
+// so repeated passes skip the check.
 type Columns struct {
 	// Name identifies the workload the trace came from.
 	Name string
@@ -39,7 +40,7 @@ type Columns struct {
 	counts       [numBranchTypes]int64
 	instructions int64
 
-	// validated caches a successful Validate (see Trace.validated).
+	// validated caches a successful Validate; Append clears it.
 	validated bool
 	// pooled marks arena-owned column storage (see ReleaseColumns).
 	pooled bool
@@ -220,30 +221,6 @@ func (c *Columns) Validate() error {
 	}
 	c.validated = true
 	return nil
-}
-
-// Trace materializes the record-slice form. The returned trace carries c as
-// its cached columnar form (Trace.Columns returns it without rebuilding),
-// and inherits c's cached validation.
-func (c *Columns) Trace() *Trace {
-	t := &Trace{Name: c.Name, Records: make([]Record, c.Len())}
-	for i := range t.Records {
-		t.Records[i] = c.Record(i)
-	}
-	t.validated = c.validated
-	t.cols = c
-	return t
-}
-
-// columnsFromRecords builds the columnar form of a record slice, inheriting
-// the trace's cached validation.
-func columnsFromRecords(t *Trace) *Columns {
-	c := NewColumns(t.Name, len(t.Records))
-	for i := range t.Records {
-		c.Append(t.Records[i])
-	}
-	c.validated = t.validated
-	return c
 }
 
 // colsPool recycles Columns whose storage is arena-owned: ReadSpillColumns

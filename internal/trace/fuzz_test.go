@@ -25,8 +25,8 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 		if err == nil {
 			// A random payload can occasionally decode; it must then be a
 			// fully valid trace.
-			for _, r := range tr.Records {
-				if r.Validate() != nil {
+			for i := 0; i < tr.Len(); i++ {
+				if tr.Record(i).Validate() != nil {
 					return false
 				}
 			}
@@ -65,10 +65,10 @@ func TestReadHugeNameRejected(t *testing.T) {
 func FuzzRead(f *testing.F) {
 	// Seed with a valid encoded trace and a few corruptions of it.
 	var buf bytes.Buffer
-	valid := &Trace{Name: "seed", Records: []Record{
-		{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true},
-		{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
-	}}
+	valid := columnsOf("seed",
+		Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true},
+		Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
+	)
 	if err := Write(&buf, valid); err != nil {
 		f.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		// Successful decodes must be internally valid and re-encodable.
-		for _, r := range tr.Records {
-			if vErr := r.Validate(); vErr != nil {
+		for i := 0; i < tr.Len(); i++ {
+			if vErr := tr.Record(i).Validate(); vErr != nil {
 				t.Fatalf("decoded invalid record: %v", vErr)
 			}
 		}
@@ -111,7 +111,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if len(name) > 1<<12 {
 			name = name[:1<<12]
 		}
-		tr := &Trace{Name: name}
+		tr := NewColumns(name, len(data)/11)
 		for len(data) >= 11 {
 			chunk := data[:11]
 			data = data[11:]
@@ -141,13 +141,13 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
 		}
-		if got.Name != tr.Name || len(got.Records) != len(tr.Records) {
+		if got.Name != tr.Name || got.Len() != tr.Len() {
 			t.Fatalf("round trip changed shape: name %q->%q, records %d->%d",
-				tr.Name, got.Name, len(tr.Records), len(got.Records))
+				tr.Name, got.Name, tr.Len(), got.Len())
 		}
-		for i := range tr.Records {
-			if got.Records[i] != tr.Records[i] {
-				t.Fatalf("record %d changed in round trip: %+v -> %+v", i, tr.Records[i], got.Records[i])
+		for i := 0; i < tr.Len(); i++ {
+			if got.Record(i) != tr.Record(i) {
+				t.Fatalf("record %d changed in round trip: %+v -> %+v", i, tr.Record(i), got.Record(i))
 			}
 		}
 		var re bytes.Buffer

@@ -31,7 +31,10 @@ var magic = [8]byte{'B', 'L', 'B', 'P', 'T', 'R', 'C', '1'}
 var ErrBadMagic = errors.New("trace: bad magic (not a BLBP trace file)")
 
 // Write encodes the trace to w in the binary trace format.
-func Write(w io.Writer, t *Trace) error {
+func Write(w io.Writer, c *Columns) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -42,20 +45,18 @@ func Write(w io.Writer, t *Trace) error {
 		_, err := bw.Write(buf[:n])
 		return err
 	}
-	if err := putUvarint(uint64(len(t.Name))); err != nil {
+	if err := putUvarint(uint64(len(c.Name))); err != nil {
 		return err
 	}
-	if _, err := bw.WriteString(t.Name); err != nil {
+	if _, err := bw.WriteString(c.Name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.Records))); err != nil {
+	if err := putUvarint(uint64(c.Len())); err != nil {
 		return err
 	}
 	var prevPC uint64
-	for i, r := range t.Records {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
+	for i := 0; i < c.Len(); i++ {
+		r := c.Record(i)
 		header := byte(r.Type)
 		if r.Taken {
 			header |= 1 << 3
@@ -78,7 +79,7 @@ func Write(w io.Writer, t *Trace) error {
 }
 
 // Read decodes a trace previously encoded with Write.
-func Read(r io.Reader) (*Trace, error) {
+func Read(r io.Reader) (*Columns, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -103,21 +104,18 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading record count: %w", err)
 	}
-	t := &Trace{Name: string(name)}
-	if count > 0 {
-		// Guard against absurd counts from corrupt input before allocating.
-		const maxRecords = 1 << 32
-		if count > maxRecords {
-			return nil, fmt.Errorf("trace: record count %d exceeds limit", count)
-		}
-		// Cap the preallocation: a corrupt count below the hard limit must
-		// not commit gigabytes up front. Decoding fails naturally at EOF.
-		capHint := count
-		if capHint > 1<<16 {
-			capHint = 1 << 16
-		}
-		t.Records = make([]Record, 0, capHint)
+	// Guard against absurd counts from corrupt input before allocating.
+	const maxRecords = 1 << 32
+	if count > maxRecords {
+		return nil, fmt.Errorf("trace: record count %d exceeds limit", count)
 	}
+	// Cap the preallocation: a corrupt count below the hard limit must not
+	// commit gigabytes up front. Decoding fails naturally at EOF.
+	capHint := count
+	if capHint > 1<<16 {
+		capHint = 1 << 16
+	}
+	c := NewColumns(string(name), int(capHint))
 	var prevPC uint64
 	for i := uint64(0); i < count; i++ {
 		header, err := br.ReadByte()
@@ -149,10 +147,10 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
 		prevPC = rec.PC
-		t.Records = append(t.Records, rec)
+		c.Append(rec)
 	}
 	// Every record was validated during decoding; mark the trace so
 	// simulation passes skip revalidation.
-	t.validated = true
-	return t, nil
+	c.validated = true
+	return c, nil
 }

@@ -4,22 +4,40 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-func sampleTrace() *Trace {
-	return &Trace{
-		Name: "sample",
-		Records: []Record{
-			{PC: 0x400000, Target: 0x400010, InstrBefore: 3, Type: CondDirect, Taken: true},
-			{PC: 0x400010, Target: 0x400014, InstrBefore: 0, Type: CondDirect, Taken: false},
-			{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
-			{PC: 0x7f0040, Target: 0x400108, InstrBefore: 9, Type: Return, Taken: true},
-			{PC: 0x400200, Target: 0x500000, InstrBefore: 100, Type: IndirectJump, Taken: true},
-		},
+// columnsOf builds a trace from records in order.
+func columnsOf(name string, recs ...Record) *Columns {
+	c := NewColumns(name, len(recs))
+	for _, r := range recs {
+		c.Append(r)
 	}
+	return c
+}
+
+// sameRecords reports whether a and b hold the same name and records.
+func sameRecords(a, b *Columns) bool {
+	if a.Name != b.Name || a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Record(i) != b.Record(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func sampleTrace() *Columns {
+	return columnsOf("sample",
+		Record{PC: 0x400000, Target: 0x400010, InstrBefore: 3, Type: CondDirect, Taken: true},
+		Record{PC: 0x400010, Target: 0x400014, InstrBefore: 0, Type: CondDirect, Taken: false},
+		Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
+		Record{PC: 0x7f0040, Target: 0x400108, InstrBefore: 9, Type: Return, Taken: true},
+		Record{PC: 0x400200, Target: 0x500000, InstrBefore: 100, Type: IndirectJump, Taken: true},
+	)
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -32,11 +50,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if got.Name != orig.Name {
-		t.Errorf("name = %q, want %q", got.Name, orig.Name)
-	}
-	if !reflect.DeepEqual(got.Records, orig.Records) {
-		t.Errorf("records differ:\n got %+v\nwant %+v", got.Records, orig.Records)
+	if !sameRecords(got, orig) {
+		t.Errorf("round trip changed the trace: got %q/%d records, want %q/%d", got.Name, got.Len(), orig.Name, orig.Len())
 	}
 }
 
@@ -62,7 +77,7 @@ func TestReadTruncated(t *testing.T) {
 }
 
 func TestWriteRejectsInvalidRecord(t *testing.T) {
-	tr := &Trace{Records: []Record{{Type: BranchType(7), Taken: true}}}
+	tr := columnsOf("", Record{Type: BranchType(7), Taken: true})
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err == nil {
 		t.Error("Write accepted invalid record")
@@ -71,23 +86,23 @@ func TestWriteRejectsInvalidRecord(t *testing.T) {
 
 func TestEmptyTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Trace{Name: ""}); err != nil {
+	if err := Write(&buf, NewColumns("", 0)); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if len(got.Records) != 0 {
-		t.Errorf("got %d records, want 0", len(got.Records))
+	if got.Len() != 0 {
+		t.Errorf("got %d records, want 0", got.Len())
 	}
 }
 
 // randomTrace builds an arbitrary-but-valid trace from a rand source, used
 // by the property-based round-trip test.
-func randomTrace(r *rand.Rand) *Trace {
+func randomTrace(r *rand.Rand) *Columns {
 	n := r.Intn(200)
-	tr := &Trace{Name: "fuzz"}
+	tr := NewColumns("fuzz", n)
 	for i := 0; i < n; i++ {
 		rec := Record{
 			PC:          r.Uint64(),
@@ -118,15 +133,7 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Logf("Read: %v", err)
 			return false
 		}
-		if len(got.Records) != len(orig.Records) {
-			return false
-		}
-		for i := range got.Records {
-			if got.Records[i] != orig.Records[i] {
-				return false
-			}
-		}
-		return true
+		return sameRecords(got, orig)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -136,7 +143,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestEncodingIsCompact(t *testing.T) {
 	// A tight loop — same PC repeatedly — should compress far below the
 	// naive 25+ bytes/record encoding thanks to XOR deltas.
-	tr := &Trace{Name: "loop"}
+	tr := NewColumns("loop", 1000)
 	for i := 0; i < 1000; i++ {
 		tr.Append(Record{PC: 0x400100, Target: 0x400000, InstrBefore: 5, Type: CondDirect, Taken: true})
 	}

@@ -9,10 +9,7 @@
 // (mispredictions per kilo-instruction) can be computed exactly.
 package trace
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BranchType classifies a control-flow instruction.
 type BranchType uint8
@@ -107,74 +104,4 @@ func (r Record) Validate() error {
 		return fmt.Errorf("trace: %v branch at pc=%#x marked not taken", r.Type, r.PC)
 	}
 	return nil
-}
-
-// Trace is an in-memory trace: a sequence of records.
-type Trace struct {
-	// Name identifies the workload the trace came from.
-	Name string
-	// Records is the ordered branch sequence.
-	Records []Record
-
-	// validated caches a successful Validate so consumers that replay the
-	// trace many times (one simulation pass per predictor configuration)
-	// pay the per-record check once instead of inside every hot loop.
-	// Append clears it; callers who mutate Records directly and need
-	// revalidation should go through Append or a fresh Trace.
-	validated bool
-
-	// cols caches the columnar form (see Columns): built lazily on first
-	// use, shared by every replay pass over the trace, invalidated by
-	// Append.
-	colsMu sync.Mutex
-	cols   *Columns
-}
-
-// Columns returns the columnar form of the trace, building and caching it
-// on first use. The result is shared: callers must not mutate it, and must
-// not Append to the trace while holding it.
-func (t *Trace) Columns() *Columns {
-	t.colsMu.Lock()
-	defer t.colsMu.Unlock()
-	if t.cols == nil {
-		t.cols = columnsFromRecords(t)
-	}
-	return t.cols
-}
-
-// Validate checks every record for internal consistency. A successful
-// result is cached on the trace, making repeated calls O(1) until the next
-// Append.
-func (t *Trace) Validate() error {
-	if t.validated {
-		return nil
-	}
-	for i := range t.Records {
-		if err := t.Records[i].Validate(); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	t.validated = true
-	return nil
-}
-
-// Instructions returns the total instruction count of the trace.
-func (t *Trace) Instructions() int64 {
-	var n int64
-	for _, r := range t.Records {
-		n += r.Instructions()
-	}
-	return n
-}
-
-// Append adds a record to the trace, clearing the cached validation and the
-// cached columnar form.
-func (t *Trace) Append(r Record) {
-	t.Records = append(t.Records, r)
-	t.validated = false
-	if t.cols != nil {
-		t.colsMu.Lock()
-		t.cols = nil
-		t.colsMu.Unlock()
-	}
 }

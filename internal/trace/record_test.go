@@ -82,7 +82,7 @@ func TestRecordValidate(t *testing.T) {
 }
 
 func TestTraceInstructions(t *testing.T) {
-	tr := &Trace{Name: "t"}
+	tr := NewColumns("t", 0)
 	tr.Append(Record{InstrBefore: 4, Type: CondDirect, Taken: true, PC: 1, Target: 2})
 	tr.Append(Record{InstrBefore: 0, Type: Return, Taken: true, PC: 3, Target: 4})
 	if got := tr.Instructions(); got != 6 {

@@ -2,65 +2,59 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
-func spillTestTrace() *Trace {
-	t := &Trace{Name: "spill-wl"}
-	t.Append(Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true})
-	t.Append(Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true})
-	t.Append(Record{PC: 0x7f0040, Target: 0x400104, InstrBefore: 7, Type: Return, Taken: true})
-	return t
+func spillTestTrace() *Columns {
+	return columnsOf("spill-wl",
+		Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true},
+		Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
+		Record{PC: 0x7f0040, Target: 0x400104, InstrBefore: 7, Type: Return, Taken: true},
+	)
 }
 
 func TestSpillRoundTrip(t *testing.T) {
 	tr := spillTestTrace()
-	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001}
+	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001, Fingerprint: 0xfeed}
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, want, tr); err != nil {
+	if err := WriteSpillColumns(&buf, want, tr); err != nil {
 		t.Fatal(err)
 	}
-	h, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
+	h, got, err := ReadSpillColumns(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != want.Name || h.Seed != want.Seed || h.Instructions != want.Instructions {
-		t.Errorf("identity = %q/%d/%d, want %q/%d/%d",
-			h.Name, h.Seed, h.Instructions, want.Name, want.Seed, want.Instructions)
+	want.Records = int64(tr.Len())
+	if h != want {
+		t.Errorf("header = %+v, want %+v", h, want)
 	}
-	if h.Records != int64(len(tr.Records)) {
-		t.Errorf("header records = %d, want %d", h.Records, len(tr.Records))
-	}
-	if got.Name != tr.Name || len(got.Records) != len(tr.Records) {
-		t.Fatalf("payload shape %q/%d, want %q/%d", got.Name, len(got.Records), tr.Name, len(tr.Records))
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Errorf("record %d differs after round trip", i)
-		}
+	if !sameRecords(got, tr) {
+		t.Fatalf("payload %q/%d differs from %q/%d after round trip", got.Name, got.Len(), tr.Name, tr.Len())
 	}
 }
 
 func TestReadSpillHeaderOnly(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 7, Instructions: 500}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 7, Instructions: 500}, tr); err != nil {
 		t.Fatal(err)
 	}
 	h, err := ReadSpillHeader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != tr.Name || h.Seed != 7 || h.Instructions != 500 || h.Records != int64(len(tr.Records)) {
+	if h.Name != tr.Name || h.Seed != 7 || h.Instructions != 500 || h.Records != int64(tr.Len()) {
 		t.Errorf("header = %+v", h)
 	}
 }
 
 // bigSpillTrace spans several encoder blocks.
-func bigSpillTrace(records int) *Trace {
-	t := &Trace{Name: "spill-big"}
+func bigSpillTrace(records int) *Columns {
+	t := NewColumns("spill-big", records)
 	pc := uint64(0x400000)
 	for i := 0; i < records; i++ {
 		switch i % 3 {
@@ -79,59 +73,30 @@ func bigSpillTrace(records int) *Trace {
 func TestSpillRoundTripMultiBlock(t *testing.T) {
 	tr := bigSpillTrace(3*spillBlockRecords + 17)
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 5, Instructions: 1e6}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 5, Instructions: 1e6}, tr); err != nil {
 		t.Fatal(err)
 	}
-	h, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
+	h, got, err := ReadSpillColumns(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Records != int64(len(tr.Records)) || len(got.Records) != len(tr.Records) {
-		t.Fatalf("record counts: header %d, decoded %d, want %d", h.Records, len(got.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs after multi-block round trip", i)
-		}
+	if h.Records != int64(tr.Len()) || !sameRecords(got, tr) {
+		t.Fatalf("multi-block round trip: header %d records, decoded %d, want %d identical", h.Records, got.Len(), tr.Len())
 	}
 }
 
-// TestSpillV1ReadFallback: files written in the legacy whole-payload format
-// must keep decoding, so old spill directories still warm-start new runs.
-func TestSpillV1ReadFallback(t *testing.T) {
-	tr := spillTestTrace()
-	want := SpillHeader{Name: tr.Name, Seed: -42, Instructions: 9001}
-	var buf bytes.Buffer
-	if err := WriteSpillV1(&buf, want, tr); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadSpillHeader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name != want.Name || h.Seed != want.Seed || h.Instructions != want.Instructions {
-		t.Errorf("v1 header identity = %+v, want %+v", h, want)
-	}
-	if h.Checksum == 0 {
-		t.Error("v1 header checksum missing")
-	}
-	h2, got, err := ReadSpill(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h {
-		t.Errorf("full read header %+v differs from probe %+v", h2, h)
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Errorf("record %d differs after v1 round trip", i)
+// TestLegacySpillMagicRejected: SPL1 and SPL2 files are no longer read. Both
+// the header probe and the full decode must reject them as not-a-spill, so
+// the cache counts a miss and rebuilds.
+func TestLegacySpillMagicRejected(t *testing.T) {
+	for _, magic := range []string{"BLBPSPL1", "BLBPSPL2"} {
+		data := append([]byte(magic), 2, 'w', 'l', 7, 100, 0)
+		if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
+			t.Errorf("%s header probe error = %v, want ErrBadSpillMagic", magic, err)
 		}
-	}
-	// Corruption in the v1 payload must still be caught by its checksum.
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)-1] ^= 0x40
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
-		t.Errorf("corrupt v1 payload error = %v, want ErrSpillMismatch", err)
+		if _, _, err := ReadSpillColumns(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
+			t.Errorf("%s decode error = %v, want ErrBadSpillMagic", magic, err)
+		}
 	}
 }
 
@@ -140,13 +105,43 @@ func TestSpillV1ReadFallback(t *testing.T) {
 func TestSpillBlockCorruption(t *testing.T) {
 	tr := bigSpillTrace(3 * spillBlockRecords)
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0x01
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
+	if _, _, err := ReadSpillColumns(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
 		t.Errorf("corrupt block error = %v, want ErrSpillMismatch", err)
+	}
+}
+
+// oversizedBlockSpill is a 38-byte SPL3 file whose header claims 2^32
+// records and whose first block claims 2^32 records in 2^32 bytes.
+func oversizedBlockSpill() []byte {
+	data := append(spillMagic[:len(spillMagic):len(spillMagic)], 3, 'b', 'i', 'g', 0, 0, 0)
+	data = binary.AppendUvarint(data, 1<<32) // records
+	data = binary.AppendUvarint(data, 1<<32) // nrec
+	data = binary.AppendUvarint(data, 1<<32) // nbytes
+	return append(data, make([]byte, 8)...)  // checksum
+}
+
+// TestSpillOversizedBlockRejectedBeforeAlloc: a block claiming more records
+// than the writer ever puts in one must fail on its length fields, before
+// the reader allocates a buffer for the claimed payload.
+func TestSpillOversizedBlockRejectedBeforeAlloc(t *testing.T) {
+	data := oversizedBlockSpill()
+	if len(data) != 38 {
+		t.Fatalf("fixture is %d bytes, want 38", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadSpillColumns(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSpillMismatch) {
+		t.Errorf("oversized block error = %v, want ErrSpillMismatch", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Errorf("rejecting the oversized block allocated %d bytes, want < 4 MB", delta)
 	}
 }
 
@@ -157,7 +152,7 @@ func TestReadSpillRejectsBarePayload(t *testing.T) {
 	if err := Write(&buf, spillTestTrace()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadSpill(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
+	if _, _, err := ReadSpillColumns(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
 		t.Errorf("bare payload error = %v, want ErrBadSpillMagic", err)
 	}
 	if _, err := ReadSpillHeader(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
@@ -168,14 +163,14 @@ func TestReadSpillRejectsBarePayload(t *testing.T) {
 func TestReadSpillDetectsCorruptPayload(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	// Flip one bit in the last payload byte; the checksum must catch it
 	// even if the payload still happens to decode.
 	data[len(data)-1] ^= 0x40
-	if _, _, err := ReadSpill(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
+	if _, _, err := ReadSpillColumns(bytes.NewReader(data)); !errors.Is(err, ErrSpillMismatch) {
 		t.Errorf("corrupt payload error = %v, want ErrSpillMismatch", err)
 	}
 }
@@ -183,12 +178,12 @@ func TestReadSpillDetectsCorruptPayload(t *testing.T) {
 func TestReadSpillDetectsTruncation(t *testing.T) {
 	tr := spillTestTrace()
 	var buf bytes.Buffer
-	if err := WriteSpill(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 1, Instructions: 100}, tr); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for cut := len(data) - 1; cut > len(data)-6; cut-- {
-		if _, _, err := ReadSpill(bytes.NewReader(data[:cut])); err == nil {
+		if _, _, err := ReadSpillColumns(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d bytes accepted", cut, len(data))
 		}
 	}
@@ -213,10 +208,10 @@ func TestReadSpillEmpty(t *testing.T) {
 	}
 }
 
-func benchSpillDecode(b *testing.B, write func(io.Writer, SpillHeader, *Trace) error) {
+func BenchmarkReadSpill(b *testing.B) {
 	tr := bigSpillTrace(200_000)
 	var buf bytes.Buffer
-	if err := write(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -224,11 +219,10 @@ func benchSpillDecode(b *testing.B, write func(io.Writer, SpillHeader, *Trace) e
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, got, err := ReadSpill(bytes.NewReader(data)); err != nil || len(got.Records) != len(tr.Records) {
-			b.Fatalf("decode: %v (%d records)", err, len(got.Records))
+		_, got, err := ReadSpillColumns(bytes.NewReader(data))
+		if err != nil || got.Len() != tr.Len() {
+			b.Fatalf("decode: %v", err)
 		}
+		ReleaseColumns(got)
 	}
 }
-
-func BenchmarkReadSpill(b *testing.B)   { benchSpillDecode(b, WriteSpill) }
-func BenchmarkReadSpillV1(b *testing.B) { benchSpillDecode(b, WriteSpillV1) }

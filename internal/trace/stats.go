@@ -24,15 +24,10 @@ type siteInfo struct {
 	execs   int64
 }
 
-// Analyze computes statistics over a trace.
-func Analyze(t *Trace) *Stats {
-	return AnalyzeColumns(t.Columns())
-}
-
-// AnalyzeColumns computes statistics over a columnar trace. Totals and
-// per-class counts come from the columns' precomputed aggregates; only the
-// indirect segments are walked for the per-site target sets.
-func AnalyzeColumns(c *Columns) *Stats {
+// Analyze computes statistics over a trace. Totals and per-class counts
+// come from the columns' precomputed aggregates; only the indirect segments
+// are walked for the per-site target sets.
+func Analyze(c *Columns) *Stats {
 	s := &Stats{Name: c.Name, Instructions: c.Instructions(), targets: make(map[uint64]*siteInfo)}
 	for t := BranchType(0); t < numBranchTypes; t++ {
 		s.Count[t] = c.Count(t)

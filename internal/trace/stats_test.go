@@ -6,7 +6,7 @@ import (
 )
 
 func statsFixture() *Stats {
-	tr := &Trace{Name: "fix"}
+	tr := NewColumns("fix", 0)
 	// 10 conditional branches, 9 instructions before each => 100 instructions.
 	for i := 0; i < 10; i++ {
 		tr.Append(Record{PC: 0x100, Target: 0x200, InstrBefore: 9, Type: CondDirect, Taken: true})
@@ -48,7 +48,7 @@ func TestPerKilo(t *testing.T) {
 	if got := s.PerKilo(CondDirect); math.Abs(got-want) > 1e-9 {
 		t.Errorf("PerKilo(cond) = %v, want %v", got, want)
 	}
-	empty := Analyze(&Trace{})
+	empty := Analyze(NewColumns("", 0))
 	if got := empty.PerKilo(CondDirect); got != 0 {
 		t.Errorf("PerKilo on empty trace = %v, want 0", got)
 	}
@@ -61,7 +61,7 @@ func TestPolymorphicFraction(t *testing.T) {
 	if got := s.PolymorphicFraction(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("PolymorphicFraction = %v, want %v", got, want)
 	}
-	empty := Analyze(&Trace{})
+	empty := Analyze(NewColumns("", 0))
 	if got := empty.PolymorphicFraction(); got != 0 {
 		t.Errorf("PolymorphicFraction on empty trace = %v, want 0", got)
 	}
@@ -86,7 +86,7 @@ func TestTargetCountCCDF(t *testing.T) {
 }
 
 func TestTargetCountCCDFClampsLargeSets(t *testing.T) {
-	tr := &Trace{}
+	tr := NewColumns("", 0)
 	for i := 0; i < 10; i++ {
 		tr.Append(Record{PC: 0xC00, Target: uint64(0x1000 * (i + 1)), Type: IndirectJump, Taken: true})
 	}

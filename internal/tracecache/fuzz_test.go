@@ -2,6 +2,7 @@ package tracecache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,11 +14,11 @@ import (
 // fuzzSeedFile encodes a small valid spill file (header + payload).
 func fuzzSeedFile(f *testing.F) []byte {
 	f.Helper()
-	tr := &trace.Trace{Name: "seed"}
+	tr := trace.NewColumns("seed", 0)
 	tr.Append(trace.Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: trace.CondDirect, Taken: true})
 	tr.Append(trace.Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: trace.IndirectCall, Taken: true})
 	var buf bytes.Buffer
-	if err := trace.WriteSpill(&buf, trace.SpillHeader{Name: "seed", Seed: 11, Instructions: 4_000}, tr); err != nil {
+	if err := trace.WriteSpillColumns(&buf, trace.SpillHeader{Name: "seed", Seed: 11, Instructions: 4_000}, tr); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -37,12 +38,20 @@ func FuzzSpillDecode(f *testing.F) {
 	// The pre-header format: a bare trace payload. Must be rejected as
 	// not-a-spill, never decoded as one.
 	var bare bytes.Buffer
-	bareTr := &trace.Trace{Name: "bare"}
+	bareTr := trace.NewColumns("bare", 0)
 	bareTr.Append(trace.Record{PC: 0x400000, Target: 0x400020, InstrBefore: 1, Type: trace.CondDirect, Taken: true})
 	if err := trace.Write(&bare, bareTr); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bare.Bytes())
+	// A header claiming 2^32 records whose first block claims 2^32 records
+	// in 2^32 bytes: must be rejected on the block bound, before the reader
+	// allocates the claimed payload.
+	huge := append([]byte("BLBPSPL3"), 3, 'b', 'i', 'g', 0, 0, 0)
+	for i := 0; i < 3; i++ {
+		huge = binary.AppendUvarint(huge, 1<<32)
+	}
+	f.Add(append(huge, make([]byte, 8)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz"+spillExt)

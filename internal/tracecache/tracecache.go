@@ -12,22 +12,21 @@
 //
 // Spill files are a persistent cache tier, not just eviction overflow.
 // Each file is self-describing — a trace.SpillHeader carrying the full
-// workload identity, record count, and payload checksum — and is written
-// via temp file + rename so a crash never leaves a decodable-but-truncated
-// file at a canonical name. A cache whose Config names a SpillDir indexes
+// workload identity and record count, then checksummed payload blocks —
+// and is written via temp file + rename so a crash never leaves a
+// decodable-but-truncated file at a canonical name. A cache whose Config names a SpillDir indexes
 // the directory's existing files at construction (Preload), so Get serves
 // identities spilled by an earlier process from disk without running the
 // generator; with Config.KeepSpill, Close flushes every live entry to the
 // directory and retains the files, making repeated full-suite runs warm
 // after the first.
 //
-// Entries hold traces in columnar form (trace.Columns — what generators
-// emit, spill files decode into, and the replay engine consumes), with
-// the record-slice view materialized lazily on first request. Each entry
-// also memoizes the two derived artifacts every driver needs: the trace's
-// statistics (trace.AnalyzeColumns, shared by the characterization
-// figures) and its simulation tape (sim.NewTapeColumns, shared by every
-// predictor pass; see internal/sim).
+// Entries hold traces as trace.Columns (what generators emit, spill files
+// decode into, and the replay engine consumes). Each entry also memoizes
+// the two derived artifacts every driver needs: the trace's statistics
+// (trace.Analyze, shared by the characterization figures) and its
+// simulation tape (sim.NewTape, shared by every predictor pass; see
+// internal/sim).
 package tracecache
 
 import (
@@ -48,8 +47,7 @@ import (
 )
 
 // entryOverheadBytes approximates per-entry bookkeeping; recordBytes is the
-// in-memory size of one trace.Record (two uint64, a uint32, two bytes,
-// padded).
+// budgeted in-memory size of one trace record.
 const (
 	recordBytes        = 24
 	entryOverheadBytes = 256
@@ -171,9 +169,6 @@ type Entry struct {
 	bytes int64
 	elem  *list.Element // LRU position, nil once evicted; under Cache.mu
 
-	trOnce sync.Once
-	tr     *trace.Trace
-
 	statsOnce sync.Once
 	stats     *trace.Stats
 
@@ -186,22 +181,15 @@ type Entry struct {
 // not mutate it).
 func (e *Entry) Columns() *trace.Columns { return e.cols }
 
-// Trace returns the record-slice form, materializing it from the columns on
-// first use (shared; callers must not mutate it).
-func (e *Entry) Trace() *trace.Trace {
-	e.trOnce.Do(func() { e.tr = e.cols.Trace() })
-	return e.tr
-}
-
 // Stats returns the trace's statistics, analyzing it on first use.
 func (e *Entry) Stats() *trace.Stats {
-	e.statsOnce.Do(func() { e.stats = trace.AnalyzeColumns(e.cols) })
+	e.statsOnce.Do(func() { e.stats = trace.Analyze(e.cols) })
 	return e.stats
 }
 
 // Tape returns the trace's simulation tape, building it on first use.
 func (e *Entry) Tape() (*sim.Tape, error) {
-	e.tapeOnce.Do(func() { e.tape, e.tapeErr = sim.NewTapeColumns(e.cols) })
+	e.tapeOnce.Do(func() { e.tape, e.tapeErr = sim.NewTape(e.cols) })
 	return e.tape, e.tapeErr
 }
 
@@ -210,9 +198,9 @@ func (e *Entry) Tape() (*sim.Tape, error) {
 // running the generator — even identities never evicted (or built) in this
 // process. New calls it on Config.SpillDir; call it directly to adopt
 // files from an additional directory. Files with the spill extension that
-// do not parse as spill files (the pre-header format, truncated crash
-// leftovers) are remembered as stale and pruned by Close when KeepSpill is
-// set. Identities already live or already indexed are skipped. Returns the
+// do not parse as spill files (older formats, truncated crash leftovers)
+// are remembered as stale and pruned by Close when KeepSpill is set.
+// Identities already live or already indexed are skipped. Returns the
 // number of identities indexed.
 func (c *Cache) Preload(dir string) int {
 	des, err := os.ReadDir(dir)
@@ -240,7 +228,7 @@ func (c *Cache) Preload(dir string) int {
 			c.mu.Unlock()
 			continue
 		}
-		id := workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions, Fingerprint: h.Fingerprint}
+		id := headerIdentity(h)
 		c.mu.Lock()
 		_, live := c.entries[id]
 		_, indexed := c.spilled[id]
@@ -272,23 +260,11 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 		return e
 	}
 	e = &Entry{id: id}
-	spillID := id
-	spillPath := c.spilled[spillID]
-	if spillPath == "" && id.Fingerprint != 0 {
-		// Pre-fingerprint spill files (SPL1/SPL2 headers) index under
-		// fingerprint 0. Fall back to that identity so spill directories
-		// written before the fingerprint field keep warm-starting runs;
-		// loadSpill still verifies name/seed/budget against the header.
-		legacy := id
-		legacy.Fingerprint = 0
-		if p := c.spilled[legacy]; p != "" {
-			spillID, spillPath = legacy, p
-		}
-	}
-	fromPreload := c.preloaded[spillID]
+	spillPath := c.spilled[id]
+	fromPreload := c.preloaded[id]
 	e.build = func() {
 		if spillPath != "" {
-			if cols, err := loadSpill(spillPath, spillID); err == nil {
+			if cols, err := loadSpill(spillPath, id); err == nil {
 				c.spillLoads.Add(1)
 				if fromPreload {
 					c.preloadHits.Add(1)
@@ -300,16 +276,16 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 				c.spillFailure(fmt.Errorf("loading spill for %s: %w", id.Name, err))
 				os.Remove(spillPath)
 				c.mu.Lock()
-				if c.spilled[spillID] == spillPath {
-					delete(c.spilled, spillID)
-					delete(c.preloaded, spillID)
+				if c.spilled[id] == spillPath {
+					delete(c.spilled, id)
+					delete(c.preloaded, id)
 				}
 				c.mu.Unlock()
 			}
 		}
 		if e.cols == nil {
 			c.builds.Add(1)
-			e.cols = spec.BuildColumns()
+			e.cols = spec.Build()
 		}
 		e.bytes = int64(e.cols.Len())*recordBytes + int64(len(e.cols.Name)) + entryOverheadBytes
 	}
@@ -417,6 +393,11 @@ func writeSpill(path string, id workload.Identity, cols *trace.Columns) error {
 	})
 }
 
+// headerIdentity is the workload identity a spill header declares.
+func headerIdentity(h trace.SpillHeader) workload.Identity {
+	return workload.Identity{Name: h.Name, Seed: h.Seed, Instructions: h.Instructions, Fingerprint: h.Fingerprint}
+}
+
 // readSpillHeaderFile reads just the header of a spill file.
 func readSpillHeaderFile(path string) (trace.SpillHeader, error) {
 	f, err := os.Open(path)
@@ -440,17 +421,14 @@ func readSpillFile(path string) (trace.SpillHeader, *trace.Columns, error) {
 // loadSpill decodes the spill file at path and verifies it really is the
 // requested identity — name, seed, instruction budget, and parameter
 // fingerprint from the header, with the checksum and record count checked
-// against the payload by trace.ReadSpillColumns. A header fingerprint of 0
-// (a pre-SPL3 file, or a legacy-fallback request) matches any request: such
-// files predate the field, and name/seed/budget were the whole identity
-// when they were written. A bare file-name match is never sufficient.
+// against the payload by trace.ReadSpillColumns. Every field must match
+// exactly; a bare file-name match is never sufficient.
 func loadSpill(path string, id workload.Identity) (*trace.Columns, error) {
 	h, cols, err := readSpillFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if h.Name != id.Name || h.Seed != id.Seed || h.Instructions != id.Instructions ||
-		(h.Fingerprint != 0 && id.Fingerprint != 0 && h.Fingerprint != id.Fingerprint) {
+	if headerIdentity(h) != id {
 		trace.ReleaseColumns(cols)
 		return nil, fmt.Errorf("tracecache: spill %s holds %s/%d/%d/%016x, want %s/%d/%d/%016x (stale or colliding file)",
 			filepath.Base(path), h.Name, h.Seed, h.Instructions, h.Fingerprint, id.Name, id.Seed, id.Instructions, id.Fingerprint)

@@ -1,13 +1,13 @@
 package tracecache
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"blbp/internal/trace"
 	"blbp/internal/workload"
 )
 
@@ -23,7 +23,7 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 	defer c.Close()
 	spec := testSpec("cache-a", 5_000)
 	e1 := c.Get(spec)
-	if e1.Trace() == nil || len(e1.Trace().Records) == 0 {
+	if e1.Columns() == nil || e1.Columns().Len() == 0 {
 		t.Fatal("empty trace")
 	}
 	e2 := c.Get(spec)
@@ -76,7 +76,7 @@ func TestConcurrentGetSingleFlight(t *testing.T) {
 				t.Errorf("spec %d: goroutine %d got a different entry", si, g)
 			}
 		}
-		if tr := entries[0][si].Trace(); tr == nil || tr.Name != specs[si].Name {
+		if tr := entries[0][si].Columns(); tr == nil || tr.Name != specs[si].Name {
 			t.Errorf("spec %d: wrong or missing trace", si)
 		}
 	}
@@ -120,13 +120,13 @@ func TestSpillRoundTrip(t *testing.T) {
 	if st.Builds != 2 {
 		t.Errorf("builds = %d, want 2 (reload must not rebuild)", st.Builds)
 	}
-	tr := e.Trace()
-	if tr.Name != reference.Name || len(tr.Records) != len(reference.Records) {
+	tr := e.Columns()
+	if tr.Name != reference.Name || tr.Len() != reference.Len() {
 		t.Fatalf("reloaded trace shape differs: %s/%d vs %s/%d",
-			tr.Name, len(tr.Records), reference.Name, len(reference.Records))
+			tr.Name, tr.Len(), reference.Name, reference.Len())
 	}
-	for i := range tr.Records {
-		if tr.Records[i] != reference.Records[i] {
+	for i := 0; i < tr.Len(); i++ {
+		if tr.Record(i) != reference.Record(i) {
 			t.Fatalf("record %d differs after spill round trip", i)
 		}
 	}
@@ -164,7 +164,7 @@ func TestWarmStartAcrossCaches(t *testing.T) {
 
 	c2 := New(Config{SpillDir: dir, KeepSpill: true})
 	defer c2.Close()
-	tr := c2.Get(specs[0]).Trace()
+	tr := c2.Get(specs[0]).Columns()
 	c2.Get(specs[1])
 	st := c2.Stats()
 	if st.Builds != 0 {
@@ -176,11 +176,11 @@ func TestWarmStartAcrossCaches(t *testing.T) {
 	if st.SpillErrors != 0 {
 		t.Errorf("spill errors = %d, want 0", st.SpillErrors)
 	}
-	if tr.Name != reference.Name || len(tr.Records) != len(reference.Records) {
-		t.Fatalf("warm trace shape %s/%d, want %s/%d", tr.Name, len(tr.Records), reference.Name, len(reference.Records))
+	if tr.Name != reference.Name || tr.Len() != reference.Len() {
+		t.Fatalf("warm trace shape %s/%d, want %s/%d", tr.Name, tr.Len(), reference.Name, reference.Len())
 	}
-	for i := range tr.Records {
-		if tr.Records[i] != reference.Records[i] {
+	for i := 0; i < tr.Len(); i++ {
+		if tr.Record(i) != reference.Record(i) {
 			t.Fatalf("record %d differs after cross-process warm start", i)
 		}
 	}
@@ -199,7 +199,7 @@ func TestSpillCollisionWrongIdentityRejected(t *testing.T) {
 	// Plant A's trace at B's canonical spill name — what a colliding or
 	// stale file looks like on disk.
 	path := filepath.Join(dir, spillName(idB))
-	if err := writeSpill(path, specA.Identity(), specA.BuildColumns()); err != nil {
+	if err := writeSpill(path, specA.Identity(), specA.Build()); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{SpillDir: dir})
@@ -210,8 +210,8 @@ func TestSpillCollisionWrongIdentityRejected(t *testing.T) {
 	c.spilled[idB] = path
 	c.mu.Unlock()
 	e := c.Get(specB)
-	if e.Trace().Name != specB.Name {
-		t.Fatalf("served trace %q for identity %q", e.Trace().Name, specB.Name)
+	if e.Columns().Name != specB.Name {
+		t.Fatalf("served trace %q for identity %q", e.Columns().Name, specB.Name)
 	}
 	st := c.Stats()
 	if st.Builds != 1 || st.SpillLoads != 0 {
@@ -244,10 +244,10 @@ func TestPreloadIndexesByHeaderNotFilename(t *testing.T) {
 
 	c2 := New(Config{SpillDir: dir, KeepSpill: true})
 	defer c2.Close()
-	if tr := c2.Get(specA).Trace(); tr.Name != specA.Name {
+	if tr := c2.Get(specA).Columns(); tr.Name != specA.Name {
 		t.Errorf("Get(A) returned %q", tr.Name)
 	}
-	if tr := c2.Get(specB).Trace(); tr.Name != specB.Name {
+	if tr := c2.Get(specB).Columns(); tr.Name != specB.Name {
 		t.Errorf("Get(B) returned %q", tr.Name)
 	}
 	st := c2.Stats()
@@ -281,7 +281,7 @@ func TestCorruptSpillFallsBackToBuild(t *testing.T) {
 	if st.Builds != 1 || st.SpillLoads != 0 || st.SpillErrors != 1 {
 		t.Errorf("builds/loads/errors = %d/%d/%d, want 1/0/1", st.Builds, st.SpillLoads, st.SpillErrors)
 	}
-	if e.Trace().Name != spec.Name || len(e.Trace().Records) == 0 {
+	if e.Columns().Name != spec.Name || e.Columns().Len() == 0 {
 		t.Error("fallback build produced a wrong or empty trace")
 	}
 }
@@ -434,45 +434,73 @@ func TestPreloadSurfacesCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestLegacySpillWithoutFingerprintWarmStarts pins the header-format
-// fallback: a spill file written before SPL3 (no fingerprint field, so the
-// header reports fingerprint 0) must still warm-start a Get whose identity
-// carries a nonzero parameter fingerprint — zero builds, served from disk.
-func TestLegacySpillWithoutFingerprintWarmStarts(t *testing.T) {
+// TestLegacySpillIsCountedMiss pins the miss rule for older spill formats:
+// an SPL2 file (no fingerprint field) in the spill directory is a counted
+// spill error at Preload, never served, rebuilt from the generator, and
+// pruned by a KeepSpill Close.
+func TestLegacySpillIsCountedMiss(t *testing.T) {
 	dir := t.TempDir()
-	spec := testSpec("legacy-warm", 5_000)
-	if spec.Identity().Fingerprint == 0 {
-		t.Fatal("test spec should carry a parameter fingerprint")
-	}
-	cols := spec.BuildColumns()
-	// Write the file as an older process would have: SPL2, no fingerprint.
-	h := trace.SpillHeader{Name: spec.Name, Seed: spec.Seed, Instructions: spec.Instructions}
-	f, err := os.Create(filepath.Join(dir, "legacy"+spillExt))
-	if err != nil {
+	spec := testSpec("legacy-miss", 5_000)
+	// An SPL2 header as an older process wrote it: magic, name, seed,
+	// budget, record count — and a first block that never gets read.
+	data := append([]byte("BLBPSPL2"), byte(len(spec.Name)))
+	data = append(data, spec.Name...)
+	data = binary.AppendUvarint(data, uint64(spec.Seed))
+	data = binary.AppendUvarint(data, uint64(spec.Instructions))
+	data = binary.AppendUvarint(data, 1)
+	data = append(data, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	legacy := filepath.Join(dir, "legacy"+spillExt)
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteSpillV2(f, h, cols.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	c := New(Config{SpillDir: dir, KeepSpill: true})
-	defer c.Close()
-	got := c.Get(spec).Columns()
-	st := c.Stats()
-	if st.Builds != 0 {
-		t.Errorf("builds = %d, want 0 (legacy spill should warm-start)", st.Builds)
+	if st := c.Stats(); st.SpillErrors != 1 {
+		t.Errorf("spill errors after Preload = %d, want 1", st.SpillErrors)
 	}
-	if st.SpillLoads != 1 || st.PreloadHits != 1 {
-		t.Errorf("spill loads/preload hits = %d/%d, want 1/1", st.SpillLoads, st.PreloadHits)
+	if got := c.Get(spec).Columns(); got.Name != spec.Name || got.Len() == 0 {
+		t.Fatalf("Get served %q with %d records", got.Name, got.Len())
 	}
-	if got.Len() != cols.Len() {
-		t.Fatalf("loaded %d records, built %d", got.Len(), cols.Len())
+	if st := c.Stats(); st.Builds != 1 || st.SpillLoads != 0 {
+		t.Errorf("builds/spill loads = %d/%d, want 1/0 (legacy file must rebuild)", st.Builds, st.SpillLoads)
+	}
+	c.Close()
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Error("legacy spill file not pruned by KeepSpill Close")
+	}
+}
+
+// TestZeroFingerprintSpillNotServedToOtherParams is the regression test for
+// the retired fingerprint-0 wildcard: an SPL3 file written for a sibling
+// spec with the same name, seed and budget but fingerprint 0 must never be
+// served to a request whose parameters carry a nonzero fingerprint.
+func TestZeroFingerprintSpillNotServedToOtherParams(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec("zero-fp", 4_000)
+	if spec.Fingerprint == 0 {
+		t.Fatal("test spec should carry a parameter fingerprint")
+	}
+	sibling := workload.NewSpec(spec.Name, "T", spec.Seed, spec.Instructions, 0, func(rng *rand.Rand) workload.Model {
+		return workload.MonoParams{Sites: 8, Work: 10}.New(rng)
+	})
+	c1 := New(Config{SpillDir: dir, KeepSpill: true})
+	siblingLen := c1.Get(sibling).Columns().Len()
+	c1.Close()
+
+	c2 := New(Config{SpillDir: dir, KeepSpill: true})
+	defer c2.Close()
+	got := c2.Get(spec).Columns()
+	want := spec.Build()
+	if got.Len() != want.Len() {
+		t.Fatalf("served %d records, want %d (the sibling has %d)", got.Len(), want.Len(), siblingLen)
 	}
 	for i := 0; i < got.Len(); i++ {
-		if got.Record(i) != cols.Record(i) {
-			t.Fatalf("record %d differs from generator output", i)
+		if got.Record(i) != want.Record(i) {
+			t.Fatalf("record %d differs from the requested spec's trace", i)
 		}
+	}
+	if st := c2.Stats(); st.Builds != 1 || st.SpillLoads != 0 {
+		t.Errorf("builds/spill loads = %d/%d, want 1/0", st.Builds, st.SpillLoads)
 	}
 }
 

@@ -19,9 +19,7 @@ import (
 const instructionSize = 4
 
 // emitter builds a columnar trace while tracking straight-line instruction
-// counts and a call stack so call/return pairs stay balanced. Generators
-// emit columns natively (trace.Columns is what the replay engine consumes);
-// Spec.Build materializes the record-slice form for callers that want it.
+// counts and a call stack so call/return pairs stay balanced.
 type emitter struct {
 	cols    *trace.Columns
 	pending int64 // straight-line instructions since the last branch
@@ -140,12 +138,10 @@ type Spec struct {
 	// specs with equal Name, Seed and Instructions but different generator
 	// parameters — possible once specs are user-authored data — carry
 	// different fingerprints, so caches never serve one the other's trace.
-	// Zero means "unknown" (pre-fingerprint spill files decode to it); the
-	// cache treats zero as a legacy wildcard on load, never on write.
 	Fingerprint uint64
 	// build constructs the workload's models.
 	build func(rng *rand.Rand) Model
-	// buildCols, when set, short-circuits BuildColumns entirely (replay
+	// buildCols, when set, short-circuits Build entirely (replay
 	// specs that decode a recorded trace instead of running a generator).
 	buildCols func() *trace.Columns
 }
@@ -162,7 +158,7 @@ func NewSpec(name, category string, seed, instructions int64, fingerprint uint64
 
 // NewReplaySpec constructs a Spec whose trace comes from load (typically a
 // recorded spill file) instead of a generator. Instructions and fingerprint
-// describe the recorded trace; load runs once per BuildColumns call.
+// describe the recorded trace; load runs once per Build call.
 func NewReplaySpec(name, category string, seed, instructions int64, fingerprint uint64, load func() *trace.Columns) Spec {
 	return Spec{
 		Name: name, Category: category, Seed: seed, Instructions: instructions,
@@ -173,8 +169,7 @@ func NewReplaySpec(name, category string, seed, instructions int64, fingerprint 
 // Identity is a spec's comparable cache identity: name, seed (which carries
 // any suite salt), instruction budget, and the generator-parameter
 // fingerprint. Equal identities build byte-identical traces; the trace
-// cache keys on it. Fingerprint 0 marks identities read from
-// pre-fingerprint spill headers.
+// cache keys on it.
 type Identity struct {
 	Name         string
 	Seed         int64
@@ -187,15 +182,8 @@ func (s Spec) Identity() Identity {
 	return Identity{Name: s.Name, Seed: s.Seed, Instructions: s.Instructions, Fingerprint: s.Fingerprint}
 }
 
-// Build synthesizes the trace for the spec in record-slice form (a
-// conversion shim over BuildColumns, kept for tests and external callers).
-func (s Spec) Build() *trace.Trace {
-	return s.BuildColumns().Trace()
-}
-
-// BuildColumns synthesizes the trace for the spec in columnar form — what
-// the replay engine and the trace cache consume directly.
-func (s Spec) BuildColumns() *trace.Columns {
+// Build synthesizes the trace for the spec.
+func (s Spec) Build() *trace.Columns {
 	if s.buildCols != nil {
 		return s.buildCols()
 	}
@@ -221,7 +209,7 @@ func (s Spec) BuildColumns() *trace.Columns {
 
 // MaxBank bounds the bank index a generator model may occupy (exclusive).
 // Bank unwindBank — the first index past the generator range — is reserved
-// for BuildColumns' end-of-trace stack unwind.
+// for Build's end-of-trace stack unwind.
 const (
 	MaxBank    = 64
 	unwindBank = MaxBank

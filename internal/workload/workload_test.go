@@ -19,11 +19,11 @@ func TestBuildDeterministic(t *testing.T) {
 	})
 	a := s.Build()
 	b := s.Build()
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Records), len(b.Records))
+	if a.Len() != b.Len() {
+		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
+	for i := 0; i < a.Len(); i++ {
+		if a.Record(i) != b.Record(i) {
 			t.Fatalf("record %d differs between identical builds", i)
 		}
 	}
@@ -42,7 +42,7 @@ func TestBuildReachesInstructionBudget(t *testing.T) {
 		if got < 20_000 || got > 21_000 {
 			t.Errorf("%s: instructions = %d, want ~20000", s.Name, got)
 		}
-		if len(tr.Records) == 0 {
+		if tr.Len() == 0 {
 			t.Errorf("%s: empty trace", s.Name)
 		}
 	}
@@ -56,7 +56,8 @@ func TestTracesAreValid(t *testing.T) {
 		RecursiveSpec("v-r", "T", 5_000, RecursiveParams{MaxDepth: 30, MinDepth: 5, VisitorClasses: 3, Work: 8}),
 	} {
 		tr := s.Build()
-		for i, r := range tr.Records {
+		for i := 0; i < tr.Len(); i++ {
+			r := tr.Record(i)
 			if err := r.Validate(); err != nil {
 				t.Fatalf("%s record %d: %v", s.Name, i, err)
 			}
@@ -75,7 +76,8 @@ func TestCallReturnBalance(t *testing.T) {
 	tr := s.Build()
 	var stack []uint64
 	returns := 0
-	for i, r := range tr.Records {
+	for i := 0; i < tr.Len(); i++ {
+		r := tr.Record(i)
 		switch r.Type {
 		case trace.DirectCall, trace.IndirectCall:
 			stack = append(stack, r.PC+4)
@@ -197,7 +199,8 @@ func TestUnwindPCsDisjointFromGeneratorBanks(t *testing.T) {
 	s := RecursiveSpec("unwind", "T", 300, RecursiveParams{MaxDepth: 80, MinDepth: 70, Work: 1})
 	tr := s.Build()
 	sawUnwind := false
-	for _, r := range tr.Records {
+	for ri := 0; ri < tr.Len(); ri++ {
+		r := tr.Record(ri)
 		if r.Type == trace.Return && r.PC >= unwindLo {
 			sawUnwind = true
 			if r.PC >= unwindHi {
@@ -226,7 +229,8 @@ func TestRecursiveBalancedAndDeep(t *testing.T) {
 	tr := s.Build()
 	var stack []uint64
 	maxDepth := 0
-	for i, r := range tr.Records {
+	for i := 0; i < tr.Len(); i++ {
+		r := tr.Record(i)
 		switch r.Type {
 		case trace.DirectCall, trace.IndirectCall:
 			stack = append(stack, r.PC+4)
@@ -263,7 +267,8 @@ func TestRecursiveRASOverflowMispredicts(t *testing.T) {
 	const cap = 64
 	ras := make([]uint64, 0, cap)
 	mispredicts := 0
-	for _, r := range tr.Records {
+	for ri := 0; ri < tr.Len(); ri++ {
+		r := tr.Record(ri)
 		switch r.Type {
 		case trace.DirectCall, trace.IndirectCall:
 			if len(ras) == cap {
@@ -352,7 +357,7 @@ func TestMixedRoundRobinFollowsWeights(t *testing.T) {
 }
 
 func TestMixedRandomModeDeterministicPerSeed(t *testing.T) {
-	build := func() *trace.Trace {
+	build := func() *trace.Columns {
 		return NewSpec("mix-rand", "T", SeedFor("mix-rand"), 20_000, 0,
 			func(rng *rand.Rand) Model {
 				return NewMixed([]Model{
@@ -362,11 +367,11 @@ func TestMixedRandomModeDeterministicPerSeed(t *testing.T) {
 			}).Build()
 	}
 	a, b := build(), build()
-	if len(a.Records) != len(b.Records) {
+	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
+	for i := 0; i < a.Len(); i++ {
+		if a.Record(i) != b.Record(i) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
@@ -385,7 +390,8 @@ func TestPhasesSwitchAtBoundary(t *testing.T) {
 	tr := spec.Build()
 	var instr int64
 	bank1Start := int64(-1)
-	for _, r := range tr.Records {
+	for ri := 0; ri < tr.Len(); ri++ {
+		r := tr.Record(ri)
 		instr += int64(r.InstrBefore) + 1
 		if r.Type == trace.IndirectCall {
 			inBank1 := r.PC >= 0x40_0000+1<<24
@@ -408,7 +414,7 @@ func TestPhasesSwitchAtBoundary(t *testing.T) {
 func TestWithRngIsolatesClientStreams(t *testing.T) {
 	// Two builds whose shared rng is consumed differently between steps
 	// must still produce identical records from a WithRng-bound client.
-	build := func(extraDraws int) *trace.Trace {
+	build := func(extraDraws int) *trace.Columns {
 		return NewSpec("seeded-client", "T", 9, 8_000, 0, func(rng *rand.Rand) Model {
 			crng := rand.New(rand.NewSource(1234))
 			client := WithRng(CallbacksParams{Events: 6, Skew: 2.0, Wrappers: 2, HandlerWork: 10, HandlerConds: 1}.New(crng), crng)
@@ -419,11 +425,11 @@ func TestWithRngIsolatesClientStreams(t *testing.T) {
 		}).Build()
 	}
 	a, b := build(0), build(5)
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Records), len(b.Records))
+	if a.Len() != b.Len() {
+		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
+	for i := 0; i < a.Len(); i++ {
+		if a.Record(i) != b.Record(i) {
 			t.Fatalf("record %d differs; per-client stream leaked shared-rng state", i)
 		}
 	}

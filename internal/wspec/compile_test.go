@@ -27,7 +27,7 @@ func TestCompileIsDeterministic(t *testing.T) {
 	ws := mustDecode(t, `{"name": "det", "instructions": 20000, "generator": {"kind": "vdispatch",
 		"params": {"Classes": 4, "Sites": 3, "Objects": 12, "MethodWork": 20},
 		"draw": {"TypeNoise": {"min": 0.001, "max": 0.01}, "Sites": {"min": 2, "max": 6}}}}`)
-	a, b := MustCompile(ws).BuildColumns(), MustCompile(ws).BuildColumns()
+	a, b := MustCompile(ws).Build(), MustCompile(ws).Build()
 	if a.Len() == 0 || a.Len() != b.Len() {
 		t.Fatalf("lengths %d vs %d", a.Len(), b.Len())
 	}
@@ -58,7 +58,7 @@ func TestDrawChangesTraceAndFingerprint(t *testing.T) {
 		}
 		return m
 	}
-	np, nd := len(targets(plain.BuildColumns())), len(targets(drawn.BuildColumns()))
+	np, nd := len(targets(plain.Build())), len(targets(drawn.Build()))
 	if nd <= np {
 		t.Errorf("drawn spec has %d indirect-jump targets, plain has %d; draw seems unapplied", nd, np)
 	}
@@ -73,7 +73,7 @@ func TestPerPartSeedIsolation(t *testing.T) {
 		{"weight": 1, "seed": 424242, "generator": {"kind": "mono", "params": {"Sites": 30, "Work": 10, "Bank": 0}}},
 		{"weight": 1, "generator": {"kind": "interpreter", "params": {"Opcodes": %d, "ProgramLen": 40, "Work": 15, "Bank": 1}}}]}}`
 	bank0 := func(in string) []trace.Record {
-		c := MustCompile(mustDecode(t, in)).BuildColumns()
+		c := MustCompile(mustDecode(t, in)).Build()
 		var recs []trace.Record
 		for i := 0; i < c.Len(); i++ {
 			if r := c.Record(i); pcBank(r.PC) == 0 {
@@ -103,7 +103,7 @@ func TestPhasesSwitchGenerators(t *testing.T) {
 	ws := mustDecode(t, `{"name": "ph", "instructions": 40000, "generator": {"kind": "phases", "phases": [
 		{"until": 20000, "generator": {"kind": "mono", "params": {"Sites": 10, "Work": 8, "Bank": 0}}},
 		{"generator": {"kind": "mono", "params": {"Sites": 10, "Work": 8, "Bank": 1}}}]}}`)
-	c := MustCompile(ws).BuildColumns()
+	c := MustCompile(ws).Build()
 	var instr, outOfPhase int64
 	sawBank1 := false
 	for i := 0; i < c.Len(); i++ {
@@ -129,7 +129,7 @@ func TestPhasesSwitchGenerators(t *testing.T) {
 func TestReplaySpecRoundTrip(t *testing.T) {
 	src := MustCompile(mustDecode(t, `{"name": "rec-src", "instructions": 15000,
 		"generator": {"kind": "callbacks", "params": {"Events": 5, "HandlerWork": 20}}}`))
-	cols := src.BuildColumns()
+	cols := src.Build()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rec.spill")
 	f, err := os.Create(path)
@@ -157,7 +157,7 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 	if rs.Fingerprint == 0 || rs.Fingerprint == src.Fingerprint {
 		t.Errorf("replay fingerprint %016x should be nonzero and distinct from source %016x", rs.Fingerprint, src.Fingerprint)
 	}
-	got := rs.BuildColumns()
+	got := rs.Build()
 	if got.Name != "replayed" {
 		t.Errorf("replayed columns name %q", got.Name)
 	}

@@ -59,7 +59,7 @@ func TestSuitesMatchPreRefactorGolden(t *testing.T) {
 			t.Fatalf("%s: golden has %d entries, suite has %d", key, len(want), len(specs))
 		}
 		for _, s := range specs {
-			got := traceChecksum(s.BuildColumns())
+			got := traceChecksum(s.Build())
 			if got != want[s.Name] {
 				t.Errorf("%s: %s: checksum %s, golden %s", key, s.Name, got, want[s.Name])
 			}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
-# smoke, build, race-enabled tests, fuzz smoke, batch-engine smoke,
-# warm-start, run-plan, and workload-spec round-trip smokes, and a strict
-# gofmt -s check. Run from the repository root (or `make ci`).
+# smoke, build, race-enabled tests, perfbench vet/test/lint, fuzz smoke,
+# batch-engine smoke, warm-start, run-plan, and workload-spec round-trip
+# smokes, and a strict gofmt -s check. Run from the repository root (or `make ci`).
 set -eux
 
 make lint
@@ -27,6 +27,11 @@ git diff --exit-code -- internal/analysis/testdata/fix
 rm -rf "$fixdir"
 go build ./...
 go test -race ./...
+# perfbench is its own module (it holds the contract benchmark), so the
+# root ./... walks above never compile it. Vet, test and lint it here: it
+# calls the trace, sim and tracecache APIs directly.
+(cd perfbench && go vet ./... && go test ./...)
+go run ./cmd/blbplint -dir perfbench ./...
 # Bench smoke: every benchmark must run once without failing (catches rot in
 # the macro drivers and the shared bench runner without timing anything).
 go test -run xxx -bench . -benchtime 1x ./...
@@ -38,9 +43,9 @@ go test -fuzz FuzzRunPlanDecode -fuzztime 5s -run xxx ./internal/runspec/
 go test -fuzz FuzzBatchEquivalence -fuzztime 5s -run xxx ./internal/batch/
 go test -fuzz FuzzColumnarEquivalence -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
-# Columnar differential smoke: the seed-corpus differential (record-slice
-# reference vs columnar replay, tape replay, and the columnar spill round
-# trip) must hold without the fuzz engine.
+# Replay differential smoke: the seed-corpus differential (the
+# record-at-a-time oracle vs sim.Run, tape replay, the consolidated
+# predictor, and the spill round trip) must hold without the fuzz engine.
 go test -run 'TestColumnarEquivalenceSeeds' -count 1 ./internal/sim/
 # Batch-engine smoke: run the cmd/bench batch section at widths 1 and 64,
 # check each width served exactly as many predictions as the serial
