@@ -35,13 +35,16 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
-# Fine-grained predictor microbenchmarks with allocation stats.
+# Fine-grained microbenchmarks (predictors, replay, trace building and
+# decoding) with allocation stats.
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkPredict$$|BenchmarkPredictUpdate|BenchmarkOnCond' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkFolded|BenchmarkFoldFromScratch' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkServing|BenchmarkPoolDrain' -benchmem ./internal/batch/
 	$(GO) test -run xxx -bench 'BenchmarkSimRun' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkDrawCDF' -benchmem ./internal/workload/
+	$(GO) test -run xxx -bench 'BenchmarkSpecBuild' -benchmem ./internal/wspec/
+	$(GO) test -run xxx -bench 'BenchmarkReadSpill' -benchmem ./internal/trace/
 	$(GO) test -run xxx -bench 'Throughput|EndToEnd' -benchmem .
 
 # Regenerate the committed results (full-scale instruction base). The

@@ -195,8 +195,7 @@ func measureEngine(tr *blbp.Trace, reps int) (Entry, error) {
 }
 
 // measureSpillDecode times decoding the spill-file encoding of tr — the
-// per-trace cost of a warm start from the trace cache's persistent tier —
-// recycling the column arena between repetitions as a warm-start loop does.
+// per-trace cost of a warm start from the trace cache's persistent tier.
 func measureSpillDecode(tr *blbp.Trace, reps int) (Entry, error) {
 	var buf bytes.Buffer
 	h := trace.SpillHeader{Name: tr.Name, Seed: 1, Instructions: tr.Instructions()}
@@ -214,7 +213,6 @@ func measureSpillDecode(tr *blbp.Trace, reps int) (Entry, error) {
 		if got.Len() != tr.Len() {
 			decErr = fmt.Errorf("decoded %d records, want %d", got.Len(), tr.Len())
 		}
-		trace.ReleaseColumns(got)
 	})
 	if decErr != nil {
 		return Entry{}, decErr

@@ -126,7 +126,6 @@ func checkEquivalence(t *testing.T, seed int64, nRec int, shape uint8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer trace.ReleaseColumns(cols)
 	if cols.Len() != tr.Len() {
 		t.Fatalf("seed %d: spill decode: %d records, want %d", seed, cols.Len(), tr.Len())
 	}

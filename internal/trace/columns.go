@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sync"
+	"reflect"
 )
 
 // Columns is the in-memory trace, stored columnar (structure-of-arrays):
@@ -42,8 +42,6 @@ type Columns struct {
 
 	// validated caches a successful Validate; Append clears it.
 	validated bool
-	// pooled marks arena-owned column storage (see ReleaseColumns).
-	pooled bool
 }
 
 // Segment is one maximal run of same-typed records: indices [Start, End).
@@ -55,23 +53,42 @@ type Segment struct {
 // NewColumns returns an empty columnar trace with capacity for n records.
 func NewColumns(name string, n int) *Columns {
 	c := &Columns{Name: name}
-	c.grow(n)
+	c.Grow(n)
 	return c
 }
 
-// grow ensures capacity for n records (lengths stay unchanged).
-func (c *Columns) grow(n int) {
-	if cap(c.pc) >= n {
+// Grow ensures capacity for n records, reallocating each column at most
+// once, to exactly n (lengths stay unchanged). A trace that already holds
+// records also gets segment room for n records at its records-per-segment
+// ratio so far, so Append's segment upkeep need not regrow either. A
+// builder that can estimate a trace's final length calls Grow with it
+// rather than leave Append to grow the columns step by step.
+func (c *Columns) Grow(n int) {
+	if n <= cap(c.typ) {
 		return
 	}
 	c.pc = append(make([]uint64, 0, n), c.pc...)
 	c.target = append(make([]uint64, 0, n), c.target...)
 	c.instrBefore = append(make([]uint32, 0, n), c.instrBefore...)
 	c.typ = append(make([]uint8, 0, n), c.typ...)
-	words := (n + 63) / 64
-	if cap(c.taken) < words {
+	if words := (n + 63) / 64; cap(c.taken) < words {
 		c.taken = append(make([]uint64, 0, words), c.taken...)
 	}
+	if len(c.segs) > 0 {
+		if segs := int(int64(n) * int64(len(c.segs)) / int64(len(c.typ))); cap(c.segs) < segs {
+			c.segs = append(make([]Segment, 0, segs), c.segs...)
+		}
+	}
+}
+
+// segmentBytes is the in-memory size of one Segment.
+var segmentBytes = int64(reflect.TypeOf(Segment{}).Size())
+
+// Bytes returns the heap bytes the trace's arrays hold: capacity times
+// element size, summed over the five record columns and the segments.
+func (c *Columns) Bytes() int64 {
+	return int64(cap(c.pc)+cap(c.target)+cap(c.taken))*8 + int64(cap(c.instrBefore))*4 +
+		int64(cap(c.typ)) + int64(cap(c.segs))*segmentBytes
 }
 
 // Len returns the number of records.
@@ -223,60 +240,27 @@ func (c *Columns) Validate() error {
 	return nil
 }
 
-// colsPool recycles Columns whose storage is arena-owned: ReadSpillColumns
-// draws from it so a decode-heavy loop (bench reps, warm-started suites
-// that release traces after use) reuses column arrays instead of
-// reallocating them per file. Entries handed to long-lived owners (the
-// trace cache) are simply never released.
-var colsPool = sync.Pool{New: func() any { return new(Columns) }}
-
-// newPooledColumns returns a pooled Columns resized to exactly n records,
-// with every column writable by index and the taken bitset zeroed.
-func newPooledColumns(name string, n int) *Columns {
-	c := colsPool.Get().(*Columns)
-	c.Name = name
-	c.pooled = true
-	c.validated = false
-	c.grow(n)
-	c.pc = c.pc[:n]
-	c.target = c.target[:n]
-	c.instrBefore = c.instrBefore[:n]
-	c.typ = c.typ[:n]
-	c.taken = c.taken[:(n+63)/64]
-	for i := range c.taken {
-		c.taken[i] = 0
-	}
-	c.segs = c.segs[:0]
-	return c
-}
-
-// setLen shrinks or extends the pooled columns to n records within the
-// current capacity (used when growing block by block under a capped hint).
-func (c *Columns) setLen(n int) {
-	c.pc = c.pc[:n]
-	c.target = c.target[:n]
-	c.instrBefore = c.instrBefore[:n]
-	c.typ = c.typ[:n]
-	words := (n + 63) / 64
-	for len(c.taken) < words {
-		c.taken = append(c.taken, 0)
-	}
-	c.taken = c.taken[:words]
-}
-
-// ReleaseColumns returns a Columns obtained from ReadSpillColumns to the
-// arena pool. After the call the columns (and any slices obtained from
-// their accessors) must not be used. Releasing a non-pooled or nil Columns
-// is a no-op, so callers can release unconditionally.
-func ReleaseColumns(c *Columns) {
-	if c == nil || !c.pooled {
+// growCapped is the growth rule of the decoders of untrusted bytes: when
+// need records overflow the capacity, it at least doubles it, but never
+// past total, the record count the input's header declares. Capacity thus
+// stays within twice the records already read and verified, so a lying
+// header fails closed at its first bad record instead of committing memory
+// up front, while an honest trace is reallocated only O(log n) times.
+func (c *Columns) growCapped(need, total int) {
+	if need <= cap(c.typ) {
 		return
 	}
-	c.setLen(0)
-	c.segs = c.segs[:0]
-	c.counts = [numBranchTypes]int64{}
-	c.instructions = 0
-	c.Name = ""
-	c.validated = false
-	colsPool.Put(c)
+	c.Grow(min(total, max(need, 2*cap(c.typ))))
+}
+
+// extend lengthens every column to n records within the current capacity,
+// zeroing the new taken words, so a decoder can fill records by index.
+func (c *Columns) extend(n int) {
+	c.pc = c.pc[:n]
+	c.target = c.target[:n]
+	c.instrBefore = c.instrBefore[:n]
+	c.typ = c.typ[:n]
+	for words := (n + 63) / 64; len(c.taken) < words; {
+		c.taken = append(c.taken, 0)
+	}
 }

@@ -109,13 +109,11 @@ func Read(r io.Reader) (*Columns, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: record count %d exceeds limit", count)
 	}
-	// Cap the preallocation: a corrupt count below the hard limit must not
-	// commit gigabytes up front. Decoding fails naturally at EOF.
-	capHint := count
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	c := NewColumns(string(name), int(capHint))
+	// Reserve at most 64K records up front: a corrupt count below the hard
+	// limit must not commit gigabytes before any record verifies. Past that,
+	// growCapped grows the columns as records verify, and a lying count
+	// fails at EOF.
+	c := NewColumns(string(name), int(min(count, 1<<16)))
 	var prevPC uint64
 	for i := uint64(0); i < count; i++ {
 		header, err := br.ReadByte()
@@ -147,6 +145,7 @@ func Read(r io.Reader) (*Columns, error) {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
 		prevPC = rec.PC
+		c.growCapped(int(i)+1, int(count))
 		c.Append(rec)
 	}
 	// Every record was validated during decoding; mark the trace so

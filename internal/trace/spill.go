@@ -220,8 +220,7 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // ReadSpillColumns decodes a complete spill file into columnar form: the
 // header, then every block, verified against its checksum, the header's
 // record count and the per-record validation. Each block is bulk-decoded
-// into pooled column arrays (pass the result to ReleaseColumns when done to
-// recycle the arena).
+// straight into the column arrays.
 func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	h, err := readSpillHeader(br)
@@ -235,43 +234,34 @@ func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 	return h, c, nil
 }
 
-// readSpillBlocks decodes the block sequence into a pooled Columns: each
-// block is bounds-checked and checksummed, then bulk-decoded by index into
-// the column arrays.
+// readSpillBlocks decodes the block sequence into a Columns: each block is
+// bounds-checked and checksummed, then bulk-decoded by index into the
+// column arrays.
 func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
-	// Cap the initial arena size: a corrupt record count must not commit
-	// gigabytes up front. Growth past the cap happens block by block, so
-	// decoding fails naturally at the first bad block.
-	capHint := h.Records
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	c := newPooledColumns(h.Name, int(capHint))
-	c.setLen(0)
+	// Reserve at most 64K records up front: a corrupt record count must not
+	// commit gigabytes before any block verifies. Past that, growCapped
+	// grows the columns as verified blocks arrive.
+	c := NewColumns(h.Name, int(min(h.Records, 1<<16)))
 	var block []byte
 	var decoded int64
-	fail := func(err error) (*Columns, error) {
-		ReleaseColumns(c)
-		return nil, err
-	}
 	for decoded < h.Records {
 		nrec, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fail(fmt.Errorf("trace: reading spill block record count: %w", err))
+			return nil, fmt.Errorf("trace: reading spill block record count: %w", err)
 		}
 		if nrec == 0 || nrec > spillBlockRecords || int64(nrec) > h.Records-decoded {
-			return fail(fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, h.Records-decoded))
+			return nil, fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, h.Records-decoded)
 		}
 		nbytes, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fail(fmt.Errorf("trace: reading spill block size: %w", err))
+			return nil, fmt.Errorf("trace: reading spill block size: %w", err)
 		}
 		if nbytes < nrec || nbytes > nrec*maxSpillRecordLen {
-			return fail(fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec))
+			return nil, fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec)
 		}
 		var sumBuf [8]byte
 		if _, err := io.ReadFull(br, sumBuf[:]); err != nil {
-			return fail(fmt.Errorf("trace: reading spill block checksum: %w", err))
+			return nil, fmt.Errorf("trace: reading spill block checksum: %w", err)
 		}
 		want := binary.LittleEndian.Uint64(sumBuf[:])
 		if uint64(cap(block)) < nbytes {
@@ -279,16 +269,16 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 		}
 		block = block[:nbytes]
 		if _, err := io.ReadFull(br, block); err != nil {
-			return fail(fmt.Errorf("trace: reading spill block payload: %w", err))
+			return nil, fmt.Errorf("trace: reading spill block payload: %w", err)
 		}
 		if got := fnv64a(block); got != want {
-			return fail(fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want))
+			return nil, fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want)
 		}
 		base := int(decoded)
-		c.grow(base + int(nrec))
-		c.setLen(base + int(nrec))
+		c.growCapped(base+int(nrec), int(h.Records))
+		c.extend(base + int(nrec))
 		if !decodeBlockColumns(c, base, block, int(nrec)) {
-			return fail(blockError(block, int(nrec)))
+			return nil, blockError(block, int(nrec))
 		}
 		decoded += int64(nrec)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -208,21 +209,59 @@ func TestReadSpillEmpty(t *testing.T) {
 	}
 }
 
-func BenchmarkReadSpill(b *testing.B) {
-	tr := bigSpillTrace(200_000)
-	var buf bytes.Buffer
-	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
-		b.Fatal(err)
+// TestSpillDecodeAllocatesAboutOnce decodes a 300K-record spill file. Past
+// the 64K-record reservation the columns grow by capped doubling, so the
+// decode allocates at most 3× the trace's Bytes. The BLBPTRC1 reader shares
+// the growth rule and must decode the same trace exactly.
+func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
+	tr := bigSpillTrace(300_000)
+	var spill, plain bytes.Buffer
+	if err := WriteSpillColumns(&spill, SpillHeader{Name: tr.Name, Seed: 2, Instructions: 1e6}, tr); err != nil {
+		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, got, err := ReadSpillColumns(bytes.NewReader(data))
-		if err != nil || got.Len() != tr.Len() {
-			b.Fatalf("decode: %v", err)
-		}
-		ReleaseColumns(got)
+	if err := Write(&plain, tr); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, got, err := ReadSpillColumns(bytes.NewReader(spill.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("decoding %d records allocated %d bytes, %.2f× the trace's %d", got.Len(), alloc, float64(alloc)/float64(got.Bytes()), got.Bytes())
+	if alloc > 3*got.Bytes() {
+		t.Errorf("decode allocated %.2f× the trace's bytes, want ≤ 3×", float64(alloc)/float64(got.Bytes()))
+	}
+	if !sameRecords(got, tr) {
+		t.Error("SPL3 decode differs from the encoded trace")
+	}
+	if got, err := Read(bytes.NewReader(plain.Bytes())); err != nil || !sameRecords(got, tr) {
+		t.Errorf("BLBPTRC1 decode differs from the encoded trace (error %v)", err)
+	}
+}
+
+// BenchmarkReadSpill decodes a spill file that fits the decoder's 64K-record
+// reservation and one that grows past it.
+func BenchmarkReadSpill(b *testing.B) {
+	for _, records := range []int{40_000, 300_000} {
+		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
+			tr := bigSpillTrace(records)
+			var buf bytes.Buffer
+			if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, got, err := ReadSpillColumns(bytes.NewReader(data))
+				if err != nil || got.Len() != tr.Len() {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -46,12 +46,9 @@ import (
 	"blbp/internal/workload"
 )
 
-// entryOverheadBytes approximates per-entry bookkeeping; recordBytes is the
-// budgeted in-memory size of one trace record.
-const (
-	recordBytes        = 24
-	entryOverheadBytes = 256
-)
+// entryOverheadBytes approximates per-entry bookkeeping on top of the
+// trace's own arrays (trace.Columns.Bytes).
+const entryOverheadBytes = 256
 
 // spillExt names finished spill files; tempPattern names in-flight writes
 // (never indexed by Preload, renamed onto spillExt names when complete).
@@ -287,7 +284,7 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 			c.builds.Add(1)
 			e.cols = spec.Build()
 		}
-		e.bytes = int64(e.cols.Len())*recordBytes + int64(len(e.cols.Name)) + entryOverheadBytes
+		e.bytes = e.cols.Bytes() + int64(len(e.cols.Name)) + entryOverheadBytes
 	}
 	c.entries[id] = e
 	c.mu.Unlock()
@@ -429,7 +426,6 @@ func loadSpill(path string, id workload.Identity) (*trace.Columns, error) {
 		return nil, err
 	}
 	if headerIdentity(h) != id {
-		trace.ReleaseColumns(cols)
 		return nil, fmt.Errorf("tracecache: spill %s holds %s/%d/%d/%016x, want %s/%d/%d/%016x (stale or colliding file)",
 			filepath.Base(path), h.Name, h.Seed, h.Instructions, h.Fingerprint, id.Name, id.Seed, id.Instructions, id.Fingerprint)
 	}

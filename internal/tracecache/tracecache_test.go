@@ -39,6 +39,32 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 	}
 }
 
+// TestBudgetCountsTrueBytes: the byte budget charges each entry what its
+// trace really holds (Columns.Bytes: spare capacity and segments included).
+// Two traces fit a budget of exactly their bytes, and one byte less evicts
+// the older.
+func TestBudgetCountsTrueBytes(t *testing.T) {
+	specs := []workload.Spec{testSpec("budget-a", 20_000), testSpec("budget-b", 20_000)}
+	var both int64
+	for _, s := range specs {
+		both += s.Build().Bytes() + int64(len(s.Name)) + entryOverheadBytes
+	}
+	for _, tc := range []struct{ budget, evictions int64 }{{both, 0}, {both - 1, 1}} {
+		c := New(Config{MaxBytes: tc.budget})
+		for _, s := range specs {
+			c.Get(s)
+		}
+		st := c.Stats()
+		c.Close()
+		if st.Evictions != tc.evictions {
+			t.Errorf("budget %d: %d evictions, want %d", tc.budget, st.Evictions, tc.evictions)
+		}
+		if tc.evictions == 0 && st.LiveBytes != both {
+			t.Errorf("budget %d: live bytes %d, want %d", tc.budget, st.LiveBytes, both)
+		}
+	}
+}
+
 // TestConcurrentGetSingleFlight launches many goroutines on a randomized
 // schedule over a few specs; each spec must be built exactly once and all
 // callers must share one entry per spec.

@@ -21,15 +21,21 @@ const instructionSize = 4
 // emitter builds a columnar trace while tracking straight-line instruction
 // counts and a call stack so call/return pairs stay balanced.
 type emitter struct {
-	cols    *trace.Columns
-	pending int64 // straight-line instructions since the last branch
-	instr   int64
-	limit   int64
-	stack   []uint64
+	cols     *trace.Columns
+	reserved int   // records cols has capacity for
+	pending  int64 // straight-line instructions since the last branch
+	instr    int64
+	limit    int64
+	stack    []uint64
 }
 
+// firstReserve is the record capacity an emitter starts with: enough
+// records to project the trace's final length from, little memory next to
+// a suite trace.
+const firstReserve = 4096
+
 func newEmitter(name string, limit int64) *emitter {
-	return &emitter{cols: trace.NewColumns(name, 0), limit: limit}
+	return &emitter{cols: trace.NewColumns(name, firstReserve), reserved: firstReserve, limit: limit}
 }
 
 // done reports whether the instruction budget is exhausted.
@@ -49,12 +55,27 @@ func (e *emitter) emit(rec trace.Record) {
 		// zero-cost filler conditional branches; in practice generators
 		// never get here, but the guard keeps InstrBefore in uint32 range.
 		e.pending -= maxPending
-		e.cols.Append(trace.Record{PC: rec.PC - 8, Target: rec.PC - 4, InstrBefore: maxPending, Type: trace.CondDirect})
 		e.instr += maxPending + 1
+		e.add(trace.Record{PC: rec.PC - 8, Target: rec.PC - 4, InstrBefore: maxPending, Type: trace.CondDirect})
 	}
 	rec.InstrBefore = uint32(e.pending)
 	e.instr += e.pending + 1
 	e.pending = 0
+	e.add(rec)
+}
+
+// add appends rec, whose instructions e.instr already counts. When the
+// reserved capacity is used up it reserves the projected final record
+// count — the records so far scaled by the instruction budget over the
+// instructions so far — plus 1/32 headroom for the last step's overshoot
+// and the closing unwind, so each column is allocated about once, near its
+// final size, rather than through append's repeated ~1.25× regrowth.
+func (e *emitter) add(rec trace.Record) {
+	if n := e.cols.Len(); n == e.reserved {
+		next := max(n, int(float64(n+1)*float64(e.limit)/float64(e.instr)))
+		e.reserved = next + next/32
+		e.cols.Grow(e.reserved)
+	}
 	e.cols.Append(rec)
 }
 
