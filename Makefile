@@ -10,9 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Static gate: go vet plus the repo's own invariant analyzers
-# (cmd/blbplint: determinism, hwbudget, satweights, atomics, hotalloc,
-# lanebounds, parsafe). The machine-readable findings report, suppressed
+# Static gate: go vet plus the repo's five invariant analyzers
+# (cmd/blbplint: determinism, hwbudget, satweights, atomics, hotalloc; no
+# fact-based provers). The machine-readable findings report, suppressed
 # entries included, lands in results/lint.json for tooling to consume.
 lint:
 	$(GO) vet ./...

@@ -1,12 +1,12 @@
 // Command blbplint is the multichecker for the BLBP invariant analyzers
-// (internal/analysis): determinism, hwbudget, satweights, atomics,
-// hotalloc, lanebounds, and parsafe. It loads the requested packages with
-// full type information and prints one line per finding:
+// (internal/analysis): determinism, hwbudget, satweights, atomics, and
+// hotalloc. It loads the requested packages with full type information and
+// prints one line per finding:
 //
 //	file:line:col: analyzer: message
 //
 // The exit status is 1 if any unsuppressed finding (or exceptions-file
-// drift) is reported, 2 on a load or apply error. With -suppressed,
+// drift) is reported, 2 on a usage, load or apply error. With -suppressed,
 // findings silenced by //blbp:allow comments are listed too (tagged
 // "suppressed"), so ANALYSIS_EXCEPTIONS.md can be audited against the
 // live set; suppressed findings never affect the exit status.
@@ -24,7 +24,8 @@
 //	-aspath path      load the single directory operand as this import
 //	                  path (places fixtures inside analyzer scopes)
 //	-scope name=a,b   override one analyzer's package-suffix scope
-//	                  (repeatable; "all" disables scoping for it)
+//	                  (repeatable; "all" disables scoping for it; an
+//	                  unknown analyzer name is a usage error)
 //	-json             print the machine-readable report (see
 //	                  analysis.JSONReport) instead of text
 //	-jsonout file     additionally write the JSON report to file
@@ -35,6 +36,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,8 +64,15 @@ func (s *scopeFlag) Set(v string) error {
 	if !ok || name == "" || list == "" {
 		return fmt.Errorf("want -scope analyzer=suffix1,suffix2, got %q", v)
 	}
-	s.m[name] = strings.Split(list, ",")
-	return nil
+	var known []string
+	for _, a := range analysis.All() {
+		if a.Name == name {
+			s.m[name] = strings.Split(list, ",")
+			return nil
+		}
+		known = append(known, a.Name)
+	}
+	return fmt.Errorf("unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))
 }
 
 func main() {
@@ -71,7 +80,7 @@ func main() {
 }
 
 func run(args []string, out io.Writer) int {
-	fs := flag.NewFlagSet("blbplint", flag.ExitOnError)
+	fs := flag.NewFlagSet("blbplint", flag.ContinueOnError)
 	showSuppressed := fs.Bool("suppressed", false, "also list findings silenced by //blbp:allow comments")
 	dir := fs.String("dir", ".", "directory to resolve package patterns from")
 	tests := fs.Bool("tests", false, "include each package's in-package _test.go files")
@@ -82,7 +91,12 @@ func run(args []string, out io.Writer) int {
 	exceptions := fs.String("exceptions", "", "cross-check this ANALYSIS_EXCEPTIONS.md against the live suppressions")
 	scopes := scopeFlag{m: map[string][]string{}}
 	fs.Var(&scopes, "scope", "override an analyzer's package scope: name=suffix1,suffix2 (repeatable)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has printed the error and usage
+	}
 
 	var (
 		prog *analysis.Program

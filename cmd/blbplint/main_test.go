@@ -148,3 +148,27 @@ func TestScopeOverride(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0 with determinism scoped away; output: %s", code, buf.String())
 	}
 }
+
+// TestScopeRejectsUnknownAnalyzer checks that a misspelled -scope name is a
+// usage error (exit 2, known names listed) instead of a silent no-op that
+// leaves the intended analyzer running at its default scope.
+func TestScopeRejectsUnknownAnalyzer(t *testing.T) {
+	var buf bytes.Buffer
+	code := run([]string{
+		"-aspath", "td/internal/sim",
+		"-scope", "determinsm=internal/nowhere",
+		filepath.Join("..", "..", "internal", "analysis", "testdata", "determinism"),
+	}, &buf)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2 for an unknown analyzer name; output: %s", code, buf.String())
+	}
+	err := (&scopeFlag{m: map[string][]string{}}).Set("determinsm=internal/nowhere")
+	if err == nil {
+		t.Fatal("Set accepted an unknown analyzer name")
+	}
+	for _, a := range analysis.All() {
+		if !strings.Contains(err.Error(), a.Name) {
+			t.Errorf("error %q does not list known analyzer %s", err, a.Name)
+		}
+	}
+}

@@ -2,20 +2,20 @@
 // invariants the paper's evaluation rests on: bit-reproducible results
 // (determinism), hardware structures that stay inside the paper's declared
 // bit budgets (hwbudget), saturating weight and counter arithmetic
-// (satweights), consistent atomic access (atomics), allocation-free
-// prediction hot loops (hotalloc), overflow-free packed-lane arithmetic
-// (lanebounds), and data-race-free worker callbacks (parsafe).
+// (satweights), consistent atomic access (atomics), and allocation-free
+// prediction hot loops (hotalloc).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer runs over one type-checked package at a time and reports
 // position-tagged diagnostics — but is built on the standard library only
 // (go/ast, go/types, and export data from `go list -export`), because this
-// repository carries no external dependencies. Whole-program analyzers
-// implement a Collect phase that visits every package before any Run and
-// exports typed facts about package objects (ExportObjectFact); consumers
-// read them back with ImportObjectFact. Facts are keyed by package path and
-// object name, which unifies an object reached through export data with the
-// same object in its source-checked home package.
+// repository carries no external dependencies. A whole-program analyzer
+// (atomics) implements a Collect phase that visits every package before any
+// Run and keeps what it learns in Program.Facts.
+//
+// Three comment directives drive the suite: //blbp:clamp marks the
+// saturating helpers satweights exempts, //blbp:hot marks the functions
+// hotalloc checks, and //blbp:allow suppresses a finding.
 //
 // Suppressions: a comment of the form
 //
@@ -38,7 +38,6 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-	"reflect"
 	"regexp"
 	"strings"
 )
@@ -54,27 +53,11 @@ type Analyzer struct {
 	// Program.Scopes overrides it per run.
 	DefaultScope []string
 	// Collect, when non-nil, runs over every package of the program before
-	// any Run call, letting whole-program analyzers export facts
-	// (ExportObjectFact) and verify the declarations facts are built from.
+	// any Run call, letting a whole-program analyzer gather state into
+	// Program.Facts.
 	Collect func(*Pass)
 	// Run reports diagnostics for one package.
 	Run func(*Pass) error
-}
-
-// Fact is a typed, analyzer-exported statement about a package object
-// (a field's saturation range, a method's guarded upper bound). Facts
-// cross analyzer boundaries: satweights exports them, lanebounds imports
-// them. Implementations must be pointer types.
-type Fact interface {
-	AFact()
-}
-
-// MergeableFact lets a fact widen itself when two objects share a key
-// (same-named fields of two structs in one package); Merge must keep the
-// fact conservative for every consumer.
-type MergeableFact interface {
-	Fact
-	Merge(other Fact)
 }
 
 // TextEdit replaces the byte range [Start, End) of Filename with NewText.
@@ -139,10 +122,6 @@ type Program struct {
 	// Scopes overrides analyzers' DefaultScope by name: a missing entry
 	// keeps the default, a list containing "all" means every package.
 	Scopes map[string][]string
-
-	// objFacts is the cross-analyzer fact store, keyed by object key and
-	// concrete fact type.
-	objFacts map[string]Fact
 }
 
 // Pass carries one analyzer's view of one package.
@@ -213,55 +192,16 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 // ObjectOf returns the object denoted by id, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
-// objKey builds the cross-package identity key for an object: facts
-// attached to a field reached through export data must unify with the same
-// field in its source-checked home package, so objects are keyed by
-// package path and name (conservatively: same-named objects of one
-// package share a key — MergeableFact widens on collision).
+// objKey builds the cross-package identity key for an object: a field
+// reached through export data must unify with the same field in its
+// source-checked home package, so objects are keyed by package path and
+// name (conservatively: same-named objects of one package share a key).
 func objKey(obj types.Object) string {
 	pkg := ""
 	if obj.Pkg() != nil {
 		pkg = obj.Pkg().Path()
 	}
 	return pkg + ":" + obj.Name()
-}
-
-func factKey(obj types.Object, f Fact) string {
-	return objKey(obj) + "\x00" + reflect.TypeOf(f).String()
-}
-
-// ExportObjectFact attaches fact to obj for later ImportObjectFact calls
-// (from any analyzer). On a key collision a MergeableFact widens the
-// stored fact; otherwise the new fact replaces it.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if obj == nil {
-		return
-	}
-	if p.Program.objFacts == nil {
-		p.Program.objFacts = map[string]Fact{}
-	}
-	key := factKey(obj, fact)
-	if old, ok := p.Program.objFacts[key]; ok {
-		if m, ok := old.(MergeableFact); ok {
-			m.Merge(fact)
-			return
-		}
-	}
-	p.Program.objFacts[key] = fact
-}
-
-// ImportObjectFact copies the stored fact of fact's concrete type for obj
-// into fact, reporting whether one was found.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if obj == nil || p.Program.objFacts == nil {
-		return false
-	}
-	stored, ok := p.Program.objFacts[factKey(obj, fact)]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
 }
 
 var allowRe = regexp.MustCompile(`^//blbp:allow\(([a-z,]+)\)\s+\S`)
@@ -354,9 +294,8 @@ func (pkg *Package) auditAllows(known, ran map[string]bool) []Diagnostic {
 }
 
 // Run executes the analyzers over the program: every Collect phase first
-// (in analyzer order, package order — facts exported by an earlier
-// analyzer are visible to later Collects and every Run), then every Run,
-// then the allow-comment audit. Diagnostics are returned with
+// (in analyzer order, package order), then every Run, then the
+// allow-comment audit. Diagnostics are returned with
 // suppressions marked.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if prog.Facts == nil {
@@ -410,32 +349,16 @@ func pathIn(pkgPath string, suffixes []string) bool {
 }
 
 // hasDirective reports whether the doc comment group contains the given
-// //blbp:<name> directive (with or without an argument list).
+// //blbp:<name> directive, alone or followed by a space.
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	_, ok := directiveArg(doc, directive)
-	return ok
-}
-
-// directiveArg finds the //blbp:<name> or //blbp:<name>(arg) directive in
-// the comment group and returns its argument text ("" when absent).
-func directiveArg(doc *ast.CommentGroup, directive string) (string, bool) {
 	if doc == nil {
-		return "", false
+		return false
 	}
-	prefix := "//" + directive
 	for _, c := range doc.List {
-		if !strings.HasPrefix(c.Text, prefix) {
-			continue
-		}
-		rest := c.Text[len(prefix):]
-		if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-			return "", true
-		}
-		if rest[0] == '(' {
-			if end := strings.IndexByte(rest, ')'); end > 0 {
-				return rest[1:end], true
-			}
+		rest, ok := strings.CutPrefix(c.Text, "//"+directive)
+		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return true
 		}
 	}
-	return "", false
+	return false
 }

@@ -52,7 +52,7 @@ func wantsIn(t *testing.T, dir string) map[string]*regexp.Regexp {
 }
 
 // runTestdata loads testdata/<dirname> as package asPath, runs the
-// analyzers (facts flow between them in order), and checks the diagnostics
+// analyzers, and checks the diagnostics
 // against the // want comments: every diagnostic must match the want on
 // its line, and every want must fire.
 func runTestdata(t *testing.T, analyzers []*Analyzer, dirname, asPath string) {
@@ -109,31 +109,6 @@ func TestAtomics(t *testing.T) {
 
 func TestHotAlloc(t *testing.T) {
 	runTestdata(t, []*Analyzer{HotAlloc}, "hotalloc", "td/internal/core")
-}
-
-// TestLaneBounds runs satweights and lanebounds together over a miniature
-// of the real packed-weight geometry: satweights' SatBound facts are what
-// let the transfer bound cover its sibling weight field (the fact-dependent
-// true negative), while the bad* functions violate the accumulation and
-// store disciplines (the true positives).
-func TestLaneBounds(t *testing.T) {
-	runTestdata(t, []*Analyzer{SatWeights, LaneBounds}, "lanebounds", "td/internal/core")
-}
-
-// TestLaneBoundsWide is the fact-dependent true positive: the fixture is
-// the same shape but its raw weights are int16, so the SatBound fact
-// (±32767) exceeds what the transfer bound was verified for and the proof
-// must refuse to certify the package.
-func TestLaneBoundsWide(t *testing.T) {
-	runTestdata(t, []*Analyzer{SatWeights, LaneBounds}, "laneboundswide", "td/internal/core")
-}
-
-// TestParSafe exercises the launch ownership proof. The SpawnSafe /
-// SpawnRacy pair is the fact-dependent contrast: both launch an in-package
-// method, and only the collected ParSafeFact summary (addLocked guards its
-// write, add does not) separates them.
-func TestParSafe(t *testing.T) {
-	runTestdata(t, []*Analyzer{ParSafe}, "parsafe", "td/internal/experiments")
 }
 
 // TestScopeExcludesOtherPackages checks that path-scoped analyzers skip

@@ -23,41 +23,6 @@ var satweightsScope = []string{
 	"internal/region",
 }
 
-// SatBound is the fact satweights exports for every narrow integer field
-// (and every field whose slice/array elements are narrow integers) in its
-// scope: the value range the saturation discipline keeps the field inside.
-// Signed widths use the symmetric sign/magnitude range [-(2^(w-1)-1),
-// 2^(w-1)-1] the predictors clamp to; unsigned use [0, 2^w-1]. lanebounds
-// imports these facts to bound what can ever flow into a packed lane.
-type SatBound struct {
-	Min, Max int64
-}
-
-func (*SatBound) AFact() {}
-
-// Merge widens to the union range: when two same-named fields share a fact
-// key, consumers must see the weaker (wider) statement.
-func (b *SatBound) Merge(other Fact) {
-	o, ok := other.(*SatBound)
-	if !ok {
-		return
-	}
-	if o.Min < b.Min {
-		b.Min = o.Min
-	}
-	if o.Max > b.Max {
-		b.Max = o.Max
-	}
-}
-
-// MaxAbs returns the largest magnitude the bound admits.
-func (b *SatBound) MaxAbs() int64 {
-	if -b.Min > b.Max {
-		return -b.Min
-	}
-	return b.Max
-}
-
 // SatWeights forbids raw +=, -=, ++ and -- on narrow (<= 16-bit) integer
 // fields and table elements in the predictor packages: every such value
 // models a saturating hardware counter or perceptron weight, and an
@@ -65,71 +30,11 @@ func (b *SatBound) MaxAbs() int64 {
 // inside the declared bit budget. Updates must go through a clamp helper —
 // a function carrying the //blbp:clamp directive (the saturating helpers
 // in internal/threshold and internal/cond) — whose body is exempt.
-//
-// The Collect phase exports a SatBound fact for every narrow field in
-// scope, publishing the range the clamp discipline guarantees so that
-// lanebounds can prove the packed-lane arithmetic downstream of the
-// weights can never overflow.
 var SatWeights = &Analyzer{
 	Name:         "satweights",
 	Doc:          "narrow counter/weight fields must be updated through //blbp:clamp saturating helpers, never raw +=/-=/++/--",
 	DefaultScope: satweightsScope,
-	Collect:      collectSatWeights,
 	Run:          runSatWeights,
-}
-
-// satBoundForType returns the saturation range fact for a narrow integer
-// type (or the narrow element type of a slice/array), or nil.
-func satBoundForType(t types.Type) *SatBound {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		t = u.Elem()
-	case *types.Array:
-		t = u.Elem()
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	switch b.Kind() {
-	case types.Int8:
-		return &SatBound{Min: -127, Max: 127}
-	case types.Int16:
-		return &SatBound{Min: -32767, Max: 32767}
-	case types.Uint8:
-		return &SatBound{Min: 0, Max: 255}
-	case types.Uint16:
-		return &SatBound{Min: 0, Max: 65535}
-	}
-	return nil
-}
-
-// collectSatWeights exports SatBound facts for the narrow struct fields of
-// every in-scope package.
-func collectSatWeights(pass *Pass) {
-	if !pass.InScope() {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					obj := pass.ObjectOf(name)
-					if obj == nil {
-						continue
-					}
-					if b := satBoundForType(obj.Type()); b != nil {
-						pass.ExportObjectFact(obj, b)
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 func runSatWeights(pass *Pass) error {

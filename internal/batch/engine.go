@@ -46,16 +46,10 @@ type Engine struct {
 	wpr int // lane words per packed row
 	// rows is the batch scratch of per-item packed-row offsets, n apiece:
 	// an arena whose n-sized windows bound one item's lane accumulation.
-	//
-	//blbp:rows
 	rows []int
 	// tabs is the batch scratch of per-item packed weight images.
-	//
-	//blbp:lanes(table)
 	tabs [][]uint64
 	// accs is the batch scratch of per-item lane accumulators, wpr apiece.
-	//
-	//blbp:lanes(acc)
 	accs []uint64
 }
 

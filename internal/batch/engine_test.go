@@ -70,6 +70,56 @@ func TestDuplicateStreamPanics(t *testing.T) {
 	eng.PredictBatch([]int{s, s}, pcs, make([]uint64, 2), make([]bool, 2))
 }
 
+// TestSweepSaturatedLanes fills every packed lane of 256-sub-predictor
+// streams with the largest cell the lane bound admits — 2 × laneBias at
+// 8-bit weights without the transfer function — and requires sweep to sum
+// each lane to exactly 256 × 254 = 65,024, with no carry into its
+// neighbor. K=12 runs the unrolled branch, K=32 the generic one.
+func TestSweepSaturatedLanes(t *testing.T) {
+	const n, b = 256, 3
+	for _, k := range []int{12, 32} {
+		cfg := smallConfig()
+		cfg.K, cfg.WeightBits, cfg.UseTransfer, cfg.TableEntries = k, 8, false, 4
+		cfg.Intervals = make([]core.Interval, n-1)
+		cfg.GEHLLengths = make([]int, n-1)
+		for i := range cfg.Intervals {
+			cfg.Intervals[i] = core.Interval{Lo: i, Hi: i}
+			cfg.GEHLLengths[i] = i + 1
+		}
+		eng := NewEngine(cfg, b)
+		eng.ensureBatch(b)
+		var cell uint64
+		for i := 0; i < b; i++ {
+			slot, _ := eng.Admit()
+			p := eng.Stream(slot)
+			tab := p.BatchTable()
+			cell = 2 * (tab[0] & 0xffff) // a fresh table holds laneBias in every lane
+			for w := range tab {
+				tab[w] = cell * 0x0001_0001_0001_0001
+			}
+			p.BatchIndex(0x400000 + uint64(i)*0x40)
+			copy(eng.rows[i*n:(i+1)*n], p.BatchRows())
+			eng.tabs[i] = tab
+		}
+		if cell != 254 {
+			t.Fatalf("K=%d: max cell = %d, want 2 × 127", k, cell)
+		}
+		for i := range eng.accs {
+			eng.accs[i] = ^uint64(0) // the sweep owns zeroing its accumulators
+		}
+		eng.sweep(b)
+		// Check lane by lane: a carry out of one lane lands in the next, so
+		// only the per-lane value shows it.
+		for i, acc := range eng.accs[:b*eng.wpr] {
+			for l := 0; l < 4; l++ {
+				if lane := acc >> (16 * l) & 0xffff; lane != n*cell {
+					t.Errorf("K=%d: word %d lane %d = %d, want %d", k, i, l, lane, n*cell)
+				}
+			}
+		}
+	}
+}
+
 func TestRetireNonLivePanics(t *testing.T) {
 	eng := NewEngine(smallConfig(), 2)
 	s, _ := eng.Admit()

@@ -13,15 +13,28 @@ import (
 // Lane geometry of the packed (bit-sliced) weight image: each table row's K
 // transferred weights live in 16-bit biased lanes, four per uint64, so the
 // per-bit column sum across sub-predictors is a handful of word adds instead
-// of K×N byte loads. 16-bit lanes keep the layout valid for every
-// configuration Validate accepts: with at most 256 sub-predictors and
-// transferred magnitudes at most 127, a column sum plus its bias never
-// carries into the neighboring lane.
+// of K×N byte loads.
 const (
 	laneBits     = 16
 	lanesPerWord = 64 / laneBits
 	laneMask     = 1<<laneBits - 1
 )
+
+// The limits Validate enforces. A lane holds transfer(w) + laneBias, at most
+// 2*transferHi, so a column sum over maxSubPredictors rows stays within
+// laneMask and never carries into the neighboring lane: 256 × 254 = 65,024.
+const (
+	maxWeightBits    uint = 8
+	maxSubPredictors uint = 256
+	// transferHi is the largest raw weight at maxWeightBits. It bounds
+	// |transfer(w)| at every width Validate accepts while no
+	// transferMagnitude entry exceeds it (TestTransferFunctionShapes).
+	transferHi uint = 1<<(maxWeightBits-1) - 1
+)
+
+// The lane bound, checked by the compiler: limits whose worst-case column
+// sum overflows a lane make this constant negative, which fails the build.
+const _ uint = laneMask - maxSubPredictors*2*transferHi
 
 // BLBP is the bit-level perceptron indirect branch predictor.
 //
@@ -42,10 +55,6 @@ type BLBP struct {
 	wMax        int8
 
 	// transfer is the transfer-function lookup, indexed by weight - wMin.
-	// The bound is what lanebounds verifies the builder can produce and what
-	// every packed-lane proof below rests on.
-	//
-	//blbp:bound(-127,127)
 	transfer []int
 
 	// pweights is the bit-sliced image of the transferred weights: row
@@ -53,15 +62,11 @@ type BLBP struct {
 	// transfer(weight) + laneBias per predicted bit. It is maintained at
 	// weight-write time, so the per-prediction column sum is wordsPerRow
 	// word adds per sub-predictor (sumRows) instead of K byte loads — and a
-	// whole batch of predictions can be summed in one sweep over the tables
-	// (PredictBatch, internal/batch).
-	//
-	//blbp:lanes(table)
+	// whole batch of streams can be summed in one sweep over their tables
+	// (internal/batch).
 	pweights    []uint64
 	wordsPerRow int // ceil(K / lanesPerWord)
 	// laneBias is the max |transfer| value: it biases lanes non-negative.
-	//
-	//blbp:bound(0,127)
 	laneBias int
 	sumBias  int // SubPredictors() * laneBias, subtracted on unpack
 
@@ -77,10 +82,7 @@ type BLBP struct {
 	rowOff []int // absolute weight offset of each sub-predictor's active row
 	// pRowOff holds the absolute pweights offset of the same rows, one per
 	// sub-predictor: ranging over it is what bounds a lane accumulation.
-	//
-	//blbp:rows
-	pRowOff []int
-	//blbp:lanes(acc)
+	pRowOff       []int
 	acc           [8]uint64
 	yout          [64]int // per-bit summed confidence (first K entries live)
 	suppressMask  uint64  // bit k set = selective training suppresses bit k
@@ -90,9 +92,6 @@ type BLBP struct {
 	candCap  int
 	candBuf  []uint64
 	candBits []uint64 // candidate targets pre-shifted by BitOffset
-
-	// Lookahead-batch scratch, lazily sized by PredictBatch.
-	batch *lookahead
 
 	// Diagnostics.
 	predictions int64
@@ -112,7 +111,11 @@ func New(cfg Config) *BLBP {
 	stride := cfg.TableEntries * cfg.K
 	maxW := int8(1<<uint(cfg.WeightBits-1) - 1)
 	thetas := make([]*threshold.Adaptive, cfg.K)
-	maxYout := n * 18 // transfer function tops out at 18 per table
+	// 18 per table is only the θ ceiling, not a transfer bound: the table
+	// tops out at 13 for the paper's 4-bit weights, 7 with the transfer
+	// function off, 127 for 8-bit weights with it off. Changing it moves
+	// the committed results.
+	maxYout := n * 18
 	for k := range thetas {
 		thetas[k] = threshold.New(cfg.ThetaInit, 16, 1, maxYout)
 	}
@@ -142,11 +145,6 @@ func New(cfg Config) *BLBP {
 		}
 	}
 	wpr := (cfg.K + lanesPerWord - 1) / lanesPerWord
-	if n*2*bias >= 1<<laneBits {
-		// Unreachable under Validate (SubPredictors <= 256, |transfer| <=
-		// 127), kept as the packing invariant's executable statement.
-		panic("core: packed column sums would overflow a lane")
-	}
 	p := &BLBP{
 		cfg:         cfg,
 		weights:     make([]int8, n*stride),
@@ -335,12 +333,12 @@ func (p *BLBP) similarity(candBits uint64) int {
 	return int(total) - mathbits.OnesCount64(m)*p.sumBias
 }
 
-// prepare computes the pre-sum prediction state shared by Predict, the
-// batched paths, and Update's out-of-contract recompute — candidate targets
-// with their pre-shifted bit vectors, active row offsets, and the suppress
-// mask — so the paths can never drift. The per-bit sums themselves are
-// produced separately (sumRows for the serial path, the batched sweeps for
-// PredictBatch and internal/batch).
+// prepare computes the pre-sum prediction state shared by Predict and
+// Update's out-of-contract recompute — candidate targets with their
+// pre-shifted bit vectors, active row offsets, and the suppress mask — so
+// the paths can never drift. The per-bit sums themselves are produced
+// separately (sumRows for the serial path, internal/batch's sweep for a
+// batch of streams).
 //
 //blbp:hot
 func (p *BLBP) prepare(pc uint64) {
@@ -351,7 +349,7 @@ func (p *BLBP) prepare(pc uint64) {
 // gather runs the candidate half of prepare: the IBTB lookup, the
 // pre-shifted candidate bit vectors, and the suppress mask. It touches no
 // history or weight state, and computeRows touches no IBTB state, so the
-// two halves commute — the batched paths run them as separate tight loops
+// two halves commute — internal/batch runs them as separate tight loops
 // over a batch's items to overlap their scattered loads.
 //
 //blbp:hot
@@ -397,7 +395,7 @@ func (p *BLBP) finishPredict(pc uint64) (uint64, bool) {
 // Predict implements predictor.Indirect: Algorithm 1 of the paper. It is
 // exactly the three batch phases run back to back for one pc — prepare,
 // packed column sum, candidate selection — which is what keeps the batched
-// paths bit-identical to it.
+// path bit-identical to it.
 //
 //blbp:hot
 func (p *BLBP) Predict(pc uint64) (uint64, bool) {
@@ -406,35 +404,28 @@ func (p *BLBP) Predict(pc uint64) (uint64, bool) {
 	return p.finishPredict(pc)
 }
 
-// BatchPrepare runs Predict's pre-sum phase for pc: candidates, active
-// rows, suppress mask. internal/batch calls it per batch item before the
-// whole batch's sums are accumulated in one sweep over the tables.
-func (p *BLBP) BatchPrepare(pc uint64) { p.prepare(pc) }
-
-// BatchIndex runs only the row-indexing half of the pre-sum phase (history
-// folds and hashing); BatchGather runs the candidate half (IBTB lookup and
-// suppress mask). The halves commute, so batched callers may loop each
-// across a whole batch — one item's hashing overlapping another's buffer
-// scan — before finishing any prediction. Calling both equals BatchPrepare.
+// BatchIndex runs only the row-indexing half of Predict's pre-sum phase
+// (history folds and hashing); BatchGather runs the candidate half (IBTB
+// lookup and suppress mask). The halves commute, so batched callers may
+// loop each across a whole batch — one item's hashing overlapping another's
+// buffer scan — before finishing any prediction.
 func (p *BLBP) BatchIndex(pc uint64) { p.computeRows(pc) }
 
 // BatchGather is the candidate half of the pre-sum phase; see BatchIndex.
 func (p *BLBP) BatchGather(pc uint64) { p.gather(pc) }
 
-// BatchRows returns the packed-row offsets prepared by the last
-// BatchPrepare/prepare, valid until the next prepare on this predictor.
+// BatchRows returns the packed-row offsets computed by the last BatchIndex
+// (or Predict), valid until the next one on this predictor.
 func (p *BLBP) BatchRows() []int { return p.pRowOff }
 
-// BatchTable returns the packed weight image summed by the batched sweeps.
-//
-//blbp:lanes(table)
+// BatchTable returns the packed weight image summed by the batched sweep.
 func (p *BLBP) BatchTable() []uint64 { return p.pweights }
 
 // LaneWordsPerRow returns how many uint64s one packed row spans.
 func (p *BLBP) LaneWordsPerRow() int { return p.wordsPerRow }
 
 // BatchFinish completes a prediction whose lane sums were accumulated
-// externally (the batched sweeps): acc must hold the lane-wise sum of this
+// externally (the batched sweep): acc must hold the lane-wise sum of this
 // predictor's BatchRows rows over LaneWordsPerRow words, exactly what
 // sumRows would have produced.
 func (p *BLBP) BatchFinish(pc uint64, acc []uint64) (uint64, bool) {

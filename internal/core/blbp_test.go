@@ -254,6 +254,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c Config) Config { c.BitOffset = 60; return c },
 		func(c Config) Config { c.TableEntries = 0; return c },
 		func(c Config) Config { c.WeightBits = 1; return c },
+		func(c Config) Config { c.WeightBits = int(maxWeightBits) + 1; return c },
+		func(c Config) Config { return withSubPredictors(c, int(maxSubPredictors)+1) },
 		func(c Config) Config { c.Intervals = nil; return c },
 		func(c Config) Config { c.GEHLLengths = c.GEHLLengths[:3]; return c },
 		func(c Config) Config { c.Intervals[0].Hi = 9999; return c },
@@ -270,6 +272,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+	if err := withSubPredictors(DefaultConfig(), int(maxSubPredictors)).Validate(); err != nil {
+		t.Errorf("%d sub-predictors rejected: %v", maxSubPredictors, err)
 	}
 }
 
@@ -331,6 +336,17 @@ func TestTransferFunctionShapes(t *testing.T) {
 		d0 := on[7+w-1] - on[7+w-2]
 		if d1 < d0 {
 			t.Errorf("transfer not convex at magnitude %d", w)
+		}
+	}
+	// Range: at every width Validate accepts, each entry fits the
+	// transferHi the packed lanes are sized for.
+	for wb := 2; wb <= int(maxWeightBits); wb++ {
+		for _, useTransfer := range []bool{true, false} {
+			for i, v := range buildTransferTable(wb, useTransfer) {
+				if v > int(transferHi) || v < -int(transferHi) {
+					t.Errorf("WeightBits=%d transfer=%v: entry %d = %d exceeds ±%d", wb, useTransfer, i, v, transferHi)
+				}
+			}
 		}
 	}
 }

@@ -121,18 +121,17 @@ func (c Config) Validate() error {
 	if c.TableEntries <= 0 {
 		return fmt.Errorf("core: TableEntries must be positive")
 	}
-	if c.WeightBits < 2 || c.WeightBits > 8 {
-		return fmt.Errorf("core: WeightBits=%d out of range (2..8)", c.WeightBits)
+	if c.WeightBits < 2 || c.WeightBits > int(maxWeightBits) {
+		return fmt.Errorf("core: WeightBits=%d out of range (2..%d)", c.WeightBits, maxWeightBits)
 	}
 	if len(c.Intervals) == 0 {
 		return fmt.Errorf("core: no history intervals")
 	}
 	// The packed weight image sums one 16-bit lane per predicted bit across
-	// all sub-predictors without inter-lane carry suppression; that is
-	// overflow-free while SubPredictors() * 2*max|transfer| < 2^16, which the
-	// WeightBits bound (|transfer| <= 127) reduces to a table-count cap.
-	if c.SubPredictors() > 256 {
-		return fmt.Errorf("core: %d sub-predictors exceed the packed-sum limit of 256", c.SubPredictors())
+	// all sub-predictors without inter-lane carry suppression; the lane
+	// bound next to laneMask shows this cap keeps every sum in its lane.
+	if c.SubPredictors() > int(maxSubPredictors) {
+		return fmt.Errorf("core: %d sub-predictors exceed the packed-sum limit of %d", c.SubPredictors(), maxSubPredictors)
 	}
 	if len(c.GEHLLengths) != len(c.Intervals) {
 		return fmt.Errorf("core: %d GEHL lengths but %d intervals; counts must match", len(c.GEHLLengths), len(c.Intervals))

@@ -10,11 +10,8 @@ var transferMagnitude = [8]int{0, 1, 2, 3, 4, 6, 9, 13}
 
 // transferTable precomputes the transfer function over the full signed
 // weight range for a given weight width, so the prediction loop is a table
-// lookup. Index by weight−min. The bound covers both the literal magnitude
-// table and the widest raw-weight range Validate's WeightBits guard admits
-// (1<<(8-1) - 1); lanebounds re-derives and checks it.
-//
-//blbp:bound(-127,127)
+// lookup. Index by weight−min. Every entry's magnitude is at most
+// transferHi, the bound the packed lanes are sized for.
 func buildTransferTable(weightBits int, useTransfer bool) []int {
 	max := 1<<uint(weightBits-1) - 1
 	min := -max // sign/magnitude representation: symmetric range

@@ -71,8 +71,6 @@ func (p *pool) worker(w int) {
 
 // take pops the worker's own oldest task, or, when its deque is empty,
 // steals the newest task from the deepest sibling. Caller holds mu.
-//
-//blbp:locked
 func (p *pool) take(w int) func() {
 	if q := p.deques[w]; len(q) > 0 {
 		f := q[0]

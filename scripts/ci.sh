@@ -8,8 +8,7 @@ set -eux
 make lint
 # Suppression audit: every //blbp:allow comment must have a row in
 # ANALYSIS_EXCEPTIONS.md and vice versa; drift in either direction fails.
-# Because all seven analyzers run here (lanebounds and parsafe included),
-# this is also the repo-clean gate for the two fact-based provers.
+# All five analyzers run here; none of them is a fact-based prover.
 go run ./cmd/blbplint -suppressed -exceptions ANALYSIS_EXCEPTIONS.md ./...
 # Autofix smoke: -fix on a scratch copy of the fixture must apply every
 # suggested fix (1 modulo->mask + 3 saturations), the result must re-lint
@@ -26,6 +25,12 @@ go run ./cmd/blbplint -aspath tdfix/internal/cond "$fixdir"
 git diff --exit-code -- internal/analysis/testdata/fix
 rm -rf "$fixdir"
 go build ./...
+# The race-enabled tests are also the ownership gate for the experiments
+# pool's three goroutine launch sites: newPool's `go p.worker`, and the
+# pool submits of RunSuites and AnalyzeSuite.
+# TestDriverCSVDeterministicAcrossParallelism (8 workers) and
+# TestAnalyzeSuiteOrder (2 workers) drive all three, and
+# TestPoolRunsEachTaskOnce floods the pool so pops and steals interleave.
 go test -race ./...
 # perfbench is its own module (it holds the contract benchmark), so the
 # root ./... walks above never compile it. Vet, test and lint it here: it
