@@ -167,11 +167,14 @@ func (b *BTB) StorageBits() int {
 	return b.cfg.Entries * perEntry
 }
 
-// Reset invalidates all entries.
+// Reset restores the freshly constructed state: every entry invalid, the
+// recency stamps and clock zeroed (VPC reads them through SlotRecency), and
+// the hit counters cleared.
 func (b *BTB) Reset() {
 	for i := range b.entries {
 		b.entries[i] = entry{}
 	}
+	b.lru.Reset()
 	b.lookups, b.hits = 0, 0
 }
 

@@ -2,6 +2,7 @@ package btb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,27 @@ func TestResetClears(t *testing.T) {
 	b.Reset()
 	if _, ok := b.Lookup(0x100); ok {
 		t.Error("entry survived Reset")
+	}
+}
+
+// TestResetRestoresNew trains a BTB past capacity, so entries, LRU stamps,
+// the clock and the hit counters have all moved, and requires Reset to
+// leave it deeply equal to a freshly constructed one.
+func TestResetRestoresNew(t *testing.T) {
+	hyst := small()
+	hyst.Hysteresis = true
+	for _, cfg := range []Config{small(), hyst} {
+		b := New(cfg)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1000; i++ {
+			pc := uint64(rng.Intn(256)) * 64
+			b.Lookup(pc)
+			b.Update(pc, uint64(rng.Intn(8)))
+		}
+		b.Reset()
+		if !reflect.DeepEqual(b, New(cfg)) {
+			t.Errorf("%+v: Reset BTB differs from a fresh one", cfg)
+		}
 	}
 }
 

@@ -33,3 +33,6 @@ func (p *Indirect) OnOther(pc, target uint64, bt trace.BranchType) {}
 
 // StorageBits implements predictor.Indirect.
 func (p *Indirect) StorageBits() int { return p.b.StorageBits() }
+
+// Reset restores the freshly constructed state of the underlying BTB.
+func (p *Indirect) Reset() { p.b.Reset() }

@@ -166,6 +166,23 @@ func NewHashedPerceptron(cfg HPConfig) *HashedPerceptron {
 	}
 }
 
+// Reset restores the freshly constructed state: zero weights, empty
+// global, local and path histories, the initial threshold, and no pending
+// prediction. Run plans recycle a pass's predictors through it between
+// workloads.
+func (h *HashedPerceptron) Reset() {
+	for _, tbl := range h.weights {
+		for i := range tbl {
+			tbl[i] = 0
+		}
+	}
+	h.ghist.Reset()
+	h.local.Reset()
+	h.path.Reset()
+	h.theta.Reset(h.cfg.ThetaInit)
+	h.lastPC, h.lastOK = 0, false
+}
+
 // Name implements Predictor.
 func (h *HashedPerceptron) Name() string { return "hashed-perceptron" }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"blbp/internal/btb"
 	"blbp/internal/cond"
 	"blbp/internal/core"
 	"blbp/internal/ittage"
@@ -116,6 +117,38 @@ func TestRenameWrapsPredictor(t *testing.T) {
 	p.Update(0x10, 0x5000)
 	if tgt, ok := p.Predict(0x10); !ok || tgt != 0x5000 {
 		t.Error("renamed predictor does not delegate")
+	}
+}
+
+// TestRenameKeepsSpanFeeder: a renamed predictor exposes the
+// predictor.SpanFeeder fast path exactly when the wrapped one does, and a
+// tape replay through the wrapper matches the unrenamed predictor.
+func TestRenameKeepsSpanFeeder(t *testing.T) {
+	renamed := Rename(core.New(core.DefaultConfig()), "custom-name")
+	if _, ok := renamed.(predictor.SpanFeeder); !ok {
+		t.Fatal("Rename hides core.BLBP's SpanFeeder")
+	}
+	if _, ok := Rename(btb.NewIndirect(btb.Default32K()), "b").(predictor.SpanFeeder); ok {
+		t.Error("Rename claims SpanFeeder for a predictor without one")
+	}
+	tape, err := sim.NewTape(miniSuite(60_000)[0].Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tape.Run(CondKeyHP, newHP(), []predictor.Indirect{renamed}, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tape.Run(CondKeyHP, newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Predictor != "custom-name" {
+		t.Errorf("result keyed %q, want custom-name", got[0].Predictor)
+	}
+	got[0].Predictor = want[0].Predictor
+	if got[0] != want[0] {
+		t.Errorf("renamed replay %+v, unrenamed %+v", got[0], want[0])
 	}
 }
 

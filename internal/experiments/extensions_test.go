@@ -190,14 +190,14 @@ func TestHierarchyPassOnMiniSuite(t *testing.T) {
 	// Each task writes only its own workload's slot, so the retention is
 	// parallel-safe and read in deterministic spec order after the run.
 	insts := make([]*core.BLBP, len(specs))
-	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect) {
+	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect, func()) {
 		h := core.New(hier)
 		insts[w] = h
 		return newHP(), []predictor.Indirect{
 			Rename(core.New(core.DefaultConfig()), "mono-64way"),
 			Rename(core.New(mono8), "mono-8way"),
 			Rename(h, "hierarchy"),
-		}
+		}, nil
 	}}
 	rows, err := testRunner(t).RunSuite(specs, []Pass{pass})
 	if err != nil {
@@ -258,10 +258,10 @@ func TestLatencyHistogramOnMiniSuite(t *testing.T) {
 	}
 	specs := miniSuite(60_000)
 	insts := make([]*core.BLBP, len(specs))
-	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect) {
+	pass := Pass{CondKey: CondKeyHP, New: func(w int) (cond.Predictor, []predictor.Indirect, func()) {
 		p := core.New(core.DefaultConfig())
 		insts[w] = p
-		return newHP(), []predictor.Indirect{p}
+		return newHP(), []predictor.Indirect{p}, nil
 	}}
 	if _, err := testRunner(t).RunSuite(specs, []Pass{pass}); err != nil {
 		t.Fatal(err)

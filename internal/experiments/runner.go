@@ -27,7 +27,8 @@ import (
 
 // PassFactory builds one engine pass: a conditional predictor and the
 // indirect predictors that share it. Factories are invoked once per
-// workload so every trace starts with cold predictors, as in the paper.
+// workload so every trace starts with fresh or Reset predictors, cold as
+// in the paper.
 type PassFactory func() (cond.Predictor, []predictor.Indirect)
 
 // Pass couples a pass factory with its scheduling contract.
@@ -40,21 +41,32 @@ type Pass struct {
 	// An empty key marks a pass that owns conditional state (VPC, the
 	// consolidated predictor) and is always fully simulated.
 	CondKey string
-	// New builds the pass's predictors for workload index w. Most passes
-	// ignore w; drivers that collect per-workload side data (Hierarchy,
-	// Latency) use it to key sample ownership instead of sharing slices.
-	New func(w int) (cond.Predictor, []predictor.Indirect)
+	// New returns the pass's predictors for workload index w, fresh or
+	// Reset. Most passes ignore w; plans that keep per-workload instances
+	// for their outputs (hierarchy, latency) use it to key them. The task
+	// calls a non-nil release once Tape.Run has returned, after which the
+	// pass may Reset the set and hand it to a later task; nil means the
+	// set is never reused.
+	New func(w int) (cp cond.Predictor, indirects []predictor.Indirect, release func())
 }
 
 // Shared wraps a factory into a Pass whose conditional configuration is
 // shared under condKey.
 func Shared(condKey string, f PassFactory) Pass {
-	return Pass{CondKey: condKey, New: func(int) (cond.Predictor, []predictor.Indirect) { return f() }}
+	return Pass{CondKey: condKey, New: fresh(f)}
 }
 
 // Exclusive wraps a factory into a Pass that owns its conditional state.
 func Exclusive(f PassFactory) Pass {
-	return Pass{New: func(int) (cond.Predictor, []predictor.Indirect) { return f() }}
+	return Pass{New: fresh(f)}
+}
+
+// fresh adapts a factory to Pass.New: a new set per task, never reused.
+func fresh(f PassFactory) func(int) (cond.Predictor, []predictor.Indirect, func()) {
+	return func(int) (cond.Predictor, []predictor.Indirect, func()) {
+		cp, inds := f()
+		return cp, inds, nil
+	}
 }
 
 // WorkloadResult holds all predictor results for one workload.
@@ -172,8 +184,11 @@ func (r *Runner) RunSuites(suites [][]workload.Spec, passes []Pass) ([][]Workloa
 						c.err = err
 						return
 					}
-					cp, indirects := pass.New(w)
+					cp, indirects, release := pass.New(w)
 					c.res, c.err = tape.Run(pass.CondKey, cp, indirects, sim.Options{})
+					if release != nil {
+						release()
+					}
 				})
 			}
 		}
@@ -247,9 +262,21 @@ type named struct {
 	name string
 }
 
-// Rename wraps p under a unique name.
+// namedSpan is named over a predictor.SpanFeeder, keeping the span fast
+// path of sim.Tape visible through the wrapper.
+type namedSpan struct {
+	named
+	predictor.SpanFeeder
+}
+
+// Rename wraps p under a unique name. The wrapper implements
+// predictor.SpanFeeder exactly when p does.
 func Rename(p predictor.Indirect, name string) predictor.Indirect {
-	return named{Indirect: p, name: name}
+	n := named{Indirect: p, name: name}
+	if sf, ok := p.(predictor.SpanFeeder); ok {
+		return namedSpan{named: n, SpanFeeder: sf}
+	}
+	return n
 }
 
 func (n named) Name() string { return n.name }

@@ -155,8 +155,34 @@ func New(cfg Config) *ITTAGE {
 		ghist:    ghist,
 		idxFolds: idxFolds,
 		tagFolds: tagFolds,
-		rng:      0x9e3779b97f4a7c15,
+		rng:      rngSeed,
 	}
+}
+
+// rngSeed seeds the allocation xorshift of every fresh or Reset predictor.
+const rngSeed = 0x9e3779b97f4a7c15
+
+// Reset restores the freshly constructed state: empty tagged and base
+// tables, regions and histories, the initial allocation seed, a zero
+// update count, and no pending prediction (the rest of the prediction
+// cache is rebuilt by the next Predict). Run plans recycle a pass's
+// predictors through it between workloads.
+func (p *ITTAGE) Reset() {
+	for _, tbl := range p.tables {
+		for i := range tbl {
+			tbl[i] = taggedEntry{}
+		}
+	}
+	for i := range p.base {
+		p.base[i] = baseEntry{}
+	}
+	p.regions.Reset()
+	p.ghist.Reset()
+	p.phist = 0
+	p.useAltOnNA = 0
+	p.lastPC, p.lastOK = 0, false
+	p.updates = 0
+	p.rng = rngSeed
 }
 
 // geometricLengths returns n history lengths from min to max in a geometric

@@ -1,8 +1,10 @@
 package predictor_test
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,8 +14,11 @@ import (
 	"blbp/internal/core"
 	"blbp/internal/ittage"
 	"blbp/internal/predictor"
+	"blbp/internal/runspec"
+	"blbp/internal/sim"
 	"blbp/internal/targetcache"
 	"blbp/internal/trace"
+	"blbp/internal/wspec"
 )
 
 // conformance exercises the predictor.Indirect contract uniformly across
@@ -228,4 +233,209 @@ func TestConformanceStressNoPanic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resetter is a predictor that restores its freshly constructed state in
+// place (runspec recycles a pass's predictors through it).
+type resetter interface{ Reset() }
+
+// nopIndirect is the indirect side of a run that exercises only the
+// conditional predictor.
+type nopIndirect struct{}
+
+func (nopIndirect) Name() string                             { return "nop" }
+func (nopIndirect) Predict(uint64) (uint64, bool)            { return 0, false }
+func (nopIndirect) Update(uint64, uint64)                    {}
+func (nopIndirect) OnCond(uint64, bool)                      {}
+func (nopIndirect) OnOther(uint64, uint64, trace.BranchType) {}
+func (nopIndirect) StorageBits() int                         { return 1 }
+
+// condSubstrates builds each conditional substrate run plans can name, at
+// its default configuration.
+var condSubstrates = map[string]func() cond.Predictor{
+	"hashed-perceptron": func() cond.Predictor { return cond.NewHashedPerceptron(cond.DefaultHPConfig()) },
+	"tage":              func() cond.Predictor { return cond.NewTAGE(cond.DefaultTAGEConfig()) },
+	"gshare":            func() cond.Predictor { return cond.NewGShare(16384, 14) },
+	"bimodal":           func() cond.Predictor { return cond.NewBimodal(16384) },
+}
+
+// resetCase is one predictor under the Reset ≡ New contract. build
+// returns a fresh instance as an engine pairing; a nil half is not under
+// test and every run gets a stand-in: a fresh hashed perceptron for a
+// standalone indirect predictor, nopIndirect for a conditional substrate.
+// A cond-bound or consolidated entry returns both halves, since they share
+// state.
+type resetCase struct {
+	name  string
+	build func() (cond.Predictor, predictor.Indirect)
+}
+
+// members returns the non-nil halves: what Reset must restore.
+func members(cp cond.Predictor, ip predictor.Indirect) []any {
+	var out []any
+	if cp != nil {
+		out = append(out, cp)
+	}
+	if ip != nil {
+		out = append(out, ip)
+	}
+	return out
+}
+
+// resetCases covers every catalog entry (plus the hierarchical-IBTB BLBP
+// configuration) and every conditional substrate.
+func resetCases(t *testing.T) []resetCase {
+	var cases []resetCase
+	add := func(name, typ string, overrides []byte) {
+		e, ok := predictor.Lookup(typ)
+		if !ok {
+			t.Fatalf("%s is not registered", typ)
+		}
+		cfg, err := e.Config(overrides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, resetCase{name: name, build: func() (cond.Predictor, predictor.Indirect) {
+			switch e.Kind() {
+			case "standalone":
+				p, err := e.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nil, p
+			case "cond-bound":
+				cp := condSubstrates["hashed-perceptron"]()
+				p, err := e.NewBound(cfg, cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cp, p
+			}
+			cp, p, err := e.NewProvider(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cp, p
+		}})
+	}
+	for _, e := range predictor.Entries() {
+		if !strings.HasPrefix(e.Name, "test-") {
+			add(e.Name, e.Name, nil)
+		}
+	}
+	add("blbp-hier", "blbp", []byte(`{"UseHierarchicalIBTB": true}`))
+
+	subs := make([]string, 0, len(condSubstrates))
+	for name := range condSubstrates {
+		subs = append(subs, name)
+	}
+	sort.Strings(subs)
+	registered := runspec.CondNames()
+	sort.Strings(registered)
+	if !reflect.DeepEqual(subs, registered) {
+		t.Fatalf("condSubstrates covers %v, run plans register %v", subs, registered)
+	}
+	for _, name := range subs {
+		build := condSubstrates[name]
+		cases = append(cases, resetCase{
+			name:  "cond/" + name,
+			build: func() (cond.Predictor, predictor.Indirect) { return build(), nil },
+		})
+	}
+	return cases
+}
+
+// encodeState returns v's snapshot bytes, or nil when v is no Snapshotter.
+func encodeState(t *testing.T, v any) []byte {
+	t.Helper()
+	s, ok := predictor.AsSnapshotter(v)
+	if !ok {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := s.EncodeState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResetMatchesNew is the Reset ≡ New contract behind predictor-set
+// recycling in run plans: an instance that ran one trace and was Reset must
+// give the same sim.Result on a second trace as a freshly built instance
+// run beside it, and every Snapshotter member must encode, right after
+// Reset, the same bytes as a fresh one. Cases with a member lacking Reset
+// are left out: run plans construct those fresh for every workload.
+func TestResetMatchesNew(t *testing.T) {
+	var first, second *trace.Columns
+	for _, sp := range wspec.Suite(100_000) {
+		switch sp.Name {
+		case "400.perlbench-1":
+			first = sp.Build()
+		case "403.gcc-1":
+			second = sp.Build()
+		}
+	}
+	if first == nil || second == nil {
+		t.Fatal("suite lacks the two workloads the test runs")
+	}
+	run := func(t *testing.T, cols *trace.Columns, cp cond.Predictor, ip predictor.Indirect) sim.Result {
+		t.Helper()
+		if cp == nil {
+			cp = condSubstrates["hashed-perceptron"]()
+		}
+		if ip == nil {
+			ip = nopIndirect{}
+		}
+		res, err := sim.Run(cols, cp, []predictor.Indirect{ip}, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	var tested []string
+	for _, c := range resetCases(t) {
+		cp, ip := c.build()
+		ms := members(cp, ip)
+		if !allReset(ms) {
+			continue
+		}
+		tested = append(tested, c.name)
+		t.Run(c.name, func(t *testing.T) {
+			freshCP, freshIP := c.build()
+			fresh := members(freshCP, freshIP)
+			run(t, first, cp, ip)
+			for i, m := range ms {
+				if b := encodeState(t, m); b != nil && bytes.Equal(b, encodeState(t, fresh[i])) {
+					t.Fatalf("%T: the first trace left its snapshot unchanged; the test proves nothing", m)
+				}
+			}
+			for _, m := range ms {
+				m.(resetter).Reset()
+			}
+			for i, m := range ms {
+				if !bytes.Equal(encodeState(t, m), encodeState(t, fresh[i])) {
+					t.Errorf("%T: snapshot after Reset differs from a fresh instance's", m)
+				}
+			}
+			got := run(t, second, cp, ip)
+			want := run(t, second, freshCP, freshIP)
+			if got != want {
+				t.Errorf("second trace after Reset:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+	want := []string{"blbp", "btb", "btb2bit", "ittage", "vpc", "blbp-hier", "cond/hashed-perceptron"}
+	if !reflect.DeepEqual(tested, want) {
+		t.Errorf("cases with Reset: %v, want %v", tested, want)
+	}
+}
+
+// allReset reports whether every member implements Reset.
+func allReset(ms []any) bool {
+	for _, m := range ms {
+		if _, ok := m.(resetter); !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -114,10 +114,17 @@ func (a *Array) Touch(ref Ref) {
 	}
 }
 
-// Reset invalidates all regions.
+// Reset restores the freshly constructed state: bases, generations and
+// valid bits zeroed, the LRU state cleared, and the eviction count back to
+// 0. Zeroed generations let an old Ref resolve again once its slot is
+// reacquired, so the owner must clear every Ref it holds in the same Reset
+// (the IBTB and ITTAGE zero their entries).
 func (a *Array) Reset() {
-	for i := range a.valid {
+	for i := range a.bases {
+		a.bases[i] = 0
+		a.gens[i] = 0
 		a.valid[i] = false
-		a.gens[i]++
 	}
+	a.lru.Reset()
+	a.evictions = 0
 }

@@ -2,6 +2,7 @@ package region
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,25 @@ func TestResetInvalidatesEverything(t *testing.T) {
 	a.Reset()
 	if _, ok := a.Resolve(ref, off); ok {
 		t.Error("reference survived Reset")
+	}
+}
+
+// TestResetRestoresNew churns a region array through evictions, so bases,
+// generations, LRU stamps and the eviction count have all moved, and
+// requires Reset to leave it deeply equal to a freshly constructed one.
+func TestResetRestoresNew(t *testing.T) {
+	a := New(8, 20)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		ref, _ := a.Acquire(uint64(rng.Intn(32)) << 20)
+		a.Touch(ref)
+	}
+	if a.Evictions() == 0 {
+		t.Fatal("workload evicted nothing")
+	}
+	a.Reset()
+	if !reflect.DeepEqual(a, New(8, 20)) {
+		t.Error("Reset region array differs from a fresh one")
 	}
 }
 

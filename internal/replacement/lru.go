@@ -39,6 +39,16 @@ func (l *LRU) OnHit(set, way int) { l.touch(set, way) }
 // OnInsert implements Policy.
 func (l *LRU) OnInsert(set, way int) { l.touch(set, way) }
 
+// Reset zeroes every stamp and the clock, the freshly constructed state.
+// Caches call it from their own Reset so a recycled structure ages its
+// ways exactly like a new one.
+func (l *LRU) Reset() {
+	for i := range l.stamp {
+		l.stamp[i] = 0
+	}
+	l.clock = 0
+}
+
 // Victim implements Policy: the way with the oldest stamp. Never-touched
 // ways have stamp 0 and are preferred.
 func (l *LRU) Victim(set int) int {

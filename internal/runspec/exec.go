@@ -117,6 +117,9 @@ func (x *Exec) runSuites(plan *Plan, suites [][]workload.Spec, withProbes bool) 
 	if err != nil {
 		return nil, err
 	}
+	// The memo keeps cp for its names and probes; dropping the passes
+	// frees their recycled predictor sets.
+	cp.passes = nil
 	run := &suiteRun{results: results, cp: cp}
 	x.memo[key] = run
 	return run, nil

@@ -2,6 +2,7 @@ package runspec
 
 import (
 	"fmt"
+	"sync"
 
 	"blbp/internal/cond"
 	"blbp/internal/experiments"
@@ -50,7 +51,8 @@ func (s *probeStore) find(w int, name string) predictor.Indirect {
 // compilePasses lowers the plan's passes. Every constructor is dry-run
 // once here so config and wiring errors surface before any simulation; the
 // per-workload factories built below can then only repeat constructions
-// that are known to succeed.
+// that are known to succeed, and a recycling pass keeps the dry run's set
+// as its first free one.
 func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, error) {
 	cp := &compiledPlan{}
 	if withProbes {
@@ -81,6 +83,9 @@ func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, erro
 func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []string, error) {
 	fail := func(err error) (experiments.Pass, []string, error) {
 		return experiments.Pass{}, nil, fmt.Errorf("runspec: pass %d: %v", pi, err)
+	}
+	rebuildFailed := func(err error) {
+		panic(fmt.Sprintf("runspec: pass %d construction failed after successful dry run: %v", pi, err))
 	}
 
 	// Materialize every config once; the factories below close over the
@@ -120,17 +125,17 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		if _, _, err := r.entry.NewProvider(r.cfg); err != nil {
 			return fail(err)
 		}
-		pass := experiments.Pass{New: func(w int) (cond.Predictor, []predictor.Indirect) {
+		pass := experiments.Pass{New: func(w int) (cond.Predictor, []predictor.Indirect, func()) {
 			cpred, ind, err := r.entry.NewProvider(r.cfg)
 			if err != nil {
-				panic(fmt.Sprintf("runspec: %s construction failed after successful dry run: %v", r.entry.Name, err))
+				rebuildFailed(err)
 			}
 			inds := []predictor.Indirect{ind}
 			retain(probes, pi, w, inds)
 			if rename != "" {
 				inds[0] = experiments.Rename(ind, rename)
 			}
-			return cpred, inds
+			return cpred, inds, nil
 		}}
 		return pass, names, nil
 	}
@@ -143,75 +148,160 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 	if err != nil {
 		return fail(err)
 	}
-	newCond := func() cond.Predictor {
+
+	// newSet is the pass's one construction path: the conditional
+	// predictor, then every indirect predictor (bound ones over it).
+	newSet := func() (*predictorSet, error) {
 		cpred, err := ce.build(condCfg)
 		if err != nil {
-			panic(fmt.Sprintf("runspec: cond %s construction failed after successful dry run: %v", ce.name, err))
+			return nil, err
 		}
-		return cpred
-	}
-
-	// Dry-run the whole pass once: the conditional predictor, every
-	// indirect predictor, and the natural-name fallback check.
-	trialCond, err := ce.build(condCfg)
-	if err != nil {
-		return fail(err)
-	}
-	for si := range specs {
-		r := specs[si]
-		var trial predictor.Indirect
-		if r.entry.NewBound != nil {
-			trial, err = r.entry.NewBound(r.cfg, trialCond)
-		} else {
-			trial, err = r.entry.New(r.cfg)
+		s := &predictorSet{
+			cond: cpred,
+			raw:  make([]predictor.Indirect, len(specs)),
+			inds: make([]predictor.Indirect, len(specs)),
 		}
-		if err != nil {
-			return fail(err)
-		}
-		// A config override can change what the instance calls itself
-		// (btb's hysteresis flag); without an explicit name the results
-		// would then be keyed differently than the plan expects.
-		if ps.Predictors[si].Name == "" && trial.Name() != names[si] {
-			return fail(fmt.Errorf("predictor %q reports results as %q with this config; set \"name\" explicitly",
-				r.entry.Name, trial.Name()))
-		}
-	}
-
-	build := func(w int) (cond.Predictor, []predictor.Indirect) {
-		cpred := newCond()
-		raw := make([]predictor.Indirect, len(specs))
-		inds := make([]predictor.Indirect, len(specs))
-		for si := range specs {
-			r := specs[si]
+		for si, r := range specs {
 			var ind predictor.Indirect
-			var err error
 			if r.entry.NewBound != nil {
 				ind, err = r.entry.NewBound(r.cfg, cpred)
 			} else {
 				ind, err = r.entry.New(r.cfg)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("runspec: %s construction failed after successful dry run: %v", r.entry.Name, err))
+				return nil, err
 			}
-			raw[si] = ind
+			s.raw[si] = ind
 			if name := ps.Predictors[si].Name; name != "" {
 				ind = experiments.Rename(ind, name)
 			}
-			inds[si] = ind
+			s.inds[si] = ind
 		}
-		retain(probes, pi, w, raw)
-		return cpred, inds
+		return s, nil
+	}
+	build := func() *predictorSet {
+		s, err := newSet()
+		if err != nil {
+			rebuildFailed(err)
+		}
+		return s
+	}
+
+	// Dry-run the whole pass once: the conditional predictor, every
+	// indirect predictor, and the natural-name fallback check.
+	trial, err := newSet()
+	if err != nil {
+		return fail(err)
+	}
+	for si, r := range specs {
+		// A config override can change what the instance calls itself
+		// (btb's hysteresis flag); without an explicit name the results
+		// would then be keyed differently than the plan expects.
+		if ps.Predictors[si].Name == "" && trial.raw[si].Name() != names[si] {
+			return fail(fmt.Errorf("predictor %q reports results as %q with this config; set \"name\" explicitly",
+				r.entry.Name, trial.raw[si].Name()))
+		}
+	}
+
+	var newFn func(w int) (cond.Predictor, []predictor.Indirect, func())
+	if probes == nil && trial.resettable() {
+		// Recycle: the dry run's set seeds the free list, and each task
+		// Resets its set on release for the next task to take.
+		free := &setList{sets: []*predictorSet{trial}}
+		newFn = func(int) (cond.Predictor, []predictor.Indirect, func()) {
+			s := free.take()
+			if s == nil {
+				s = build()
+			}
+			return s.cond, s.inds, func() {
+				s.reset()
+				free.give(s)
+			}
+		}
+	} else {
+		// Outputs read the retained instances after the run, or a member
+		// cannot Reset: every task builds its own set.
+		newFn = func(w int) (cond.Predictor, []predictor.Indirect, func()) {
+			s := build()
+			retain(probes, pi, w, s.raw)
+			return s.cond, s.inds, nil
+		}
 	}
 
 	if bound {
 		// A pass whose predictor shares (and pollutes) the conditional
 		// predictor owns its conditional state: never tape-shared.
-		return experiments.Pass{New: build}, names, nil
+		return experiments.Pass{New: newFn}, names, nil
 	}
 	return experiments.Pass{
 		CondKey: ce.key(condCfg, len(ps.CondConfig) > 0),
-		New:     build,
+		New:     newFn,
 	}, names, nil
+}
+
+// predictorSet is one constructed instance of a pass: its conditional
+// predictor, the raw indirect instances, and the views the engine runs
+// (renamed where the plan names the predictor).
+type predictorSet struct {
+	cond cond.Predictor
+	raw  []predictor.Indirect
+	inds []predictor.Indirect
+}
+
+// resetter is a predictor that can restore its freshly constructed state
+// in place. Reset must leave the instance indistinguishable from New's:
+// the same results on any later trace and, for a predictor.Snapshotter,
+// the same EncodeState bytes.
+type resetter interface{ Reset() }
+
+// resettable reports whether every member of the set can Reset.
+func (s *predictorSet) resettable() bool {
+	if _, ok := s.cond.(resetter); !ok {
+		return false
+	}
+	for _, ind := range s.raw {
+		if _, ok := ind.(resetter); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// reset restores every member to its freshly constructed state. A bound
+// predictor (VPC) resets only its own structures; the shared conditional
+// predictor is reset here as the set's cond.
+func (s *predictorSet) reset() {
+	s.cond.(resetter).Reset()
+	for _, ind := range s.raw {
+		ind.(resetter).Reset()
+	}
+}
+
+// setList is a pass's free list of Reset predictor sets. A task takes one
+// (or builds one when none is free) and gives it back when it finishes, so
+// the list never holds more sets than tasks of the pass ever ran at once:
+// at most one per worker.
+type setList struct {
+	mu   sync.Mutex
+	sets []*predictorSet
+}
+
+func (l *setList) take() *predictorSet {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.sets)
+	if n == 0 {
+		return nil
+	}
+	s := l.sets[n-1]
+	l.sets = l.sets[:n-1]
+	return s
+}
+
+func (l *setList) give(s *predictorSet) {
+	l.mu.Lock()
+	l.sets = append(l.sets, s)
+	l.mu.Unlock()
 }
 
 // retain records one (pass, workload) cell's raw instances in the probe

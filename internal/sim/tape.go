@@ -71,8 +71,8 @@ func (tp *Tape) Instructions() int64 { return tp.cols.Instructions() }
 // condMispredicts returns the misprediction count of the conditional
 // configuration named by key, simulating cp over the trace on the key's
 // first use. Callers guarantee that every cp arriving under one key is a
-// freshly constructed predictor of the identical configuration; later
-// arrivals are discarded unused.
+// fresh or Reset predictor of the identical configuration; later arrivals
+// are left untouched.
 func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
 	tp.mu.Lock()
 	m := tp.cond[key]

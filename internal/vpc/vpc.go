@@ -160,6 +160,15 @@ func (v *VPC) OnCond(pc uint64, taken bool) {}
 // OnOther implements predictor.Indirect as a no-op for the same reason.
 func (v *VPC) OnOther(pc, target uint64, bt trace.BranchType) {}
 
+// Reset restores the freshly constructed state of VPC's own structures:
+// the BTB and the pending prediction. The shared conditional predictor is
+// left alone; whoever owns it (the pass, which hands it to the engine too)
+// resets it alongside.
+func (v *VPC) Reset() {
+	v.btb.Reset()
+	v.lastPC, v.lastOK = 0, false
+}
+
 // BTBHitRate exposes the underlying BTB hit rate (diagnostics).
 func (v *VPC) BTBHitRate() float64 { return v.btb.HitRate() }
 

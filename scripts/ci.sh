@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
 # smoke, build, race-enabled tests, perfbench vet/test/lint, fuzz smoke,
-# batch-engine smoke, warm-start, run-plan, and workload-spec round-trip
-# smokes, and a strict gofmt -s check. Run from the repository root (or `make ci`).
+# batch-engine smoke, warm-start, recycled-set, run-plan, and workload-spec
+# round-trip smokes, and a strict gofmt -s check. Run from the repository root (or `make ci`).
 set -eux
 
 make lint
@@ -31,6 +31,8 @@ go build ./...
 # TestDriverCSVDeterministicAcrossParallelism (8 workers) and
 # TestAnalyzeSuiteOrder (2 workers) drive all three, and
 # TestPoolRunsEachTaskOnce floods the pool so pops and steals interleave.
+# TestRecycledSetsDeterministicAcrossWorkers (8 workers) covers the run
+# plans' free lists of recycled predictor sets.
 go test -race ./...
 # perfbench is its own module (it holds the contract benchmark), so the
 # root ./... walks above never compile it. Vet, test and lint it here: it
@@ -91,6 +93,17 @@ go run ./cmd/experiments -base 4000 -csv "$warm" \
 grep -q "trace cache: 0 builds" "$warm/stats.txt"
 diff "$cold/overall.csv" "$warm/overall.csv"
 rm -rf "$spill" "$cold" "$warm"
+# Recycled-set smoke: run plans Reset and reuse each pass's predictor set
+# across workloads. fig10 and extras, serially and at -parallel 4, must
+# render byte-identical CSVs. fig10's thirteen passes recycle their sets;
+# extras is one pass whose targetcache and cascaded members have no Reset,
+# so its btb, btb2bit, ittage and blbp are constructed per task instead.
+rdir=$(mktemp -d)
+go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" fig10 extras >/dev/null
+go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" fig10 extras >/dev/null
+diff "$rdir/serial/fig10.csv" "$rdir/parallel/fig10.csv"
+diff "$rdir/serial/extras.csv" "$rdir/parallel/extras.csv"
+rm -rf "$rdir"
 # Run-plan round trip: every built-in must dump as valid JSON, and a dumped
 # plan re-run via -plan must regenerate the compiled-in CSV byte for byte.
 plans=$(mktemp -d)
