@@ -24,15 +24,16 @@ lint:
 ci:
 	sh scripts/ci.sh
 
-# Throughput report: writes BENCH_6.json (see ROADMAP.md for the BENCH_*
-# convention) and prints the headline numbers, batch-engine section included.
+# The contract benchmark (perfbench/, see perfbench/README.md): every
+# workload end to end, medians with quartiles and the stage ledger, written
+# to .bench_build/report.json.
 bench:
-	$(GO) run ./cmd/bench -out BENCH_6.json
+	bash perfbench/run.sh -out .bench_build/report.json
 
-# CPU + allocation profiles of the suite-scale benchmark run, for pprof.
+# CPU + allocation profiles of one serial §5.1 headline run, for pprof.
 profile:
-	$(GO) run ./cmd/bench -out /tmp/bench_profile.json \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/experiments -base 150000 -parallel 1 \
+		-cpuprofile cpu.pprof -memprofile mem.pprof overall
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
 # Fine-grained microbenchmarks (predictors, replay, trace building and

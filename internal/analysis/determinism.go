@@ -15,8 +15,7 @@ import (
 // iteration order would silently void), the trace layer whose columnar
 // storage, stats, and spill codecs every replay and cache path reads, the
 // snapshot codec whose encodings double as state fingerprints, and
-// every command front end that emits result rows (bench timing reads are
-// individually audited in ANALYSIS_EXCEPTIONS.md).
+// every command front end that emits result rows.
 var determinismScope = []string{
 	"internal/trace",
 	"internal/sim",
@@ -27,7 +26,6 @@ var determinismScope = []string{
 	"internal/report",
 	"internal/batch",
 	"cmd/experiments",
-	"cmd/bench",
 	"cmd/blbpsim",
 	"cmd/tracegen",
 }

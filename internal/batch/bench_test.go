@@ -8,9 +8,9 @@ import (
 )
 
 // benchWorkload builds nStreams heterogeneous event sequences from the
-// shared workload family, so every benchmark in this file (and the
-// cmd/bench batch measurements) compares the batched and serial paths on
-// the same traffic.
+// shared workload family, so every benchmark in this file (and the serving
+// rows of TestBatchedMatchesSerial) compares the batched and serial paths
+// on the same traffic.
 func benchWorkload(nStreams, nEvents int) [][]Event {
 	return GenStreams(1234, nStreams, nEvents)
 }
@@ -88,12 +88,12 @@ func BenchmarkPoolDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkServing mirrors the cmd/bench blbp-bench-5 headline pair under
-// ServingConfig: s1_full is the serial single-stream contract (Predict,
-// Update, and conditional feeds per event) and b{N}_predict is the
-// engine's prediction-serving rate — PredictBatch over N warmed streams,
-// one in-flight site per stream. The acceptance bar is b64_predict ≥ 2×
-// s1_full.
+// BenchmarkServing times the serving headline pair under ServingConfig
+// (the pair BENCH_5.json records): s1_full is the serial single-stream
+// contract (Predict, Update, and conditional feeds per event) and
+// b{N}_predict is the engine's prediction-serving rate — PredictBatch over
+// N warmed streams, one in-flight site per stream. The acceptance bar is
+// b64_predict ≥ 2× s1_full.
 func BenchmarkServing(b *testing.B) {
 	cfg := ServingConfig()
 	b.Run("s1_full", func(b *testing.B) {

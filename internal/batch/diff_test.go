@@ -1,18 +1,25 @@
 package batch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"blbp/internal/core"
 )
 
+// pred is one indirect prediction as its stream saw it. Keeping ok apart
+// from target tells a miss from a prediction of target 0.
+type pred struct {
+	pc, target uint64
+	ok         bool
+}
+
 // runSerial drives each stream through its own predictor with the plain
 // Predict/Update loop: the reference the batched engine must match bit for
-// bit. It returns each stream's predicted-target sequence (miss = 0) and
-// final state fingerprint.
-func runSerial(cfg core.Config, streams [][]Event) (preds [][]uint64, fps []uint64) {
-	preds = make([][]uint64, len(streams))
+// bit. It returns each stream's predictions and final state fingerprint.
+func runSerial(cfg core.Config, streams [][]Event) (preds [][]pred, fps []uint64) {
+	preds = make([][]pred, len(streams))
 	fps = make([]uint64, len(streams))
 	for s, evs := range streams {
 		p := core.New(cfg)
@@ -22,10 +29,7 @@ func runSerial(cfg core.Config, streams [][]Event) (preds [][]uint64, fps []uint
 				continue
 			}
 			t, ok := p.Predict(ev.PC)
-			if !ok {
-				t = 0
-			}
-			preds[s] = append(preds[s], t)
+			preds[s] = append(preds[s], pred{pc: ev.PC, target: t, ok: ok})
 			p.Update(ev.PC, ev.Target)
 		}
 		fps[s] = p.Fingerprint()
@@ -33,14 +37,56 @@ func runSerial(cfg core.Config, streams [][]Event) (preds [][]uint64, fps []uint
 	return preds, fps
 }
 
-// runBatched drives the same streams through a Pool under a randomized
-// interleaving: events are fed in random per-stream chunks with batch
-// steps of random size mixed in, then the pool drains. It returns
-// per-stream predicted sequences and fingerprints in the same shape as
-// runSerial.
-func runBatched(t *testing.T, cfg core.Config, streams [][]Event, seed int64) (preds [][]uint64, fps []uint64) {
+// schedule feeds streams[s] to pool stream ids[s] and steps the pool until
+// every event is served.
+type schedule func(pool *Pool, ids []int, streams [][]Event)
+
+// feedThenDrain is the serving schedule: queue every stream's events
+// first, then drain the pool at its full width.
+func feedThenDrain(pool *Pool, ids []int, streams [][]Event) {
+	for s, evs := range streams {
+		for _, ev := range evs {
+			pool.Feed(ids[s], ev)
+		}
+	}
+	pool.Drain(len(streams))
+}
+
+// interleaved returns a randomized schedule: events are fed in random
+// per-stream chunks with batch steps of random size mixed in, then the
+// pool drains at a random width.
+func interleaved(seed int64) schedule {
+	return func(pool *Pool, ids []int, streams [][]Event) {
+		rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+		fed := make([]int, len(streams))
+		remaining := 0
+		for _, evs := range streams {
+			remaining += len(evs)
+		}
+		for remaining > 0 {
+			s := rng.Intn(len(streams))
+			if fed[s] == len(streams[s]) {
+				continue
+			}
+			chunk := 1 + rng.Intn(3)
+			for ; chunk > 0 && fed[s] < len(streams[s]); chunk-- {
+				pool.Feed(ids[s], streams[s][fed[s]])
+				fed[s]++
+				remaining--
+			}
+			if rng.Intn(4) == 0 {
+				pool.Step(1 + rng.Intn(len(streams)))
+			}
+		}
+		pool.Drain(1 + rng.Intn(len(streams)))
+	}
+}
+
+// runBatched drives the same streams through a Pool, one slot per stream,
+// under sched. It returns per-stream predictions and fingerprints in the
+// same shape as runSerial.
+func runBatched(t *testing.T, cfg core.Config, streams [][]Event, sched schedule) (preds [][]pred, fps []uint64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 	pool := NewPool(NewEngine(cfg, len(streams)))
 	ids := make([]int, len(streams))
 	for s := range streams {
@@ -50,36 +96,12 @@ func runBatched(t *testing.T, cfg core.Config, streams [][]Event, seed int64) (p
 		}
 		ids[s] = id
 	}
-	fed := make([]int, len(streams))
-	remaining := 0
-	for _, evs := range streams {
-		remaining += len(evs)
-	}
-	for remaining > 0 {
-		s := rng.Intn(len(streams))
-		if fed[s] == len(streams[s]) {
-			continue
-		}
-		chunk := 1 + rng.Intn(3)
-		for ; chunk > 0 && fed[s] < len(streams[s]); chunk-- {
-			pool.Feed(ids[s], streams[s][fed[s]])
-			fed[s]++
-			remaining--
-		}
-		if rng.Intn(4) == 0 {
-			pool.Step(1 + rng.Intn(len(streams)))
-		}
-	}
-	pool.Drain(1 + rng.Intn(len(streams)))
+	sched(pool, ids, streams)
 
-	preds = make([][]uint64, len(streams))
+	preds = make([][]pred, len(streams))
 	for _, r := range pool.Results() {
-		v := r.Predicted
-		if !r.OK {
-			v = 0
-		}
 		// Pool ids are admission-ordered, matching the streams index.
-		preds[r.Stream] = append(preds[r.Stream], v)
+		preds[r.Stream] = append(preds[r.Stream], pred{pc: r.PC, target: r.Predicted, ok: r.OK})
 	}
 	fps = make([]uint64, len(streams))
 	for s, id := range ids {
@@ -88,7 +110,7 @@ func runBatched(t *testing.T, cfg core.Config, streams [][]Event, seed int64) (p
 	return preds, fps
 }
 
-func diffStreams(t *testing.T, label string, wantP [][]uint64, wantF []uint64, gotP [][]uint64, gotF []uint64) {
+func diffStreams(t *testing.T, label string, wantP [][]pred, wantF []uint64, gotP [][]pred, gotF []uint64) {
 	t.Helper()
 	for s := range wantP {
 		if len(gotP[s]) != len(wantP[s]) {
@@ -96,7 +118,7 @@ func diffStreams(t *testing.T, label string, wantP [][]uint64, wantF []uint64, g
 		}
 		for i := range wantP[s] {
 			if gotP[s][i] != wantP[s][i] {
-				t.Fatalf("%s: stream %d prediction %d: batched %#x != serial %#x", label, s, i, gotP[s][i], wantP[s][i])
+				t.Fatalf("%s: stream %d prediction %d: batched %+v != serial %+v", label, s, i, gotP[s][i], wantP[s][i])
 			}
 		}
 		if gotF[s] != wantF[s] {
@@ -106,25 +128,39 @@ func diffStreams(t *testing.T, label string, wantP [][]uint64, wantF []uint64, g
 }
 
 // TestBatchedMatchesSerial is the differential gate: for several stream
-// counts and seeds, random interleavings through the pooled engine must
-// reproduce, bit for bit, each stream's serial Predict/Update run —
-// every prediction and the final trained state.
+// counts and seeds, the pooled engine must reproduce, bit for bit, each
+// stream's serial Predict/Update run — every prediction's (pc, target, ok)
+// and the final trained state — both when every event is queued before a
+// full-width drain and under a random interleaving. The last two rows are
+// the serving workload (ServingConfig over GenStreams(1234, w, 512)) at
+// widths 1 and 64.
 func TestBatchedMatchesSerial(t *testing.T) {
-	cfg := smallConfig()
 	for _, tc := range []struct {
+		cfg      core.Config
 		seed     int64
 		nStreams int
 		nEvents  int
 	}{
-		{seed: 1, nStreams: 1, nEvents: 600},
-		{seed: 2, nStreams: 3, nEvents: 400},
-		{seed: 3, nStreams: 8, nEvents: 300},
-		{seed: 4, nStreams: 16, nEvents: 200},
+		{cfg: smallConfig(), seed: 1, nStreams: 1, nEvents: 600},
+		{cfg: smallConfig(), seed: 2, nStreams: 3, nEvents: 400},
+		{cfg: smallConfig(), seed: 3, nStreams: 8, nEvents: 300},
+		{cfg: smallConfig(), seed: 4, nStreams: 16, nEvents: 200},
+		{cfg: ServingConfig(), seed: 1234, nStreams: 1, nEvents: 512},
+		{cfg: ServingConfig(), seed: 1234, nStreams: 64, nEvents: 512},
 	} {
 		streams := GenStreams(tc.seed, tc.nStreams, tc.nEvents)
-		wantP, wantF := runSerial(cfg, streams)
-		gotP, gotF := runBatched(t, cfg, streams, tc.seed)
-		diffStreams(t, "differential", wantP, wantF, gotP, gotF)
+		wantP, wantF := runSerial(tc.cfg, streams)
+		for _, sc := range []struct {
+			name  string
+			sched schedule
+		}{
+			{"feed-then-drain", feedThenDrain},
+			{"interleaved", interleaved(tc.seed)},
+		} {
+			gotP, gotF := runBatched(t, tc.cfg, streams, sc.sched)
+			label := fmt.Sprintf("seed %d, %d streams, %s", tc.seed, tc.nStreams, sc.name)
+			diffStreams(t, label, wantP, wantF, gotP, gotF)
+		}
 	}
 }
 
@@ -142,7 +178,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		n := 1 + int(nEvents)%400
 		streams := GenStreams(seed, s, n)
 		wantP, wantF := runSerial(cfg, streams)
-		gotP, gotF := runBatched(t, cfg, streams, seed)
+		gotP, gotF := runBatched(t, cfg, streams, interleaved(seed))
 		diffStreams(t, "fuzz", wantP, wantF, gotP, gotF)
 	})
 }

@@ -151,15 +151,6 @@ func (p *Pool) Retire(id int) {
 // Feed appends one event to a stream's program order.
 func (p *Pool) Feed(id int, ev Event) { p.streams[id].push(ev) }
 
-// Pending returns how many events are queued across all streams.
-func (p *Pool) Pending() int {
-	total := 0
-	for _, id := range p.active {
-		total += p.streams[id].len
-	}
-	return total
-}
-
 // Step assembles and serves one batch of up to batchSize indirect events,
 // visiting streams round-robin from where the previous Step stopped. It
 // returns the number of indirect events served (0 = nothing pending).

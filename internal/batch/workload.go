@@ -10,8 +10,8 @@ import (
 // stream s gets its own branch sites, target-set sizes from 1 (monomorphic)
 // up to 16 (high-entropy dispatch), and its own conditional traffic mix.
 // The same (seed, nStreams, nEvents) always yields the same streams, so the
-// differential tests and the cmd/bench batch measurements exercise one
-// reproducible workload family.
+// differential tests, the serving benchmarks and perfbench's batch_serve
+// workload exercise one reproducible workload family.
 func GenStreams(seed int64, nStreams, nEvents int) [][]Event {
 	streams := make([][]Event, nStreams)
 	for s := range streams {
@@ -53,12 +53,13 @@ func GenStreams(seed int64, nStreams, nEvents int) [][]Event {
 }
 
 // ServingConfig is the predictor configuration the multi-stream serving
-// benchmarks (cmd/bench -batch and BenchmarkServing) apply to both the
-// serial baseline and the batched engine: the paper's per-bit perceptron
-// with tables sized for a server slot — more weight rows and IBTB ways than
-// the single-program default, since each admitted stream owns the whole
-// budget. Using one config on both sides keeps the batched-vs-serial
-// throughput ratio a measurement of the batching, not of the tables.
+// benchmarks (BenchmarkServing and perfbench's batch_serve) and the serving
+// rows of TestBatchedMatchesSerial apply to both the serial baseline and
+// the batched engine: the paper's per-bit perceptron with tables sized for
+// a server slot — more weight rows and IBTB ways than the single-program
+// default, since each admitted stream owns the whole budget. Using one
+// config on both sides keeps the batched-vs-serial throughput ratio a
+// measurement of the batching, not of the tables.
 func ServingConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.TableEntries = 256

@@ -1,18 +1,18 @@
-package experiments
+package experiments_test
 
 import (
 	"bytes"
 	"testing"
 
-	"blbp/internal/report"
+	"blbp/internal/experiments"
+	"blbp/internal/runspec"
 	"blbp/internal/tracecache"
-	"blbp/internal/workload"
-	"blbp/internal/wspec"
 )
 
-// renderDriverCSV runs a small driver subset on a private Runner with the
-// given worker count and renders every produced table to CSV in order —
-// the same bytes cmd/experiments would write for these drivers.
+// renderDriverCSV runs a small subset of the built-in plans on a private
+// Runner with the given worker count and renders every produced table to
+// CSV in order — the same bytes cmd/experiments would write for these
+// plans.
 func renderDriverCSV(t *testing.T, workers int) []byte {
 	csv, _ := renderDriverCSVConfig(t, workers, tracecache.Config{})
 	return csv
@@ -20,34 +20,26 @@ func renderDriverCSV(t *testing.T, workers int) []byte {
 
 // renderDriverCSVConfig is renderDriverCSV over a Runner whose private
 // trace cache is built from cfg; it also returns the cache counters so
-// the warm-start gate below can assert where traces came from.
+// the warm-start gate below can assert where traces came from. The plans
+// run through runspec's compiled passes, so their predictor sets are
+// Reset and reused across workloads exactly as in a real run.
 func renderDriverCSVConfig(t *testing.T, workers int, cfg tracecache.Config) ([]byte, tracecache.Stats) {
 	t.Helper()
-	r := NewRunnerConfig(workers, cfg)
+	r := experiments.NewRunnerConfig(workers, cfg)
 	defer r.Close()
-	specs := miniSuite(60_000)
-
-	var tables []*report.Table
-	rows, err := r.RunSuite(specs, StandardPasses())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := OverallData{Rows: rows, Predictors: []string{NameBTB, NameVPC, NameITTAGE, NameBLBP}}
-	tables = append(tables, OverallTable(data), Fig8(data), Fig9(data))
-	// Two independently seeded draws in one wave, the seeds plan's shape.
-	suites := [][]workload.Spec{wspec.SuiteSeeded(30_000, ""), wspec.SuiteSeeded(30_000, "x")}
-	draws, err := r.RunSuites(suites, StandardPasses())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range draws {
-		d := OverallData{Rows: rows, Predictors: []string{NameBTB, NameVPC, NameITTAGE, NameBLBP}}
-		tables = append(tables, OverallTable(d))
-	}
+	x := runspec.NewExec(r, 0)
+	mini := inline(miniSpecs(60_000))
+	// Two independently seeded draws of the standard suite in one wave.
+	draws := runspec.Suite{Base: 30_000, Salts: []string{"", "x"}}
 
 	var buf bytes.Buffer
-	for _, tb := range tables {
-		if err := tb.WriteCSV(&buf); err != nil {
+	for _, run := range []struct {
+		plan  string
+		suite runspec.Suite
+	}{
+		{"overall", mini}, {"fig8", mini}, {"fig9", mini}, {"seeds", draws},
+	} {
+		if err := runBuiltin(t, x, run.plan, run.suite).Table.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,10 +47,10 @@ func renderDriverCSVConfig(t *testing.T, workers int, cfg tracecache.Config) ([]
 }
 
 // TestDriverCSVDeterministicAcrossParallelism is the golden determinism
-// gate: the CSV bytes of a driver subset must be identical at -parallel 1
-// and -parallel 8. Any map-order leak, shared-state race, or
-// schedule-dependent reassembly in the results path shows up here as a
-// byte diff.
+// gate: the CSV bytes of a plan subset must be identical at -parallel 1
+// and -parallel 8. Any map-order leak, shared-state race, predictor set
+// that a Reset leaves dirty, or schedule-dependent reassembly in the
+// results path shows up here as a byte diff.
 func TestDriverCSVDeterministicAcrossParallelism(t *testing.T) {
 	seq := renderDriverCSV(t, 1)
 	par := renderDriverCSV(t, 8)

@@ -1,57 +1,114 @@
-package experiments
+package experiments_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"blbp/internal/btb"
 	"blbp/internal/cond"
 	"blbp/internal/core"
-	"blbp/internal/ittage"
+	"blbp/internal/experiments"
 	"blbp/internal/predictor"
+	"blbp/internal/runspec"
 	"blbp/internal/sim"
 	"blbp/internal/trace"
 	"blbp/internal/workload"
 	"blbp/internal/wspec"
 )
 
+// newHP builds the default hashed perceptron, the conditional predictor
+// behind experiments.CondKeyHP.
+func newHP() cond.Predictor { return cond.NewHashedPerceptron(cond.DefaultHPConfig()) }
+
+// leaf is a generator-tree leaf of the given kind over its workload.*Params
+// value.
+func leaf(kind string, params any) wspec.Node {
+	b, err := json.Marshal(params)
+	if err != nil {
+		panic(err)
+	}
+	return wspec.Node{Kind: kind, Params: b}
+}
+
+// miniSpecs returns a small but diverse workload set for fast integration
+// tests.
+func miniSpecs(instr int64) []wspec.WorkloadSpec {
+	return []wspec.WorkloadSpec{
+		{Name: "mini-interp", Category: "T", Instructions: instr, Generator: leaf("interpreter", workload.InterpreterParams{
+			Opcodes: 12, ProgramLen: 32, Work: 30, CondPerHandler: 1,
+			CondNoise: 0.005, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 10,
+		})},
+		{Name: "mini-vdisp", Category: "T", Instructions: instr, Generator: leaf("vdispatch", workload.VDispatchParams{
+			Classes: 4, Sites: 3, Objects: 16, TypeNoise: 0.002,
+			AlternatingSites: 1, MethodWork: 30, MethodConds: 1, CondNoise: 0.005,
+		})},
+		{Name: "mini-switch", Category: "T", Instructions: instr, Generator: leaf("switcher", workload.SwitcherParams{
+			Tokens: 8, TransitionNoise: 0.004, CaseWork: 30, CaseConds: 1, CondNoise: 0.005,
+		})},
+	}
+}
+
+// miniSuite compiles miniSpecs for the tests that drive a Runner directly.
+func miniSuite(instr int64) []workload.Spec {
+	ws := miniSpecs(instr)
+	specs := make([]workload.Spec, len(ws))
+	for i := range ws {
+		specs[i] = wspec.MustCompile(ws[i])
+	}
+	return specs
+}
+
+// inline lists specs as a run plan's suite.
+func inline(specs []wspec.WorkloadSpec) runspec.Suite {
+	var s runspec.Suite
+	for i := range specs {
+		s.Specs = append(s.Specs, runspec.SuiteSpec{Inline: &specs[i]})
+	}
+	return s
+}
+
 // testRunner returns a Runner closed when the test ends.
-func testRunner(t *testing.T) *Runner {
+func testRunner(t *testing.T, workers int) *experiments.Runner {
 	t.Helper()
-	r := NewRunner(0)
+	r := experiments.NewRunner(workers)
 	t.Cleanup(r.Close)
 	return r
 }
 
-// miniSuite returns a small but diverse workload set for fast integration
-// tests.
-func miniSuite(instr int64) []workload.Spec {
-	return []workload.Spec{
-		workload.InterpreterSpec("mini-interp", "T", instr, workload.InterpreterParams{
-			Opcodes: 12, ProgramLen: 32, Work: 30, CondPerHandler: 1,
-			CondNoise: 0.005, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 10,
-		}),
-		workload.VDispatchSpec("mini-vdisp", "T", instr, workload.VDispatchParams{
-			Classes: 4, Sites: 3, Objects: 16, TypeNoise: 0.002,
-			AlternatingSites: 1, MethodWork: 30, MethodConds: 1, CondNoise: 0.005,
-		}),
-		workload.SwitcherSpec("mini-switch", "T", instr, workload.SwitcherParams{
-			Tokens: 8, TransitionNoise: 0.004, CaseWork: 30, CaseConds: 1, CondNoise: 0.005,
-		}),
+// runBuiltin runs the named built-in plan over suite on x, the path every
+// real run takes, and returns the plan's one output.
+func runBuiltin(t *testing.T, x *runspec.Exec, name string, suite runspec.Suite) runspec.RenderedOutput {
+	t.Helper()
+	p, ok := runspec.Builtin(name)
+	if !ok {
+		t.Fatalf("no built-in plan %q", name)
 	}
-}
-
-func TestRunSuiteStandardPasses(t *testing.T) {
-	rows, err := RunSuite(miniSuite(120_000), StandardPasses(), 0)
+	p.Suite = suite
+	outs, err := x.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return outs[0]
+}
+
+// overallRows runs the overall built-in, the paper's Table 2 line-up, over
+// suite on a fresh Runner with workers workers and returns its
+// per-workload results.
+func overallRows(t *testing.T, workers int, suite runspec.Suite) []experiments.WorkloadResult {
+	t.Helper()
+	x := runspec.NewExec(testRunner(t, workers), 0)
+	return runBuiltin(t, x, "overall", suite).Data.(experiments.OverallData).Rows
+}
+
+func TestRunSuiteStandardPasses(t *testing.T) {
+	rows := overallRows(t, 0, inline(miniSpecs(120_000)))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
-		for _, p := range []string{NameBTB, NameVPC, NameITTAGE, NameBLBP} {
+		for _, p := range []string{experiments.NameBTB, experiments.NameVPC, experiments.NameITTAGE, experiments.NameBLBP} {
 			res, ok := r.Results[p]
 			if !ok {
 				t.Fatalf("%s: missing predictor %s", r.Spec.Name, p)
@@ -62,55 +119,52 @@ func TestRunSuiteStandardPasses(t *testing.T) {
 		}
 		// On these learnable workloads the history predictors must beat
 		// the BTB baseline decisively.
-		if r.MPKI(NameBLBP) >= r.MPKI(NameBTB) {
+		if r.MPKI(experiments.NameBLBP) >= r.MPKI(experiments.NameBTB) {
 			t.Errorf("%s: BLBP (%.3f) not better than BTB (%.3f)",
-				r.Spec.Name, r.MPKI(NameBLBP), r.MPKI(NameBTB))
+				r.Spec.Name, r.MPKI(experiments.NameBLBP), r.MPKI(experiments.NameBTB))
 		}
 	}
 }
 
+// blbpPass is a hand-built pass: one default BLBP over cp.
+func blbpPass(condKey string, cp func() cond.Predictor) experiments.Pass {
+	return experiments.Pass{CondKey: condKey, New: func(int) (cond.Predictor, []predictor.Indirect, func()) {
+		return cp(), []predictor.Indirect{core.New(core.DefaultConfig())}, nil
+	}}
+}
+
 func TestRunSuiteErrors(t *testing.T) {
-	if _, err := RunSuite(nil, StandardPasses(), 0); err == nil {
+	r := testRunner(t, 1)
+	one := []experiments.Pass{blbpPass(experiments.CondKeyHP, newHP)}
+	if _, err := r.RunSuites([][]workload.Spec{nil}, one); err == nil {
 		t.Error("empty suite accepted")
 	}
-	if _, err := RunSuite(miniSuite(1000), nil, 0); err == nil {
+	if _, err := r.RunSuites([][]workload.Spec{miniSuite(1000)}, nil); err == nil {
 		t.Error("no passes accepted")
 	}
 	// Duplicate predictor names across passes must be rejected.
-	dup := []Pass{
-		Exclusive(func() (cond.Predictor, []predictor.Indirect) {
-			return cond.NewBimodal(64), []predictor.Indirect{core.New(core.DefaultConfig())}
-		}),
-		Exclusive(func() (cond.Predictor, []predictor.Indirect) {
-			return cond.NewBimodal(64), []predictor.Indirect{core.New(core.DefaultConfig())}
-		}),
-	}
-	if _, err := RunSuite(miniSuite(5_000), dup, 1); err == nil {
+	bimodal := func() cond.Predictor { return cond.NewBimodal(64) }
+	dup := []experiments.Pass{blbpPass("", bimodal), blbpPass("", bimodal)}
+	if _, err := r.RunSuites([][]workload.Spec{miniSuite(5_000)}, dup); err == nil {
 		t.Error("duplicate predictor names accepted")
 	}
 }
 
 func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
-	specs := miniSuite(60_000)
-	seq, err := RunSuite(specs, StandardPasses(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunSuite(specs, StandardPasses(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := inline(miniSpecs(60_000))
+	seq := overallRows(t, 1, suite)
+	par := overallRows(t, 4, suite)
 	for i := range seq {
 		for name, r := range seq[i].Results {
 			if par[i].Results[name] != r {
-				t.Errorf("%s/%s differs between parallel and sequential runs", specs[i].Name, name)
+				t.Errorf("%s/%s differs between parallel and sequential runs", seq[i].Spec.Name, name)
 			}
 		}
 	}
 }
 
 func TestRenameWrapsPredictor(t *testing.T) {
-	p := Rename(core.New(core.DefaultConfig()), "custom-name")
+	p := experiments.Rename(core.New(core.DefaultConfig()), "custom-name")
 	if p.Name() != "custom-name" {
 		t.Errorf("Name = %q", p.Name())
 	}
@@ -124,22 +178,22 @@ func TestRenameWrapsPredictor(t *testing.T) {
 // predictor.SpanFeeder fast path exactly when the wrapped one does, and a
 // tape replay through the wrapper matches the unrenamed predictor.
 func TestRenameKeepsSpanFeeder(t *testing.T) {
-	renamed := Rename(core.New(core.DefaultConfig()), "custom-name")
+	renamed := experiments.Rename(core.New(core.DefaultConfig()), "custom-name")
 	if _, ok := renamed.(predictor.SpanFeeder); !ok {
 		t.Fatal("Rename hides core.BLBP's SpanFeeder")
 	}
-	if _, ok := Rename(btb.NewIndirect(btb.Default32K()), "b").(predictor.SpanFeeder); ok {
+	if _, ok := experiments.Rename(btb.NewIndirect(btb.Default32K()), "b").(predictor.SpanFeeder); ok {
 		t.Error("Rename claims SpanFeeder for a predictor without one")
 	}
 	tape, err := sim.NewTape(miniSuite(60_000)[0].Build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tape.Run(CondKeyHP, newHP(), []predictor.Indirect{renamed}, sim.Options{})
+	got, err := tape.Run(experiments.CondKeyHP, newHP(), []predictor.Indirect{renamed}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tape.Run(CondKeyHP, newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}, sim.Options{})
+	want, err := tape.Run(experiments.CondKeyHP, newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +207,7 @@ func TestRenameKeepsSpanFeeder(t *testing.T) {
 }
 
 func TestFig1RowsSortedByIndirect(t *testing.T) {
-	tb, rows := testRunner(t).Fig1(miniSuite(60_000))
+	tb, rows := testRunner(t, 0).Fig1(miniSuite(60_000))
 	if tb.Rows() != 3 || len(rows) != 3 {
 		t.Fatalf("rows = %d/%d, want 3", tb.Rows(), len(rows))
 	}
@@ -170,7 +224,7 @@ func TestFig1RowsSortedByIndirect(t *testing.T) {
 }
 
 func TestFig6Bounds(t *testing.T) {
-	_, rows := testRunner(t).Fig6(miniSuite(60_000))
+	_, rows := testRunner(t, 0).Fig6(miniSuite(60_000))
 	for _, r := range rows {
 		if r.PolyPct < 0 || r.PolyPct > 100 {
 			t.Errorf("%s: PolyPct = %v out of range", r.Workload, r.PolyPct)
@@ -184,7 +238,7 @@ func TestFig6Bounds(t *testing.T) {
 }
 
 func TestFig7CCDFMonotone(t *testing.T) {
-	_, pts := testRunner(t).Fig7(miniSuite(60_000), 16)
+	_, pts := testRunner(t, 0).Fig7(miniSuite(60_000), 16)
 	if len(pts) != 16 {
 		t.Fatalf("got %d points, want 16", len(pts))
 	}
@@ -198,25 +252,25 @@ func TestFig7CCDFMonotone(t *testing.T) {
 	}
 }
 
+// TestOverallAndDerivedFigures runs the overall, fig8 and fig9 built-ins
+// over one suite; the executor simulates their shared passes once.
 func TestOverallAndDerivedFigures(t *testing.T) {
-	rows, err := testRunner(t).RunSuite(miniSuite(120_000), StandardPasses())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := OverallData{Rows: rows, Predictors: []string{NameBTB, NameVPC, NameITTAGE, NameBLBP}}
-	tb := OverallTable(data)
-	if tb.Rows() != 4 {
-		t.Errorf("overall table rows = %d, want 4", tb.Rows())
+	x := runspec.NewExec(testRunner(t, 0), 0)
+	suite := inline(miniSpecs(120_000))
+	overall := runBuiltin(t, x, "overall", suite)
+	if overall.Table.Rows() != 4 {
+		t.Errorf("overall table rows = %d, want 4", overall.Table.Rows())
 	}
 	// The headline ordering on learnable workloads: BTB worst by far.
-	if data.Mean(NameBTB) < 4*data.Mean(NameBLBP) {
-		t.Errorf("BTB mean %.3f not clearly worse than BLBP %.3f", data.Mean(NameBTB), data.Mean(NameBLBP))
+	data := overall.Data.(experiments.OverallData)
+	if data.Mean(experiments.NameBTB) < 4*data.Mean(experiments.NameBLBP) {
+		t.Errorf("BTB mean %.3f not clearly worse than BLBP %.3f",
+			data.Mean(experiments.NameBTB), data.Mean(experiments.NameBLBP))
 	}
-	f8 := Fig8(data)
-	if f8.Rows() != 3 {
+	if f8 := runBuiltin(t, x, "fig8", suite).Table; f8.Rows() != 3 {
 		t.Errorf("fig8 rows = %d, want 3", f8.Rows())
 	}
-	f9 := Fig9(data)
+	f9 := runBuiltin(t, x, "fig9", suite).Table
 	if f9.Rows() != 3 {
 		t.Errorf("fig9 rows = %d, want 3", f9.Rows())
 	}
@@ -230,7 +284,7 @@ func TestOverallAndDerivedFigures(t *testing.T) {
 }
 
 func TestAblationVariantsCoverPaperArms(t *testing.T) {
-	vs := AblationVariants()
+	vs := experiments.AblationVariants()
 	if len(vs) != 12 {
 		t.Fatalf("got %d variants, want 12", len(vs))
 	}
@@ -261,32 +315,22 @@ func TestAblationVariantsCoverPaperArms(t *testing.T) {
 	}
 }
 
-// meanOf is the suite-mean MPKI of one predictor over the rows.
-func meanOf(rows []WorkloadResult, name string) float64 {
-	sum := 0.0
-	for _, r := range rows {
-		sum += r.MPKI(name)
-	}
-	return sum / float64(len(rows))
-}
-
 func TestFig10PassesOnMiniSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow integration")
 	}
-	passes := append(BLBPVariantsPasses(AblationVariants()), ITTAGEPass())
-	rows, err := testRunner(t).RunSuite(miniSuite(80_000), passes)
-	if err != nil {
-		t.Fatal(err)
+	x := runspec.NewExec(testRunner(t, 0), 0)
+	mean := map[string]float64{}
+	for _, r := range runBuiltin(t, x, "fig10", inline(miniSpecs(80_000))).Data.([]runspec.Fig10Row) {
+		mean[r.Variant] = r.MeanMPKI
 	}
-	if meanOf(rows, "all-on") >= meanOf(rows, "all-off") {
-		t.Errorf("all-on (%.3f) not better than all-off (%.3f)",
-			meanOf(rows, "all-on"), meanOf(rows, "all-off"))
+	if mean["all-on"] >= mean["all-off"] {
+		t.Errorf("all-on (%.3f) not better than all-off (%.3f)", mean["all-on"], mean["all-off"])
 	}
 }
 
 func TestAssocVariantsGeometry(t *testing.T) {
-	vs := AssocVariants(nil)
+	vs := experiments.AssocVariants(nil)
 	if len(vs) != 5 {
 		t.Fatalf("got %d variants, want 5", len(vs))
 	}
@@ -303,25 +347,25 @@ func TestFig11PassesOnMiniSuite(t *testing.T) {
 	}
 	// Use a workload with many polymorphic branches so associativity has
 	// something to do.
-	specs := []workload.Spec{
-		workload.VDispatchSpec("assoc-load", "T", 150_000, workload.VDispatchParams{
+	specs := []wspec.WorkloadSpec{{
+		Name: "assoc-load", Category: "T", Instructions: 150_000,
+		Generator: leaf("vdispatch", workload.VDispatchParams{
 			Classes: 12, Sites: 24, Objects: 96, MethodWork: 20, MethodConds: 1,
 		}),
-	}
-	passes := append(BLBPVariantsPasses(AssocVariants(nil)), ITTAGEPass())
-	rows, err := testRunner(t).RunSuite(specs, passes)
-	if err != nil {
-		t.Fatal(err)
+	}}
+	x := runspec.NewExec(testRunner(t, 0), 0)
+	mean := map[string]float64{}
+	for _, r := range runBuiltin(t, x, "fig11", inline(specs)).Data.([]runspec.Fig11Row) {
+		mean[r.Label] = r.MeanMPKI
 	}
 	// Higher associativity must not be dramatically worse than lower.
-	if meanOf(rows, "assoc-64") > meanOf(rows, "assoc-4")*1.5 {
-		t.Errorf("assoc-64 (%.3f) much worse than assoc-4 (%.3f)",
-			meanOf(rows, "assoc-64"), meanOf(rows, "assoc-4"))
+	if mean["assoc-64"] > mean["assoc-4"]*1.5 {
+		t.Errorf("assoc-64 (%.3f) much worse than assoc-4 (%.3f)", mean["assoc-64"], mean["assoc-4"])
 	}
 }
 
 func TestBudgetsAndTables(t *testing.T) {
-	budgets := Budgets()
+	budgets := experiments.Budgets()
 	if len(budgets) != 4 {
 		t.Fatalf("got %d budgets", len(budgets))
 	}
@@ -335,9 +379,9 @@ func TestBudgetsAndTables(t *testing.T) {
 	var blbpBits, ittageBits int
 	for _, b := range budgets {
 		switch b.Predictor {
-		case NameBLBP:
+		case experiments.NameBLBP:
 			blbpBits = b.Bits
-		case NameITTAGE:
+		case experiments.NameITTAGE:
 			ittageBits = b.Bits
 		}
 	}
@@ -346,11 +390,11 @@ func TestBudgetsAndTables(t *testing.T) {
 		t.Errorf("BLBP/ITTAGE budget ratio = %.2f, want iso-budget (0.75-1.25)", ratio)
 	}
 
-	t1 := Table1(wspec.Suite(1_000))
+	t1 := experiments.Table1(wspec.Suite(1_000))
 	if t1.Rows() != 8 { // 7 categories + total
 		t.Errorf("table1 rows = %d, want 8", t1.Rows())
 	}
-	t2 := Table2()
+	t2 := experiments.Table2()
 	if t2.Rows() != 4 {
 		t.Errorf("table2 rows = %d, want 4", t2.Rows())
 	}
@@ -358,7 +402,7 @@ func TestBudgetsAndTables(t *testing.T) {
 
 func TestAnalyzeSuiteOrder(t *testing.T) {
 	specs := miniSuite(30_000)
-	stats := AnalyzeSuite(specs, 2)
+	stats := testRunner(t, 2).AnalyzeSuite(specs)
 	if len(stats) != len(specs) {
 		t.Fatalf("got %d stats", len(stats))
 	}
@@ -369,26 +413,15 @@ func TestAnalyzeSuiteOrder(t *testing.T) {
 	}
 }
 
-// TestRunnerBuildsEachTraceOnce runs an analysis pass and two simulation
-// pass sets over one suite on one Runner and asserts via the cache counters
+// TestRunnerBuildsEachTraceOnce runs an analysis plan and two simulation
+// plans over one suite on one Runner and asserts via the cache counters
 // that each workload's trace was constructed exactly once.
 func TestRunnerBuildsEachTraceOnce(t *testing.T) {
-	specs := miniSuite(30_000)
-	r := testRunner(t)
-	r.Fig1(specs)
-	if _, err := r.RunSuite(specs, StandardPasses()); err != nil {
-		t.Fatal(err)
-	}
-	cottage := []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
-		}),
-		Shared(CondKeyTAGE, func() (cond.Predictor, []predictor.Indirect) {
-			return cond.NewTAGE(cond.DefaultTAGEConfig()), []predictor.Indirect{ittage.New(ittage.DefaultConfig())}
-		}),
-	}
-	if _, err := r.RunSuite(specs, cottage); err != nil {
-		t.Fatal(err)
+	specs := miniSpecs(30_000)
+	r := testRunner(t, 0)
+	x := runspec.NewExec(r, 0)
+	for _, name := range []string{"fig1", "overall", "cottage"} {
+		runBuiltin(t, x, name, inline(specs))
 	}
 	st := r.Cache().Stats()
 	if st.Builds != int64(len(specs)) {
@@ -398,7 +431,7 @@ func TestRunnerBuildsEachTraceOnce(t *testing.T) {
 		t.Errorf("cache misses = %d, want %d", st.Misses, len(specs))
 	}
 	if st.Hits == 0 {
-		t.Error("no cache hits across three drivers")
+		t.Error("no cache hits across three plans")
 	}
 }
 
@@ -407,23 +440,17 @@ func TestRunnerBuildsEachTraceOnce(t *testing.T) {
 // numbers the monolithic simulation produces.
 func TestTapeSharedCondMatchesFullSimulation(t *testing.T) {
 	specs := miniSuite(60_000)
-	r := testRunner(t)
-	rows, err := r.RunSuite(specs, []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}
-		}),
-	})
+	rows, err := testRunner(t, 0).RunSuites([][]workload.Spec{specs},
+		[]experiments.Pass{blbpPass(experiments.CondKeyHP, newHP)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		tr := spec.Build()
-		want, err := sim.Run(tr, newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}, sim.Options{})
+		want, err := sim.Run(spec.Build(), newHP(), []predictor.Indirect{core.New(core.DefaultConfig())}, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := rows[i].Results[NameBLBP]
-		if got != want[0] {
+		if got := rows[0][i].Results[experiments.NameBLBP]; got != want[0] {
 			t.Errorf("%s: tape result %+v != full simulation %+v", spec.Name, got, want[0])
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"blbp/internal/core"
 )
@@ -21,7 +22,7 @@ func geometricIntervals(n, maxHist int) ([]core.Interval, []int) {
 	ratio := 1.0
 	if n > 1 {
 		// Choose the growth so the last interval ends at maxHist.
-		ratio = pow(float64(maxHist)/13, 1/float64(n-1))
+		ratio = math.Pow(float64(maxHist)/13, 1/float64(n-1))
 	}
 	end := 13.0
 	for i := 0; i < n; i++ {
@@ -44,10 +45,6 @@ func geometricIntervals(n, maxHist int) ([]core.Interval, []int) {
 	}
 	lengths[n-1] = maxHist + 1
 	return intervals, lengths
-}
-
-func pow(base, exp float64) float64 {
-	return mathPow(base, exp)
 }
 
 // ArraysVariants returns BLBP configurations sweeping the number of weight

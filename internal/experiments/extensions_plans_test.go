@@ -1,0 +1,106 @@
+package experiments_test
+
+import (
+	"testing"
+
+	"blbp/internal/runspec"
+)
+
+// extensionData runs the named extension built-in over the mini suite at
+// instr instructions per workload and returns its output's data.
+func extensionData(t *testing.T, name string, instr int64) any {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("slow integration")
+	}
+	x := runspec.NewExec(testRunner(t, 0), 0)
+	return runBuiltin(t, x, name, inline(miniSpecs(instr))).Data
+}
+
+func TestExtrasPassOnMiniSuite(t *testing.T) {
+	mean := extensionData(t, "extras", 80_000).(map[string]float64)
+	// The lineage ordering on learnable workloads: plain BTB worst, the
+	// history-based classics in between, modern predictors best.
+	if !(mean["btb"] > mean["targetcache"]) {
+		t.Errorf("target cache (%.3f) should beat plain BTB (%.3f)", mean["targetcache"], mean["btb"])
+	}
+	if !(mean["btb"] > mean["cascaded"]) {
+		t.Errorf("cascaded (%.3f) should beat plain BTB (%.3f)", mean["cascaded"], mean["btb"])
+	}
+	if !(mean["cascaded"] > mean["blbp"]) {
+		t.Errorf("BLBP (%.3f) should beat cascaded (%.3f)", mean["blbp"], mean["cascaded"])
+	}
+}
+
+func TestTargetBitsPassesOnMiniSuite(t *testing.T) {
+	mean := extensionData(t, "targetbits", 60_000).(map[string]float64)
+	// Folding target bits into history must help on target-sequence
+	// workloads: 2 bits should beat 0 bits.
+	if mean["targetbits-2"] >= mean["targetbits-0"] {
+		t.Errorf("targetbits-2 (%.3f) not better than targetbits-0 (%.3f)",
+			mean["targetbits-2"], mean["targetbits-0"])
+	}
+}
+
+func TestArraysPassesOnMiniSuite(t *testing.T) {
+	mean := extensionData(t, "arrays", 60_000).(map[string]float64)
+	if mean["arrays-8"] <= 0 {
+		t.Error("arrays-8 missing or zero")
+	}
+}
+
+func TestCombinedPassesOnMiniSuite(t *testing.T) {
+	res := extensionData(t, "combined", 80_000).(runspec.CombinedResult)
+	if res.ConsolidatedBits >= res.DedicatedBits {
+		t.Errorf("consolidated storage %d not below dedicated %d", res.ConsolidatedBits, res.DedicatedBits)
+	}
+	// The consolidated predictor must remain in the same accuracy class:
+	// conditional accuracy within 3 points, indirect MPKI within 2x.
+	if res.ConsolidatedCondAcc < res.DedicatedCondAcc-0.03 {
+		t.Errorf("consolidated cond accuracy %.3f too far below dedicated %.3f",
+			res.ConsolidatedCondAcc, res.DedicatedCondAcc)
+	}
+	if res.ConsolidatedIndirectMPKI > 2*res.DedicatedIndirectMPKI {
+		t.Errorf("consolidated indirect MPKI %.3f more than 2x dedicated %.3f",
+			res.ConsolidatedIndirectMPKI, res.DedicatedIndirectMPKI)
+	}
+}
+
+func TestHierarchyPassOnMiniSuite(t *testing.T) {
+	res := extensionData(t, "hierarchy", 80_000).(runspec.HierarchyResult)
+	// The hierarchy must land between the 8-way and 64-way monoliths (or
+	// at least not be worse than plain 8-way).
+	if res.HierMPKI > res.Mono8MPKI*1.1 {
+		t.Errorf("hierarchy MPKI %.3f worse than monolithic 8-way %.3f", res.HierMPKI, res.Mono8MPKI)
+	}
+	if res.HierL2ProbeRate <= 0 || res.HierL2ProbeRate > 1 {
+		t.Errorf("L2 probe rate %.3f out of range", res.HierL2ProbeRate)
+	}
+}
+
+func TestCottagePassesOnMiniSuite(t *testing.T) {
+	res := extensionData(t, "cottage", 80_000).(runspec.CottageResult)
+	// Both pairings must be functional: conditional accuracy well above
+	// chance, indirect MPKI finite and below the BTB class.
+	if res.HPCondAcc < 0.8 || res.TAGECondAcc < 0.8 {
+		t.Errorf("cond accuracies %.3f / %.3f below sanity floor", res.HPCondAcc, res.TAGECondAcc)
+	}
+	if res.BLBPMPKI <= 0 || res.ITTAGEMPKI <= 0 {
+		t.Error("missing indirect MPKI data")
+	}
+}
+
+func TestSeedsDrawsDiffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow integration")
+	}
+	x := runspec.NewExec(testRunner(t, 0), 0)
+	suite := runspec.Suite{Base: 20_000, Salts: []string{"", "x"}}
+	draws := runBuiltin(t, x, "seeds", suite).Data.([]runspec.SeedsRow)
+	if len(draws) != 2 {
+		t.Fatalf("draws = %d", len(draws))
+	}
+	if draws[0].ITTAGEMean == draws[1].ITTAGEMean && draws[0].BLBPMean == draws[1].BLBPMean {
+		t.Error("salted draw produced identical results; salt not applied")
+	}
+}

@@ -1,16 +1,18 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the experiment index). Each
-// driver returns both a rendered report table and the raw data, so the
-// command-line tool, the benchmarks, and the tests all share one
-// implementation.
+// Package experiments is the execution layer behind the paper's tables
+// and figures (see DESIGN.md §4 for the experiment index), plus the
+// drivers that need no simulation pass: the workload characterizations
+// (Fig. 1/6/7), Table 1/2, and the renderers of the §5.1 headline run
+// (Fig. 8/9). The passes themselves are declared as run plans in
+// internal/runspec, which compiles each plan to Pass values and runs them
+// on a Runner; that is the one way a run builds its passes.
 //
-// Drivers run on a Runner, the process-wide execution layer: one trace
-// cache (internal/tracecache) so each workload's trace is built exactly
-// once per process no matter how many drivers touch it, and one
-// work-stealing worker pool that schedules (workload × pass) tasks — the
-// granularity CBP-style trace-driven infrastructures parallelize at — so
-// multi-pass drivers like the Fig. 10 ablation no longer run their passes
-// serially inside one goroutine.
+// A Runner is the process-wide execution layer: one trace cache
+// (internal/tracecache) so each workload's trace is built exactly once per
+// process no matter how many plans touch it, and one work-stealing worker
+// pool that schedules (workload × pass) tasks — the granularity CBP-style
+// trace-driven infrastructures parallelize at — so multi-pass plans like
+// the Fig. 10 ablation do not run their passes serially inside one
+// goroutine.
 package experiments
 
 import (
@@ -25,13 +27,8 @@ import (
 	"blbp/internal/workload"
 )
 
-// PassFactory builds one engine pass: a conditional predictor and the
-// indirect predictors that share it. Factories are invoked once per
-// workload so every trace starts with fresh or Reset predictors, cold as
-// in the paper.
-type PassFactory func() (cond.Predictor, []predictor.Indirect)
-
-// Pass couples a pass factory with its scheduling contract.
+// Pass is one engine pass, a conditional predictor and the indirect
+// predictors that share it, with its scheduling contract.
 type Pass struct {
 	// CondKey identifies the conditional predictor configuration when its
 	// simulation is shareable: every pass declaring the same key must
@@ -48,25 +45,6 @@ type Pass struct {
 	// pass may Reset the set and hand it to a later task; nil means the
 	// set is never reused.
 	New func(w int) (cp cond.Predictor, indirects []predictor.Indirect, release func())
-}
-
-// Shared wraps a factory into a Pass whose conditional configuration is
-// shared under condKey.
-func Shared(condKey string, f PassFactory) Pass {
-	return Pass{CondKey: condKey, New: fresh(f)}
-}
-
-// Exclusive wraps a factory into a Pass that owns its conditional state.
-func Exclusive(f PassFactory) Pass {
-	return Pass{New: fresh(f)}
-}
-
-// fresh adapts a factory to Pass.New: a new set per task, never reused.
-func fresh(f PassFactory) func(int) (cond.Predictor, []predictor.Indirect, func()) {
-	return func(int) (cond.Predictor, []predictor.Indirect, func()) {
-		cp, inds := f()
-		return cp, inds, nil
-	}
 }
 
 // WorkloadResult holds all predictor results for one workload.
@@ -125,28 +103,14 @@ func (r *Runner) Close() {
 // Cache exposes the trace cache (for counter reporting).
 func (r *Runner) Cache() *tracecache.Cache { return r.cache }
 
-// Workers returns the pool size.
-func (r *Runner) Workers() int { return r.pool.workers() }
-
-// RunSuite simulates every pass over every spec. The run is decomposed
-// into (workload × pass) tasks on the shared pool: each task fetches the
-// workload's trace from the cache (building it at most once process-wide),
-// obtains the shared tape, and replays its pass. Results are reassembled
-// in deterministic spec/pass order, so the output is byte-for-byte
-// independent of the worker count.
-func (r *Runner) RunSuite(specs []workload.Spec, passes []Pass) ([]WorkloadResult, error) {
-	res, err := r.RunSuites([][]workload.Spec{specs}, passes)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// RunSuites is RunSuite over several suites at once: every (suite ×
-// workload × pass) task is submitted to the pool in a single wave, so
-// multi-draw drivers (Seeds) keep all workers busy across draw boundaries
-// instead of draining the pool between draws. Results are reassembled per
-// suite in deterministic (suite, spec, pass) order.
+// RunSuites simulates every pass over every spec of every suite. The run
+// is decomposed into (suite × workload × pass) tasks, all submitted to the
+// shared pool in a single wave, so multi-draw plans (seeds) keep every
+// worker busy across draw boundaries. Each task fetches the workload's
+// trace from the cache (building it at most once process-wide), obtains
+// the shared tape, and replays its pass. Results are reassembled per suite
+// in deterministic (suite, spec, pass) order, so the output is
+// byte-for-byte independent of the worker count.
 func (r *Runner) RunSuites(suites [][]workload.Spec, passes []Pass) ([][]WorkloadResult, error) {
 	if len(suites) == 0 {
 		return nil, fmt.Errorf("experiments: no suites")
@@ -238,21 +202,6 @@ func (r *Runner) AnalyzeSuite(specs []workload.Spec) []*trace.Stats {
 	}
 	wg.Wait()
 	return out
-}
-
-// RunSuite is the one-shot form: a private Runner with parallel workers
-// (0 = GOMAXPROCS) serves the single call.
-func RunSuite(specs []workload.Spec, passes []Pass, parallel int) ([]WorkloadResult, error) {
-	r := NewRunner(parallel)
-	defer r.Close()
-	return r.RunSuite(specs, passes)
-}
-
-// AnalyzeSuite is the one-shot form of Runner.AnalyzeSuite.
-func AnalyzeSuite(specs []workload.Spec, parallel int) []*trace.Stats {
-	r := NewRunner(parallel)
-	defer r.Close()
-	return r.AnalyzeSuite(specs)
 }
 
 // named renames an indirect predictor so several instances of one type can

@@ -37,8 +37,6 @@ func newPool(workers int) *pool {
 	return p
 }
 
-func (p *pool) workers() int { return len(p.deques) }
-
 // submit queues one task. It never blocks.
 func (p *pool) submit(f func()) {
 	p.mu.Lock()

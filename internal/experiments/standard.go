@@ -1,13 +1,6 @@
 package experiments
 
-import (
-	"blbp/internal/btb"
-	"blbp/internal/cond"
-	"blbp/internal/core"
-	"blbp/internal/ittage"
-	"blbp/internal/predictor"
-	"blbp/internal/vpc"
-)
+import "blbp/internal/core"
 
 // Canonical predictor names used across all experiments.
 const (
@@ -27,62 +20,6 @@ const (
 	// CondKeyTAGE is cond.NewTAGE(cond.DefaultTAGEConfig()).
 	CondKeyTAGE = "tage/default"
 )
-
-// newHP builds the default hashed perceptron, the conditional predictor
-// behind CondKeyHP.
-func newHP() cond.Predictor { return cond.NewHashedPerceptron(cond.DefaultHPConfig()) }
-
-// StandardPasses returns the paper's Table 2 predictor line-up as engine
-// passes: one pass with the BTB baseline, ITTAGE, and BLBP sharing a hashed
-// perceptron conditional predictor, and a second pass for VPC, which must
-// own (and pollute) its conditional predictor.
-func StandardPasses() []Pass {
-	return []Pass{
-		Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{
-				btb.NewIndirect(btb.Default32K()),
-				ittage.New(ittage.DefaultConfig()),
-				core.New(core.DefaultConfig()),
-			}
-		}),
-		VPCPass(),
-	}
-}
-
-// VPCPass returns the VPC pass: VPC shares the pass's hashed perceptron,
-// so the pass owns its conditional state and is never tape-shared.
-func VPCPass() Pass {
-	return Exclusive(func() (cond.Predictor, []predictor.Indirect) {
-		hp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
-		return hp, []predictor.Indirect{vpc.New(vpc.DefaultConfig(), hp)}
-	})
-}
-
-// ITTAGEPass returns a pass containing only ITTAGE (used as the reference
-// in the ablation and associativity sweeps).
-func ITTAGEPass() Pass {
-	return Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-		return newHP(), []predictor.Indirect{
-			ittage.New(ittage.DefaultConfig()),
-		}
-	})
-}
-
-// BLBPVariantsPasses returns one pass per BLBP configuration, each under
-// its variant name. One pass per variant — rather than one pass carrying
-// every variant — lets the scheduler run a sweep's arms as independent
-// (workload × pass) tasks; the shared conditional side is simulated once
-// per workload on the tape either way, so the decomposition changes
-// nothing about the results.
-func BLBPVariantsPasses(variants []BLBPVariant) []Pass {
-	passes := make([]Pass, len(variants))
-	for i, v := range variants {
-		passes[i] = Shared(CondKeyHP, func() (cond.Predictor, []predictor.Indirect) {
-			return newHP(), []predictor.Indirect{Rename(core.New(v.Config), v.Name)}
-		})
-	}
-	return passes
-}
 
 // BLBPVariant names one BLBP configuration.
 type BLBPVariant struct {

@@ -3,7 +3,6 @@ package predictor
 import (
 	"fmt"
 
-	"blbp/internal/batch"
 	"blbp/internal/btb"
 	"blbp/internal/cascaded"
 	"blbp/internal/combined"
@@ -54,13 +53,6 @@ func init() {
 				return nil, err
 			}
 			return core.New(c), nil
-		},
-		NewBatch: func(cfg any, capacity int) (*batch.Engine, error) {
-			c, err := cfgAs[core.Config]("blbp", cfg)
-			if err != nil {
-				return nil, err
-			}
-			return batch.NewEngine(c, capacity), nil
 		},
 	})
 	Register(Entry{

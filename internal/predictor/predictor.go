@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"blbp/internal/batch"
 	"blbp/internal/cond"
 	"blbp/internal/trace"
 )
@@ -116,13 +115,6 @@ type Entry struct {
 	New         func(cfg any) (Indirect, error)
 	NewBound    func(cfg any, cp cond.Predictor) (Indirect, error)
 	NewProvider func(cfg any) (cond.Predictor, Indirect, error)
-
-	// NewBatch, when set, builds a multi-stream batching engine
-	// (internal/batch) over the same configuration value the serial
-	// constructor takes, with capacity stream slots. It is optional and
-	// additive: a predictor with NewBatch still sets exactly one of the
-	// constructors above for serial use.
-	NewBatch func(cfg any, capacity int) (*batch.Engine, error)
 }
 
 // Kind reports how the predictor relates to the engine's conditional
@@ -233,25 +225,6 @@ func New(name string) (Indirect, error) {
 		return nil, err
 	}
 	return e.New(cfg)
-}
-
-// NewBatchEngine builds a registered predictor's multi-stream batching
-// engine with capacity stream slots, applying JSON overrides to its default
-// configuration first (the same merge rules as serial construction, so run
-// plans and CLIs configure the batched and serial paths identically).
-func NewBatchEngine(name string, overrides []byte, capacity int) (*batch.Engine, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("predictor: unknown predictor %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	if e.NewBatch == nil {
-		return nil, fmt.Errorf("predictor: %q has no batching engine", name)
-	}
-	cfg, err := e.Config(overrides)
-	if err != nil {
-		return nil, err
-	}
-	return e.NewBatch(cfg, capacity)
 }
 
 // Names lists the registered predictor names, sorted.

@@ -6,10 +6,11 @@
 // is a plan here, and user plans run the same path via `experiments -plan`.
 //
 // The layer sits on top of internal/experiments (the execution machinery
-// and the paper's pass/variant definitions) and internal/predictor (the
-// configurable registry). Assembled outputs are byte-identical to the
-// bespoke drivers they replaced; the determinism rules of
-// internal/analysis apply to this package.
+// and the paper's variant definitions) and internal/predictor (the
+// configurable registry); compiling a plan is the one way a run builds its
+// passes. Assembled outputs are byte-identical to the bespoke drivers they
+// replaced; the determinism rules of internal/analysis apply to this
+// package.
 package runspec
 
 import (

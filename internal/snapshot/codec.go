@@ -257,19 +257,6 @@ func (d *Dec) U64sInto(dst []uint64) {
 	}
 }
 
-// U64sMax reads a count-prefixed []uint64 of at most max elements.
-func (d *Dec) U64sMax(max int) []uint64 {
-	n := d.varCount(max)
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.U64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
 // I64sInto fills dst from a count-prefixed []int64 of exactly len(dst).
 func (d *Dec) I64sInto(dst []int64) {
 	if !d.count(len(dst)) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 )
 
 // Magic identifies a BLBPSNP1 snapshot stream.
@@ -28,13 +29,16 @@ var Magic = [8]byte{'B', 'L', 'B', 'P', 'S', 'N', 'P', '1'}
 // FormatVersion is the current container format version.
 const FormatVersion = 1
 
-// Decode bounds: a corrupt length field must not drive preallocation, so
-// every variable-size read is capped before memory is committed.
+// Decode bounds: a corrupt length field must not drive preallocation.
+// Names, kinds and the section count are capped before memory is
+// committed; a section payload, which may legitimately be large, is read
+// from a small reserve that grows only as its bytes arrive (readPayload).
 const (
-	maxNameLen    = 1 << 16
-	maxKindLen    = 1 << 12
-	maxSections   = 1 << 16
-	maxSectionLen = 1 << 28
+	maxNameLen     = 1 << 16
+	maxKindLen     = 1 << 12
+	maxSections    = 1 << 16
+	maxSectionLen  = 1 << 28
+	payloadReserve = 64 << 10
 )
 
 // Sentinel errors. ErrBadMagic and ErrCorrupt mean the bytes are not a
@@ -213,8 +217,8 @@ func ReadContainer(r io.Reader, wantName string, wantFingerprint uint64) (*Decod
 		if err != nil {
 			return nil, err
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, int(plen))
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated section %q: %v", ErrCorrupt, kind, err)
 		}
 		if got := fnv64a(payload); got != sum {
@@ -224,6 +228,27 @@ func ReadContainer(r io.Reader, wantName string, wantFingerprint uint64) (*Decod
 		d.payloads = append(d.payloads, payload)
 	}
 	return d, nil
+}
+
+// readPayload reads a section's plen payload bytes. Until its checksum
+// verifies, plen is only a claim, so the buffer starts at payloadReserve
+// bytes at most and, like the trace decoders' growCapped, at least doubles
+// as bytes arrive but never past plen: a lying length fails at truncation
+// with a buffer no larger than the reserve or twice the bytes read,
+// whichever is larger.
+func readPayload(r io.Reader, plen int) ([]byte, error) {
+	buf := make([]byte, 0, min(plen, payloadReserve))
+	for len(buf) < plen {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(plen, 2*cap(buf))-len(buf))
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(cap(buf), plen)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Section returns a decoder over the named section's verified payload, or

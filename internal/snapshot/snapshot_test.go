@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -144,6 +145,56 @@ func TestReadContainerRejectsDamage(t *testing.T) {
 		if _, err := ReadContainer(bytes.NewReader(bad), "test", fpr); err == nil {
 			t.Fatalf("bit flip at %d decoded successfully", off)
 		}
+	}
+}
+
+// TestReadContainerLyingSectionLength: a 66-byte container whose one
+// section claims maxSectionLen payload bytes must fail as ErrCorrupt
+// without committing the claimed length first. Decoding it allocates
+// under 1 MB; allocating the claim up front costs 256 MB.
+func TestReadContainerLyingSectionLength(t *testing.T) {
+	fpr := Fingerprint(tcfg{A: 3, B: "x"})
+	var e Enc
+	e.buf = append(e.buf, Magic[:]...)
+	e.U64(FormatVersion)
+	e.String("x")
+	e.U64(fpr)
+	e.Int(1) // section count
+	e.String("k")
+	e.Int(maxSectionLen)
+	e.U64(0) // checksum; no payload bytes follow
+	if len(e.buf) != 66 {
+		t.Fatalf("crafted container is %d bytes, want 66", len(e.buf))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadContainer(bytes.NewReader(e.buf), "x", fpr)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("got %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding a 66-byte container allocated %.1f MB, want under 1 MB", float64(alloc)/(1<<20))
+	}
+
+	// An honest section past the reserve still decodes whole: the buffer
+	// grows across several doublings to a length that is not one.
+	c := NewContainer("x", fpr)
+	big := make([]byte, 3*payloadReserve+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	c.Section("k").buf = big
+	var buf bytes.Buffer
+	if err := c.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadContainer(&buf, "x", fpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.payloads[0]; !bytes.Equal(got, big) {
+		t.Errorf("large payload decoded to %d bytes, want the %d written", len(got), len(big))
 	}
 }
 

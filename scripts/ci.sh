@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
 # smoke, build, race-enabled tests, perfbench vet/test/lint, fuzz smoke,
-# batch-engine smoke, warm-start, recycled-set, run-plan, and workload-spec
-# round-trip smokes, and a strict gofmt -s check. Run from the repository root (or `make ci`).
+# snapshot, warm-start, recycled-set, run-plan, and workload-spec round-trip
+# smokes, and a strict gofmt -s check. Run from the repository root (or
+# `make ci`).
 set -eux
 
 make lint
@@ -27,12 +28,13 @@ rm -rf "$fixdir"
 go build ./...
 # The race-enabled tests are also the ownership gate for the experiments
 # pool's three goroutine launch sites: newPool's `go p.worker`, and the
-# pool submits of RunSuites and AnalyzeSuite.
-# TestDriverCSVDeterministicAcrossParallelism (8 workers) and
-# TestAnalyzeSuiteOrder (2 workers) drive all three, and
-# TestPoolRunsEachTaskOnce floods the pool so pops and steals interleave.
-# TestRecycledSetsDeterministicAcrossWorkers (8 workers) covers the run
-# plans' free lists of recycled predictor sets.
+# pool submits of Runner.RunSuites and Runner.AnalyzeSuite.
+# TestDriverCSVDeterministicAcrossParallelism (8 workers, built-in plans run
+# through runspec.Exec) and TestAnalyzeSuiteOrder (2 workers) drive all
+# three, and TestPoolRunsEachTaskOnce floods the pool so pops and steals
+# interleave. TestDriverCSVDeterministicAcrossParallelism and
+# TestRecycledSetsDeterministicAcrossWorkers (8 workers each) also cover
+# the run plans' free lists of recycled predictor sets.
 go test -race ./...
 # perfbench is its own module (it holds the contract benchmark), so the
 # root ./... walks above never compile it. Vet, test and lint it here: it
@@ -45,8 +47,10 @@ go test -run xxx -bench . -benchtime 1x ./...
 # Fuzz smoke: each native fuzz target gets a few seconds of coverage-guided
 # input on top of its seed corpus.
 go test -fuzz FuzzTraceRoundTrip -fuzztime 5s -run xxx ./internal/trace/
+go test -fuzz '^FuzzRead$' -fuzztime 5s -run xxx ./internal/trace/
 go test -fuzz FuzzSpillDecode -fuzztime 5s -run xxx ./internal/tracecache/
 go test -fuzz FuzzRunPlanDecode -fuzztime 5s -run xxx ./internal/runspec/
+go test -fuzz '^FuzzWorkloadSpecDecode$' -fuzztime 5s -run xxx ./internal/wspec/
 go test -fuzz FuzzBatchEquivalence -fuzztime 5s -run xxx ./internal/batch/
 go test -fuzz FuzzColumnarEquivalence -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
@@ -54,18 +58,6 @@ go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
 # record-at-a-time oracle vs sim.Run, tape replay, the consolidated
 # predictor, and the spill round trip) must hold without the fuzz engine.
 go test -run 'TestColumnarEquivalenceSeeds' -count 1 ./internal/sim/
-# Batch-engine smoke: run the cmd/bench batch section at widths 1 and 64,
-# check each width served exactly as many predictions as the serial
-# reference, and diff the batched-vs-serial prediction logs byte for byte.
-bdir=$(mktemp -d)
-go run ./cmd/bench -batch -reps 1 -batchevents 512 -batchsizes 1,64 \
-	-batchshards 1 -batchdump "$bdir/preds" -out "$bdir/bench.json" \
-	>"$bdir/bench.txt"
-grep -q 'batch_b1 check: batched=\([0-9]*\) serial=\1 predictions, outputs identical' "$bdir/bench.txt"
-grep -q 'batch_b64 check: batched=\([0-9]*\) serial=\1 predictions, outputs identical' "$bdir/bench.txt"
-diff "$bdir/preds.b1.batched.csv" "$bdir/preds.b1.serial.csv"
-diff "$bdir/preds.b64.batched.csv" "$bdir/preds.b64.serial.csv"
-rm -rf "$bdir"
 # Snapshot smoke: a run paused mid-trace by -snapshot and resumed by
 # -restore in a fresh process must emit a CSV byte-identical to the
 # uninterrupted run's (the tentpole's end-to-end differential gate).
