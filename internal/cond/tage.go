@@ -1,6 +1,8 @@
 package cond
 
 import (
+	"math"
+
 	"blbp/internal/hashing"
 	"blbp/internal/history"
 	"blbp/internal/threshold"
@@ -93,7 +95,7 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	lens := make([]int, cfg.Tables)
 	ratio := 1.0
 	if cfg.Tables > 1 {
-		ratio = mathPowCond(float64(cfg.MaxHist)/float64(cfg.MinHist), 1/float64(cfg.Tables-1))
+		ratio = math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1/float64(cfg.Tables-1))
 	}
 	v := float64(cfg.MinHist)
 	prev := 0

@@ -9,6 +9,7 @@ package ittage
 
 import (
 	"fmt"
+	"math"
 
 	"blbp/internal/hashing"
 	"blbp/internal/history"
@@ -193,7 +194,7 @@ func geometricLengths(min, max, n int) []int {
 		lens[0] = min
 		return lens
 	}
-	ratio := pow(float64(max)/float64(min), 1/float64(n-1))
+	ratio := math.Pow(float64(max)/float64(min), 1/float64(n-1))
 	prev := 0
 	v := float64(min)
 	for i := 0; i < n; i++ {
@@ -209,13 +210,6 @@ func geometricLengths(min, max, n int) []int {
 		lens[n-1] = max
 	}
 	return lens
-}
-
-// pow is a minimal float power for positive bases (avoids importing math in
-// the hot package for one call... but math is stdlib; keep explicit).
-func pow(base, exp float64) float64 {
-	// Use the identity base^exp = e^(exp·ln base) via the stdlib.
-	return mathPow(base, exp)
 }
 
 // Name implements predictor.Indirect.

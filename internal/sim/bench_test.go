@@ -3,9 +3,12 @@ package sim
 import (
 	"testing"
 
+	"blbp/internal/btb"
 	"blbp/internal/cond"
 	"blbp/internal/core"
+	"blbp/internal/ittage"
 	"blbp/internal/predictor"
+	"blbp/internal/workload"
 )
 
 // BenchmarkSimRun drives one full engine pass (hashed perceptron + BLBP)
@@ -20,6 +23,43 @@ func BenchmarkSimRun(b *testing.B) {
 	for i := 0; i < b.N; i += nRec {
 		cp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
 		if _, err := Run(tr, cp, []predictor.Indirect{core.New(core.DefaultConfig())}, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTapeReplay times Tape.Run's shared-conditional replay, the loop
+// ablation passes spend their time in: each op replays one 600K-instruction
+// interpreter workload into a fresh BTB + ITTAGE + BLBP pass. The tape's
+// conditional and RAS memos are filled, and each op's predictors built,
+// outside the timer, so ns/op is the indirect replay alone.
+func BenchmarkTapeReplay(b *testing.B) {
+	spec := workload.InterpreterSpec("tape-replay", "T", 600_000, workload.InterpreterParams{
+		Opcodes: 110, ProgramLen: 280, Work: 180, CondPerHandler: 2,
+		CondNoise: 0.003, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 30,
+	})
+	tape, err := NewTape(spec.Build())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := func() (cond.Predictor, []predictor.Indirect) {
+		return cond.NewHashedPerceptron(cond.DefaultHPConfig()), []predictor.Indirect{
+			btb.NewIndirect(btb.Default32K()),
+			ittage.New(ittage.DefaultConfig()),
+			core.New(core.DefaultConfig()),
+		}
+	}
+	cp, inds := pass()
+	if _, err := tape.Run("hp", cp, inds, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cp, inds := pass()
+		b.StartTimer()
+		if _, err := tape.Run("hp", cp, inds, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,29 +43,21 @@ func validateRun(cols *trace.Columns, cp cond.Predictor, indirects []predictor.I
 	return nil
 }
 
-// runRange replays records [pr.next, stop) of the trace, advancing pr. Each
-// segment's iteration bounds are clamped to the range; at full range
-// ([0, Len)) the clamps are no-ops, so Run and the resume entry points
-// share one loop.
+// runRange replays records [pr.next, stop) of the trace run by run,
+// advancing pr. The first run starts at pr.next, which may lie inside a
+// same-type run of the trace, and the last is cut at stop; at full range
+// ([0, Len)) neither applies, so Run and the resume entry points share one
+// loop.
 func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indirect, pr *PausedRun, stop int) {
 	stack := pr.stack
 	shared := &pr.shared
 	perPred := pr.perPred
-	pc, target := cols.PC(), cols.Target()
+	pc, target, typ := cols.PC(), cols.Target(), cols.Types()
 	tt, hasTT := cp.(cond.TargetTrainer)
 
-	for _, seg := range cols.Segments() {
-		s, en := seg.Start, seg.End
-		if s < pr.next {
-			s = pr.next
-		}
-		if en > stop {
-			en = stop
-		}
-		if s >= en {
-			continue
-		}
-		switch seg.Type {
+	for s, en := pr.next, 0; s < stop; s = en {
+		en = min(cols.RunEnd(s), stop)
+		switch bt := trace.BranchType(typ[s]); bt {
 		case trace.CondDirect:
 			shared.CondBranches += int64(en - s)
 			for i := s; i < en; i++ {
@@ -85,7 +77,7 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 			}
 
 		case trace.IndirectJump, trace.IndirectCall:
-			isCall := seg.Type == trace.IndirectCall
+			isCall := bt == trace.IndirectCall
 			for i := s; i < en; i++ {
 				for j := range indirects {
 					ip := indirects[j]
@@ -102,7 +94,7 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 				if isCall {
 					stack.Push(pc[i] + instructionSize)
 				}
-				cp.OnOther(pc[i], target[i], seg.Type)
+				cp.OnOther(pc[i], target[i], bt)
 			}
 
 		case trace.Return:

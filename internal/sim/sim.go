@@ -81,16 +81,17 @@ const instructionSize = 4
 // into every Result.
 //
 // The trace is validated once up front (cached on the columns across
-// passes) instead of inside the hot loop. Segments are then replayed in
-// order and every record within a segment in order, so each predictor
-// observes exactly the interleaved record stream — only the per-record type
-// switch and the cond.TargetTrainer assertion are hoisted to the segment
-// level. Within conditional segments the per-record call sequence (predict,
-// train, update history, feed indirects) is preserved verbatim: VPC and the
-// consolidated predictor share state between the conditional and indirect
-// sides, so the relative order of those calls is observable. The segment
-// loop lives in runRange (resume.go), shared with the checkpoint/resume
-// entry points so the interrupted and uninterrupted paths cannot drift.
+// passes) instead of inside the hot loop. The maximal same-type runs are
+// then found and replayed in order as the loop goes, and every record
+// within a run in order, so each predictor observes exactly the
+// interleaved record stream — only the per-record type switch and the
+// cond.TargetTrainer assertion are hoisted to the run level. Within
+// conditional runs the per-record call sequence (predict, train, update
+// history, feed indirects) is preserved verbatim: VPC and the consolidated
+// predictor share state between the conditional and indirect sides, so the
+// relative order of those calls is observable. The run loop lives in
+// runRange (resume.go), shared with the checkpoint/resume entry points so
+// the interrupted and uninterrupted paths cannot drift.
 //
 // VPC shares state with the conditional predictor, so a VPC instance must
 // be the only indirect predictor in its pass and must be paired with its

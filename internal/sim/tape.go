@@ -21,8 +21,9 @@ import (
 // tape, driving only their indirect predictors over the record stream,
 // instead of re-simulating the conditional and return sides.
 //
-// The tape's loops run segment by segment, skipping classes a memo does
-// not observe and feeding predictors whole same-class runs at a time.
+// The tape's loops step through the trace one maximal same-type run at a
+// time (trace.Columns.RunEnd), skipping classes a memo does not observe and
+// feeding predictors whole same-class runs at a time.
 //
 // A Tape is safe for concurrent use: the scheduler runs many passes of the
 // same workload at once and they all share one tape.
@@ -87,15 +88,16 @@ func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
 
 // simulateCond drives the conditional predictor over the trace exactly as
 // Run does — same call sequence, no indirect predictors — and returns its
-// misprediction count. Segments hoist the class dispatch; per-record order
-// within and across segments is the trace order.
+// misprediction count. Runs hoist the class dispatch; per-record order
+// within and across runs is the trace order.
 func (tp *Tape) simulateCond(cp cond.Predictor) int64 {
 	tt, hasTT := cp.(cond.TargetTrainer)
-	pc, target := tp.cols.PC(), tp.cols.Target()
+	pc, target, typ := tp.cols.PC(), tp.cols.Target(), tp.cols.Types()
 	var mis int64
-	for _, seg := range tp.cols.Segments() {
-		if seg.Type == trace.CondDirect {
-			for i := seg.Start; i < seg.End; i++ {
+	for s, e := 0, 0; s < len(typ); s = e {
+		e = tp.cols.RunEnd(s)
+		if bt := trace.BranchType(typ[s]); bt == trace.CondDirect {
+			for i := s; i < e; i++ {
 				taken := tp.cols.Taken(i)
 				if cp.Predict(pc[i]) != taken {
 					mis++
@@ -108,8 +110,8 @@ func (tp *Tape) simulateCond(cp cond.Predictor) int64 {
 				cp.UpdateHistory(pc[i], taken)
 			}
 		} else {
-			for i := seg.Start; i < seg.End; i++ {
-				cp.OnOther(pc[i], target[i], seg.Type)
+			for i := s; i < e; i++ {
+				cp.OnOther(pc[i], target[i], bt)
 			}
 		}
 	}
@@ -118,8 +120,8 @@ func (tp *Tape) simulateCond(cp cond.Predictor) int64 {
 
 // returnMispredicts returns the RAS misprediction count at the given stack
 // depth, replaying the trace's call/return sequence on the depth's first
-// use. Only call and return segments are visited; the (dominant)
-// conditional and jump segments are skipped whole.
+// use. Only call and return runs are replayed; the (dominant) conditional
+// and jump runs are skipped whole.
 func (tp *Tape) returnMispredicts(depth int) int64 {
 	tp.mu.Lock()
 	m := tp.ras[depth]
@@ -130,16 +132,17 @@ func (tp *Tape) returnMispredicts(depth int) int64 {
 	tp.mu.Unlock()
 	m.once.Do(func() {
 		stack := ras.New(depth)
-		pc, target := tp.cols.PC(), tp.cols.Target()
+		pc, target, typ := tp.cols.PC(), tp.cols.Target(), tp.cols.Types()
 		var mis int64
-		for _, seg := range tp.cols.Segments() {
-			switch seg.Type {
+		for s, e := 0, 0; s < len(typ); s = e {
+			e = tp.cols.RunEnd(s)
+			switch trace.BranchType(typ[s]) {
 			case trace.DirectCall, trace.IndirectCall:
-				for i := seg.Start; i < seg.End; i++ {
+				for i := s; i < e; i++ {
 					stack.Push(pc[i] + instructionSize)
 				}
 			case trace.Return:
-				for i := seg.Start; i < seg.End; i++ {
+				for i := s; i < e; i++ {
 					if !stack.Predict(target[i]) {
 						mis++
 					}
@@ -162,10 +165,10 @@ func (tp *Tape) returnMispredicts(depth int) int64 {
 // Every caller passing the same condKey must construct cp identically;
 // results are bit-identical to Run because the conditional predictor, the
 // RAS, and the indirect predictors never exchange state within a pass. The
-// same independence makes the segment-level loop interchange here legal:
-// each indirect predictor consumes a whole segment before the next
+// same independence makes the run-level loop interchange here legal: each
+// indirect predictor consumes a whole same-type run before the next
 // predictor starts it, which cannot be observed when predictors share
-// nothing. Predictors implementing predictor.SpanFeeder consume segments
+// nothing. Predictors implementing predictor.SpanFeeder consume runs
 // through one call instead of one interface call per record.
 func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Indirect, opts Options) ([]Result, error) {
 	if condKey == "" {
@@ -188,22 +191,24 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 			spans[i] = sf
 		}
 	}
-	for _, seg := range tp.cols.Segments() {
-		switch seg.Type {
+	typ := tp.cols.Types()
+	for s, e := 0, 0; s < len(typ); s = e {
+		e = tp.cols.RunEnd(s)
+		switch bt := trace.BranchType(typ[s]); bt {
 		case trace.CondDirect:
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnCondSpan(tp.cols, seg.Start, seg.End)
+					spans[j].OnCondSpan(tp.cols, s, e)
 					continue
 				}
-				for i := seg.Start; i < seg.End; i++ {
+				for i := s; i < e; i++ {
 					ip.OnCond(pc[i], tp.cols.Taken(i))
 				}
 			}
 		case trace.IndirectJump, trace.IndirectCall:
 			for j, ip := range indirects {
 				var branches, mispredicts, noPred int64
-				for i := seg.Start; i < seg.End; i++ {
+				for i := s; i < e; i++ {
 					branches++
 					pred, ok := ip.Predict(pc[i])
 					if !ok {
@@ -221,11 +226,11 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 		default: // Return, DirectCall, UncondDirect
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnOtherSpan(tp.cols, seg.Start, seg.End, seg.Type)
+					spans[j].OnOtherSpan(tp.cols, s, e, bt)
 					continue
 				}
-				for i := seg.Start; i < seg.End; i++ {
-					ip.OnOther(pc[i], target[i], seg.Type)
+				for i := s; i < e; i++ {
+					ip.OnOther(pc[i], target[i], bt)
 				}
 			}
 		}

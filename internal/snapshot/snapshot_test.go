@@ -148,12 +148,9 @@ func TestReadContainerRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestReadContainerLyingSectionLength: a 66-byte container whose one
-// section claims maxSectionLen payload bytes must fail as ErrCorrupt
-// without committing the claimed length first. Decoding it allocates
-// under 1 MB; allocating the claim up front costs 256 MB.
-func TestReadContainerLyingSectionLength(t *testing.T) {
-	fpr := Fingerprint(tcfg{A: 3, B: "x"})
+// lyingSectionContainer is a 66-byte container owned by "x" whose one
+// section claims maxSectionLen payload bytes and holds none.
+func lyingSectionContainer(fpr uint64) []byte {
 	var e Enc
 	e.buf = append(e.buf, Magic[:]...)
 	e.U64(FormatVersion)
@@ -163,12 +160,22 @@ func TestReadContainerLyingSectionLength(t *testing.T) {
 	e.String("k")
 	e.Int(maxSectionLen)
 	e.U64(0) // checksum; no payload bytes follow
-	if len(e.buf) != 66 {
-		t.Fatalf("crafted container is %d bytes, want 66", len(e.buf))
+	return e.buf
+}
+
+// TestReadContainerLyingSectionLength: a 66-byte container whose one
+// section claims maxSectionLen payload bytes must fail as ErrCorrupt
+// without committing the claimed length first. Decoding it allocates
+// under 1 MB; allocating the claim up front costs 256 MB.
+func TestReadContainerLyingSectionLength(t *testing.T) {
+	fpr := Fingerprint(tcfg{A: 3, B: "x"})
+	lying := lyingSectionContainer(fpr)
+	if len(lying) != 66 {
+		t.Fatalf("crafted container is %d bytes, want 66", len(lying))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadContainer(bytes.NewReader(e.buf), "x", fpr)
+	_, err := ReadContainer(bytes.NewReader(lying), "x", fpr)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("got %v, want ErrCorrupt", err)
@@ -196,6 +203,33 @@ func TestReadContainerLyingSectionLength(t *testing.T) {
 	if got := d.payloads[0]; !bytes.Equal(got, big) {
 		t.Errorf("large payload decoded to %d bytes, want the %d written", len(got), len(big))
 	}
+}
+
+// FuzzReadContainer feeds arbitrary bytes to the BLBPSNP1 decoder, as the
+// owner named by the second input with the seeds' config fingerprint. The
+// decoder must never panic, every error must wrap one of the package's
+// three sentinels, and a call may allocate at most 4× its input plus 256
+// KiB: a length field is only a claim until its bytes arrive.
+func FuzzReadContainer(f *testing.F) {
+	fpr := Fingerprint(tcfg{A: 3, B: "x"})
+	var buf bytes.Buffer
+	if err := buildContainer().EncodeTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes(), "test")
+	f.Add(lyingSectionContainer(fpr), "x")
+	f.Fuzz(func(t *testing.T, data []byte, name string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadContainer(bytes.NewReader(data), name, fpr)
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrMismatch) {
+			t.Errorf("error %v wraps none of ErrBadMagic, ErrCorrupt, ErrMismatch", err)
+		}
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(data))+256<<10; alloc > limit {
+			t.Errorf("decoding %d bytes allocated %d, want ≤ %d", len(data), alloc, limit)
+		}
+	})
 }
 
 func TestDecStickyErrorsAndTrailing(t *testing.T) {

@@ -1,11 +1,8 @@
 // Package stats provides the small numeric summaries the experiment drivers
-// report: means, extrema, percentiles, and histogram bucketing.
+// report: means, extrema, percent changes, and storage sizes in kilobytes.
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice), the
 // aggregation the paper uses for suite MPKI.
@@ -18,19 +15,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMeanShifted returns the shifted geometric mean exp(mean(log(x+eps)))-eps,
-// robust to zero entries; useful for ratio-like summaries.
-func GeoMeanShifted(xs []float64, eps float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += ln(x + eps)
-	}
-	return exp(sum/float64(len(xs))) - eps
 }
 
 // Min returns the smallest element (0 for empty input).
@@ -59,33 +43,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks; it copies its input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // PercentChange returns 100·(from−to)/from — the "% reduction" convention

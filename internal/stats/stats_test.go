@@ -27,37 +27,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {200, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) should be 0")
-	}
-	if Percentile([]float64{9}, 50) != 9 {
-		t.Error("single-element percentile")
-	}
-	// Input must not be mutated.
-	orig := []float64{5, 1, 3}
-	Percentile(orig, 50)
-	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("Percentile(50) = %v, want 5", got)
-	}
-}
-
 func TestPercentChange(t *testing.T) {
 	if got := PercentChange(0.2, 0.19); math.Abs(got-5) > 1e-9 {
 		t.Errorf("PercentChange = %v, want 5", got)
@@ -67,21 +36,6 @@ func TestPercentChange(t *testing.T) {
 	}
 	if PercentChange(0, 1) != 0 {
 		t.Error("PercentChange with zero base should be 0")
-	}
-}
-
-func TestGeoMeanShifted(t *testing.T) {
-	got := GeoMeanShifted([]float64{1, 1, 1}, 0.01)
-	if math.Abs(got-1) > 1e-9 {
-		t.Errorf("GeoMeanShifted(ones) = %v, want 1", got)
-	}
-	if GeoMeanShifted(nil, 0.01) != 0 {
-		t.Error("empty GeoMeanShifted should be 0")
-	}
-	// Handles zeros without blowing up.
-	got = GeoMeanShifted([]float64{0, 0.1}, 0.001)
-	if math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Errorf("GeoMeanShifted with zero = %v", got)
 	}
 }
 

@@ -1,26 +1,24 @@
 package trace
 
-import (
-	"fmt"
-	"reflect"
-)
+import "fmt"
 
 // Columns is the in-memory trace, stored columnar (structure-of-arrays):
-// one parallel array per Record field plus a packed taken bitset, and a
-// precomputed run-length class segmentation. The layout serves the replay
-// hot path — `sim` walks millions of records per pass, and an
-// array-of-structs layout would make every pass pay a 6-way type switch, a
-// bounds-checked struct load, and a per-record Taken byte for fields most
-// classes never touch. The columnar layout streams each field contiguously,
-// and the segmentation lets replay loops hoist the type dispatch (and any
-// per-class interface assertions) out of the per-record path entirely.
+// one parallel array per Record field plus a packed taken bitset. The
+// layout serves the replay hot path — `sim` walks millions of records per
+// pass, and an array-of-structs layout would make every pass pay a 6-way
+// type switch, a bounds-checked struct load, and a per-record Taken byte
+// for fields most classes never touch. The columnar layout streams each
+// field contiguously, and RunEnd lets replay loops find the maximal
+// same-type runs in the type column as they go, hoisting the type dispatch
+// (and any per-class interface assertions) out of the per-record path.
 // Record(i) materializes one record for cold paths.
 //
-// Segmentation is run-length, not per-class index lists, on purpose:
-// predictors are stateful and must observe the interleaved record stream in
-// original order, so the only reordering-free decomposition is maximal runs
-// of identical BranchType. Replaying segments in order visits every record
-// exactly once in trace order.
+// The runs are maximal runs of identical BranchType, not per-class index
+// lists, on purpose: predictors are stateful and must observe the
+// interleaved record stream in original order, so the only reordering-free
+// decomposition is by runs. Replaying the runs in order visits every record
+// exactly once in trace order. No segmentation is stored: at about 1.6
+// records per run it would cost more bytes than the PC column.
 //
 // A Columns is built once (by a workload generator, a decoder, or Append)
 // and is read-only afterwards: the accessor methods return the underlying
@@ -36,7 +34,6 @@ type Columns struct {
 	typ         []uint8
 	taken       []uint64 // bitset, bit i = record i's outcome
 
-	segs         []Segment
 	counts       [numBranchTypes]int64
 	instructions int64
 
@@ -58,11 +55,9 @@ func NewColumns(name string, n int) *Columns {
 }
 
 // Grow ensures capacity for n records, reallocating each column at most
-// once, to exactly n (lengths stay unchanged). A trace that already holds
-// records also gets segment room for n records at its records-per-segment
-// ratio so far, so Append's segment upkeep need not regrow either. A
-// builder that can estimate a trace's final length calls Grow with it
-// rather than leave Append to grow the columns step by step.
+// once, to exactly n (lengths stay unchanged). A caller that can estimate
+// a trace's final length calls Grow with it rather than leave Append to
+// grow the columns step by step.
 func (c *Columns) Grow(n int) {
 	if n <= cap(c.typ) {
 		return
@@ -74,21 +69,12 @@ func (c *Columns) Grow(n int) {
 	if words := (n + 63) / 64; cap(c.taken) < words {
 		c.taken = append(make([]uint64, 0, words), c.taken...)
 	}
-	if len(c.segs) > 0 {
-		if segs := int(int64(n) * int64(len(c.segs)) / int64(len(c.typ))); cap(c.segs) < segs {
-			c.segs = append(make([]Segment, 0, segs), c.segs...)
-		}
-	}
 }
 
-// segmentBytes is the in-memory size of one Segment.
-var segmentBytes = int64(reflect.TypeOf(Segment{}).Size())
-
 // Bytes returns the heap bytes the trace's arrays hold: capacity times
-// element size, summed over the five record columns and the segments.
+// element size, summed over the five record columns.
 func (c *Columns) Bytes() int64 {
-	return int64(cap(c.pc)+cap(c.target)+cap(c.taken))*8 + int64(cap(c.instrBefore))*4 +
-		int64(cap(c.typ)) + int64(cap(c.segs))*segmentBytes
+	return int64(cap(c.pc)+cap(c.target)+cap(c.taken))*8 + int64(cap(c.instrBefore))*4 + int64(cap(c.typ))
 }
 
 // Len returns the number of records.
@@ -106,15 +92,43 @@ func (c *Columns) Count(t BranchType) int64 {
 	return c.counts[t]
 }
 
-// PC, Target, InstrBefore, Types, TakenWords and Segments return the
-// underlying column arrays (shared; callers must not mutate them). Hot
-// loops hoist these calls and index the slices directly.
+// PC, Target, InstrBefore, Types and TakenWords return the underlying
+// column arrays (shared; callers must not mutate them). Hot loops hoist
+// these calls and index the slices directly.
 func (c *Columns) PC() []uint64          { return c.pc }
 func (c *Columns) Target() []uint64      { return c.target }
 func (c *Columns) InstrBefore() []uint32 { return c.instrBefore }
 func (c *Columns) Types() []uint8        { return c.typ }
 func (c *Columns) TakenWords() []uint64  { return c.taken }
-func (c *Columns) Segments() []Segment   { return c.segs }
+
+// RunEnd returns the end of the maximal same-type run that starts at record
+// i (0 <= i < Len): the first index after i whose type differs from record
+// i's, or Len. Replay loops find the runs as they go, one RunEnd per run.
+func (c *Columns) RunEnd(i int) int {
+	t := c.typ[i]
+	j := i + 1
+	for j < len(c.typ) && c.typ[j] == t {
+		j++
+	}
+	return j
+}
+
+// Segments derives the trace's maximal same-type runs in order, tiling
+// [0, Len). It is computed on demand, not stored: the runs are counted
+// first so the result is allocated once, at its exact size.
+func (c *Columns) Segments() []Segment {
+	n := 0
+	for i := 0; i < len(c.typ); i = c.RunEnd(i) {
+		n++
+	}
+	segs := make([]Segment, 0, n)
+	for i := 0; i < len(c.typ); {
+		end := c.RunEnd(i)
+		segs = append(segs, Segment{Start: i, End: end, Type: BranchType(c.typ[i])})
+		i = end
+	}
+	return segs
+}
 
 // Taken returns record i's outcome bit.
 func (c *Columns) Taken(i int) bool {
@@ -133,9 +147,9 @@ func (c *Columns) Record(i int) Record {
 	}
 }
 
-// Append adds one record, maintaining the segmentation, the per-class
-// counts, and the instruction total incrementally. It clears the cached
-// validation (the record is not checked here).
+// Append adds one record, maintaining the per-class counts and the
+// instruction total incrementally. It clears the cached validation (the
+// record is not checked here).
 func (c *Columns) Append(r Record) {
 	i := len(c.typ)
 	c.pc = append(c.pc, r.PC)
@@ -148,11 +162,6 @@ func (c *Columns) Append(r Record) {
 	if r.Taken {
 		c.taken[uint(i)>>6] |= 1 << (uint(i) & 63)
 	}
-	if n := len(c.segs); n > 0 && c.segs[n-1].Type == r.Type {
-		c.segs[n-1].End = i + 1
-	} else {
-		c.segs = append(c.segs, Segment{Start: i, End: i + 1, Type: r.Type})
-	}
 	if r.Type.Valid() {
 		c.counts[r.Type]++
 	}
@@ -160,9 +169,9 @@ func (c *Columns) Append(r Record) {
 	c.validated = false
 }
 
-// finalize rebuilds the segmentation, per-class counts, and instruction
-// total from the filled typ/instrBefore columns. The spill decoder fills
-// the columns by index (no per-record Append) and then calls this once.
+// finalize rebuilds the per-class counts and the instruction total from the
+// filled typ/instrBefore columns. The spill decoder fills the columns by
+// index (no per-record Append) and then calls this once.
 //
 //blbp:hot
 func (c *Columns) finalize() {
@@ -172,30 +181,7 @@ func (c *Columns) finalize() {
 		instr += int64(ib)
 	}
 	c.instructions = instr + int64(len(c.instrBefore))
-	// Pass 1: count the runs so the segment slice can be sized exactly.
-	nseg := 0
-	prev := uint8(0xFF)
 	for _, t := range c.typ {
-		if t != prev {
-			nseg++
-			prev = t
-		}
-	}
-	if cap(c.segs) < nseg {
-		c.segs = make([]Segment, nseg)
-	}
-	c.segs = c.segs[:nseg]
-	// Pass 2: fill segments by index and accumulate per-class counts.
-	si := -1
-	prev = 0xFF
-	for i, t := range c.typ {
-		if t != prev {
-			si++
-			c.segs[si] = Segment{Start: i, End: i + 1, Type: BranchType(t)}
-			prev = t
-		} else {
-			c.segs[si].End = i + 1
-		}
 		if t < numBranchTypes {
 			c.counts[t]++
 		}
@@ -203,37 +189,19 @@ func (c *Columns) finalize() {
 }
 
 // Validate checks every record for internal consistency — the same two
-// conditions as Record.Validate, checked per segment and per bitset word
-// instead of per record. A successful result is cached; Append clears it.
+// conditions as Record.Validate. A successful result is cached; Append
+// clears it.
 func (c *Columns) Validate() error {
 	if c.validated {
 		return nil
 	}
-	for _, seg := range c.segs {
-		if !seg.Type.Valid() {
-			return fmt.Errorf("record %d: trace: invalid branch type %d", seg.Start, uint8(seg.Type))
+	for i, t := range c.typ {
+		bt := BranchType(t)
+		if !bt.Valid() {
+			return fmt.Errorf("record %d: trace: invalid branch type %d", i, t)
 		}
-		if seg.Type.IsConditional() {
-			continue
-		}
-		// Unconditional classes must be all-taken: every bit in [Start, End)
-		// must be set. Check whole words with boundary masks.
-		for w := seg.Start >> 6; w <= (seg.End-1)>>6; w++ {
-			want := ^uint64(0)
-			if w == seg.Start>>6 {
-				want <<= uint(seg.Start) & 63
-			}
-			if w == (seg.End-1)>>6 && seg.End&63 != 0 {
-				want &= 1<<(uint(seg.End)&63) - 1
-			}
-			if got := c.taken[w] & want; got != want {
-				// Locate the first offending record for the error message.
-				for i := seg.Start; i < seg.End; i++ {
-					if !c.Taken(i) {
-						return fmt.Errorf("record %d: trace: %v branch at pc=%#x marked not taken", i, seg.Type, c.pc[i])
-					}
-				}
-			}
+		if !bt.IsConditional() && !c.Taken(i) {
+			return fmt.Errorf("record %d: trace: %v branch at pc=%#x marked not taken", i, bt, c.pc[i])
 		}
 	}
 	c.validated = true

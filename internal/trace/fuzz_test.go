@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +50,60 @@ func TestReadHugeCountRejected(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	if _, err := Read(&buf); err == nil {
 		t.Error("absurd record count accepted")
+	}
+}
+
+// TestDecodersLyingRecordCount pins both trace decoders' allocation when a
+// header claims 2^24 records but the body holds one valid record. Each
+// decoder reserves at most 64K records before any record verifies, so the
+// decode fails at the missing second record having allocated about 1.4 MB;
+// reserving the claimed count would commit about 350 MB first.
+func TestDecodersLyingRecordCount(t *testing.T) {
+	one := columnsOf("x", Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true})
+	var plain, spill bytes.Buffer
+	if err := Write(&plain, one); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSpillColumns(&spill, SpillHeader{Name: one.Name}, one); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		// countAt is the offset of the header's one-byte record count:
+		// after the magic and the name, and for SPL3 the one-byte seed,
+		// instruction budget and fingerprint.
+		countAt int
+		decode  func([]byte) (*Columns, error)
+	}{
+		{"BLBPTRC1", plain.Bytes(), 8 + 2, func(b []byte) (*Columns, error) { return Read(bytes.NewReader(b)) }},
+		{"SPL3", spill.Bytes(), 8 + 2 + 3, func(b []byte) (*Columns, error) {
+			_, c, err := ReadSpillColumns(bytes.NewReader(b))
+			return c, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.data[tc.countAt] != 1 {
+				t.Fatalf("byte %d of the honest encoding is %#x, not its record count 1", tc.countAt, tc.data[tc.countAt])
+			}
+			if c, err := tc.decode(tc.data); err != nil || c.Len() != 1 {
+				t.Fatalf("honest one-record input did not decode to one record: %v", err)
+			}
+			lying := binary.AppendUvarint(append([]byte(nil), tc.data[:tc.countAt]...), 1<<24)
+			lying = append(lying, tc.data[tc.countAt+1:]...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := tc.decode(lying)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Error("a header claiming 2^24 records over one record decoded")
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("decoding the lying header allocated %d bytes (error: %v)", alloc, err)
+			if alloc >= 4<<20 {
+				t.Errorf("decoding the lying header allocated %d bytes, want < 4 MB", alloc)
+			}
+		})
 	}
 }
 

@@ -25,27 +25,25 @@ type siteInfo struct {
 }
 
 // Analyze computes statistics over a trace. Totals and per-class counts
-// come from the columns' precomputed aggregates; only the indirect segments
-// are walked for the per-site target sets.
+// come from the columns' aggregates; only the indirect records are visited
+// for the per-site target sets.
 func Analyze(c *Columns) *Stats {
 	s := &Stats{Name: c.Name, Instructions: c.Instructions(), targets: make(map[uint64]*siteInfo)}
 	for t := BranchType(0); t < numBranchTypes; t++ {
 		s.Count[t] = c.Count(t)
 	}
 	pc, target := c.PC(), c.Target()
-	for _, seg := range c.Segments() {
-		if !seg.Type.IsIndirect() {
+	for i, t := range c.Types() {
+		if !BranchType(t).IsIndirect() {
 			continue
 		}
-		for i := seg.Start; i < seg.End; i++ {
-			site := s.targets[pc[i]]
-			if site == nil {
-				site = &siteInfo{targets: make(map[uint64]struct{})}
-				s.targets[pc[i]] = site
-			}
-			site.targets[target[i]] = struct{}{}
-			site.execs++
+		site := s.targets[pc[i]]
+		if site == nil {
+			site = &siteInfo{targets: make(map[uint64]struct{})}
+			s.targets[pc[i]] = site
 		}
+		site.targets[target[i]] = struct{}{}
+		site.execs++
 	}
 	return s
 }

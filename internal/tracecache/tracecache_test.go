@@ -40,7 +40,7 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 }
 
 // TestBudgetCountsTrueBytes: the byte budget charges each entry what its
-// trace really holds (Columns.Bytes: spare capacity and segments included).
+// trace really holds (Columns.Bytes: spare capacity included).
 // Two traces fit a budget of exactly their bytes, and one byte less evicts
 // the older.
 func TestBudgetCountsTrueBytes(t *testing.T) {

@@ -1,9 +1,7 @@
 package wspec
 
 import (
-	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"blbp/internal/trace"
@@ -13,53 +11,47 @@ import (
 // lenBytes is what c's arrays would occupy at exactly their lengths: the
 // floor Columns.Bytes (capacities) is measured against.
 func lenBytes(c *trace.Columns) int64 {
-	segBytes := int64(reflect.TypeOf(trace.Segment{}).Size())
 	return int64(len(c.PC())+len(c.Target())+len(c.TakenWords()))*8 + int64(len(c.InstrBefore()))*4 +
-		int64(len(c.Types())) + int64(len(c.Segments()))*segBytes
+		int64(len(c.Types()))
 }
 
-// recomputeSegments derives the class segmentation from the type column
-// alone: the maximal runs of equal types.
-func recomputeSegments(types []uint8) []trace.Segment {
-	var segs []trace.Segment
-	for i, t := range types {
-		if n := len(segs); n > 0 && segs[n-1].Type == trace.BranchType(t) {
-			segs[n-1].End = i + 1
-		} else {
-			segs = append(segs, trace.Segment{Start: i, End: i + 1, Type: trace.BranchType(t)})
-		}
-	}
-	return segs
-}
+// maxSuiteBytesPerRecord bounds the built suite's Columns.Bytes per record.
+// The five record columns take 21 bytes plus one taken bit per record, and
+// capacity slack adds a little; a stored segmentation (about 15 bytes per
+// record at the suite's 1.57 records per run) would not fit.
+const maxSuiteBytesPerRecord = 24
 
 // TestSuiteBuildAllocatesOnce builds the 88-workload suite at the scale
 // results/ is made at and checks that the generators allocate each trace's
-// columns about once, at close to their final size: the whole build
-// allocates at most 1.25× the bytes the built traces occupy, each trace's
-// capacity stays within 1.15× of its length, and the segmentation Append
-// maintained equals one recomputed from the types.
+// columns about once, at close to their final size, and that the traces
+// hold only their records: the whole build allocates at most 1.25× the
+// bytes the built traces occupy, each trace's capacity stays within 1.15×
+// of its length, and the suite holds at most maxSuiteBytesPerRecord bytes
+// per record.
 func TestSuiteBuildAllocatesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full suite at base 600000")
 	}
 	var before, after runtime.MemStats
-	var alloc, held int64
+	var alloc, held, records int64
 	for _, s := range Suite(600_000) {
 		runtime.ReadMemStats(&before)
 		c := s.Build()
 		runtime.ReadMemStats(&after)
 		alloc += int64(after.TotalAlloc - before.TotalAlloc)
 		held += c.Bytes()
+		records += int64(c.Len())
 		if c.Bytes() > lenBytes(c)*115/100 {
-			t.Errorf("%s: %d bytes of capacity for %d bytes of records and segments (> 1.15×)", s.Name, c.Bytes(), lenBytes(c))
-		}
-		if got, want := c.Segments(), recomputeSegments(c.Types()); !slices.Equal(got, want) {
-			t.Errorf("%s: %d segments, recomputation gives %d", s.Name, len(got), len(want))
+			t.Errorf("%s: %d bytes of capacity for %d bytes of records (> 1.15×)", s.Name, c.Bytes(), lenBytes(c))
 		}
 	}
-	t.Logf("building the suite allocated %d bytes for %d bytes of traces (%.2f×)", alloc, held, float64(alloc)/float64(held))
+	t.Logf("building the suite allocated %d bytes for %d bytes of traces (%.2f×), %.2f bytes per record",
+		alloc, held, float64(alloc)/float64(held), float64(held)/float64(records))
 	if alloc > held*125/100 {
 		t.Errorf("building the suite allocated %.2f× the traces' bytes, want ≤ 1.25×", float64(alloc)/float64(held))
+	}
+	if held > records*maxSuiteBytesPerRecord {
+		t.Errorf("the suite's traces hold %.2f bytes per record, want ≤ %d", float64(held)/float64(records), maxSuiteBytesPerRecord)
 	}
 }
 

@@ -54,6 +54,7 @@ go test -fuzz '^FuzzWorkloadSpecDecode$' -fuzztime 5s -run xxx ./internal/wspec/
 go test -fuzz FuzzBatchEquivalence -fuzztime 5s -run xxx ./internal/batch/
 go test -fuzz FuzzColumnarEquivalence -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
+go test -fuzz FuzzReadContainer -fuzztime 5s -run xxx ./internal/snapshot/
 # Replay differential smoke: the seed-corpus differential (the
 # record-at-a-time oracle vs sim.Run, tape replay, the consolidated
 # predictor, and the spill round trip) must hold without the fuzz engine.
