@@ -42,7 +42,7 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkPredict$$|BenchmarkPredictUpdate|BenchmarkOnCond' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkFolded|BenchmarkFoldFromScratch' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkServing|BenchmarkPoolDrain' -benchmem ./internal/batch/
-	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkTapeReplay' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkTapeReplay|BenchmarkTapeMemo' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkDrawCDF' -benchmem ./internal/workload/
 	$(GO) test -run xxx -bench 'BenchmarkSpecBuild' -benchmem ./internal/wspec/
 	$(GO) test -run xxx -bench 'BenchmarkReadSpill' -benchmem ./internal/trace/

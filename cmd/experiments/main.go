@@ -282,8 +282,11 @@ func writeCSV(dir string, out runspec.RenderedOutput) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return out.Table.WriteCSV(f)
+	if err := out.Table.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printList enumerates everything a plan can reference.

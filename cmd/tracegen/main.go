@@ -164,13 +164,19 @@ func runDumpSpec(args []string) error {
 	return err
 }
 
+// writeSpec builds s's trace and writes it to path. The trace is built
+// before the file is created, so a build that fails leaves no empty file.
 func writeSpec(s blbp.WorkloadSpec, path string) error {
+	tr := s.Build()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return blbp.WriteTrace(f, s.Build())
+	if err := blbp.WriteTrace(f, tr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runInspect(args []string) error {

@@ -483,10 +483,10 @@ func (p *ITTAGE) OnOther(pc, target uint64, bt trace.BranchType) {
 // OnCond per record, with the interface dispatch amortized over the run.
 func (p *ITTAGE) OnCondSpan(c *trace.Columns, start, end int) {
 	p.ghist.ShiftRun(c.TakenWords(), start, end)
-	pc := c.PC()
+	edges := c.Edges()
 	phist := p.phist
-	for i := start; i < end; i++ {
-		phist = (phist<<1 ^ pc[i]>>2) & 0xFFFF
+	for _, k := range c.EdgeIndex()[start:end] {
+		phist = (phist<<1 ^ edges[k].PC>>2) & 0xFFFF
 	}
 	p.phist = phist
 	p.lastOK = false
@@ -495,10 +495,10 @@ func (p *ITTAGE) OnCondSpan(c *trace.Columns, start, end int) {
 // OnOtherSpan implements predictor.SpanFeeder: only the path history
 // advances, one whole segment per call.
 func (p *ITTAGE) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {
-	pc := c.PC()
+	edges := c.Edges()
 	phist := p.phist
-	for i := start; i < end; i++ {
-		phist = (phist<<1 ^ pc[i]>>2) & 0xFFFF
+	for _, k := range c.EdgeIndex()[start:end] {
+		phist = (phist<<1 ^ edges[k].PC>>2) & 0xFFFF
 	}
 	p.phist = phist
 	p.lastOK = false

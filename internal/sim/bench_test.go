@@ -8,6 +8,7 @@ import (
 	"blbp/internal/core"
 	"blbp/internal/ittage"
 	"blbp/internal/predictor"
+	"blbp/internal/trace"
 	"blbp/internal/workload"
 )
 
@@ -28,17 +29,22 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
+// tapeBenchTrace builds the 600K-instruction interpreter workload the tape
+// benchmarks replay.
+func tapeBenchTrace() *trace.Columns {
+	return workload.InterpreterSpec("tape-replay", "T", 600_000, workload.InterpreterParams{
+		Opcodes: 110, ProgramLen: 280, Work: 180, CondPerHandler: 2,
+		CondNoise: 0.003, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 30,
+	}).Build()
+}
+
 // BenchmarkTapeReplay times Tape.Run's shared-conditional replay, the loop
 // ablation passes spend their time in: each op replays one 600K-instruction
 // interpreter workload into a fresh BTB + ITTAGE + BLBP pass. The tape's
 // conditional and RAS memos are filled, and each op's predictors built,
 // outside the timer, so ns/op is the indirect replay alone.
 func BenchmarkTapeReplay(b *testing.B) {
-	spec := workload.InterpreterSpec("tape-replay", "T", 600_000, workload.InterpreterParams{
-		Opcodes: 110, ProgramLen: 280, Work: 180, CondPerHandler: 2,
-		CondNoise: 0.003, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 30,
-	})
-	tape, err := NewTape(spec.Build())
+	tape, err := NewTape(tapeBenchTrace())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,5 +68,27 @@ func BenchmarkTapeReplay(b *testing.B) {
 		if _, err := tape.Run("hp", cp, inds, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTapeMemo times the tape's memo loops, the conditional/RAS side
+// every headline pass pays once per trace: each op fills the conditional
+// memo (a default hashed perceptron over the whole trace) and the RAS memo
+// of a fresh tape over the interpreter workload BenchmarkTapeReplay uses.
+// The trace, the tape and the predictor are built outside the timer.
+func BenchmarkTapeMemo(b *testing.B) {
+	cols := tapeBenchTrace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tape, err := NewTape(cols)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
+		b.StartTimer()
+		tape.condMispredicts("hp", cp)
+		tape.returnMispredicts(Options{}.rasDepth())
 	}
 }

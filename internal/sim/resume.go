@@ -52,7 +52,7 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 	stack := pr.stack
 	shared := &pr.shared
 	perPred := pr.perPred
-	pc, target, typ := cols.PC(), cols.Target(), cols.Types()
+	edges, idx, typ := cols.Edges(), cols.EdgeIndex(), cols.Types()
 	tt, hasTT := cp.(cond.TargetTrainer)
 
 	for s, en := pr.next, 0; s < stop; s = en {
@@ -61,68 +61,73 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 		case trace.CondDirect:
 			shared.CondBranches += int64(en - s)
 			for i := s; i < en; i++ {
+				e := edges[idx[i]]
 				taken := cols.Taken(i)
-				if cp.Predict(pc[i]) != taken {
+				if cp.Predict(e.PC) != taken {
 					shared.CondMispredicts++
 				}
 				if hasTT {
-					tt.TrainWithTarget(pc[i], taken, target[i])
+					tt.TrainWithTarget(e.PC, taken, e.Target)
 				} else {
-					cp.Train(pc[i], taken)
+					cp.Train(e.PC, taken)
 				}
-				cp.UpdateHistory(pc[i], taken)
+				cp.UpdateHistory(e.PC, taken)
 				for _, ip := range indirects {
-					ip.OnCond(pc[i], taken)
+					ip.OnCond(e.PC, taken)
 				}
 			}
 
 		case trace.IndirectJump, trace.IndirectCall:
 			isCall := bt == trace.IndirectCall
 			for i := s; i < en; i++ {
+				e := edges[idx[i]]
 				for j := range indirects {
 					ip := indirects[j]
 					perPred[j].IndirectBranches++
-					pred, ok := ip.Predict(pc[i])
+					pred, ok := ip.Predict(e.PC)
 					if !ok {
 						perPred[j].NoPrediction++
 						perPred[j].IndirectMispredicts++
-					} else if pred != target[i] {
+					} else if pred != e.Target {
 						perPred[j].IndirectMispredicts++
 					}
-					ip.Update(pc[i], target[i])
+					ip.Update(e.PC, e.Target)
 				}
 				if isCall {
-					stack.Push(pc[i] + instructionSize)
+					stack.Push(e.PC + instructionSize)
 				}
-				cp.OnOther(pc[i], target[i], bt)
+				cp.OnOther(e.PC, e.Target, bt)
 			}
 
 		case trace.Return:
 			shared.Returns += int64(en - s)
 			for i := s; i < en; i++ {
-				if !stack.Predict(target[i]) {
+				e := edges[idx[i]]
+				if !stack.Predict(e.Target) {
 					shared.ReturnMispredicts++
 				}
-				cp.OnOther(pc[i], target[i], trace.Return)
+				cp.OnOther(e.PC, e.Target, trace.Return)
 				for _, ip := range indirects {
-					ip.OnOther(pc[i], target[i], trace.Return)
+					ip.OnOther(e.PC, e.Target, trace.Return)
 				}
 			}
 
 		case trace.DirectCall:
 			for i := s; i < en; i++ {
-				stack.Push(pc[i] + instructionSize)
-				cp.OnOther(pc[i], target[i], trace.DirectCall)
+				e := edges[idx[i]]
+				stack.Push(e.PC + instructionSize)
+				cp.OnOther(e.PC, e.Target, trace.DirectCall)
 				for _, ip := range indirects {
-					ip.OnOther(pc[i], target[i], trace.DirectCall)
+					ip.OnOther(e.PC, e.Target, trace.DirectCall)
 				}
 			}
 
 		case trace.UncondDirect:
 			for i := s; i < en; i++ {
-				cp.OnOther(pc[i], target[i], trace.UncondDirect)
+				e := edges[idx[i]]
+				cp.OnOther(e.PC, e.Target, trace.UncondDirect)
 				for _, ip := range indirects {
-					ip.OnOther(pc[i], target[i], trace.UncondDirect)
+					ip.OnOther(e.PC, e.Target, trace.UncondDirect)
 				}
 			}
 		}

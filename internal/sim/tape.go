@@ -92,26 +92,28 @@ func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
 // within and across runs is the trace order.
 func (tp *Tape) simulateCond(cp cond.Predictor) int64 {
 	tt, hasTT := cp.(cond.TargetTrainer)
-	pc, target, typ := tp.cols.PC(), tp.cols.Target(), tp.cols.Types()
+	edges, idx, typ := tp.cols.Edges(), tp.cols.EdgeIndex(), tp.cols.Types()
 	var mis int64
-	for s, e := 0, 0; s < len(typ); s = e {
-		e = tp.cols.RunEnd(s)
+	for s, end := 0, 0; s < len(typ); s = end {
+		end = tp.cols.RunEnd(s)
 		if bt := trace.BranchType(typ[s]); bt == trace.CondDirect {
-			for i := s; i < e; i++ {
+			for i := s; i < end; i++ {
+				e := edges[idx[i]]
 				taken := tp.cols.Taken(i)
-				if cp.Predict(pc[i]) != taken {
+				if cp.Predict(e.PC) != taken {
 					mis++
 				}
 				if hasTT {
-					tt.TrainWithTarget(pc[i], taken, target[i])
+					tt.TrainWithTarget(e.PC, taken, e.Target)
 				} else {
-					cp.Train(pc[i], taken)
+					cp.Train(e.PC, taken)
 				}
-				cp.UpdateHistory(pc[i], taken)
+				cp.UpdateHistory(e.PC, taken)
 			}
 		} else {
-			for i := s; i < e; i++ {
-				cp.OnOther(pc[i], target[i], bt)
+			for i := s; i < end; i++ {
+				e := edges[idx[i]]
+				cp.OnOther(e.PC, e.Target, bt)
 			}
 		}
 	}
@@ -132,18 +134,18 @@ func (tp *Tape) returnMispredicts(depth int) int64 {
 	tp.mu.Unlock()
 	m.once.Do(func() {
 		stack := ras.New(depth)
-		pc, target, typ := tp.cols.PC(), tp.cols.Target(), tp.cols.Types()
+		edges, idx, typ := tp.cols.Edges(), tp.cols.EdgeIndex(), tp.cols.Types()
 		var mis int64
 		for s, e := 0, 0; s < len(typ); s = e {
 			e = tp.cols.RunEnd(s)
 			switch trace.BranchType(typ[s]) {
 			case trace.DirectCall, trace.IndirectCall:
 				for i := s; i < e; i++ {
-					stack.Push(pc[i] + instructionSize)
+					stack.Push(edges[idx[i]].PC + instructionSize)
 				}
 			case trace.Return:
 				for i := s; i < e; i++ {
-					if !stack.Predict(target[i]) {
+					if !stack.Predict(edges[idx[i]].Target) {
 						mis++
 					}
 				}
@@ -184,7 +186,7 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 	retMis := tp.returnMispredicts(opts.rasDepth())
 
 	perPred := make([]Result, len(indirects))
-	pc, target := tp.cols.PC(), tp.cols.Target()
+	edges, idx := tp.cols.Edges(), tp.cols.EdgeIndex()
 	spans := make([]predictor.SpanFeeder, len(indirects))
 	for i, ip := range indirects {
 		if sf, ok := ip.(predictor.SpanFeeder); ok {
@@ -192,45 +194,46 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 		}
 	}
 	typ := tp.cols.Types()
-	for s, e := 0, 0; s < len(typ); s = e {
-		e = tp.cols.RunEnd(s)
+	for s, end := 0, 0; s < len(typ); s = end {
+		end = tp.cols.RunEnd(s)
 		switch bt := trace.BranchType(typ[s]); bt {
 		case trace.CondDirect:
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnCondSpan(tp.cols, s, e)
+					spans[j].OnCondSpan(tp.cols, s, end)
 					continue
 				}
-				for i := s; i < e; i++ {
-					ip.OnCond(pc[i], tp.cols.Taken(i))
+				for i := s; i < end; i++ {
+					ip.OnCond(edges[idx[i]].PC, tp.cols.Taken(i))
 				}
 			}
 		case trace.IndirectJump, trace.IndirectCall:
 			for j, ip := range indirects {
-				var branches, mispredicts, noPred int64
-				for i := s; i < e; i++ {
-					branches++
-					pred, ok := ip.Predict(pc[i])
+				var mispredicts, noPred int64
+				for _, k := range idx[s:end] {
+					e := edges[k]
+					pred, ok := ip.Predict(e.PC)
 					if !ok {
 						noPred++
 						mispredicts++
-					} else if pred != target[i] {
+					} else if pred != e.Target {
 						mispredicts++
 					}
-					ip.Update(pc[i], target[i])
+					ip.Update(e.PC, e.Target)
 				}
-				perPred[j].IndirectBranches += branches
+				perPred[j].IndirectBranches += int64(end - s)
 				perPred[j].IndirectMispredicts += mispredicts
 				perPred[j].NoPrediction += noPred
 			}
 		default: // Return, DirectCall, UncondDirect
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnOtherSpan(tp.cols, s, e, bt)
+					spans[j].OnOtherSpan(tp.cols, s, end, bt)
 					continue
 				}
-				for i := s; i < e; i++ {
-					ip.OnOther(pc[i], target[i], bt)
+				for i := s; i < end; i++ {
+					e := edges[idx[i]]
+					ip.OnOther(e.PC, e.Target, bt)
 				}
 			}
 		}

@@ -3,14 +3,19 @@ package trace
 import "fmt"
 
 // Columns is the in-memory trace, stored columnar (structure-of-arrays):
-// one parallel array per Record field plus a packed taken bitset. The
-// layout serves the replay hot path — `sim` walks millions of records per
-// pass, and an array-of-structs layout would make every pass pay a 6-way
-// type switch, a bounds-checked struct load, and a per-record Taken byte
-// for fields most classes never touch. The columnar layout streams each
-// field contiguously, and RunEnd lets replay loops find the maximal
-// same-type runs in the type column as they go, hoisting the type dispatch
-// (and any per-class interface assertions) out of the per-record path.
+// one parallel array per record field plus a packed taken bitset. A
+// record's PC and target are stored once per trace, not once per record:
+// the trace keeps a table of its distinct (PC, target) pairs, its edges,
+// and each record holds a uint32 index into that table. A generator's
+// trace has about a thousand edges however many records it holds, so the
+// 4-byte index column stands in for two 8-byte address columns. The layout
+// serves the replay hot path — `sim` walks millions of records per pass,
+// and an array-of-structs layout would make every pass pay a 6-way type
+// switch, a bounds-checked struct load, and a per-record Taken byte for
+// fields most classes never touch. The columnar layout streams each field
+// contiguously, and RunEnd lets replay loops find the maximal same-type
+// runs in the type column as they go, hoisting the type dispatch (and any
+// per-class interface assertions) out of the per-record path.
 // Record(i) materializes one record for cold paths.
 //
 // The runs are maximal runs of identical BranchType, not per-class index
@@ -18,7 +23,7 @@ import "fmt"
 // interleaved record stream in original order, so the only reordering-free
 // decomposition is by runs. Replaying the runs in order visits every record
 // exactly once in trace order. No segmentation is stored: at about 1.6
-// records per run it would cost more bytes than the PC column.
+// records per run it would cost more bytes than the edge index column.
 //
 // A Columns is built once (by a workload generator, a decoder, or Append)
 // and is read-only afterwards: the accessor methods return the underlying
@@ -28,11 +33,13 @@ type Columns struct {
 	// Name identifies the workload the trace came from.
 	Name string
 
-	pc          []uint64
-	target      []uint64
+	edge        []uint32 // record i's PC and target are edges[edge[i]]
 	instrBefore []uint32
 	typ         []uint8
 	taken       []uint64 // bitset, bit i = record i's outcome
+
+	edges []Edge   // the distinct (PC, target) pairs, in first-seen order
+	slots []uint32 // intern's open-addressing index: edge index + 1, 0 = empty
 
 	counts       [numBranchTypes]int64
 	instructions int64
@@ -40,6 +47,9 @@ type Columns struct {
 	// validated caches a successful Validate; Append clears it.
 	validated bool
 }
+
+// Edge is one distinct (PC, target) pair of a trace.
+type Edge struct{ PC, Target uint64 }
 
 // Segment is one maximal run of same-typed records: indices [Start, End).
 type Segment struct {
@@ -54,16 +64,17 @@ func NewColumns(name string, n int) *Columns {
 	return c
 }
 
-// Grow ensures capacity for n records, reallocating each column at most
-// once, to exactly n (lengths stay unchanged). A caller that can estimate
-// a trace's final length calls Grow with it rather than leave Append to
-// grow the columns step by step.
+// Grow ensures capacity for n records, reallocating each record column at
+// most once, to exactly n (lengths stay unchanged). A caller that can
+// estimate a trace's final length calls Grow with it rather than leave
+// Append to grow the columns step by step. The edge table is not reserved:
+// its size depends on the records, not their count, and it grows by
+// doubling as edges arrive.
 func (c *Columns) Grow(n int) {
 	if n <= cap(c.typ) {
 		return
 	}
-	c.pc = append(make([]uint64, 0, n), c.pc...)
-	c.target = append(make([]uint64, 0, n), c.target...)
+	c.edge = append(make([]uint32, 0, n), c.edge...)
 	c.instrBefore = append(make([]uint32, 0, n), c.instrBefore...)
 	c.typ = append(make([]uint8, 0, n), c.typ...)
 	if words := (n + 63) / 64; cap(c.taken) < words {
@@ -72,9 +83,11 @@ func (c *Columns) Grow(n int) {
 }
 
 // Bytes returns the heap bytes the trace's arrays hold: capacity times
-// element size, summed over the five record columns.
+// element size, summed over the four record columns, the edge table and
+// its interning index.
 func (c *Columns) Bytes() int64 {
-	return int64(cap(c.pc)+cap(c.target)+cap(c.taken))*8 + int64(cap(c.instrBefore))*4 + int64(cap(c.typ))
+	return int64(cap(c.edges))*16 + int64(cap(c.taken))*8 +
+		int64(cap(c.edge)+cap(c.instrBefore)+cap(c.slots))*4 + int64(cap(c.typ))
 }
 
 // Len returns the number of records.
@@ -92,11 +105,12 @@ func (c *Columns) Count(t BranchType) int64 {
 	return c.counts[t]
 }
 
-// PC, Target, InstrBefore, Types and TakenWords return the underlying
-// column arrays (shared; callers must not mutate them). Hot loops hoist
-// these calls and index the slices directly.
-func (c *Columns) PC() []uint64          { return c.pc }
-func (c *Columns) Target() []uint64      { return c.target }
+// Edges, EdgeIndex, InstrBefore, Types and TakenWords return the
+// underlying arrays (shared; callers must not mutate them): record i's PC
+// and target are Edges()[EdgeIndex()[i]]. Hot loops hoist these calls and
+// index the slices directly.
+func (c *Columns) Edges() []Edge         { return c.edges }
+func (c *Columns) EdgeIndex() []uint32   { return c.edge }
 func (c *Columns) InstrBefore() []uint32 { return c.instrBefore }
 func (c *Columns) Types() []uint8        { return c.typ }
 func (c *Columns) TakenWords() []uint64  { return c.taken }
@@ -138,22 +152,22 @@ func (c *Columns) Taken(i int) bool {
 // Record materializes record i (a convenience for tests and cold paths; hot
 // loops read the columns directly).
 func (c *Columns) Record(i int) Record {
+	e := c.edges[c.edge[i]]
 	return Record{
-		PC:          c.pc[i],
-		Target:      c.target[i],
+		PC:          e.PC,
+		Target:      e.Target,
 		InstrBefore: c.instrBefore[i],
 		Type:        BranchType(c.typ[i]),
 		Taken:       c.Taken(i),
 	}
 }
 
-// Append adds one record, maintaining the per-class counts and the
-// instruction total incrementally. It clears the cached validation (the
-// record is not checked here).
+// Append adds one record, interning its (PC, target) pair and maintaining
+// the per-class counts and the instruction total incrementally. It clears
+// the cached validation (the record is not checked here).
 func (c *Columns) Append(r Record) {
 	i := len(c.typ)
-	c.pc = append(c.pc, r.PC)
-	c.target = append(c.target, r.Target)
+	c.edge = append(c.edge, c.intern(Edge{r.PC, r.Target}))
 	c.instrBefore = append(c.instrBefore, r.InstrBefore)
 	c.typ = append(c.typ, uint8(r.Type))
 	if i&63 == 0 {
@@ -167,6 +181,46 @@ func (c *Columns) Append(r Record) {
 	}
 	c.instructions += int64(r.InstrBefore) + 1
 	c.validated = false
+}
+
+// intern returns e's index in the edge table, adding e on first sight. The
+// table is indexed by a power-of-two array of slots, searched by linear
+// probing and rebuilt at twice the size when half full. The table itself
+// doubles when full: append's 1.25× steps would allocate several times the
+// final table for a trace whose edges keep coming. An index is below the
+// record count, which the decoders cap at 2^32, so it fits a uint32; only a
+// trace of 2^32 records that are all distinct edges would wrap a slot's
+// index + 1, and it panics instead.
+func (c *Columns) intern(e Edge) uint32 {
+	if 2*len(c.edges) >= len(c.slots) {
+		c.slots = make([]uint32, max(64, 2*len(c.slots)))
+		for k, old := range c.edges {
+			*c.slot(old) = uint32(k) + 1
+		}
+	}
+	s := c.slot(e)
+	if *s == 0 {
+		if len(c.edges) == cap(c.edges) {
+			c.edges = append(make([]Edge, 0, max(16, 2*cap(c.edges))), c.edges...)
+		}
+		c.edges = append(c.edges, e)
+		if *s = uint32(len(c.edges)); *s == 0 {
+			panic("trace: more than 2^32-1 distinct (PC, target) pairs")
+		}
+	}
+	return *s - 1
+}
+
+// slot returns the slot holding e's edge index, or the empty slot where it
+// belongs.
+func (c *Columns) slot(e Edge) *uint32 {
+	mask := uint64(len(c.slots) - 1)
+	h := (e.PC*0x9e3779b97f4a7c15 ^ e.Target) * 0xbf58476d1ce4e5b9
+	i := (h ^ h>>32) & mask
+	for c.slots[i] != 0 && c.edges[c.slots[i]-1] != e {
+		i = (i + 1) & mask
+	}
+	return &c.slots[i]
 }
 
 // finalize rebuilds the per-class counts and the instruction total from the
@@ -201,7 +255,7 @@ func (c *Columns) Validate() error {
 			return fmt.Errorf("record %d: trace: invalid branch type %d", i, t)
 		}
 		if !bt.IsConditional() && !c.Taken(i) {
-			return fmt.Errorf("record %d: trace: %v branch at pc=%#x marked not taken", i, bt, c.pc[i])
+			return fmt.Errorf("record %d: trace: %v branch at pc=%#x marked not taken", i, bt, c.edges[c.edge[i]].PC)
 		}
 	}
 	c.validated = true
@@ -224,8 +278,7 @@ func (c *Columns) growCapped(need, total int) {
 // extend lengthens every column to n records within the current capacity,
 // zeroing the new taken words, so a decoder can fill records by index.
 func (c *Columns) extend(n int) {
-	c.pc = c.pc[:n]
-	c.target = c.target[:n]
+	c.edge = c.edge[:n]
 	c.instrBefore = c.instrBefore[:n]
 	c.typ = c.typ[:n]
 	for words := (n + 63) / 64; len(c.taken) < words; {

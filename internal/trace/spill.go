@@ -124,7 +124,7 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	}
 	var buf [binary.MaxVarintLen64]byte
 	scratch := make([]byte, 0, spillBlockRecords*8)
-	pc, target, instr := c.pc, c.target, c.instrBefore
+	edges, idx, instr := c.edges, c.edge, c.instrBefore
 	for start := 0; start < c.Len(); start += spillBlockRecords {
 		end := start + spillBlockRecords
 		if end > c.Len() {
@@ -138,10 +138,11 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 				header |= 1 << 3
 			}
 			scratch = append(scratch, header)
+			e := edges[idx[i]]
 			scratch = binary.AppendUvarint(scratch, uint64(instr[i]))
-			scratch = binary.AppendUvarint(scratch, pc[i]^prevPC)
-			scratch = binary.AppendUvarint(scratch, target[i]^pc[i])
-			prevPC = pc[i]
+			scratch = binary.AppendUvarint(scratch, e.PC^prevPC)
+			scratch = binary.AppendUvarint(scratch, e.Target^e.PC)
+			prevPC = e.PC
 		}
 		n := binary.PutUvarint(buf[:], uint64(end-start))
 		if _, err := bw.Write(buf[:n]); err != nil {
@@ -220,7 +221,7 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // ReadSpillColumns decodes a complete spill file into columnar form: the
 // header, then every block, verified against its checksum, the header's
 // record count and the per-record validation. Each block is bulk-decoded
-// straight into the column arrays.
+// straight into the record columns and the edge table.
 func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	h, err := readSpillHeader(br)
@@ -236,7 +237,7 @@ func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 
 // readSpillBlocks decodes the block sequence into a Columns: each block is
 // bounds-checked and checksummed, then bulk-decoded by index into the
-// column arrays.
+// record columns.
 func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 	// Reserve at most 64K records up front: a corrupt record count must not
 	// commit gigabytes before any block verifies. Past that, growCapped
@@ -290,16 +291,16 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 }
 
 // decodeBlockColumns bulk-decodes one block's records (PC delta chain
-// starting at 0) straight into the column arrays at index base. data must
-// be consumed exactly. Validation is inlined — Record.Validate's two
+// starting at 0) straight into the record columns at index base, interning
+// each (PC, target) pair into the edge table. data must be consumed
+// exactly. Validation is inlined — Record.Validate's two
 // conditions plus the varint/overflow checks — and any malformation
 // reports false: the (cold) caller re-walks the block with blockError for
 // the diagnostic, so no error values are built on this path.
 //
 //blbp:hot
 func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
-	pcs := c.pc[base : base+nrec]
-	targets := c.target[base : base+nrec]
+	idx := c.edge[base : base+nrec]
 	instrs := c.instrBefore[base : base+nrec]
 	typs := c.typ[base : base+nrec]
 	var prevPC uint64
@@ -334,8 +335,7 @@ func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
 			return false
 		}
 		off += n
-		pcs[i] = pc
-		targets[i] = tgtDelta ^ pc
+		idx[i] = c.intern(Edge{pc, tgtDelta ^ pc})
 		instrs[i] = uint32(ib)
 		typs[i] = typ
 		if taken {

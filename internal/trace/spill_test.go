@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -53,11 +52,21 @@ func TestReadSpillHeaderOnly(t *testing.T) {
 	}
 }
 
-// bigSpillTrace spans several encoder blocks.
-func bigSpillTrace(records int) *Columns {
+// bigSpillTrace spans several encoder blocks. Its PCs never repeat, so
+// almost every record is a new edge: the edge table's worst case.
+func bigSpillTrace(records int) *Columns { return cyclingSpillTrace(records, records) }
+
+// cyclingSpillTrace is bigSpillTrace with its PC walk restarting every
+// period records, as a generator's loops revisit their branches. The record
+// pattern repeats every 105 records, so a period that is a multiple of 105
+// gives a trace of at most period edges however long it runs.
+func cyclingSpillTrace(records, period int) *Columns {
 	t := NewColumns("spill-big", records)
 	pc := uint64(0x400000)
 	for i := 0; i < records; i++ {
+		if i%period == 0 {
+			pc = 0x400000
+		}
 		switch i % 3 {
 		case 0:
 			t.Append(Record{PC: pc, Target: pc + 0x20, InstrBefore: uint32(i % 17), Type: CondDirect, Taken: i%2 == 0})
@@ -210,8 +219,9 @@ func TestReadSpillEmpty(t *testing.T) {
 }
 
 // TestSpillDecodeAllocatesAboutOnce decodes a 300K-record spill file. Past
-// the 64K-record reservation the columns grow by capped doubling, so the
-// decode allocates at most 3× the trace's Bytes. The BLBPTRC1 reader shares
+// the 64K-record reservation the record columns grow by capped doubling,
+// and the edge table and its index (almost every record here is a new
+// edge) by doubling, so the decode allocates at most 3× the trace's Bytes. The BLBPTRC1 reader shares
 // the growth rule and must decode the same trace exactly.
 func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	tr := bigSpillTrace(300_000)
@@ -243,11 +253,21 @@ func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 }
 
 // BenchmarkReadSpill decodes a spill file that fits the decoder's 64K-record
-// reservation and one that grows past it.
+// reservation and one that grows past it, each for a trace of all-new edges
+// (bigSpillTrace) and for one whose PCs cycle over 1,050 records, about as
+// many edges as a suite trace holds.
 func BenchmarkReadSpill(b *testing.B) {
-	for _, records := range []int{40_000, 300_000} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			tr := bigSpillTrace(records)
+	for _, bc := range []struct {
+		name            string
+		records, period int
+	}{
+		{"records=40000", 40_000, 40_000},
+		{"records=300000", 300_000, 300_000},
+		{"records=40000,period=1050", 40_000, 1050},
+		{"records=300000,period=1050", 300_000, 1050},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := cyclingSpillTrace(bc.records, bc.period)
 			var buf bytes.Buffer
 			if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
 				b.Fatal(err)

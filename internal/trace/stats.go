@@ -32,17 +32,18 @@ func Analyze(c *Columns) *Stats {
 	for t := BranchType(0); t < numBranchTypes; t++ {
 		s.Count[t] = c.Count(t)
 	}
-	pc, target := c.PC(), c.Target()
+	edges, idx := c.Edges(), c.EdgeIndex()
 	for i, t := range c.Types() {
 		if !BranchType(t).IsIndirect() {
 			continue
 		}
-		site := s.targets[pc[i]]
+		e := edges[idx[i]]
+		site := s.targets[e.PC]
 		if site == nil {
 			site = &siteInfo{targets: make(map[uint64]struct{})}
-			s.targets[pc[i]] = site
+			s.targets[e.PC] = site
 		}
-		site.targets[target[i]] = struct{}{}
+		site.targets[e.Target] = struct{}{}
 		site.execs++
 	}
 	return s

@@ -8,18 +8,20 @@ import (
 	"blbp/internal/workload"
 )
 
-// lenBytes is what c's arrays would occupy at exactly their lengths: the
-// floor Columns.Bytes (capacities) is measured against.
+// lenBytes is what c's record columns and edge table would occupy at
+// exactly their lengths: the floor Columns.Bytes (capacities, plus the
+// interning index) is measured against.
 func lenBytes(c *trace.Columns) int64 {
-	return int64(len(c.PC())+len(c.Target())+len(c.TakenWords()))*8 + int64(len(c.InstrBefore()))*4 +
-		int64(len(c.Types()))
+	return int64(len(c.Edges()))*16 + int64(len(c.TakenWords()))*8 +
+		int64(len(c.EdgeIndex())+len(c.InstrBefore()))*4 + int64(len(c.Types()))
 }
 
 // maxSuiteBytesPerRecord bounds the built suite's Columns.Bytes per record.
-// The five record columns take 21 bytes plus one taken bit per record, and
-// capacity slack adds a little; a stored segmentation (about 15 bytes per
-// record at the suite's 1.57 records per run) would not fit.
-const maxSuiteBytesPerRecord = 24
+// The four record columns take 9 bytes plus one taken bit per record, and
+// capacity slack and the per-trace edge tables (about a thousand edges
+// each) add a little; an 8-byte PC or target column (17 bytes per record
+// and up) would not fit.
+const maxSuiteBytesPerRecord = 12
 
 // TestSuiteBuildAllocatesOnce builds the 88-workload suite at the scale
 // results/ is made at and checks that the generators allocate each trace's

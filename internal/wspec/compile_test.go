@@ -185,13 +185,13 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 func TestCompositorFingerprintsDistinct(t *testing.T) {
 	mk := func(in string) uint64 { return MustCompile(mustDecode(t, in)).Fingerprint }
 	mixed := mk(`{"name": "m", "instructions": 1000, "generator": {"kind": "mixed", "parts": [
-		{"weight": 2, "generator": {"kind": "mono"}}, {"weight": 1, "generator": {"kind": "callbacks"}}]}}`)
+		{"weight": 2, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"weight": 1, "generator": {"kind": "callbacks", "params": {"Events": 4}}}]}}`)
 	reweighted := mk(`{"name": "m", "instructions": 1000, "generator": {"kind": "mixed", "parts": [
-		{"weight": 3, "generator": {"kind": "mono"}}, {"weight": 1, "generator": {"kind": "callbacks"}}]}}`)
+		{"weight": 3, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"weight": 1, "generator": {"kind": "callbacks", "params": {"Events": 4}}}]}}`)
 	seeded := mk(`{"name": "m", "instructions": 1000, "generator": {"kind": "mixed", "parts": [
-		{"weight": 2, "seed": 5, "generator": {"kind": "mono"}}, {"weight": 1, "generator": {"kind": "callbacks"}}]}}`)
+		{"weight": 2, "seed": 5, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"weight": 1, "generator": {"kind": "callbacks", "params": {"Events": 4}}}]}}`)
 	random := mk(`{"name": "m", "instructions": 1000, "generator": {"kind": "mixed", "random": true, "parts": [
-		{"weight": 2, "generator": {"kind": "mono"}}, {"weight": 1, "generator": {"kind": "callbacks"}}]}}`)
+		{"weight": 2, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"weight": 1, "generator": {"kind": "callbacks", "params": {"Events": 4}}}]}}`)
 	fps := map[uint64]string{mixed: "mixed"}
 	for fp, label := range map[uint64]string{reweighted: "reweighted", seeded: "seeded", random: "random"} {
 		if prev, dup := fps[fp]; dup {

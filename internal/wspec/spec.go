@@ -203,7 +203,10 @@ func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) er
 		if bank := paramsBank(params); bank < 0 || bank >= workload.MaxBank {
 			return bad("bank %d out of range [0, %d)", bank, workload.MaxBank)
 		}
-		return ws.validateDraw(n, params, at)
+		if err := ws.validateDraw(n, params, at); err != nil {
+			return err
+		}
+		return validateSizes(n, params, bad)
 	case "mixed":
 		if err := noLeafFields(n, bad); err != nil {
 			return err
@@ -217,9 +220,13 @@ func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) er
 		if len(n.Parts) == 0 {
 			return bad("mixed needs at least one part")
 		}
+		total := 0
 		for i := range n.Parts {
 			if n.Parts[i].Weight <= 0 {
 				return fmt.Errorf("wspec: spec %q: %s: mixed part %d: weight must be positive", ws.Name, at, i)
+			}
+			if total += n.Parts[i].Weight; total < 0 {
+				return fmt.Errorf("wspec: spec %q: %s: mixed part %d: weights overflow their sum", ws.Name, at, i)
 			}
 			if err := ws.validateNode(&n.Parts[i].Generator, fmt.Sprintf("%s: mixed part %d", at, i), depth+1, false); err != nil {
 				return err
@@ -317,6 +324,59 @@ func (ws *WorkloadSpec) validateDraw(n *Node, params factoryParams, at string) e
 		}
 		if r.Min > r.Max {
 			return fmt.Errorf("wspec: spec %q: %s: draw range for %q inverted (min %g > max %g)", ws.Name, at, name, r.Min, r.Max)
+		}
+	}
+	return nil
+}
+
+// minSizes lists the sizes each generator constructor panics without: the
+// named integer parameters must reach these minimums.
+var minSizes = map[string]map[string]int64{
+	"interpreter": {"Opcodes": 1, "ProgramLen": 1},
+	"vdispatch":   {"Classes": 1, "Sites": 1, "Objects": 1},
+	"switcher":    {"Tokens": 2},
+	"callbacks":   {"Events": 1},
+	"mono":        {"Sites": 1},
+	"recursive":   {"MinDepth": 1, "MaxDepth": 1},
+}
+
+// validateSizes checks the preconditions the generator constructors enforce
+// by panicking, over every value an integer parameter can take at build
+// time: its static value, or each value of its draw range. No integer
+// parameter may be negative, minSizes' parameters must reach their
+// minimums, a drawn bank must stay in range, and a recursive node's
+// MinDepth must never exceed its MaxDepth. It runs after validateDraw, so
+// every drawn integer parameter exists and has an integral, ordered range.
+func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error) error {
+	pv := reflect.ValueOf(params)
+	span := func(name string) (lo, hi int64) {
+		if r, ok := n.Draw[name]; ok {
+			return int64(r.Min), int64(r.Max)
+		}
+		v := pv.FieldByName(name).Int()
+		return v, v
+	}
+	for i := 0; i < pv.NumField(); i++ {
+		if pv.Field(i).Kind() != reflect.Int {
+			continue
+		}
+		name := pv.Type().Field(i).Name
+		lo, hi := span(name)
+		if least := minSizes[n.Kind][name]; lo < least {
+			if _, drawn := n.Draw[name]; drawn {
+				return bad("%s draw range for %q starts at %d, below its minimum %d", n.Kind, name, lo, least)
+			}
+			return bad("%s parameter %q is %d, below its minimum %d", n.Kind, name, lo, least)
+		}
+		if name == "Bank" && hi >= workload.MaxBank {
+			return bad("draw range for \"Bank\" ends at %d, out of range [0, %d)", hi, workload.MaxBank)
+		}
+	}
+	if n.Kind == "recursive" {
+		_, minDepth := span("MinDepth")
+		maxDepth, _ := span("MaxDepth")
+		if minDepth > maxDepth {
+			return bad("recursive needs MinDepth <= MaxDepth, but MinDepth can be %d and MaxDepth %d", minDepth, maxDepth)
 		}
 	}
 	return nil

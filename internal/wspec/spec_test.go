@@ -2,6 +2,7 @@ package wspec
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -65,7 +66,7 @@ func TestValidationErrors(t *testing.T) {
 			`wspec: spec "x": generator: phases needs at least one phase`},
 		{"mid phase open-ended", `{"name": "x", "instructions": 100, "generator": {"kind": "phases", "phases": [{"generator": {"kind": "mono"}}, {"until": 50, "generator": {"kind": "mono"}}]}}`,
 			`wspec: spec "x": generator: phase 0: boundary must be positive (only the last phase may run to the end)`},
-		{"non-increasing boundary", `{"name": "x", "instructions": 100, "generator": {"kind": "phases", "phases": [{"until": 50, "generator": {"kind": "mono"}}, {"until": 50, "generator": {"kind": "mono"}}]}}`,
+		{"non-increasing boundary", `{"name": "x", "instructions": 100, "generator": {"kind": "phases", "phases": [{"until": 50, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"until": 50, "generator": {"kind": "mono"}}]}}`,
 			`wspec: spec "x": generator: phase 1: boundary 50 not after previous 50`},
 		{"boundary past budget", `{"name": "x", "instructions": 100, "generator": {"kind": "phases", "phases": [{"until": 100, "generator": {"kind": "mono"}}, {"generator": {"kind": "mono"}}]}}`,
 			`wspec: spec "x": generator: phase 0: boundary 100 at or past the instruction budget 100`},
@@ -92,6 +93,71 @@ func TestValidationErrors(t *testing.T) {
 		}
 		if err.Error() != tc.want {
 			t.Errorf("%s:\n got  %q\n want %q", tc.label, err.Error(), tc.want)
+		}
+	}
+}
+
+// TestValidateRejectsBuildPanics pins Validate's check of each precondition
+// a generator constructor enforces by panicking, for a static parameter and
+// for a draw range that can produce a failing value, plus a random mix's
+// weight sum and a drawn bank. Every spec here used to pass validation; all
+// but the drawn bank could then panic in Build.
+func TestValidateRejectsBuildPanics(t *testing.T) {
+	const at = `wspec: spec "x": generator: `
+	cases := []struct {
+		label, node, want string
+	}{
+		{"interpreter Opcodes", `"kind": "interpreter", "params": {"Opcodes": 0, "ProgramLen": 40}`,
+			`interpreter parameter "Opcodes" is 0, below its minimum 1`},
+		{"interpreter Opcodes drawn", `"kind": "interpreter", "params": {"ProgramLen": 40}, "draw": {"Opcodes": {"min": -5, "max": 0}}`,
+			`interpreter draw range for "Opcodes" starts at -5, below its minimum 1`},
+		{"interpreter ProgramLen", `"kind": "interpreter", "params": {"Opcodes": 8}`,
+			`interpreter parameter "ProgramLen" is 0, below its minimum 1`},
+		{"interpreter ProgramLen drawn", `"kind": "interpreter", "params": {"Opcodes": 8}, "draw": {"ProgramLen": {"min": 0, "max": 9}}`,
+			`interpreter draw range for "ProgramLen" starts at 0, below its minimum 1`},
+		{"interpreter negative", `"kind": "interpreter", "params": {"Opcodes": 8, "ProgramLen": 40, "CondPerHandler": -1}`,
+			`interpreter parameter "CondPerHandler" is -1, below its minimum 0`},
+		{"vdispatch Classes", `"kind": "vdispatch", "params": {"Sites": 2, "Objects": 9}`,
+			`vdispatch parameter "Classes" is 0, below its minimum 1`},
+		{"vdispatch Sites drawn", `"kind": "vdispatch", "params": {"Classes": 2, "Objects": 9}, "draw": {"Sites": {"min": 0, "max": 3}}`,
+			`vdispatch draw range for "Sites" starts at 0, below its minimum 1`},
+		{"vdispatch Objects", `"kind": "vdispatch", "params": {"Classes": 2, "Sites": 2}`,
+			`vdispatch parameter "Objects" is 0, below its minimum 1`},
+		{"vdispatch negative", `"kind": "vdispatch", "params": {"Classes": 2, "Sites": 2, "Objects": 9, "MonoSites": -1}`,
+			`vdispatch parameter "MonoSites" is -1, below its minimum 0`},
+		{"vdispatch negative drawn", `"kind": "vdispatch", "params": {"Classes": 2, "Sites": 2, "Objects": 9}, "draw": {"AlternatingSites": {"min": -2, "max": 2}}`,
+			`vdispatch draw range for "AlternatingSites" starts at -2, below its minimum 0`},
+		{"switcher Tokens", `"kind": "switcher", "params": {"Tokens": 1}`,
+			`switcher parameter "Tokens" is 1, below its minimum 2`},
+		{"switcher Tokens drawn", `"kind": "switcher", "draw": {"Tokens": {"min": 1, "max": 4}}`,
+			`switcher draw range for "Tokens" starts at 1, below its minimum 2`},
+		{"callbacks Events", `"kind": "callbacks"`,
+			`callbacks parameter "Events" is 0, below its minimum 1`},
+		{"callbacks negative drawn", `"kind": "callbacks", "params": {"Events": 4}, "draw": {"Wrappers": {"min": -1, "max": 1}}`,
+			`callbacks draw range for "Wrappers" starts at -1, below its minimum 0`},
+		{"mono Sites", `"kind": "mono"`,
+			`mono parameter "Sites" is 0, below its minimum 1`},
+		{"mono Sites drawn", `"kind": "mono", "draw": {"Sites": {"min": 0, "max": 3}}`,
+			`mono draw range for "Sites" starts at 0, below its minimum 1`},
+		{"recursive MinDepth", `"kind": "recursive", "params": {"MaxDepth": 4}`,
+			`recursive parameter "MinDepth" is 0, below its minimum 1`},
+		{"recursive MaxDepth drawn", `"kind": "recursive", "params": {"MinDepth": 1}, "draw": {"MaxDepth": {"min": 0, "max": 4}}`,
+			`recursive draw range for "MaxDepth" starts at 0, below its minimum 1`},
+		{"recursive depths", `"kind": "recursive", "params": {"MinDepth": 3, "MaxDepth": 2}`,
+			`recursive needs MinDepth <= MaxDepth, but MinDepth can be 3 and MaxDepth 2`},
+		{"recursive depths drawn", `"kind": "recursive", "params": {"MaxDepth": 4}, "draw": {"MinDepth": {"min": 2, "max": 6}}`,
+			`recursive needs MinDepth <= MaxDepth, but MinDepth can be 6 and MaxDepth 4`},
+		{"recursive depths both drawn", `"kind": "recursive", "draw": {"MinDepth": {"min": 1, "max": 5}, "MaxDepth": {"min": 3, "max": 9}}`,
+			`recursive needs MinDepth <= MaxDepth, but MinDepth can be 5 and MaxDepth 3`},
+		{"mixed weight sum", `"kind": "mixed", "random": true, "parts": [{"weight": 4611686018427387904, "generator": {"kind": "mono", "params": {"Sites": 4}}}, {"weight": 4611686018427387904, "generator": {"kind": "mono", "params": {"Sites": 4}}}]`,
+			`mixed part 1: weights overflow their sum`},
+		{"bank drawn", `"kind": "mono", "params": {"Sites": 4}, "draw": {"Bank": {"min": 60, "max": 64}}`,
+			`draw range for "Bank" ends at 64, out of range [0, 64)`},
+	}
+	for _, tc := range cases {
+		in := `{"name": "x", "instructions": 1000, "generator": {` + tc.node + `}}`
+		if _, err := Decode([]byte(in)); err == nil || err.Error() != at+tc.want {
+			t.Errorf("%s: Decode error\n got  %v\n want %q", tc.label, err, at+tc.want)
 		}
 	}
 }
@@ -136,9 +202,46 @@ func TestEncodeDecodeFixedPoint(t *testing.T) {
 	}
 }
 
+// maxFuzzSize bounds every numeric parameter, draw bound and mix weight of
+// a spec FuzzWorkloadSpecDecode builds. Larger sizes are a matter of
+// allocation ceilings, not of validation.
+const maxFuzzSize = 4096
+
+// fuzzSized reports whether every numeric parameter, draw bound and mix
+// weight in n's tree is at most maxFuzzSize.
+func fuzzSized(n *Node) bool {
+	for _, r := range n.Draw {
+		if r.Min > maxFuzzSize || r.Max > maxFuzzSize {
+			return false
+		}
+	}
+	if params, err := decodeLeafParams(n.Kind, n.Params); err == nil {
+		pv := reflect.ValueOf(params)
+		for i := 0; i < pv.NumField(); i++ {
+			f := pv.Field(i)
+			if f.Kind() == reflect.Int && f.Int() > maxFuzzSize || f.Kind() == reflect.Float64 && f.Float() > maxFuzzSize {
+				return false
+			}
+		}
+	}
+	for i := range n.Parts {
+		if n.Parts[i].Weight > maxFuzzSize || !fuzzSized(&n.Parts[i].Generator) {
+			return false
+		}
+	}
+	for i := range n.Phases {
+		if !fuzzSized(&n.Phases[i].Generator) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzWorkloadSpecDecode mirrors runspec's FuzzRunPlanDecode: whatever
 // Decode accepts must validate, re-encode, and decode to a stable fixed
-// point.
+// point. An accepted generator spec of bounded sizes must also build: the
+// target compiles it, caps its budget at 2,000 instructions, and fails if
+// Build panics.
 func FuzzWorkloadSpecDecode(f *testing.F) {
 	f.Add([]byte(validSpec))
 	for _, ws := range append(SuiteSpecs(1_000, "s"), HoldoutSpecs(1_000)...) {
@@ -151,6 +254,12 @@ func FuzzWorkloadSpecDecode(f *testing.F) {
 		{"generator": {"kind": "mixed", "parts": [
 			{"weight": 3, "seed": 7, "generator": {"kind": "switcher", "draw": {"Tokens": {"min": 4, "max": 9}}}},
 			{"weight": 1, "generator": {"kind": "callbacks"}}]}}]}}`))
+	f.Add([]byte(`{"name": "m", "instructions": 100, "generator": {"kind": "mono"}}`))
+	f.Add([]byte(`{"name": "p", "instructions": 500, "generator": {"kind": "phases", "phases": [
+		{"until": 100, "generator": {"kind": "mono", "params": {"Sites": 3}}},
+		{"generator": {"kind": "mixed", "parts": [
+			{"weight": 3, "seed": 7, "generator": {"kind": "switcher", "draw": {"Tokens": {"min": 4, "max": 9}}}},
+			{"weight": 1, "generator": {"kind": "recursive", "params": {"MinDepth": 2}, "draw": {"MaxDepth": {"min": 2, "max": 5}}}}]}}]}}`))
 	f.Add([]byte(`{"name": "r", "generator": {"kind": "replay", "path": "x.spill"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := Decode(data)
@@ -175,5 +284,19 @@ func FuzzWorkloadSpecDecode(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("encode not a fixed point:\n%s\nvs\n%s", enc1, enc2)
 		}
+		if ws.Generator.Kind == "replay" || !fuzzSized(&ws.Generator) {
+			return
+		}
+		s, err := Compile(*ws)
+		if err != nil {
+			t.Fatalf("compiling a validated spec: %v", err)
+		}
+		s.Instructions = min(s.Instructions, 2_000)
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("building a validated spec panicked: %v\n%s", r, enc1)
+			}
+		}()
+		s.Build()
 	})
 }
