@@ -17,6 +17,8 @@
 package blbp
 
 import (
+	"io"
+
 	"blbp/internal/btb"
 	"blbp/internal/combined"
 	"blbp/internal/cond"
@@ -204,12 +206,22 @@ var (
 
 // Trace I/O -----------------------------------------------------------------
 
-// WriteTrace and ReadTrace encode traces in the compact binary format used
-// by cmd/tracegen.
-var (
-	WriteTrace = trace.Write
-	ReadTrace  = trace.Read
-)
+// WriteTrace encodes tr as an SPL3 trace file, the format cmd/tracegen
+// writes and cmd/blbpsim -trace reads. The header names tr and its
+// instruction count; its seed and fingerprint are 0, since a bare trace
+// carries no generator identity.
+func WriteTrace(w io.Writer, tr *Trace) error {
+	return trace.WriteSpillColumns(w, trace.SpillHeader{Name: tr.Name, Instructions: tr.Instructions()}, tr)
+}
+
+// ReadTrace decodes an SPL3 trace file, verifying every block's checksum
+// and record, and drops its header. A file in another format, such as one
+// an older tracegen wrote, fails with trace.ErrBadSpillMagic; running
+// tracegen gen again reproduces it in SPL3.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	_, tr, err := trace.ReadSpillColumns(r)
+	return tr, err
+}
 
 // NewPredictor constructs a registered standalone indirect predictor by
 // name with its default configuration ("blbp", "ittage", "btb", "btb2bit",

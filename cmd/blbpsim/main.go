@@ -16,8 +16,11 @@
 // -workload-spec compiles a declarative workload spec file (one JSON object
 // or an array; see internal/wspec) and simulates it instead of a built-in
 // workload — with an array, -workload selects which spec by name.
-// -list prints the available workloads and every registered predictor with
-// its default-config JSON, the baseline the overrides apply to.
+// -trace reads an SPL3 trace file, as tracegen gen writes it; a file in
+// another format, such as one an older tracegen wrote, is refused, and
+// tracegen gen reproduces it. -list prints the available workloads and
+// every registered predictor with its default-config JSON, the baseline
+// the overrides apply to.
 package main
 
 import (
@@ -78,7 +81,7 @@ func (c configFlags) Set(s string) error {
 func run(args []string) error {
 	fs := flag.NewFlagSet("blbpsim", flag.ContinueOnError)
 	workloadName := fs.String("workload", "", "workload name from the built-in suite")
-	traceFile := fs.String("trace", "", "trace file (from tracegen) instead of a workload")
+	traceFile := fs.String("trace", "", "SPL3 trace file (from tracegen gen) instead of a workload")
 	specFile := fs.String("workload-spec", "", "workload spec file (JSON) to compile and simulate instead of a built-in")
 	base := fs.Int64("base", 400_000, "instruction base for suite workloads")
 	preds := fs.String("predictors", "blbp,ittage,btb,vpc", "comma-separated predictors to run")
@@ -207,7 +210,11 @@ func loadTrace(workloadName, traceFile, specFile string, suites [][]blbp.Workloa
 			return nil, err
 		}
 		defer f.Close()
-		return blbp.ReadTrace(f)
+		tr, err := blbp.ReadTrace(f)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", traceFile, err)
+		}
+		return tr, nil
 	case workloadName != "":
 		for _, suite := range suites {
 			for _, s := range suite {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blbp"
+	"blbp/internal/trace"
 )
 
 func TestListRuns(t *testing.T) {
@@ -45,6 +48,57 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	f.Close()
 	if err := run([]string{"-trace", path, "-predictors", "blbp,ittage"}); err != nil {
 		t.Fatalf("run -trace: %v", err)
+	}
+}
+
+// TestTraceFileMatchesWorkload: simulating a workload's trace file renders
+// the CSV that simulating the workload itself renders.
+func TestTraceFileMatchesWorkload(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "eon.trc")
+	spec := blbp.Workloads(4000)[0]
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blbp.WriteTrace(f, spec.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, fromWorkload := filepath.Join(dir, "file.csv"), filepath.Join(dir, "workload.csv")
+	if err := run([]string{"-trace", path, "-csv", fromFile}); err != nil {
+		t.Fatalf("run -trace: %v", err)
+	}
+	if err := run([]string{"-workload", spec.Name, "-base", "4000", "-csv", fromWorkload}); err != nil {
+		t.Fatalf("run -workload: %v", err)
+	}
+	a, errA := os.ReadFile(fromFile)
+	b, errB := os.ReadFile(fromWorkload)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if string(a) != string(b) {
+		t.Errorf("-trace CSV differs from -workload CSV:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestTraceFileRefusesOldFormat: a file in BLBPTRC1, the format tracegen
+// wrote before SPL3, is refused as not-SPL3 with a pointer to tracegen gen.
+func TestTraceFileRefusesOldFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.trc")
+	// Magic, name "wl", one taken CondDirect record: 3 instructions before,
+	// PC 0x400000, target 0x400020.
+	if err := os.WriteFile(path, []byte("BLBPTRC1\x02wl\x01\x08\x03\x80\x80\x80\x02\x20"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-trace", path})
+	if !errors.Is(err, trace.ErrBadSpillMagic) {
+		t.Fatalf("-trace of a BLBPTRC1 file: err = %v, want ErrBadSpillMagic", err)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "tracegen gen") {
+		t.Errorf("error %q should name the file and say to regenerate it with tracegen gen", err)
 	}
 }
 

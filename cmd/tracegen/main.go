@@ -10,10 +10,17 @@
 //	tracegen dumpspec [-base N] 252.eon
 //	tracegen list
 //
+// gen writes each trace as an SPL3 file (internal/trace) whose header is
+// the spec's full identity: name, seed, instruction budget and parameter
+// fingerprint. blbpsim -trace simulates such a file, a "replay" workload
+// spec names it, and a trace cache whose spill directory holds it (under
+// the cache's .blbptrc extension) serves it without running the generator.
 // gen -spec compiles every declarative workload spec in the JSON file (one
 // object or an array; see internal/wspec) and writes each spec's trace to
-// -dir (or a single spec to -out). dumpspec prints a built-in workload as
-// the equivalent spec JSON — the starting point for authoring variants.
+// -dir (or a single spec to -out). inspect prints a trace file's branch
+// mix; it refuses a file in another format, such as one an older tracegen
+// wrote, which gen reproduces. dumpspec prints a built-in workload as the
+// equivalent spec JSON — the starting point for authoring variants.
 package main
 
 import (
@@ -24,6 +31,7 @@ import (
 
 	"blbp"
 	"blbp/internal/report"
+	"blbp/internal/trace"
 	"blbp/internal/wspec"
 )
 
@@ -164,15 +172,16 @@ func runDumpSpec(args []string) error {
 	return err
 }
 
-// writeSpec builds s's trace and writes it to path. The trace is built
-// before the file is created, so a build that fails leaves no empty file.
+// writeSpec builds s's trace and writes it to path under s's identity. The
+// trace is built before the file is created, so a build that fails leaves
+// no empty file.
 func writeSpec(s blbp.WorkloadSpec, path string) error {
 	tr := s.Build()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := blbp.WriteTrace(f, tr); err != nil {
+	if err := trace.WriteSpillColumns(f, s.Identity().SpillHeader(), tr); err != nil {
 		f.Close()
 		return err
 	}
@@ -190,7 +199,7 @@ func runInspect(args []string) error {
 	defer f.Close()
 	tr, err := blbp.ReadTrace(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", args[0], err)
 	}
 	st := blbp.AnalyzeTrace(tr)
 	tb := report.NewTable(

@@ -45,7 +45,7 @@ func ExampleSimulate() {
 	// BLBP beats the last-taken BTB: true
 }
 
-// Traces round-trip through the compact binary format.
+// Traces round-trip through SPL3 trace files, the format tracegen writes.
 func ExampleWriteTrace() {
 	spec := blbp.NewMonoWorkload("io", "docs", 10_000, blbp.MonoParams{Sites: 4, Work: 10})
 	tr := spec.Build()

@@ -28,9 +28,11 @@ type condEntry struct {
 	name string
 	doc  string
 	// defaultKey is the tape-sharing key of the default configuration.
-	// The hashed-perceptron and TAGE keys predate this layer
-	// (experiments.CondKeyHP/CondKeyTAGE), so plan-driven passes share
-	// tapes with code-driven ones.
+	// The hashed-perceptron and TAGE keys are the exported
+	// experiments.CondKeyHP/CondKeyTAGE. Outside this layer only perfbench
+	// uses them: its hot mode primes each cached tape's memo under
+	// CondKeyHP, so the plan-driven passes it then times find the memo
+	// filled, and its traced replay keys its passes the same way.
 	defaultKey string
 	def        func() any
 	build      func(cfg any) (cond.Predictor, error)

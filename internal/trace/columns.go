@@ -262,12 +262,13 @@ func (c *Columns) Validate() error {
 	return nil
 }
 
-// growCapped is the growth rule of the decoders of untrusted bytes: when
-// need records overflow the capacity, it at least doubles it, but never
-// past total, the record count the input's header declares. Capacity thus
-// stays within twice the records already read and verified, so a lying
-// header fails closed at its first bad record instead of committing memory
-// up front, while an honest trace is reallocated only O(log n) times.
+// growCapped is the growth rule of the SPL3 decoder, which reads untrusted
+// bytes: when need records overflow the capacity, it at least doubles it,
+// but never past total, the record count the input's header declares.
+// Capacity thus stays within twice the records already read and verified,
+// so a lying header fails closed at its first bad block instead of
+// committing memory up front, while an honest trace is reallocated only
+// O(log n) times.
 func (c *Columns) growCapped(need, total int) {
 	if need <= cap(c.typ) {
 		return

@@ -5,25 +5,26 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 // TestReadNeverPanicsOnGarbage feeds random byte strings (with and without
-// a valid magic prefix) to the decoder: it must fail cleanly, never panic,
-// and never allocate absurd amounts for corrupt length fields.
+// the BLBPSPL3 magic prefix) to the SPL3 decoder: it must fail cleanly,
+// never panic, and never allocate absurd amounts for corrupt length fields.
 func TestReadNeverPanicsOnGarbage(t *testing.T) {
 	f := func(seed int64, withMagic bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(512)
 		data := make([]byte, 0, n+8)
 		if withMagic {
-			data = append(data, magic[:]...)
+			data = append(data, spillMagic[:]...)
 		}
 		for i := 0; i < n; i++ {
 			data = append(data, byte(rng.Intn(256)))
 		}
-		tr, err := Read(bytes.NewReader(data))
+		_, tr, err := ReadSpillColumns(bytes.NewReader(data))
 		if err == nil {
 			// A random payload can occasionally decode; it must then be a
 			// fully valid trace.
@@ -40,123 +41,64 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-// TestReadHugeCountRejected ensures corrupt record counts are rejected
-// before allocation.
+// TestReadHugeCountRejected: a header record count above 2^32 is rejected
+// by the header probe and by the full decode, before any block is read.
 func TestReadHugeCountRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(0) // empty name
-	// A varint encoding an enormous record count.
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	if _, err := Read(&buf); err == nil {
-		t.Error("absurd record count accepted")
+	// The magic, an empty name, a zero seed, budget and fingerprint, then
+	// the smallest record count over the limit.
+	data := append(spillMagic[:len(spillMagic):len(spillMagic)], 0, 0, 0, 0)
+	data = binary.AppendUvarint(data, 1<<32+1)
+	if _, err := ReadSpillHeader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("header probe of a count of 2^32+1: err = %v, want the limit error", err)
+	}
+	if _, _, err := ReadSpillColumns(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("decode of a count of 2^32+1: err = %v, want the limit error", err)
 	}
 }
 
-// TestDecodersLyingRecordCount pins both trace decoders' allocation when a
-// header claims 2^24 records but the body holds one valid record. Each
-// decoder reserves at most 64K records before any record verifies, so the
-// decode fails at the missing second record having allocated about 1.4 MB;
-// reserving the claimed count would commit about 350 MB first.
+// TestDecodersLyingRecordCount pins the SPL3 decoder's allocation when a
+// header claims 2^24 records but the body holds one valid record. The
+// decoder reserves at most 64K records before any block verifies, so the
+// decode fails at the missing records having allocated about 0.7 MB;
+// reserving the claimed count would commit about 150 MB first.
 func TestDecodersLyingRecordCount(t *testing.T) {
 	one := columnsOf("x", Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true})
-	var plain, spill bytes.Buffer
-	if err := Write(&plain, one); err != nil {
-		t.Fatal(err)
-	}
+	var spill bytes.Buffer
 	if err := WriteSpillColumns(&spill, SpillHeader{Name: one.Name}, one); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		data []byte
+	t.Run("SPL3", func(t *testing.T) {
 		// countAt is the offset of the header's one-byte record count:
-		// after the magic and the name, and for SPL3 the one-byte seed,
-		// instruction budget and fingerprint.
-		countAt int
-		decode  func([]byte) (*Columns, error)
-	}{
-		{"BLBPTRC1", plain.Bytes(), 8 + 2, func(b []byte) (*Columns, error) { return Read(bytes.NewReader(b)) }},
-		{"SPL3", spill.Bytes(), 8 + 2 + 3, func(b []byte) (*Columns, error) {
-			_, c, err := ReadSpillColumns(bytes.NewReader(b))
-			return c, err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.data[tc.countAt] != 1 {
-				t.Fatalf("byte %d of the honest encoding is %#x, not its record count 1", tc.countAt, tc.data[tc.countAt])
-			}
-			if c, err := tc.decode(tc.data); err != nil || c.Len() != 1 {
-				t.Fatalf("honest one-record input did not decode to one record: %v", err)
-			}
-			lying := binary.AppendUvarint(append([]byte(nil), tc.data[:tc.countAt]...), 1<<24)
-			lying = append(lying, tc.data[tc.countAt+1:]...)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := tc.decode(lying)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Error("a header claiming 2^24 records over one record decoded")
-			}
-			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("decoding the lying header allocated %d bytes (error: %v)", alloc, err)
-			if alloc >= 4<<20 {
-				t.Errorf("decoding the lying header allocated %d bytes, want < 4 MB", alloc)
-			}
-		})
-	}
-}
-
-// TestReadHugeNameRejected ensures corrupt name lengths are rejected.
-func TestReadHugeNameRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // name length ~4G
-	if _, err := Read(&buf); err == nil {
-		t.Error("absurd name length accepted")
-	}
-}
-
-// FuzzRead is the native fuzz target for the trace decoder.
-func FuzzRead(f *testing.F) {
-	// Seed with a valid encoded trace and a few corruptions of it.
-	var buf bytes.Buffer
-	valid := columnsOf("seed",
-		Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true},
-		Record{PC: 0x400100, Target: 0x7f0000, InstrBefore: 12, Type: IndirectCall, Taken: true},
-	)
-	if err := Write(&buf, valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add(magic[:])
-	corrupt := append([]byte(nil), buf.Bytes()...)
-	if len(corrupt) > 12 {
-		corrupt[12] ^= 0xFF
-	}
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
+		// after the magic, the name, and the one-byte seed, instruction
+		// budget and fingerprint.
+		data, countAt := spill.Bytes(), 8+2+3
+		if data[countAt] != 1 {
+			t.Fatalf("byte %d of the honest encoding is %#x, not its record count 1", countAt, data[countAt])
 		}
-		// Successful decodes must be internally valid and re-encodable.
-		for i := 0; i < tr.Len(); i++ {
-			if vErr := tr.Record(i).Validate(); vErr != nil {
-				t.Fatalf("decoded invalid record: %v", vErr)
-			}
+		if _, c, err := ReadSpillColumns(bytes.NewReader(data)); err != nil || c.Len() != 1 {
+			t.Fatalf("honest one-record input did not decode to one record: %v", err)
 		}
-		var out bytes.Buffer
-		if err := Write(&out, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		lying := binary.AppendUvarint(append([]byte(nil), data[:countAt]...), 1<<24)
+		lying = append(lying, data[countAt+1:]...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadSpillColumns(bytes.NewReader(lying))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Error("a header claiming 2^24 records over one record decoded")
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("decoding the lying header allocated %d bytes (error: %v)", alloc, err)
+		if alloc >= 4<<20 {
+			t.Errorf("decoding the lying header allocated %d bytes, want < 4 MB", alloc)
 		}
 	})
 }
 
-// FuzzTraceRoundTrip drives the encoder and decoder together: fuzz bytes
-// are shaped into an arbitrary-but-valid trace, and Write -> Read ->
-// Write must reproduce both the records and the exact encoded bytes.
+// FuzzTraceRoundTrip drives the SPL3 encoder and decoder together: fuzz
+// bytes are shaped into an arbitrary-but-valid trace, and WriteSpillColumns
+// -> ReadSpillColumns -> WriteSpillColumns must reproduce the header, the
+// records and the exact encoded bytes.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("w", []byte{})
 	f.Add("loop", []byte{
@@ -189,13 +131,17 @@ func FuzzTraceRoundTrip(f *testing.F) {
 				Taken:       taken,
 			})
 		}
+		hdr := SpillHeader{Name: name, Instructions: tr.Instructions(), Records: int64(tr.Len())}
 		var enc bytes.Buffer
-		if err := Write(&enc, tr); err != nil {
+		if err := WriteSpillColumns(&enc, hdr, tr); err != nil {
 			t.Fatalf("encoding a valid trace failed: %v", err)
 		}
-		got, err := Read(bytes.NewReader(enc.Bytes()))
+		h, got, err := ReadSpillColumns(bytes.NewReader(enc.Bytes()))
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
+		}
+		if h != hdr {
+			t.Fatalf("round trip changed the header: %+v -> %+v", hdr, h)
 		}
 		if got.Name != tr.Name || got.Len() != tr.Len() {
 			t.Fatalf("round trip changed shape: name %q->%q, records %d->%d",
@@ -207,7 +153,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 		var re bytes.Buffer
-		if err := Write(&re, got); err != nil {
+		if err := WriteSpillColumns(&re, h, got); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		if !bytes.Equal(enc.Bytes(), re.Bytes()) {

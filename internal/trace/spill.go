@@ -8,16 +8,17 @@ import (
 	"io"
 )
 
-// A spill file is the persistent form the trace cache writes: a
-// self-describing header followed by the trace's records. The header
-// carries the full workload identity (name, seed, instruction budget,
-// parameter fingerprint) plus the record count, so a reader can decide
-// whether a file on disk really is the trace it wants — a bare payload
-// carries only the workload name, which is not enough once files outlive
-// the process that wrote them (stale seeds, renamed files, hash collisions
-// in the file name).
+// SPL3 is the one on-disk trace format. The trace cache spills to it,
+// tracegen writes it, and blbpsim, the replay workload kind and
+// blbp.ReadTrace read it. A file is a self-describing header followed by
+// the trace's records. The header carries the full workload identity
+// (name, seed, instruction budget, parameter fingerprint) plus the record
+// count, so a reader can decide whether a file on disk really is the trace
+// it wants: a name alone is not enough once files outlive the process
+// that wrote them (stale seeds, renamed files, hash collisions in the file
+// name).
 //
-// The format (SPL3) stores records in checksummed blocks:
+// The records are stored in checksummed blocks:
 //
 //	magic    "BLBPSPL3"                 (8 bytes)
 //	name     uvarint length + bytes     (workload name)
@@ -29,9 +30,17 @@ import (
 //	  nrec     uvarint                  (records in this block, 1..4096)
 //	  nbytes   uvarint                  (encoded size of this block, ≤ nrec × 26)
 //	  checksum 8 bytes little-endian    (FNV-64a of the block bytes)
-//	  payload  nbytes bytes             (nrec records, same per-record
-//	                                    encoding as BLBPTRC1; the PC delta
-//	                                    chain restarts at 0 in each block)
+//	  payload  nbytes bytes             (nrec records)
+//
+// Each record is encoded as:
+//
+//	header      1 byte: type (bits 0..2) | taken (bit 3)
+//	instrBefore uvarint
+//	pc          uvarint of pc XOR prevPC (prevPC is 0 at each block's start)
+//	target      uvarint of target XOR pc
+//
+// XOR deltas keep hot-loop records to a handful of bytes without requiring
+// monotonic addresses.
 //
 // Blocking serves the reader: each block is checksummed and then decoded
 // from one contiguous in-memory slice (binary.Uvarint over []byte instead
@@ -45,9 +54,10 @@ import (
 // The fingerprint hashes the workload's canonicalized generator parameters
 // (workload.FingerprintCanon), completing the identity: two workloads can
 // share a name, seed and budget yet generate different traces once specs
-// are user-authored data. Files in the older SPL1/SPL2 formats fail the
-// magic check: the spill directory is a cache, so such a file is a counted
-// miss followed by a generator rebuild.
+// are user-authored data. Files in older formats (older spill versions,
+// and the headerless files tracegen once wrote) fail the magic check. In
+// the trace cache's spill directory such a file is a counted miss followed
+// by a generator rebuild; a tool that reads a trace file reports it.
 
 var spillMagic = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '3'}
 
@@ -64,8 +74,9 @@ const spillBlockRecords = 4096
 const maxSpillRecordLen = 1 + 5 + 10 + 10
 
 // ErrBadSpillMagic is returned when decoding data that is not an SPL3
-// spill file (including bare BLBPTRC1 payloads and older spill formats).
-var ErrBadSpillMagic = errors.New("trace: bad magic (not a BLBP spill file)")
+// trace file, older formats included. The generators are deterministic,
+// so running tracegen gen again reproduces an old tracegen file in SPL3.
+var ErrBadSpillMagic = errors.New("trace: bad magic (not an SPL3 trace file; regenerate an old tracegen file with tracegen gen)")
 
 // ErrSpillMismatch is returned when a spill file's payload does not match
 // its own header (checksum, record count, or block structure), i.e. the

@@ -5,9 +5,33 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
+
+// columnsOf builds a trace from records in order.
+func columnsOf(name string, recs ...Record) *Columns {
+	c := NewColumns(name, len(recs))
+	for _, r := range recs {
+		c.Append(r)
+	}
+	return c
+}
+
+// sameRecords reports whether a and b hold the same name and records.
+func sameRecords(a, b *Columns) bool {
+	if a.Name != b.Name || a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Record(i) != b.Record(i) {
+			return false
+		}
+	}
+	return true
+}
 
 func spillTestTrace() *Columns {
 	return columnsOf("spill-wl",
@@ -155,17 +179,19 @@ func TestSpillOversizedBlockRejectedBeforeAlloc(t *testing.T) {
 	}
 }
 
+// TestReadSpillRejectsBarePayload: a one-record file in BLBPTRC1, the
+// headerless format tracegen wrote before SPL3, spelled out byte by byte,
+// must be recognizable as not-SPL3, so a cache prunes it and a tool
+// reports it instead of decoding it.
 func TestReadSpillRejectsBarePayload(t *testing.T) {
-	// The pre-header spill format was a bare BLBPTRC1 payload; it must be
-	// recognizable as not-a-spill so caches can prune stale files.
-	var buf bytes.Buffer
-	if err := Write(&buf, spillTestTrace()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadSpillColumns(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
+	data := append([]byte("BLBPTRC1"), 2, 'w', 'l', 1) // magic, name "wl", one record
+	data = append(data, 0x08, 3)                       // taken CondDirect, 3 instructions before
+	data = binary.AppendUvarint(data, 0x400000)        // PC, XOR the previous PC (0)
+	data = append(data, 0x20)                          // target 0x400020, XOR the PC
+	if _, _, err := ReadSpillColumns(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
 		t.Errorf("bare payload error = %v, want ErrBadSpillMagic", err)
 	}
-	if _, err := ReadSpillHeader(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSpillMagic) {
+	if _, err := ReadSpillHeader(bytes.NewReader(data)); !errors.Is(err, ErrBadSpillMagic) {
 		t.Errorf("header probe error = %v, want ErrBadSpillMagic", err)
 	}
 }
@@ -218,18 +244,99 @@ func TestReadSpillEmpty(t *testing.T) {
 	}
 }
 
+func TestWriteRejectsInvalidRecord(t *testing.T) {
+	tr := columnsOf("", Record{Type: BranchType(7), Taken: true})
+	var buf bytes.Buffer
+	if err := WriteSpillColumns(&buf, SpillHeader{}, tr); err == nil {
+		t.Error("WriteSpillColumns accepted invalid record")
+	}
+}
+
+func TestEmptyTraceRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSpillColumns(&buf, SpillHeader{}, NewColumns("", 0)); err != nil {
+		t.Fatalf("WriteSpillColumns: %v", err)
+	}
+	h, got, err := ReadSpillColumns(&buf)
+	if err != nil {
+		t.Fatalf("ReadSpillColumns: %v", err)
+	}
+	if h.Records != 0 || got.Len() != 0 {
+		t.Errorf("got %d records (header says %d), want 0", got.Len(), h.Records)
+	}
+}
+
+// randomTrace builds an arbitrary-but-valid trace from a rand source, used
+// by the property-based round-trip test.
+func randomTrace(r *rand.Rand) *Columns {
+	n := r.Intn(200)
+	tr := NewColumns("fuzz", n)
+	for i := 0; i < n; i++ {
+		rec := Record{
+			PC:          r.Uint64(),
+			Target:      r.Uint64(),
+			InstrBefore: uint32(r.Intn(1 << 16)),
+			Type:        BranchType(r.Intn(numBranchTypes)),
+		}
+		if rec.Type.IsConditional() {
+			rec.Taken = r.Intn(2) == 0
+		} else {
+			rec.Taken = true
+		}
+		tr.Append(rec)
+	}
+	return tr
+}
+
+// TestRoundTripProperty: random valid traces under random identities
+// round-trip through SPL3 with every header field and record intact.
+func TestRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		orig := randomTrace(r)
+		want := SpillHeader{Name: orig.Name, Seed: r.Int63() - r.Int63(), Instructions: r.Int63(), Fingerprint: r.Uint64(), Records: int64(orig.Len())}
+		var buf bytes.Buffer
+		if err := WriteSpillColumns(&buf, want, orig); err != nil {
+			t.Logf("WriteSpillColumns: %v", err)
+			return false
+		}
+		h, got, err := ReadSpillColumns(&buf)
+		if err != nil {
+			t.Logf("ReadSpillColumns: %v", err)
+			return false
+		}
+		return h == want && sameRecords(got, orig)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestEncodingIsCompact(t *testing.T) {
+	// A tight loop — same PC repeatedly — should compress far below the
+	// naive 25+ bytes/record encoding thanks to XOR deltas.
+	tr := NewColumns("loop", 1000)
+	for i := 0; i < 1000; i++ {
+		tr.Append(Record{PC: 0x400100, Target: 0x400000, InstrBefore: 5, Type: CondDirect, Taken: true})
+	}
+	var buf bytes.Buffer
+	if err := WriteSpillColumns(&buf, SpillHeader{Name: tr.Name}, tr); err != nil {
+		t.Fatalf("WriteSpillColumns: %v", err)
+	}
+	perRecord := float64(buf.Len()) / 1000
+	if perRecord > 8 {
+		t.Errorf("loop trace uses %.1f bytes/record, want <= 8", perRecord)
+	}
+}
+
 // TestSpillDecodeAllocatesAboutOnce decodes a 300K-record spill file. Past
 // the 64K-record reservation the record columns grow by capped doubling,
 // and the edge table and its index (almost every record here is a new
-// edge) by doubling, so the decode allocates at most 3× the trace's Bytes. The BLBPTRC1 reader shares
-// the growth rule and must decode the same trace exactly.
+// edge) by doubling, so the decode allocates at most 3× the trace's Bytes.
 func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	tr := bigSpillTrace(300_000)
-	var spill, plain bytes.Buffer
+	var spill bytes.Buffer
 	if err := WriteSpillColumns(&spill, SpillHeader{Name: tr.Name, Seed: 2, Instructions: 1e6}, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&plain, tr); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -246,9 +353,6 @@ func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	}
 	if !sameRecords(got, tr) {
 		t.Error("SPL3 decode differs from the encoded trace")
-	}
-	if got, err := Read(bytes.NewReader(plain.Bytes())); err != nil || !sameRecords(got, tr) {
-		t.Errorf("BLBPTRC1 decode differs from the encoded trace (error %v)", err)
 	}
 }
 

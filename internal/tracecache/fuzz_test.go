@@ -35,15 +35,13 @@ func FuzzSpillDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)-1]) // truncated payload
 	f.Add(valid[:12])           // truncated header
-	// The pre-header format: a bare trace payload. Must be rejected as
-	// not-a-spill, never decoded as one.
-	var bare bytes.Buffer
-	bareTr := trace.NewColumns("bare", 0)
-	bareTr.Append(trace.Record{PC: 0x400000, Target: 0x400020, InstrBefore: 1, Type: trace.CondDirect, Taken: true})
-	if err := trace.Write(&bare, bareTr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bare.Bytes())
+	// BLBPTRC1, the headerless format tracegen once wrote: magic, name
+	// "bare", one taken CondDirect record at 0x400000 → 0x400020 with one
+	// instruction before it. Must be rejected as not-a-spill, never
+	// decoded as one.
+	bare := append([]byte("BLBPTRC1"), 4, 'b', 'a', 'r', 'e', 1, 0x08, 1)
+	bare = binary.AppendUvarint(bare, 0x400000)
+	f.Add(append(bare, 0x20))
 	// A header claiming 2^32 records whose first block claims 2^32 records
 	// in 2^32 bytes: must be rejected on the block bound, before the reader
 	// allocates the claimed payload.

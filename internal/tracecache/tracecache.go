@@ -384,9 +384,8 @@ func spillName(id workload.Identity) string {
 // directory is fsynced — so a crash never leaves a partial (or silently
 // empty) file at a canonical name. See DESIGN.md §7.
 func writeSpill(path string, id workload.Identity, cols *trace.Columns) error {
-	h := trace.SpillHeader{Name: id.Name, Seed: id.Seed, Instructions: id.Instructions, Fingerprint: id.Fingerprint}
 	return snapshot.WriteFileAtomic(path, tempPattern, func(w io.Writer) error {
-		return trace.WriteSpillColumns(w, h, cols)
+		return trace.WriteSpillColumns(w, id.SpillHeader(), cols)
 	})
 }
 

@@ -203,6 +203,12 @@ func (s Spec) Identity() Identity {
 	return Identity{Name: s.Name, Seed: s.Seed, Instructions: s.Instructions, Fingerprint: s.Fingerprint}
 }
 
+// SpillHeader is the SPL3 file header that declares id: the header the
+// trace cache spills a trace under and tracegen writes a trace file with.
+func (id Identity) SpillHeader() trace.SpillHeader {
+	return trace.SpillHeader{Name: id.Name, Seed: id.Seed, Instructions: id.Instructions, Fingerprint: id.Fingerprint}
+}
+
 // Build synthesizes the trace for the spec.
 func (s Spec) Build() *trace.Columns {
 	if s.buildCols != nil {

@@ -159,7 +159,12 @@ func applyDraws(params factoryParams, fields []string, draw map[string]Range, rn
 // compileReplay lowers a replay spec: the recorded file's header supplies
 // the instruction budget and the fingerprint's source identity, and the
 // returned spec decodes the file on build (re-verifying its checksums),
-// renaming the columns to the spec.
+// renaming the columns to the spec. The source may be any SPL3 file: a
+// trace cache spill or a tracegen gen output. A build whose file no longer
+// carries the compile-time header panics, as a decode error does: the
+// spec's identity was derived from that header, so serving another trace
+// under it would let the trace cache key and spill it under the wrong
+// identity.
 func compileReplay(ws WorkloadSpec, seed int64) (workload.Spec, error) {
 	path := ws.Generator.Path
 	h, err := readHeader(path)
@@ -174,15 +179,25 @@ func compileReplay(ws WorkloadSpec, seed int64) (workload.Spec, error) {
 			panic(fmt.Sprintf("wspec: replaying %s: %v", path, err))
 		}
 		defer f.Close()
-		_, cols, err := trace.ReadSpillColumns(f)
+		got, cols, err := trace.ReadSpillColumns(f)
 		if err != nil {
 			panic(fmt.Sprintf("wspec: replaying %s: %v", path, err))
+		}
+		if got != h {
+			panic(fmt.Sprintf("wspec: replaying %s: the file holds %s, but the spec was compiled against %s",
+				path, headerString(got), headerString(h)))
 		}
 		cols.Name = name
 		return cols
 	}
 	return workload.NewReplaySpec(ws.Name, ws.Category, seed, h.Instructions,
 		workload.FingerprintCanon(canon), load), nil
+}
+
+// headerString spells out the identity and record count a replay source's
+// header declares.
+func headerString(h trace.SpillHeader) string {
+	return fmt.Sprintf("%s/%d/%d/%016x with %d records", h.Name, h.Seed, h.Instructions, h.Fingerprint, h.Records)
 }
 
 func readHeader(path string) (trace.SpillHeader, error) {

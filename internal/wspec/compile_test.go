@@ -2,6 +2,7 @@ package wspec
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,36 +127,54 @@ func TestPhasesSwitchGenerators(t *testing.T) {
 	}
 }
 
-func TestReplaySpecRoundTrip(t *testing.T) {
-	src := MustCompile(mustDecode(t, `{"name": "rec-src", "instructions": 15000,
-		"generator": {"kind": "callbacks", "params": {"Events": 5, "HandlerWork": 20}}}`))
+// writeReplaySource builds a callbacks workload of the given budget and
+// writes it to path as an SPL3 file under its identity, the way tracegen
+// gen does; it returns the trace.
+func writeReplaySource(t *testing.T, path string, instructions int) *trace.Columns {
+	t.Helper()
+	src := MustCompile(mustDecode(t, fmt.Sprintf(`{"name": "rec-src", "instructions": %d,
+		"generator": {"kind": "callbacks", "params": {"Events": 5, "HandlerWork": 20}}}`, instructions)))
 	cols := src.Build()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rec.spill")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := trace.SpillHeader{Name: src.Name, Seed: src.Seed, Instructions: src.Instructions, Fingerprint: src.Fingerprint}
-	if err := trace.WriteSpillColumns(f, h, cols); err != nil {
+	if err := trace.WriteSpillColumns(f, src.Identity().SpillHeader(), cols); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cols
+}
 
+// replayOf is a replay spec of the file at path.
+func replayOf(t *testing.T, name, path string) WorkloadSpec {
+	t.Helper()
 	raw, _ := json.Marshal(map[string]any{
-		"name":      "replayed",
+		"name":      name,
 		"generator": map[string]any{"kind": "replay", "path": path},
 	})
-	ws := mustDecode(t, string(raw))
-	rs, err := Compile(ws)
+	return mustDecode(t, string(raw))
+}
+
+func TestReplaySpecRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.spill")
+	cols := writeReplaySource(t, path, 15000)
+	rs, err := Compile(replayOf(t, "replayed", path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Instructions != src.Instructions {
-		t.Errorf("replay budget %d, recorded %d", rs.Instructions, src.Instructions)
+	if rs.Instructions != 15000 {
+		t.Errorf("replay budget %d, recorded 15000", rs.Instructions)
 	}
-	if rs.Fingerprint == 0 || rs.Fingerprint == src.Fingerprint {
-		t.Errorf("replay fingerprint %016x should be nonzero and distinct from source %016x", rs.Fingerprint, src.Fingerprint)
+	h, err := readHeader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Fingerprint == 0 || rs.Fingerprint == h.Fingerprint {
+		t.Errorf("replay fingerprint %016x should be nonzero and distinct from source %016x", rs.Fingerprint, h.Fingerprint)
 	}
 	got := rs.Build()
 	if got.Name != "replayed" {
@@ -171,14 +190,39 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 	}
 
 	// A missing file fails at compile time, not mid-run.
-	raw, _ = json.Marshal(map[string]any{
-		"name":      "gone",
-		"generator": map[string]any{"kind": "replay", "path": filepath.Join(dir, "nope.spill")},
-	})
-	if _, err := Compile(mustDecode(t, string(raw))); err == nil {
+	if _, err := Compile(replayOf(t, "gone", filepath.Join(dir, "nope.spill"))); err == nil {
 		t.Error("compiling a replay of a missing file succeeded")
 	} else if !strings.Contains(err.Error(), `spec "gone": reading replay source`) {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestReplaySpecSourceSwapped: a replay spec takes its identity from its
+// source's header at compile time, so a build must refuse a source that
+// was overwritten since. Serving the new trace would let the trace cache
+// key it, and spill it, under the old file's identity.
+func TestReplaySpecSourceSwapped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.spill")
+	writeReplaySource(t, path, 15000)
+	rs, err := Compile(replayOf(t, "replayed", path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeReplaySource(t, path, 30000)
+	var got *trace.Columns
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		got = rs.Build()
+		return nil
+	}()
+	if p == nil {
+		t.Fatalf("building a replay of an overwritten source served its %d records", got.Len())
+	}
+	msg := fmt.Sprint(p)
+	for _, want := range []string{path, "rec-src/", "/15000/", "/30000/"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not name %q", msg, want)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint), suppression/exceptions audit, autofix
 # smoke, build, race-enabled tests, perfbench vet/test/lint, fuzz smoke,
-# snapshot, warm-start, recycled-set, run-plan, and workload-spec round-trip
-# smokes, and a strict gofmt -s check. Run from the repository root (or
+# snapshot, trace-file, warm-start, recycled-set, run-plan, and
+# workload-spec round-trip smokes, and a strict gofmt -s check. Run from the repository root (or
 # `make ci`).
 set -eux
 
@@ -47,7 +47,6 @@ go test -run xxx -bench . -benchtime 1x ./...
 # Fuzz smoke: each native fuzz target gets a few seconds of coverage-guided
 # input on top of its seed corpus.
 go test -fuzz FuzzTraceRoundTrip -fuzztime 5s -run xxx ./internal/trace/
-go test -fuzz '^FuzzRead$' -fuzztime 5s -run xxx ./internal/trace/
 go test -fuzz FuzzSpillDecode -fuzztime 5s -run xxx ./internal/tracecache/
 go test -fuzz FuzzRunPlanDecode -fuzztime 5s -run xxx ./internal/runspec/
 go test -fuzz '^FuzzWorkloadSpecDecode$' -fuzztime 5s -run xxx ./internal/wspec/
@@ -72,6 +71,31 @@ go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
 	-csv "$sdir/resumed.csv" >/dev/null
 diff "$sdir/full.csv" "$sdir/resumed.csv"
 rm -rf "$sdir"
+# Trace-file smoke: tracegen writes SPL3 under the spec's identity, the one
+# trace file format. blbpsim -trace on the file must render the CSV that
+# blbpsim -workload renders at the same -base, and a replay spec of the
+# file, registered with experiments -workload-spec, must run in a plan.
+tdir=$(mktemp -d)
+go run ./cmd/tracegen gen -workload 252.eon -base 4000 -out "$tdir/eon.trc" >/dev/null
+go run ./cmd/blbpsim -trace "$tdir/eon.trc" -csv "$tdir/file.csv" >/dev/null
+go run ./cmd/blbpsim -workload 252.eon -base 4000 -csv "$tdir/workload.csv" >/dev/null
+diff "$tdir/file.csv" "$tdir/workload.csv"
+cat >"$tdir/replay.json" <<EOF
+{"name": "eon-replay", "category": "USER",
+ "generator": {"kind": "replay", "path": "$tdir/eon.trc"}}
+EOF
+cat >"$tdir/plan.json" <<'EOF'
+{
+  "name": "ci-replay-plan",
+  "suite": {"specs": ["eon-replay"]},
+  "passes": [{"predictors": [{"type": "blbp"}, {"type": "ittage"}]}],
+  "outputs": [{"table": "mpki", "file": "ci-replay"}]
+}
+EOF
+go run ./cmd/experiments -workload-spec "$tdir/replay.json" \
+	-plan "$tdir/plan.json" -csv "$tdir/out" >/dev/null
+grep -q "eon-replay" "$tdir/out/ci-replay.csv"
+rm -rf "$tdir"
 # Warm-start smoke: a second experiments run against a kept spill directory
 # must serve every trace from disk (0 generator builds) and emit
 # byte-identical CSVs. The warm run decodes its spill files through the
