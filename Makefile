@@ -10,10 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Static gate: go vet plus the repo's five invariant analyzers
-# (cmd/blbplint: determinism, hwbudget, satweights, atomics, hotalloc; no
-# fact-based provers). The machine-readable findings report, suppressed
-# entries included, lands in results/lint.json for tooling to consume.
+# Static gate: go vet plus the repo's five per-package invariant analyzers
+# (cmd/blbplint: determinism, hwbudget, satweights, atomics, hotalloc). The
+# machine-readable findings report, suppressed entries included and paths
+# relative to the repository root, lands in results/lint.json; CI fails
+# when the committed copy differs from what this target writes.
 lint:
 	$(GO) vet ./...
 	@mkdir -p results

@@ -9,9 +9,8 @@
 // Analyzer runs over one type-checked package at a time and reports
 // position-tagged diagnostics — but is built on the standard library only
 // (go/ast, go/types, and export data from `go list -export`), because this
-// repository carries no external dependencies. A whole-program analyzer
-// (atomics) implements a Collect phase that visits every package before any
-// Run and keeps what it learns in Program.Facts.
+// repository carries no external dependencies. Every analyzer is
+// per-package: none keeps state from one package to the next.
 //
 // Three comment directives drive the suite: //blbp:clamp marks the
 // saturating helpers satweights exempts, //blbp:hot marks the functions
@@ -32,10 +31,8 @@
 package analysis
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -48,30 +45,11 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// DefaultScope lists package-path suffixes the analyzer applies to
-	// (matched at path-segment boundaries); nil means every package.
-	// Program.Scopes overrides it per run.
-	DefaultScope []string
-	// Collect, when non-nil, runs over every package of the program before
-	// any Run call, letting a whole-program analyzer gather state into
-	// Program.Facts.
-	Collect func(*Pass)
+	// Scope lists package-path suffixes the analyzer applies to (matched
+	// at path-segment boundaries); nil means every package.
+	Scope []string
 	// Run reports diagnostics for one package.
 	Run func(*Pass) error
-}
-
-// TextEdit replaces the byte range [Start, End) of Filename with NewText.
-type TextEdit struct {
-	Filename string
-	Start    int
-	End      int
-	NewText  string
-}
-
-// SuggestedFix is a mechanical rewrite that resolves a diagnostic.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
 }
 
 // Diagnostic is one reported finding.
@@ -82,8 +60,6 @@ type Diagnostic struct {
 	// Suppressed marks diagnostics silenced by a //blbp:allow comment;
 	// they are kept (for auditing) but do not fail the build.
 	Suppressed bool
-	// Fix, when non-nil, is a rewrite `blbplint -fix` can apply.
-	Fix *SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -111,44 +87,16 @@ type Package struct {
 	malformed []Diagnostic
 }
 
-// Program is the full set of packages under analysis plus cross-package
-// state shared between Collect and Run phases.
+// Program is the full set of packages under analysis.
 type Program struct {
 	Packages []*Package
-	// Facts holds whole-program analyzer-private state keyed by analyzer;
-	// Collect writes it, Run reads it. The driver runs phases sequentially,
-	// so no locking.
-	Facts map[*Analyzer]interface{}
-	// Scopes overrides analyzers' DefaultScope by name: a missing entry
-	// keeps the default, a list containing "all" means every package.
-	Scopes map[string][]string
 }
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Program  *Program
 	report   func(Diagnostic)
-}
-
-// InScope reports whether the pass's package is inside the analyzer's
-// configured scope (Program.Scopes override, else DefaultScope; nil or
-// "all" means every package).
-func (p *Pass) InScope() bool {
-	scope, ok := p.Program.Scopes[p.Analyzer.Name]
-	if !ok {
-		scope = p.Analyzer.DefaultScope
-	}
-	if scope == nil {
-		return true
-	}
-	for _, s := range scope {
-		if s == "all" {
-			return true
-		}
-	}
-	return pathIn(p.Pkg.Path, scope)
 }
 
 // Reportf records a diagnostic at pos.
@@ -160,49 +108,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// ReportFix records a diagnostic carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...interface{}) {
-	p.report(Diagnostic{
-		Pos:      p.Pkg.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [from, to).
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	f, t := p.Pkg.Fset.Position(from), p.Pkg.Fset.Position(to)
-	return TextEdit{Filename: f.Filename, Start: f.Offset, End: t.Offset, NewText: newText}
-}
-
-// Render prints the node back to canonical Go source (for building fix
-// texts without re-reading the file).
-func (p *Pass) Render(n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, p.Pkg.Fset, n); err != nil {
-		return ""
-	}
-	return buf.String()
-}
-
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
 // ObjectOf returns the object denoted by id, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
-
-// objKey builds the cross-package identity key for an object: a field
-// reached through export data must unify with the same field in its
-// source-checked home package, so objects are keyed by package path and
-// name (conservatively: same-named objects of one package share a key).
-func objKey(obj types.Object) string {
-	pkg := ""
-	if obj.Pkg() != nil {
-		pkg = obj.Pkg().Path()
-	}
-	return pkg + ":" + obj.Name()
-}
 
 var allowRe = regexp.MustCompile(`^//blbp:allow\(([a-z,]+)\)\s+\S`)
 
@@ -293,32 +203,20 @@ func (pkg *Package) auditAllows(known, ran map[string]bool) []Diagnostic {
 	return diags
 }
 
-// Run executes the analyzers over the program: every Collect phase first
-// (in analyzer order, package order), then every Run, then the
-// allow-comment audit. Diagnostics are returned with
-// suppressions marked.
+// Run executes the analyzers over the program — each analyzer over every
+// package inside its Scope — then the allow-comment audit. Diagnostics
+// are returned with suppressions marked.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if prog.Facts == nil {
-		prog.Facts = map[*Analyzer]interface{}{}
-	}
 	var diags []Diagnostic
-	reporter := func(pkg *Package) func(Diagnostic) {
-		return func(d Diagnostic) {
-			d.Suppressed = pkg.allowedAt(d.Analyzer, d.Pos)
-			diags = append(diags, d)
-		}
-	}
-	for _, a := range analyzers {
-		if a.Collect == nil {
-			continue
-		}
-		for _, pkg := range prog.Packages {
-			a.Collect(&Pass{Analyzer: a, Pkg: pkg, Program: prog, report: reporter(pkg)})
-		}
-	}
 	for _, a := range analyzers {
 		for _, pkg := range prog.Packages {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Program: prog, report: reporter(pkg)}
+			if a.Scope != nil && !pathIn(pkg.Path, a.Scope) {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Pkg: pkg, report: func(d Diagnostic) {
+				d.Suppressed = pkg.allowedAt(d.Analyzer, d.Pos)
+				diags = append(diags, d)
+			}}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}

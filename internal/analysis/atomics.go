@@ -5,112 +5,37 @@ import (
 	"go/types"
 )
 
-// Atomics enforces all-or-nothing atomicity: a variable or struct field
-// that is accessed through sync/atomic anywhere in the program (the trace
-// cache's counters, the Runner's stats) must be accessed atomically
-// everywhere. A single plain load next to atomic stores is a data race the
-// race detector only catches when the schedule cooperates; the analyzer
-// catches it at compile time. Fields of the atomic.Int64-style wrapper
-// types are safe by construction and need no checking.
-//
-// The Collect phase walks every package recording the objects passed as
-// &x to sync/atomic calls; Run then flags any plain (non-atomic) use of
-// those objects program-wide.
+// Atomics forbids the package-level sync/atomic functions (atomic.AddInt64,
+// atomic.LoadUint32 and friends) everywhere. They operate on plain
+// variables, so nothing stops a neighbouring plain load or store of the
+// same variable: a data race the race detector only catches when the
+// schedule cooperates. Shared counters must be the typed atomics
+// (atomic.Int64 and friends, the trace cache's counters), whose value no
+// code can read or write except through the atomic methods — so atomic
+// everywhere holds by construction, with no program-wide bookkeeping.
 var Atomics = &Analyzer{
-	Name:    "atomics",
-	Doc:     "state touched via sync/atomic anywhere must be accessed atomically everywhere",
-	Collect: collectAtomics,
-	Run:     runAtomics,
-}
-
-// atomicFacts is the whole-program fact set: keys of objects known to be
-// accessed atomically, and the identifiers of the sanctioned &x arguments
-// themselves. Objects are keyed by package path and name rather than
-// types.Object identity because a field reached through export data is a
-// distinct object from the same field in its source-checked home package;
-// the name key unifies them (conservatively: same-named fields of two
-// structs in one package share a key).
-type atomicFacts struct {
-	objs    map[string]bool
-	blessed map[*ast.Ident]bool
-}
-
-func atomicsFactsOf(pass *Pass) *atomicFacts {
-	f, _ := pass.Program.Facts[pass.Analyzer].(*atomicFacts)
-	if f == nil {
-		f = &atomicFacts{objs: map[string]bool{}, blessed: map[*ast.Ident]bool{}}
-		pass.Program.Facts[pass.Analyzer] = f
-	}
-	return f
-}
-
-func collectAtomics(pass *Pass) {
-	facts := atomicsFactsOf(pass)
-	forEachAtomicArg(pass, func(id *ast.Ident) {
-		if obj := pass.ObjectOf(id); obj != nil {
-			facts.objs[objKey(obj)] = true
-		}
-		facts.blessed[id] = true
-	})
+	Name: "atomics",
+	Doc:  "no package-level sync/atomic functions: shared counters are typed atomics, which cannot be accessed plainly",
+	Run:  runAtomics,
 }
 
 func runAtomics(pass *Pass) error {
-	facts := atomicsFactsOf(pass)
-	if len(facts.objs) == 0 {
-		return nil
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || facts.blessed[id] {
-				return true
-			}
-			// Only uses count: the declaration of a field or var is not
-			// an access.
-			obj := pass.Pkg.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			if _, isVar := obj.(*types.Var); !isVar || !facts.objs[objKey(obj)] {
-				return true
-			}
-			pass.Reportf(id.Pos(), "%s is accessed via sync/atomic elsewhere; this plain access races with it (use the atomic API or an atomic.Int64-style field)", id.Name)
-			return true
-		})
-	}
-	return nil
-}
-
-// forEachAtomicArg invokes fn with the identifier at the core of every
-// &expr argument of a sync/atomic call in the package: the field name of
-// &x.f, or the identifier of &x.
-func forEachAtomicArg(pass *Pass, fn func(*ast.Ident)) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			callee := calleeFunc(pass, call)
-			if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
+			fn := calleeFunc(pass, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 				return true
 			}
-			if sig, ok := callee.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true // methods of atomic.Int64 etc. are safe by type
+			if fn.Type().(*types.Signature).Recv() != nil {
+				return true // a method of atomic.Int64 etc.: safe by type
 			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok {
-					continue
-				}
-				switch x := un.X.(type) {
-				case *ast.SelectorExpr:
-					fn(x.Sel)
-				case *ast.Ident:
-					fn(x)
-				}
-			}
+			pass.Reportf(call.Pos(), "atomic.%s operates on a plain variable that other code can still access plainly; declare it as a typed atomic (atomic.Int64 and friends)", fn.Name())
 			return true
 		})
 	}
+	return nil
 }

@@ -36,10 +36,10 @@ var determinismScope = []string{
 // goroutines that write captured variables directly instead of routing
 // results through the Runner's index-keyed reassembly cells.
 var Determinism = &Analyzer{
-	Name:         "determinism",
-	Doc:          "forbid time.Now, global math/rand, map ranges, and unkeyed goroutine writes in results-producing packages",
-	DefaultScope: determinismScope,
-	Run:          runDeterminism,
+	Name:  "determinism",
+	Doc:   "forbid time.Now, global math/rand, map ranges, and unkeyed goroutine writes in results-producing packages",
+	Scope: determinismScope,
+	Run:   runDeterminism,
 }
 
 // randAllowed lists package-level math/rand functions that are
@@ -47,9 +47,6 @@ var Determinism = &Analyzer{
 var randAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 func runDeterminism(pass *Pass) error {
-	if !pass.InScope() {
-		return nil
-	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {

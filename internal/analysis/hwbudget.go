@@ -1,11 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
-	"go/types"
 )
 
 // hwbudgetScope lists the packages modeling hardware structures: their
@@ -26,64 +23,19 @@ var hwbudgetScope = []string{
 	"internal/region",
 }
 
-// paperConfig holds the expected field values of one default-configuration
-// composite literal, cross-checked against the paper's configuration table
-// (§4.2, Table 2), plus which fields must be powers of two (maskable).
-type paperConfig struct {
-	fn     string           // constructor function to inspect
-	want   map[string]int64 // field -> paper value
-	pow2   []string         // fields that must be maskable
-	source string           // citation used in diagnostics
-}
-
-// paperTables maps a package (by path suffix) to its checked defaults.
-var paperTables = map[string]paperConfig{
-	"internal/core": {
-		fn: "DefaultConfig",
-		want: map[string]int64{
-			"K":            12,
-			"BitOffset":    2,
-			"TableEntries": 1024,
-			"WeightBits":   4,
-			"HistBits":     631,
-			"LocalEntries": 256,
-			"LocalBits":    10,
-			"ThetaInit":    18,
-		},
-		pow2:   []string{"TableEntries", "LocalEntries"},
-		source: "paper Table 2 (BLBP)",
-	},
-	"internal/ibtb": {
-		fn: "DefaultConfig",
-		want: map[string]int64{
-			"Sets":          64,
-			"Assoc":         64,
-			"TagBits":       8,
-			"RegionEntries": 128,
-			"OffsetBits":    20,
-			"RRIPBits":      2,
-		},
-		pow2:   []string{"Sets", "Assoc", "RegionEntries"},
-		source: "paper Table 2 (IBTB)",
-	},
-}
-
 // HWBudget enforces the hardware-budget discipline: predictor tables are
 // indexed by mask, never by modulo (a non-power-of-two reduction must go
-// through hashing.Index, the one audited reduction helper), and the
-// default configurations stay bit-for-bit on the paper's configuration
-// table so every reported MPKI is measured inside the declared budget.
+// through hashing.Index, the one audited reduction helper). The default
+// configurations' agreement with the paper's configuration table is held
+// by TestDefaultConfigMatchesPaper in internal/core and internal/ibtb.
 var HWBudget = &Analyzer{
-	Name:         "hwbudget",
-	Doc:          "table indices must be masks (no %) and default configs must match the paper's configuration table",
-	DefaultScope: hwbudgetScope,
-	Run:          runHWBudget,
+	Name:  "hwbudget",
+	Doc:   "table indices must be masks (no %)",
+	Scope: hwbudgetScope,
+	Run:   runHWBudget,
 }
 
 func runHWBudget(pass *Pass) error {
-	if !pass.InScope() {
-		return nil
-	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			idx, ok := n.(*ast.IndexExpr)
@@ -92,140 +44,12 @@ func runHWBudget(pass *Pass) error {
 			}
 			ast.Inspect(idx.Index, func(m ast.Node) bool {
 				if b, ok := m.(*ast.BinaryExpr); ok && b.Op == token.REM {
-					pass.ReportFix(b.Pos(), remFix(pass, b), "table index computed with %%; size the structure to a power of two and mask (or reduce through hashing.Index)")
+					pass.Reportf(b.Pos(), "table index computed with %%; size the structure to a power of two and mask (or reduce through hashing.Index)")
 				}
 				return true
 			})
 			return true
 		})
 	}
-	for suffix, cfg := range paperTables {
-		if pathIn(pass.Pkg.Path, []string{suffix}) {
-			checkPaperConfig(pass, cfg)
-		}
-	}
 	return nil
-}
-
-// checkPaperConfig locates the named constructor, extracts its returned
-// composite literal, and compares every scalar field against the paper's
-// configuration table.
-func checkPaperConfig(pass *Pass, cfg paperConfig) {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != cfg.fn || fd.Recv != nil {
-				continue
-			}
-			lit := returnedCompositeLit(fd)
-			if lit == nil {
-				pass.Reportf(fd.Pos(), "%s must return a composite literal so its fields can be checked against %s", cfg.fn, cfg.source)
-				return
-			}
-			seen := map[string]bool{}
-			for _, elt := range lit.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				want, checked := cfg.want[key.Name]
-				if !checked {
-					continue
-				}
-				seen[key.Name] = true
-				got, ok := constInt(pass, kv.Value)
-				if !ok {
-					pass.Reportf(kv.Value.Pos(), "%s.%s must be an integer constant (budget fields are hardware parameters)", cfg.fn, key.Name)
-					continue
-				}
-				if got != want {
-					pass.Reportf(kv.Value.Pos(), "%s.%s = %d; %s specifies %d", cfg.fn, key.Name, got, cfg.source, want)
-				}
-				for _, p := range cfg.pow2 {
-					if p == key.Name && got&(got-1) != 0 {
-						pass.Reportf(kv.Value.Pos(), "%s.%s = %d is not a power of two; the structure cannot be indexed by mask", cfg.fn, key.Name, got)
-					}
-				}
-			}
-			for name := range cfg.want {
-				if !seen[name] {
-					pass.Reportf(lit.Pos(), "%s does not set %s; %s budgets it explicitly", cfg.fn, name, cfg.source)
-				}
-			}
-			return
-		}
-	}
-}
-
-// remFix builds the x % N -> x & (N - 1) rewrite when it is provably
-// equivalent: N a compile-time constant power of two and x unsigned (a
-// negative signed remainder is negative, the mask is not). Anything else
-// gets the finding with no fix — resizing a table is a design decision.
-func remFix(pass *Pass, b *ast.BinaryExpr) *SuggestedFix {
-	n, ok := constInt(pass, b.Y)
-	if !ok || n <= 0 || n&(n-1) != 0 {
-		return nil
-	}
-	t := pass.TypeOf(b.X)
-	if t == nil {
-		return nil
-	}
-	basic, ok := t.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsUnsigned == 0 {
-		return nil
-	}
-	divisor := pass.Render(b.Y)
-	if divisor == "" {
-		return nil
-	}
-	// % and & share a precedence level and associate left, so swapping the
-	// operator in place and parenthesizing the new mask operand preserves
-	// the grouping of any enclosing expression.
-	return &SuggestedFix{
-		Message: fmt.Sprintf("replace %% %s with & (%s - 1)", divisor, divisor),
-		Edits: []TextEdit{
-			pass.Edit(b.OpPos, b.OpPos+1, "&"),
-			pass.Edit(b.Y.Pos(), b.Y.End(), fmt.Sprintf("(%s - 1)", divisor)),
-		},
-	}
-}
-
-// returnedCompositeLit digs the composite literal out of the
-// constructor's (single) return statement.
-func returnedCompositeLit(fd *ast.FuncDecl) *ast.CompositeLit {
-	if fd.Body == nil {
-		return nil
-	}
-	var lit *ast.CompositeLit
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit != nil {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			return true
-		}
-		if cl, ok := ret.Results[0].(*ast.CompositeLit); ok {
-			lit = cl
-		}
-		return true
-	})
-	return lit
-}
-
-// constInt evaluates e as a compile-time integer constant.
-func constInt(pass *Pass, e ast.Expr) (int64, bool) {
-	tv, ok := pass.Pkg.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(v)
 }

@@ -24,19 +24,18 @@ import (
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath  string
-	Dir         string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	Module      *struct{ Path, Dir string }
-	Error       *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Module     *struct{ Path, Dir string }
+	Error      *struct{ Err string }
 }
 
 // goList runs `go list` in dir with the given arguments and decodes the
 // JSON package stream.
 func goList(dir string, args ...string) ([]listPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,Module,Error"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,Export,GoFiles,Module,Error"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -82,26 +81,13 @@ func newInfo() *types.Info {
 	}
 }
 
-// LoadOptions configures Load's package selection.
-type LoadOptions struct {
-	// Tests includes each package's in-package _test.go files (the ones
-	// go list reports as TestGoFiles). External _test packages are not
-	// loaded: they only exercise the exported API, while the invariants
-	// the analyzers prove live in the implementation.
-	Tests bool
-}
-
 // Load type-checks the module packages matching the patterns (run from
 // dir, typically the repository root) and returns them as a Program.
 // Non-module dependencies are loaded from export data only. Build
 // constraints apply exactly as in a build (go list resolves the file
-// lists), and vendored packages are never matched by path patterns.
+// lists), _test.go files are not loaded, and vendored packages are never
+// matched by path patterns.
 func Load(dir string, patterns ...string) (*Program, error) {
-	return LoadWith(LoadOptions{}, dir, patterns...)
-}
-
-// LoadWith is Load with explicit options.
-func LoadWith(opts LoadOptions, dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -129,66 +115,27 @@ func LoadWith(opts LoadOptions, dir string, patterns ...string) (*Program, error
 	sort.Slice(mods, func(i, j int) bool { return mods[i].ImportPath < mods[j].ImportPath })
 
 	fset := token.NewFileSet()
-	type parsedPkg struct {
-		p     listPkg
-		files []*ast.File
-	}
-	var parsed []parsedPkg
-	// Test files import packages (testing, scratch deps) the -deps walk of
-	// the non-test build never reaches; collect them for a second export
-	// pass.
-	extraImports := map[string]bool{}
+	imp := exportImporter(fset, exports)
+	prog := &Program{}
 	for _, p := range mods {
-		names := p.GoFiles
-		if opts.Tests {
-			names = append(append([]string{}, names...), p.TestGoFiles...)
-		}
-		files := make([]*ast.File, 0, len(names))
-		for _, gf := range names {
+		files := make([]*ast.File, 0, len(p.GoFiles))
+		for _, gf := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, gf), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %w", err)
 			}
 			files = append(files, f)
-			for _, im := range f.Imports {
-				path := im.Path.Value[1 : len(im.Path.Value)-1]
-				if _, ok := exports[path]; !ok {
-					extraImports[path] = true
-				}
-			}
 		}
-		parsed = append(parsed, parsedPkg{p: p, files: files})
-	}
-	if len(extraImports) > 0 {
-		var paths []string
-		for p := range extraImports {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		more, err := goList(dir, append([]string{"-deps", "-export"}, paths...)...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range more {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-
-	imp := exportImporter(fset, exports)
-	prog := &Program{Facts: map[*Analyzer]interface{}{}}
-	for _, pp := range parsed {
 		info := newInfo()
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(pp.p.ImportPath, fset, pp.files, info)
+		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: type-checking %s: %w", pp.p.ImportPath, err)
+			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
 		prog.Packages = append(prog.Packages, &Package{
-			Path:  pp.p.ImportPath,
+			Path:  p.ImportPath,
 			Fset:  fset,
-			Files: pp.files,
+			Files: files,
 			Types: tpkg,
 			Info:  info,
 		})
@@ -250,6 +197,5 @@ func LoadDir(dir, asPath string) (*Program, error) {
 	}
 	return &Program{
 		Packages: []*Package{{Path: asPath, Fset: fset, Files: files, Types: tpkg, Info: info}},
-		Facts:    map[*Analyzer]interface{}{},
 	}, nil
 }

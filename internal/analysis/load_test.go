@@ -29,8 +29,8 @@ func loadmodFiles(t *testing.T, prog *Program) map[string]bool {
 }
 
 // TestLoadBuildSelection locks the loader's file selection to the build's:
-// build-tagged files stay out without their tag, test files stay out
-// without LoadOptions.Tests, and the vendor tree is never matched.
+// build-tagged files stay out without their tag, test files stay out, and
+// the vendor tree is never matched.
 func TestLoadBuildSelection(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "loadmod"))
 	if err != nil {
@@ -44,33 +44,10 @@ func TestLoadBuildSelection(t *testing.T) {
 		t.Error("tagged.go loaded despite its unsatisfied build tag")
 	}
 	if names["a_test.go"] {
-		t.Error("a_test.go loaded without LoadOptions.Tests")
+		t.Error("a_test.go loaded; the loader reads no test files")
 	}
 	if names["v.go"] {
 		t.Error("vendored file leaked into the package")
-	}
-}
-
-// TestLoadTests checks LoadOptions.Tests pulls the in-package test files
-// into the same type-checked package (their imports — testing — resolve
-// through the second export pass).
-func TestLoadTests(t *testing.T) {
-	prog, err := LoadWith(LoadOptions{Tests: true}, filepath.Join("testdata", "loadmod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := loadmodFiles(t, prog)
-	if !names["a.go"] || !names["a_test.go"] {
-		t.Errorf("want a.go and a_test.go, got %v", names)
-	}
-	if names["tagged.go"] {
-		t.Error("tagged.go loaded despite its unsatisfied build tag")
-	}
-	// The test file must be type-checked, not just parsed: its testing.T
-	// usage resolves only if the second export pass found the import.
-	scope := prog.Packages[0].Types.Scope()
-	if scope.Lookup("TestA") == nil {
-		t.Error("TestA not in the package scope; test files were not type-checked")
 	}
 }
 

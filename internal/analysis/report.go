@@ -1,14 +1,18 @@
 package analysis
 
-import "sort"
+import (
+	"path/filepath"
+	"sort"
+)
 
-// JSONVersion is the schema version of blbplint's -json output. Bump it
+// JSONVersion is the schema version of blbplint's -jsonout report. Bump it
 // when a field changes meaning or is removed; adding fields is
-// backward-compatible and does not bump it.
-const JSONVersion = 1
+// backward-compatible and does not bump it. Version 2 writes file paths
+// relative to the lint root and drops version 1's suggested-fix field.
+const JSONVersion = 2
 
-// JSONReport is the machine-readable findings artifact blbplint -json
-// emits (and make lint writes to results/lint.json).
+// JSONReport is the machine-readable findings artifact blbplint -jsonout
+// writes (make lint writes it to results/lint.json).
 type JSONReport struct {
 	Version  int           `json:"version"`
 	Findings []JSONFinding `json:"findings"`
@@ -16,27 +20,12 @@ type JSONReport struct {
 
 // JSONFinding is one diagnostic in stable machine-readable form.
 type JSONFinding struct {
-	File       string   `json:"file"`
-	Line       int      `json:"line"`
-	Col        int      `json:"col"`
-	Analyzer   string   `json:"analyzer"`
-	Message    string   `json:"message"`
-	Suppressed bool     `json:"suppressed"`
-	Fix        *JSONFix `json:"fix,omitempty"`
-}
-
-// JSONFix describes a suggested fix attached to a finding.
-type JSONFix struct {
-	Message string     `json:"message"`
-	Edits   []JSONEdit `json:"edits"`
-}
-
-// JSONEdit is one byte-range replacement of a suggested fix.
-type JSONEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
+	File       string `json:"file"` // slash-separated, relative to the lint root
+	Line       int    `json:"line"`
+	Col        int    `json:"col"`
+	Analyzer   string `json:"analyzer"`
+	Message    string `json:"message"`
+	Suppressed bool   `json:"suppressed"`
 }
 
 // SortDiagnostics orders diags by (file, line, column, analyzer) — the
@@ -57,26 +46,28 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Report converts sorted diagnostics into the JSON artifact form.
-func Report(diags []Diagnostic) JSONReport {
+// Report converts sorted diagnostics into the JSON artifact form, with
+// each file path made relative to root (the directory the packages were
+// loaded from), so the report does not depend on where the checkout lives.
+func Report(diags []Diagnostic, root string) (JSONReport, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return JSONReport{}, err
+	}
 	rep := JSONReport{Version: JSONVersion, Findings: []JSONFinding{}}
 	for _, d := range diags {
-		f := JSONFinding{
-			File:       d.Pos.Filename,
+		file, err := filepath.Rel(root, d.Pos.Filename)
+		if err != nil {
+			return JSONReport{}, err
+		}
+		rep.Findings = append(rep.Findings, JSONFinding{
+			File:       filepath.ToSlash(file),
 			Line:       d.Pos.Line,
 			Col:        d.Pos.Column,
 			Analyzer:   d.Analyzer,
 			Message:    d.Message,
 			Suppressed: d.Suppressed,
-		}
-		if d.Fix != nil {
-			jf := &JSONFix{Message: d.Fix.Message, Edits: []JSONEdit{}}
-			for _, e := range d.Fix.Edits {
-				jf.Edits = append(jf.Edits, JSONEdit{File: e.Filename, Start: e.Start, End: e.End, NewText: e.NewText})
-			}
-			f.Fix = jf
-		}
-		rep.Findings = append(rep.Findings, f)
+		})
 	}
-	return rep
+	return rep, nil
 }

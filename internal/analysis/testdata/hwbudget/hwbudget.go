@@ -1,33 +1,6 @@
 // Package hwbudget is analyzer testdata: loaded under a path ending in
-// internal/core so both the modulo-index rule and the paper-table
-// cross-check of DefaultConfig apply.
+// internal/core so the modulo-index rule applies.
 package hwbudget
-
-// Config mirrors the checked fields of the BLBP core configuration.
-type Config struct {
-	K            int
-	BitOffset    int
-	TableEntries int
-	WeightBits   int
-	HistBits     int
-	LocalEntries int
-	LocalBits    int
-	ThetaInit    int
-}
-
-// DefaultConfig deliberately drifts one field off the paper's Table 2.
-func DefaultConfig() Config {
-	return Config{
-		K:            12,
-		BitOffset:    2,
-		TableEntries: 2048, // want `DefaultConfig.TableEntries = 2048; paper Table 2 \(BLBP\) specifies 1024`
-		WeightBits:   4,
-		HistBits:     631,
-		LocalEntries: 256,
-		LocalBits:    10,
-		ThetaInit:    18,
-	}
-}
 
 func index(table []int8, pc uint64) int8 {
 	bad := table[pc%uint64(len(table))] // want "table index computed with %"

@@ -2,8 +2,7 @@ package loadmod
 
 import "testing"
 
-// TestA is in-package test code: part of the analysis only under
-// LoadOptions.Tests.
+// TestA is in-package test code, which the loader never reads.
 func TestA(t *testing.T) {
 	if A() != 1 {
 		t.Fatal("A")

@@ -7,12 +7,14 @@ import (
 
 // pool is a bounded work-stealing worker pool. Every worker owns a deque;
 // submitted tasks are dealt round-robin across the deques, each worker
-// drains its own deque from the front (preserving the submitter's locality
-// order — consecutive passes of one workload stay on one worker and share
-// the workload's tape while it is hot), and a worker whose deque is empty
-// steals from the back of the deepest sibling deque, so long workloads that
-// pile up behind a slow worker are redistributed instead of serializing the
-// tail of the run.
+// drains its own deque from the front (in submission order), and a worker
+// whose deque is empty steals from the back of the deepest sibling deque,
+// so long workloads that pile up behind a slow worker are redistributed
+// instead of serializing the tail of the run. The deal is by task, not by
+// workload: RunSuites submits a workload's passes one after another, so
+// with two or more workers pass j and pass j+1 land on different workers.
+// They share the workload's tape through the trace cache entry, which
+// builds it once however many tasks ask for it at the same time.
 //
 // Tasks never spawn or wait on other tasks, so a single condition variable
 // over all deques is sufficient and deadlock-free; at (workload × pass)

@@ -196,3 +196,37 @@ func TestBadGeometryPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDefaultConfigMatchesPaper holds DefaultConfig to the paper's IBTB
+// configuration (§4.2, Table 2):
+//
+//	Sets           64    (power of two)
+//	Assoc          64    (power of two)
+//	TagBits        8
+//	RegionEntries  128   (power of two)
+//	OffsetBits     20
+//	RRIPBits       2
+//
+// The power-of-two sizes are the ones indexed by mask.
+func TestDefaultConfigMatchesPaper(t *testing.T) {
+	c := DefaultConfig()
+	for _, f := range []struct {
+		name      string
+		got, want int
+		pow2      bool
+	}{
+		{"Sets", c.Sets, 64, true},
+		{"Assoc", c.Assoc, 64, true},
+		{"TagBits", c.TagBits, 8, false},
+		{"RegionEntries", c.RegionEntries, 128, true},
+		{"OffsetBits", c.OffsetBits, 20, false},
+		{"RRIPBits", c.RRIPBits, 2, false},
+	} {
+		if f.got != f.want {
+			t.Errorf("DefaultConfig().%s = %d; the paper's Table 2 specifies %d", f.name, f.got, f.want)
+		}
+		if f.pow2 && f.got&(f.got-1) != 0 {
+			t.Errorf("DefaultConfig().%s = %d is not a power of two; the structure cannot be indexed by mask", f.name, f.got)
+		}
+	}
+}

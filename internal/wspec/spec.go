@@ -340,13 +340,20 @@ var minSizes = map[string]map[string]int64{
 	"recursive":   {"MinDepth": 1, "MaxDepth": 1},
 }
 
+// maxSkew bounds a callbacks node's Zipf skew. zipfTable divides once per
+// unit of skew, and its loop never ends once s-1 rounds back to s in
+// float64; no built-in uses more than 2.8.
+const maxSkew = 64
+
 // validateSizes checks the preconditions the generator constructors enforce
 // by panicking, over every value an integer parameter can take at build
 // time: its static value, or each value of its draw range. No integer
 // parameter may be negative, minSizes' parameters must reach their
 // minimums, a drawn bank must stay in range, and a recursive node's
-// MinDepth must never exceed its MaxDepth. It runs after validateDraw, so
-// every drawn integer parameter exists and has an integral, ordered range.
+// MinDepth must never exceed its MaxDepth. A callbacks node's Skew, static
+// or drawn, must not exceed maxSkew. It runs after validateDraw, so every
+// drawn parameter exists and has an ordered range, integral for an integer
+// parameter.
 func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error) error {
 	pv := reflect.ValueOf(params)
 	span := func(name string) (lo, hi int64) {
@@ -377,6 +384,15 @@ func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error
 		maxDepth, _ := span("MaxDepth")
 		if minDepth > maxDepth {
 			return bad("recursive needs MinDepth <= MaxDepth, but MinDepth can be %d and MaxDepth %d", minDepth, maxDepth)
+		}
+	}
+	if cb, ok := params.(workload.CallbacksParams); ok {
+		if r, drawn := n.Draw["Skew"]; drawn {
+			if r.Max > maxSkew {
+				return bad("callbacks draw range for \"Skew\" ends at %g, above its maximum %d", r.Max, maxSkew)
+			}
+		} else if cb.Skew > maxSkew {
+			return bad("callbacks parameter \"Skew\" is %g, above its maximum %d", cb.Skew, maxSkew)
 		}
 	}
 	return nil

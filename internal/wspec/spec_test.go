@@ -100,8 +100,9 @@ func TestValidationErrors(t *testing.T) {
 // TestValidateRejectsBuildPanics pins Validate's check of each precondition
 // a generator constructor enforces by panicking, for a static parameter and
 // for a draw range that can produce a failing value, plus a random mix's
-// weight sum and a drawn bank. Every spec here used to pass validation; all
-// but the drawn bank could then panic in Build.
+// weight sum, a drawn bank and a callbacks Skew. Every spec here used to
+// pass validation; all but the drawn bank could then panic in Build, and a
+// Skew above 2^53 never finished it.
 func TestValidateRejectsBuildPanics(t *testing.T) {
 	const at = `wspec: spec "x": generator: `
 	cases := []struct {
@@ -153,6 +154,10 @@ func TestValidateRejectsBuildPanics(t *testing.T) {
 			`mixed part 1: weights overflow their sum`},
 		{"bank drawn", `"kind": "mono", "params": {"Sites": 4}, "draw": {"Bank": {"min": 60, "max": 64}}`,
 			`draw range for "Bank" ends at 64, out of range [0, 64)`},
+		{"callbacks Skew", `"kind": "callbacks", "params": {"Events": 4, "Skew": 1e300}`,
+			`callbacks parameter "Skew" is 1e+300, above its maximum 64`},
+		{"callbacks Skew drawn", `"kind": "callbacks", "params": {"Events": 4}, "draw": {"Skew": {"min": 2, "max": 1e17}}`,
+			`callbacks draw range for "Skew" ends at 1e+17, above its maximum 64`},
 	}
 	for _, tc := range cases {
 		in := `{"name": "x", "instructions": 1000, "generator": {` + tc.node + `}}`
@@ -261,6 +266,7 @@ func FuzzWorkloadSpecDecode(f *testing.F) {
 			{"weight": 3, "seed": 7, "generator": {"kind": "switcher", "draw": {"Tokens": {"min": 4, "max": 9}}}},
 			{"weight": 1, "generator": {"kind": "recursive", "params": {"MinDepth": 2}, "draw": {"MaxDepth": {"min": 2, "max": 5}}}}]}}]}}`))
 	f.Add([]byte(`{"name": "r", "generator": {"kind": "replay", "path": "x.spill"}}`))
+	f.Add([]byte(`{"name": "z", "instructions": 100, "generator": {"kind": "callbacks", "params": {"Events": 4, "Skew": 1e300}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := Decode(data)
 		if err != nil {
