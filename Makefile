@@ -37,13 +37,14 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof overall
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
-# Fine-grained microbenchmarks (predictors, replay, trace building and
-# decoding) with allocation stats.
+# Fine-grained microbenchmarks (predictors, batch serving and its pool
+# recycle cycle, replay, the hashed perceptron's tape memo and VPC pass,
+# trace building and decoding) with allocation stats.
 micro:
 	$(GO) test -run xxx -bench 'BenchmarkPredict$$|BenchmarkPredictUpdate|BenchmarkOnCond' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkFolded|BenchmarkFoldFromScratch' -benchmem ./internal/history/
 	$(GO) test -run xxx -bench 'BenchmarkServing|BenchmarkPoolDrain' -benchmem ./internal/batch/
-	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkTapeReplay|BenchmarkTapeMemo' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkTapeReplay|BenchmarkTapeMemo|BenchmarkVPCPass' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkDrawCDF' -benchmem ./internal/workload/
 	$(GO) test -run xxx -bench 'BenchmarkSpecBuild' -benchmem ./internal/wspec/
 	$(GO) test -run xxx -bench 'BenchmarkReadSpill' -benchmem ./internal/trace/

@@ -58,7 +58,22 @@ func BenchmarkSerialStreams(b *testing.B) {
 // BenchmarkPoolDrain serves the same streams through the pooled engine at
 // several batch widths; ns/op is per indirect prediction served — the full
 // predict+train contract, directly comparable to BenchmarkSerialStreams.
+// The recycle_b64 case times a serving cycle instead: each op is one
+// servingCycle over GenStreams(1234, 64, 512) under ServingConfig (Retire
+// and re-Admit 64 streams, Feed them, Drain at width 64, take the
+// results), so its allocs/op shows whether the pool reuses its queues and
+// result logs.
 func BenchmarkPoolDrain(b *testing.B) {
+	b.Run("recycle_b64", func(b *testing.B) {
+		cycle := servingCycle(NewPool(NewEngine(ServingConfig(), 64)), benchWorkload(64, 512))
+		cycle()
+		cycle()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle()
+		}
+	})
 	for _, size := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("b%d", size), func(b *testing.B) {
 			nStreams := size

@@ -82,6 +82,38 @@ func interleaved(seed int64) schedule {
 	}
 }
 
+// recycled returns a schedule that serves streams through recycled ids.
+// Every id first queues 128 events of an unrelated stream family, the pool
+// serves part of them, and the ids are retired in random order with Steps
+// in between, so most retire with events still queued and Retire meets
+// every cursor position. The results served so far are taken and dropped,
+// the ids are re-admitted — Admit hands them back in order, each with the
+// queue its retired stream grew — and inner serves streams through them.
+// A queued event that survived Retire would add a prediction the serial
+// reference never made.
+func recycled(seed int64, inner schedule) schedule {
+	return func(pool *Pool, ids []int, streams [][]Event) {
+		rng := rand.New(rand.NewSource(seed ^ 0x7ec7c1ed))
+		for s, evs := range GenStreams(seed+1, len(streams), 128) {
+			for _, ev := range evs {
+				pool.Feed(ids[s], ev)
+			}
+		}
+		pool.Step(1 + rng.Intn(len(streams)))
+		for _, s := range rng.Perm(len(ids)) {
+			pool.Retire(ids[s])
+			if rng.Intn(3) == 0 {
+				pool.Step(1 + rng.Intn(len(streams)))
+			}
+		}
+		pool.TakeResults()
+		for s := range ids {
+			ids[s], _ = pool.Admit()
+		}
+		inner(pool, ids, streams)
+	}
+}
+
 // runBatched drives the same streams through a Pool, one slot per stream,
 // under sched. It returns per-stream predictions and fingerprints in the
 // same shape as runSerial.
@@ -131,9 +163,9 @@ func diffStreams(t *testing.T, label string, wantP [][]pred, wantF []uint64, got
 // counts and seeds, the pooled engine must reproduce, bit for bit, each
 // stream's serial Predict/Update run — every prediction's (pc, target, ok)
 // and the final trained state — both when every event is queued before a
-// full-width drain and under a random interleaving. The last two rows are
-// the serving workload (ServingConfig over GenStreams(1234, w, 512)) at
-// widths 1 and 64.
+// full-width drain, under a random interleaving, and through recycled ids
+// (recycled). The last two rows are the serving workload (ServingConfig
+// over GenStreams(1234, w, 512)) at widths 1 and 64.
 func TestBatchedMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		cfg      core.Config
@@ -156,6 +188,7 @@ func TestBatchedMatchesSerial(t *testing.T) {
 		}{
 			{"feed-then-drain", feedThenDrain},
 			{"interleaved", interleaved(tc.seed)},
+			{"recycled", recycled(tc.seed, interleaved(tc.seed))},
 		} {
 			gotP, gotF := runBatched(t, tc.cfg, streams, sc.sched)
 			label := fmt.Sprintf("seed %d, %d streams, %s", tc.seed, tc.nStreams, sc.name)
@@ -166,7 +199,8 @@ func TestBatchedMatchesSerial(t *testing.T) {
 
 // FuzzBatchEquivalence fuzzes the same property over workload shape: any
 // seed, stream count, and event volume must keep the batched engine
-// bit-identical to the per-stream serial reference.
+// bit-identical to the per-stream serial reference, on fresh ids and on
+// recycled ones.
 func FuzzBatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint16(200))
 	f.Add(int64(42), uint8(5), uint16(350))
@@ -180,5 +214,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		wantP, wantF := runSerial(cfg, streams)
 		gotP, gotF := runBatched(t, cfg, streams, interleaved(seed))
 		diffStreams(t, "fuzz", wantP, wantF, gotP, gotF)
+		gotP, gotF = runBatched(t, cfg, streams, recycled(seed, interleaved(seed)))
+		diffStreams(t, "fuzz, recycled", wantP, wantF, gotP, gotF)
 	})
 }

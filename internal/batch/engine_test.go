@@ -2,6 +2,7 @@ package batch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blbp/internal/core"
@@ -120,16 +121,170 @@ func TestSweepSaturatedLanes(t *testing.T) {
 	}
 }
 
+// TestRetireNonLivePanics checks that a call naming a slot or stream that
+// is not live — retired, never admitted or out of range — panics with a
+// batch: message: the Engine's double Retire, and every Pool call that
+// takes a stream id. A Feed must not land in a retired id's kept queue,
+// where no Step would serve it, and the refused calls must leave the pool
+// as it was.
 func TestRetireNonLivePanics(t *testing.T) {
 	eng := NewEngine(smallConfig(), 2)
-	s, _ := eng.Admit()
-	eng.Retire(s)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double retire did not panic")
+	slot, _ := eng.Admit()
+	eng.Retire(slot)
+	pool := NewPool(NewEngine(smallConfig(), 3))
+	live, _ := pool.Admit()
+	retired, _ := pool.Admit()
+	pool.Retire(retired)
+	ev := Event{Kind: Indirect, PC: 0x400000, Target: 0x500000}
+	for _, tc := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"engine retire retired", func() { eng.Retire(slot) }, "batch: retire of non-live slot 0"},
+		{"feed retired", func() { pool.Feed(retired, ev) }, "batch: feed to non-live stream 1"},
+		{"feed never admitted", func() { pool.Feed(2, ev) }, "batch: feed to non-live stream 2"},
+		{"feed negative", func() { pool.Feed(-1, ev) }, "batch: feed to non-live stream -1"},
+		{"predictor retired", func() { pool.Predictor(retired) }, "batch: access to non-live stream 1"},
+		{"predictor never admitted", func() { pool.Predictor(9) }, "batch: access to non-live stream 9"},
+		{"retire retired", func() { pool.Retire(retired) }, "batch: retire of non-live stream 1"},
+		{"retire never admitted", func() { pool.Retire(3) }, "batch: retire of non-live stream 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			tc.call()
+		})
+	}
+	pool.Feed(live, ev)
+	if n := pool.Drain(3); n != 1 || len(pool.Results()) != 1 || pool.Results()[0].Stream != live {
+		t.Fatalf("after the refused calls the pool served %d events, results %+v; want stream %d's one", n, pool.Results(), live)
+	}
+}
+
+// TestEngineSteadyStateAllocatesNothing pins the Engine's claim that steady
+// state allocates nothing. After a warm-up round at width 64, a round that
+// Retires and re-Admits every stream (the Reset path), then serves
+// GenStreams(1234, 64, 512) under ServingConfig by the Pool's fill rule —
+// each stream's leading conditional events through OnCond, then at most one
+// indirect event per stream into PredictBatch and UpdateBatch, at widths
+// from 64 down as streams drain — must make no allocation.
+func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
+	const width = 64
+	streams := GenStreams(1234, width, 512)
+	eng := NewEngine(ServingConfig(), width)
+	slots := make([]int, width)
+	for s := range slots {
+		slots[s], _ = eng.Admit()
+	}
+	pos := make([]int, width)
+	bs := make([]int, 0, width)
+	pcs := make([]uint64, 0, width)
+	acts := make([]uint64, 0, width)
+	targets := make([]uint64, width)
+	oks := make([]bool, width)
+	round := func() {
+		for s, slot := range slots {
+			eng.Retire(slot)
+			slots[s], _ = eng.Admit()
+			pos[s] = 0
 		}
-	}()
-	eng.Retire(s)
+		for {
+			bs, pcs, acts = bs[:0], pcs[:0], acts[:0]
+			for s, evs := range streams {
+				for pos[s] < len(evs) && evs[pos[s]].Kind == Cond {
+					eng.OnCond(slots[s], evs[pos[s]].PC, evs[pos[s]].Taken)
+					pos[s]++
+				}
+				if pos[s] < len(evs) {
+					bs = append(bs, slots[s])
+					pcs = append(pcs, evs[pos[s]].PC)
+					acts = append(acts, evs[pos[s]].Target)
+					pos[s]++
+				}
+			}
+			if len(bs) == 0 {
+				return
+			}
+			eng.PredictBatch(bs, pcs, targets[:len(bs)], oks[:len(bs)])
+			eng.UpdateBatch(bs, pcs, acts)
+		}
+	}
+	// AllocsPerRun runs round once unmeasured: that is the warm-up.
+	if allocs := testing.AllocsPerRun(1, round); allocs != 0 {
+		t.Fatalf("a warmed engine round made %v allocations, want 0", allocs)
+	}
+}
+
+// servingCycle admits one pool stream per element of streams and returns
+// a serving cycle over them: Retire every stream, Admit them again, feed
+// and drain them (feedThenDrain) and take the results.
+// TestPoolSteadyStateAllocatesNothing and BenchmarkPoolDrain's recycle
+// case run it.
+func servingCycle(pool *Pool, streams [][]Event) func() {
+	ids := make([]int, len(streams))
+	for s := range ids {
+		ids[s], _ = pool.Admit()
+	}
+	return func() {
+		for _, id := range ids {
+			pool.Retire(id)
+		}
+		for s := range ids {
+			ids[s], _ = pool.Admit()
+		}
+		feedThenDrain(pool, ids, streams)
+		pool.TakeResults()
+	}
+}
+
+// TestPoolSteadyStateAllocatesNothing extends the Engine's claim to the
+// Pool, with servingCycle over GenStreams(1234, 64, 512) under ServingConfig. The
+// first two cycles grow each id's queue and the two result logs; after
+// them a cycle must make no allocation.
+func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
+	cycle := servingCycle(NewPool(NewEngine(ServingConfig(), 64)), GenStreams(1234, 64, 512))
+	cycle()
+	// AllocsPerRun's unmeasured first run is the second warm-up cycle.
+	if allocs := testing.AllocsPerRun(2, cycle); allocs != 0 {
+		t.Fatalf("a warmed pool cycle made %v allocations, want 0", allocs)
+	}
+}
+
+// TestTakeResultsContract checks TakeResults' reuse contract: a taken log
+// stays intact while later Steps fill the next one, and the TakeResults
+// after that hands its memory back to the pool as the new log.
+func TestTakeResultsContract(t *testing.T) {
+	const width = 4
+	streams := GenStreams(7, width, 200)
+	pool := NewPool(NewEngine(smallConfig(), width))
+	ids := make([]int, width)
+	for s := range ids {
+		ids[s], _ = pool.Admit()
+	}
+	feedThenDrain(pool, ids, streams)
+	first := pool.TakeResults()
+	if len(first) == 0 || len(pool.Results()) != 0 {
+		t.Fatalf("TakeResults returned %d results and left %d in the log; want all of them, none left", len(first), len(pool.Results()))
+	}
+	want := slices.Clone(first)
+	feedThenDrain(pool, ids, streams)
+	if !slices.Equal(first, want) {
+		t.Fatalf("a taken log changed while later Steps filled the next one")
+	}
+	second := pool.TakeResults()
+	want = slices.Clone(second)
+	feedThenDrain(pool, ids, streams)
+	if !slices.Equal(second, want) {
+		t.Fatalf("the second taken log changed while later Steps filled the next one")
+	}
+	third := pool.TakeResults()
+	if &third[0] != &first[0] {
+		t.Fatalf("the third log does not reuse the memory of the first")
+	}
 }
 
 // TestPoolRoundRobinOrder checks that Step serves at most one indirect

@@ -1,6 +1,10 @@
 package batch
 
-import "blbp/internal/core"
+import (
+	"fmt"
+
+	"blbp/internal/core"
+)
 
 // EventKind distinguishes the two stream event types the pool transports.
 type EventKind uint8
@@ -34,8 +38,11 @@ type Result struct {
 
 // stream is a pool member: its engine slot and its queue of pending events,
 // a growable ring buffer so steady-state traffic enqueues without
-// allocating.
+// allocating. Retire clears live and empties the queue but keeps buf, so
+// the next stream admitted under the same id enqueues into the ring its
+// predecessor grew.
 type stream struct {
+	live bool
 	slot int
 	buf  []Event
 	head int
@@ -68,11 +75,18 @@ func (s *stream) pop() Event {
 // in one sweep, trains with the resolved targets, and appends per-event
 // Results. Conditional events at the front of a stream's queue are applied
 // during the fill, preserving each stream's program order exactly.
+//
+// Like the Engine, the pool recycles what it allocates: a retired stream's
+// event queue is kept for the next admission under its id, and TakeResults
+// alternates between two result logs. Once the Engine is in its steady
+// state, every id has held its largest queue and both logs have grown to
+// the largest round served, Admit, Retire, Feed, Step and TakeResults
+// allocate nothing (TestPoolSteadyStateAllocatesNothing).
 type Pool struct {
 	eng     *Engine
-	streams []*stream // stream id -> state; nil after Retire
-	active  []int     // live stream ids in admission order
-	cursor  int       // round-robin position in active
+	streams []stream // stream id -> state, live or kept for reuse
+	active  []int    // live stream ids in admission order
+	cursor  int      // round-robin position in active
 
 	// Batch assembly scratch, sized to the engine capacity once.
 	slots   []int
@@ -82,7 +96,8 @@ type Pool struct {
 	preds   []uint64
 	oks     []bool
 
-	results []Result
+	results []Result // the log Step appends to
+	taken   []Result // the log the last TakeResults handed out
 }
 
 // NewPool wraps an engine with queueing and round-robin fills. The engine
@@ -91,7 +106,7 @@ func NewPool(eng *Engine) *Pool {
 	capacity := eng.Capacity()
 	return &Pool{
 		eng:     eng,
-		streams: make([]*stream, 0, capacity),
+		streams: make([]stream, 0, capacity),
 		active:  make([]int, 0, capacity),
 		slots:   make([]int, 0, capacity),
 		ids:     make([]int, 0, capacity),
@@ -103,35 +118,41 @@ func NewPool(eng *Engine) *Pool {
 }
 
 // Admit adds a stream to the pool and returns its id, or ok=false when the
-// engine is full. Ids are pool-scoped and stable until Retire.
+// engine is full. Ids are pool-scoped and stable until Retire; Admit takes
+// the lowest id not live, reusing the event queue of the stream that last
+// held it.
 func (p *Pool) Admit() (id int, ok bool) {
 	slot, ok := p.eng.Admit()
 	if !ok {
 		return 0, false
 	}
-	st := &stream{slot: slot}
-	for i, s := range p.streams {
-		if s == nil {
-			p.streams[i] = st
-			p.active = append(p.active, i)
-			return i, true
-		}
+	for id < len(p.streams) && p.streams[id].live {
+		id++
 	}
-	p.streams = append(p.streams, st)
-	id = len(p.streams) - 1
+	if id == len(p.streams) {
+		p.streams = append(p.streams, stream{})
+	}
+	st := &p.streams[id]
+	st.live, st.slot = true, slot
 	p.active = append(p.active, id)
 	return id, true
 }
 
-// Retire removes a stream, discarding any queued events and releasing its
-// engine slot.
-func (p *Pool) Retire(id int) {
-	st := p.streams[id]
-	if st == nil {
-		panic("batch: retire of unknown stream")
+// live returns the state of stream id, which must be live; op names the
+// call in the panic message otherwise.
+func (p *Pool) live(id int, op string) *stream {
+	if id < 0 || id >= len(p.streams) || !p.streams[id].live {
+		panic(fmt.Sprintf("batch: %s non-live stream %d", op, id))
 	}
+	return &p.streams[id]
+}
+
+// Retire removes a stream, discarding any queued events and releasing its
+// engine slot. The queue's memory stays with the id for its next admission.
+func (p *Pool) Retire(id int) {
+	st := p.live(id, "retire of")
 	p.eng.Retire(st.slot)
-	p.streams[id] = nil
+	st.live, st.head, st.len = false, 0, 0
 	for i, a := range p.active {
 		if a == id {
 			p.active = append(p.active[:i], p.active[i+1:]...)
@@ -148,8 +169,9 @@ func (p *Pool) Retire(id int) {
 	}
 }
 
-// Feed appends one event to a stream's program order.
-func (p *Pool) Feed(id int, ev Event) { p.streams[id].push(ev) }
+// Feed appends one event to a stream's program order. The stream must be
+// live.
+func (p *Pool) Feed(id int, ev Event) { p.live(id, "feed to").push(ev) }
 
 // Step assembles and serves one batch of up to batchSize indirect events,
 // visiting streams round-robin from where the previous Step stopped. It
@@ -174,7 +196,7 @@ func (p *Pool) Step(batchSize int) int {
 		id := p.active[p.cursor]
 		p.cursor++
 		visited++
-		st := p.streams[id]
+		st := &p.streams[id]
 		for st.len > 0 {
 			if st.buf[st.head].Kind != Cond {
 				break
@@ -225,13 +247,19 @@ func (p *Pool) Drain(batchSize int) int {
 	}
 }
 
-// Results returns the accumulated prediction results in service order.
+// Results returns the accumulated prediction results in service order. The
+// slice is the pool's current log: once TakeResults hands that log out, the
+// slice falls under TakeResults' contract.
 func (p *Pool) Results() []Result { return p.results }
 
-// TakeResults returns the accumulated results and starts a fresh log.
+// TakeResults returns the accumulated results and starts a new log. The
+// returned slice belongs to the caller until the next TakeResults, which
+// truncates it and makes it the pool's log again: copy out anything that
+// must outlive that call. Two logs alternate, so a pool serving rounds of
+// similar size stops allocating for results after its second round.
 func (p *Pool) TakeResults() []Result {
 	out := p.results
-	p.results = nil
+	p.results, p.taken = p.taken[:0], out
 	return out
 }
 
@@ -239,6 +267,7 @@ func (p *Pool) TakeResults() []Result {
 func (p *Pool) Engine() *Engine { return p.eng }
 
 // Predictor returns stream id's predictor (diagnostics, state comparison).
+// The stream must be live.
 func (p *Pool) Predictor(id int) *core.BLBP {
-	return p.eng.Stream(p.streams[id].slot)
+	return p.eng.Stream(p.live(id, "access to").slot)
 }

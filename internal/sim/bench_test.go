@@ -9,6 +9,7 @@ import (
 	"blbp/internal/ittage"
 	"blbp/internal/predictor"
 	"blbp/internal/trace"
+	"blbp/internal/vpc"
 	"blbp/internal/workload"
 )
 
@@ -90,5 +91,26 @@ func BenchmarkTapeMemo(b *testing.B) {
 		b.StartTimer()
 		tape.condMispredicts("hp", cp)
 		tape.returnMispredicts(Options{}.rasDepth())
+	}
+}
+
+// BenchmarkVPCPass times the other hashed-perceptron stage of a headline
+// pass, VPC's full engine: each op runs sim.Run over the interpreter
+// workload BenchmarkTapeMemo uses, with a default hashed perceptron as the
+// conditional predictor and a default VPC bound to it as the only indirect
+// predictor. The trace is built, and each op's predictors constructed,
+// outside the timer.
+func BenchmarkVPCPass(b *testing.B) {
+	cols := tapeBenchTrace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		hp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
+		inds := []predictor.Indirect{vpc.New(vpc.DefaultConfig(), hp)}
+		b.StartTimer()
+		if _, err := Run(cols, hp, inds, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

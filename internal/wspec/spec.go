@@ -345,15 +345,24 @@ var minSizes = map[string]map[string]int64{
 // float64; no built-in uses more than 2.8.
 const maxSkew = 64
 
+// maxSize bounds every integer generator parameter, static or at the top of
+// its draw range. The generator constructors allocate by their sizes before
+// they emit an instruction (the interpreter's Zipf table, handlers and
+// biases by Opcodes; vdispatch's Classes × Sites target table), so an
+// unbounded size reaches gigabytes. No built-in uses more than 420
+// (interpreter ProgramLen); the largest table the cap allows one generator
+// is vdispatch's 4,096² × 8 B = 128 MiB.
+const maxSize = 4096
+
 // validateSizes checks the preconditions the generator constructors enforce
 // by panicking, over every value an integer parameter can take at build
 // time: its static value, or each value of its draw range. No integer
-// parameter may be negative, minSizes' parameters must reach their
-// minimums, a drawn bank must stay in range, and a recursive node's
-// MinDepth must never exceed its MaxDepth. A callbacks node's Skew, static
-// or drawn, must not exceed maxSkew. It runs after validateDraw, so every
-// drawn parameter exists and has an ordered range, integral for an integer
-// parameter.
+// parameter may be negative or exceed maxSize, minSizes' parameters must
+// reach their minimums, a drawn bank must stay in range, and a recursive
+// node's MinDepth must never exceed its MaxDepth. A callbacks node's Skew,
+// static or drawn, must not exceed maxSkew. It runs after validateDraw, so
+// every drawn parameter exists and has an ordered range, integral for an
+// integer parameter.
 func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error) error {
 	pv := reflect.ValueOf(params)
 	span := func(name string) (lo, hi int64) {
@@ -377,6 +386,12 @@ func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error
 		}
 		if name == "Bank" && hi >= workload.MaxBank {
 			return bad("draw range for \"Bank\" ends at %d, out of range [0, %d)", hi, workload.MaxBank)
+		}
+		if hi > maxSize {
+			if _, drawn := n.Draw[name]; drawn {
+				return bad("%s draw range for %q ends at %d, above its maximum %d", n.Kind, name, hi, maxSize)
+			}
+			return bad("%s parameter %q is %d, above its maximum %d", n.Kind, name, hi, maxSize)
 		}
 	}
 	if n.Kind == "recursive" {

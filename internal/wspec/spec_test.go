@@ -100,9 +100,10 @@ func TestValidationErrors(t *testing.T) {
 // TestValidateRejectsBuildPanics pins Validate's check of each precondition
 // a generator constructor enforces by panicking, for a static parameter and
 // for a draw range that can produce a failing value, plus a random mix's
-// weight sum, a drawn bank and a callbacks Skew. Every spec here used to
-// pass validation; all but the drawn bank could then panic in Build, and a
-// Skew above 2^53 never finished it.
+// weight sum, a drawn bank, a callbacks Skew and the size cap. Every spec
+// here used to pass validation; all but the drawn bank could then panic in
+// Build, a Skew above 2^53 never finished it, and a size of 10^9 made Build
+// allocate tens of gigabytes.
 func TestValidateRejectsBuildPanics(t *testing.T) {
 	const at = `wspec: spec "x": generator: `
 	cases := []struct {
@@ -158,6 +159,10 @@ func TestValidateRejectsBuildPanics(t *testing.T) {
 			`callbacks parameter "Skew" is 1e+300, above its maximum 64`},
 		{"callbacks Skew drawn", `"kind": "callbacks", "params": {"Events": 4}, "draw": {"Skew": {"min": 2, "max": 1e17}}`,
 			`callbacks draw range for "Skew" ends at 1e+17, above its maximum 64`},
+		{"interpreter Opcodes above cap", `"kind": "interpreter", "params": {"Opcodes": 1000000000, "ProgramLen": 40}`,
+			`interpreter parameter "Opcodes" is 1000000000, above its maximum 4096`},
+		{"vdispatch Sites drawn above cap", `"kind": "vdispatch", "params": {"Classes": 2, "Objects": 9}, "draw": {"Sites": {"min": 1, "max": 1e9}}`,
+			`vdispatch draw range for "Sites" ends at 1000000000, above its maximum 4096`},
 	}
 	for _, tc := range cases {
 		in := `{"name": "x", "instructions": 1000, "generator": {` + tc.node + `}}`
@@ -207,16 +212,12 @@ func TestEncodeDecodeFixedPoint(t *testing.T) {
 	}
 }
 
-// maxFuzzSize bounds every numeric parameter, draw bound and mix weight of
-// a spec FuzzWorkloadSpecDecode builds. Larger sizes are a matter of
-// allocation ceilings, not of validation.
-const maxFuzzSize = 4096
-
 // fuzzSized reports whether every numeric parameter, draw bound and mix
-// weight in n's tree is at most maxFuzzSize.
+// weight in n's tree is at most maxSize, the cap Validate puts on integer
+// parameters: FuzzWorkloadSpecDecode builds only such specs.
 func fuzzSized(n *Node) bool {
 	for _, r := range n.Draw {
-		if r.Min > maxFuzzSize || r.Max > maxFuzzSize {
+		if r.Min > maxSize || r.Max > maxSize {
 			return false
 		}
 	}
@@ -224,13 +225,13 @@ func fuzzSized(n *Node) bool {
 		pv := reflect.ValueOf(params)
 		for i := 0; i < pv.NumField(); i++ {
 			f := pv.Field(i)
-			if f.Kind() == reflect.Int && f.Int() > maxFuzzSize || f.Kind() == reflect.Float64 && f.Float() > maxFuzzSize {
+			if f.Kind() == reflect.Int && f.Int() > maxSize || f.Kind() == reflect.Float64 && f.Float() > maxSize {
 				return false
 			}
 		}
 	}
 	for i := range n.Parts {
-		if n.Parts[i].Weight > maxFuzzSize || !fuzzSized(&n.Parts[i].Generator) {
+		if n.Parts[i].Weight > maxSize || !fuzzSized(&n.Parts[i].Generator) {
 			return false
 		}
 	}
@@ -267,6 +268,7 @@ func FuzzWorkloadSpecDecode(f *testing.F) {
 			{"weight": 1, "generator": {"kind": "recursive", "params": {"MinDepth": 2}, "draw": {"MaxDepth": {"min": 2, "max": 5}}}}]}}]}}`))
 	f.Add([]byte(`{"name": "r", "generator": {"kind": "replay", "path": "x.spill"}}`))
 	f.Add([]byte(`{"name": "z", "instructions": 100, "generator": {"kind": "callbacks", "params": {"Events": 4, "Skew": 1e300}}}`))
+	f.Add([]byte(`{"name": "o", "instructions": 100, "generator": {"kind": "interpreter", "params": {"Opcodes": 1000000000, "ProgramLen": 40}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := Decode(data)
 		if err != nil {
