@@ -30,14 +30,11 @@
 //	-list-workloads list every built-in workload spec name and exit
 //	-list           list predictors, conditional substrates, outputs, and
 //	                built-in plans, then exit
-//	-cachemb N      bound the trace cache to ~N MiB, spilling evicted
-//	                traces to disk (0 = unbounded, the default)
 //	-cachespill DIR spill directory for the trace cache's persistent tier.
 //	                Existing spill files in it warm-start the run: traces
 //	                decode from disk instead of re-running the generators.
-//	                Default: a per-process temp dir (created when -cachemb
-//	                or -cachekeep asks for one), removed on exit unless
-//	                -cachekeep
+//	                Default with -cachekeep: a new temp dir, whose path is
+//	                printed at exit
 //	-cachekeep      keep the spill directory at exit, flushing every built
 //	                trace to it, so the next run warm-starts from it
 //	-cachestats     print trace-cache counters to stderr at the end
@@ -95,8 +92,7 @@ func run(args []string) error {
 	dumpSpec := fs.String("dumpspec", "", "print the named built-in workload spec as JSON and exit")
 	listWorkloads := fs.Bool("list-workloads", false, "list every built-in workload spec name")
 	list := fs.Bool("list", false, "list predictors, substrates, outputs, and built-in plans")
-	cacheMB := fs.Int64("cachemb", 0, "trace-cache budget in MiB (0 = unbounded)")
-	cacheSpill := fs.String("cachespill", "", "spill directory for the trace cache's persistent tier (default: per-process temp dir)")
+	cacheSpill := fs.String("cachespill", "", "spill directory for the trace cache's persistent tier (default with -cachekeep: a new temp dir)")
 	cacheKeep := fs.Bool("cachekeep", false, "keep the spill directory at exit for a later warm start")
 	cacheStats := fs.Bool("cachestats", false, "print trace-cache counters to stderr at the end")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -189,12 +185,11 @@ func run(args []string) error {
 		}()
 	}
 
-	// The documented -cachespill default: a per-process temp dir, created
-	// whenever something needs a spill tier (-cachemb evictions, -cachekeep
-	// persistence) and removed on exit unless -cachekeep.
+	// The documented -cachespill default: -cachekeep without a directory
+	// keeps the traces in a new temp dir and names it at exit.
 	spillDir := *cacheSpill
 	spillIsTemp := false
-	if spillDir == "" && (*cacheMB > 0 || *cacheKeep) {
+	if spillDir == "" && *cacheKeep {
 		dir, err := os.MkdirTemp("", "blbp-spill-")
 		if err != nil {
 			return fmt.Errorf("creating default spill dir: %w", err)
@@ -207,11 +202,7 @@ func run(args []string) error {
 			return fmt.Errorf("spill directory %s: %w", spillDir, err)
 		}
 	}
-	cacheCfg := tracecache.Config{SpillDir: spillDir, KeepSpill: *cacheKeep}
-	if *cacheMB > 0 {
-		cacheCfg.MaxBytes = *cacheMB << 20
-	}
-	runner := experiments.NewRunnerConfig(*parallel, cacheCfg)
+	runner := experiments.NewRunnerConfig(*parallel, tracecache.Config{SpillDir: spillDir, KeepSpill: *cacheKeep})
 	cache := runner.Cache()
 	// Registered before runner.Close so it runs after it: the KeepSpill
 	// flush happens inside Close, and its errors must still be reported.
@@ -220,11 +211,7 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "experiments: WARNING: %d trace-cache spill error(s); some traces were rebuilt or not persisted (details on first occurrence above)\n", n)
 		}
 		if spillIsTemp {
-			if *cacheKeep {
-				fmt.Fprintf(os.Stderr, "experiments: spill directory kept at %s (reuse with -cachespill)\n", spillDir)
-			} else {
-				os.RemoveAll(spillDir)
-			}
+			fmt.Fprintf(os.Stderr, "experiments: spill directory kept at %s (reuse with -cachespill)\n", spillDir)
 		}
 	}()
 	defer runner.Close()

@@ -71,15 +71,6 @@ func TestWarmStartCSVIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheMBDefaultSpillDir covers the fixed flag default: -cachemb with
-// no -cachespill must spill evictions into a temp dir (not drop them) and
-// remove it on exit when -cachekeep is absent.
-func TestCacheMBDefaultSpillDir(t *testing.T) {
-	if err := run([]string{"-base", "4000", "-cachemb", "1", "-cachestats", "fig1"}); err != nil {
-		t.Fatalf("run with -cachemb and default spill dir: %v", err)
-	}
-}
-
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"bogus-experiment"}); err == nil {
 		t.Error("unknown experiment accepted")

@@ -107,8 +107,8 @@ func (e *Engine) Admit() (slot int, ok bool) {
 // Retire releases a stream's slot for reuse. The predictor's memory is kept;
 // the next admission Resets it in place.
 func (e *Engine) Retire(slot int) {
-	if !e.live[slot] {
-		panic(fmt.Sprintf("batch: retire of non-live slot %d", slot))
+	if uint(slot) >= uint(len(e.live)) || !e.live[slot] {
+		notLive("retire of", slot)
 	}
 	e.live[slot] = false
 	e.free = append(e.free, slot)
@@ -118,10 +118,20 @@ func (e *Engine) Retire(slot int) {
 // feeds, diagnostics, or driving one stream outside a batch. The slot must
 // be live.
 func (e *Engine) Stream(slot int) *core.BLBP {
-	if !e.live[slot] {
-		panic(fmt.Sprintf("batch: access to non-live slot %d", slot))
+	if uint(slot) >= uint(len(e.live)) || !e.live[slot] {
+		notLive("access to", slot)
 	}
 	return e.slots[slot]
+}
+
+// notLive panics with a batch: message naming the call (op) and a slot
+// that is out of range or not live. Kept out of line, it formats nothing
+// on the hot path and keeps Stream within the inlining budget, so the
+// slot check costs the batch loops no call.
+//
+//go:noinline
+func notLive(op string, slot int) {
+	panic(fmt.Sprintf("batch: %s non-live slot %d", op, slot))
 }
 
 // OnCond feeds a conditional branch outcome to slot's stream.
@@ -160,11 +170,11 @@ func (e *Engine) PredictBatch(slots []int, pcs, targets []uint64, oks []bool) {
 	// item's history hashing overlaps another's IBTB scan in the memory
 	// pipeline instead of serializing behind it.
 	for i, slot := range slots {
+		p := e.Stream(slot)
 		if e.stamp[slot] == e.epoch {
 			panic(fmt.Sprintf("batch: slot %d appears twice in one batch", slot))
 		}
 		e.stamp[slot] = e.epoch
-		p := e.Stream(slot)
 		p.BatchIndex(pcs[i])
 		copy(e.rows[i*e.n:(i+1)*e.n], p.BatchRows())
 		e.tabs[i] = p.BatchTable()

@@ -123,10 +123,11 @@ func TestSweepSaturatedLanes(t *testing.T) {
 
 // TestRetireNonLivePanics checks that a call naming a slot or stream that
 // is not live — retired, never admitted or out of range — panics with a
-// batch: message: the Engine's double Retire, and every Pool call that
-// takes a stream id. A Feed must not land in a retired id's kept queue,
-// where no Step would serve it, and the refused calls must leave the pool
-// as it was.
+// batch: message, not a runtime index error: every Engine call that takes
+// a slot, and every Pool call that takes a stream id, each at -1 and at
+// Capacity(). A Feed must not land in a retired id's kept queue, where no
+// Step would serve it, and the refused calls must leave the pool as it
+// was.
 func TestRetireNonLivePanics(t *testing.T) {
 	eng := NewEngine(smallConfig(), 2)
 	slot, _ := eng.Admit()
@@ -136,19 +137,39 @@ func TestRetireNonLivePanics(t *testing.T) {
 	retired, _ := pool.Admit()
 	pool.Retire(retired)
 	ev := Event{Kind: Indirect, PC: 0x400000, Target: 0x500000}
+	predict := func(slot int) func() {
+		return func() { eng.PredictBatch([]int{slot}, []uint64{ev.PC}, make([]uint64, 1), make([]bool, 1)) }
+	}
+	update := func(slot int) func() {
+		return func() { eng.UpdateBatch([]int{slot}, []uint64{ev.PC}, []uint64{ev.Target}) }
+	}
 	for _, tc := range []struct {
 		name string
 		call func()
 		want string
 	}{
 		{"engine retire retired", func() { eng.Retire(slot) }, "batch: retire of non-live slot 0"},
+		{"engine retire negative", func() { eng.Retire(-1) }, "batch: retire of non-live slot -1"},
+		{"engine retire capacity", func() { eng.Retire(eng.Capacity()) }, "batch: retire of non-live slot 2"},
+		{"engine stream negative", func() { eng.Stream(-1) }, "batch: access to non-live slot -1"},
+		{"engine stream capacity", func() { eng.Stream(eng.Capacity()) }, "batch: access to non-live slot 2"},
+		{"engine cond negative", func() { eng.OnCond(-1, ev.PC, true) }, "batch: access to non-live slot -1"},
+		{"engine cond capacity", func() { eng.OnCond(eng.Capacity(), ev.PC, true) }, "batch: access to non-live slot 2"},
+		{"engine predict negative", predict(-1), "batch: access to non-live slot -1"},
+		{"engine predict capacity", predict(eng.Capacity()), "batch: access to non-live slot 2"},
+		{"engine update negative", update(-1), "batch: access to non-live slot -1"},
+		{"engine update capacity", update(eng.Capacity()), "batch: access to non-live slot 2"},
 		{"feed retired", func() { pool.Feed(retired, ev) }, "batch: feed to non-live stream 1"},
 		{"feed never admitted", func() { pool.Feed(2, ev) }, "batch: feed to non-live stream 2"},
 		{"feed negative", func() { pool.Feed(-1, ev) }, "batch: feed to non-live stream -1"},
+		{"feed capacity", func() { pool.Feed(3, ev) }, "batch: feed to non-live stream 3"},
 		{"predictor retired", func() { pool.Predictor(retired) }, "batch: access to non-live stream 1"},
 		{"predictor never admitted", func() { pool.Predictor(9) }, "batch: access to non-live stream 9"},
+		{"predictor negative", func() { pool.Predictor(-1) }, "batch: access to non-live stream -1"},
+		{"predictor capacity", func() { pool.Predictor(3) }, "batch: access to non-live stream 3"},
 		{"retire retired", func() { pool.Retire(retired) }, "batch: retire of non-live stream 1"},
 		{"retire never admitted", func() { pool.Retire(3) }, "batch: retire of non-live stream 3"},
+		{"retire negative", func() { pool.Retire(-1) }, "batch: retire of non-live stream -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

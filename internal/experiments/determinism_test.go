@@ -71,8 +71,8 @@ func TestDriverCSVDeterministicWarmStart(t *testing.T) {
 	}
 	warm, warmStats := renderDriverCSVConfig(t, 0, cfg)
 	if warmStats.Builds != 0 {
-		t.Errorf("warm run builds = %d, want 0 (preload hits = %d, spill errors = %d)",
-			warmStats.Builds, warmStats.PreloadHits, warmStats.SpillErrors)
+		t.Errorf("warm run builds = %d, want 0 (spill loads = %d, spill errors = %d)",
+			warmStats.Builds, warmStats.SpillLoads, warmStats.SpillErrors)
 	}
 	if warmStats.SpillErrors != 0 {
 		t.Errorf("warm run spill errors = %d, want 0", warmStats.SpillErrors)

@@ -8,11 +8,11 @@
 //
 // A Runner is the process-wide execution layer: one trace cache
 // (internal/tracecache) so each workload's trace is built exactly once per
-// process no matter how many plans touch it, and one work-stealing worker
-// pool that schedules (workload × pass) tasks — the granularity CBP-style
-// trace-driven infrastructures parallelize at — so multi-pass plans like
-// the Fig. 10 ablation do not run their passes serially inside one
-// goroutine.
+// process no matter how many plans touch it, and one worker pool that
+// runs (workload × pass) tasks from a FIFO queue — the granularity
+// CBP-style trace-driven infrastructures parallelize at — so multi-pass
+// plans like the Fig. 10 ablation do not run their passes serially inside
+// one goroutine.
 package experiments
 
 import (
@@ -59,7 +59,7 @@ func (w WorkloadResult) MPKI(name string) float64 {
 }
 
 // Runner is the suite-wide execution layer shared by every driver of one
-// process: the trace cache and the work-stealing pool. Create one per
+// process: the trace cache and the worker pool. Create one per
 // process (or per experiment batch), run any number of drivers on it, and
 // Close it when done.
 type Runner struct {
@@ -76,7 +76,7 @@ func NewRunner(workers int) *Runner {
 
 // NewRunnerConfig returns a Runner with workers worker goroutines over a
 // private trace cache built from cfg, so callers can thread the cache's
-// persistence options (byte budget, spill directory, KeepSpill) through
+// persistence options (spill directory, KeepSpill) through
 // the execution layer without managing the cache themselves. The cache is
 // closed with the Runner; with cfg.KeepSpill that flushes the working set
 // to cfg.SpillDir for a later process to warm-start from.

@@ -7,10 +7,10 @@ import (
 )
 
 // TestPoolRunsEachTaskOnce floods an 8-worker pool with tiny tasks while
-// the workers are already draining it, so submits, pops and steals
+// the workers are already draining it, so submits and worker receives
 // interleave constantly, and requires every task to run exactly once.
-// Under -race it is the direct check of take's caller-holds-mu contract:
-// a take outside the lock races with submit and with sibling steals.
+// Under -race it also checks that each task's writes happen before the
+// test reads them back.
 func TestPoolRunsEachTaskOnce(t *testing.T) {
 	const tasks = 20000
 	p := newPool(8)

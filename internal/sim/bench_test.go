@@ -72,11 +72,12 @@ func BenchmarkTapeReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkTapeMemo times the tape's memo loops, the conditional/RAS side
-// every headline pass pays once per trace: each op fills the conditional
-// memo (a default hashed perceptron over the whole trace) and the RAS memo
-// of a fresh tape over the interpreter workload BenchmarkTapeReplay uses.
-// The trace, the tape and the predictor are built outside the timer.
+// BenchmarkTapeMemo times the tape's memo, the conditional/RAS side every
+// headline pass pays once per trace: each op fills the memo of a fresh
+// tape over the interpreter workload BenchmarkTapeReplay uses, running a
+// default hashed perceptron and the default-depth RAS over the whole
+// trace. The trace, the tape and the predictor are built outside the
+// timer.
 func BenchmarkTapeMemo(b *testing.B) {
 	cols := tapeBenchTrace()
 	b.ReportAllocs()
@@ -89,8 +90,7 @@ func BenchmarkTapeMemo(b *testing.B) {
 		}
 		cp := cond.NewHashedPerceptron(cond.DefaultHPConfig())
 		b.StartTimer()
-		tape.condMispredicts("hp", cp)
-		tape.returnMispredicts(Options{}.rasDepth())
+		tape.sharedSide("hp", cp, Options{}.rasDepth())
 	}
 }
 

@@ -14,38 +14,39 @@ import (
 // pass observes that is a function of the trace alone — per-record
 // instruction counts, the conditional outcome stream, the RAS push/pop
 // sequence — is identical across every pass over that trace, so the tape
-// precomputes it once: the aggregate totals at construction, the
-// return-stack misprediction count once per RAS depth, and the conditional
-// predictor's misprediction count once per conditional configuration key.
-// Passes that declare a shared conditional configuration then replay the
-// tape, driving only their indirect predictors over the record stream,
-// instead of re-simulating the conditional and return sides.
+// precomputes it once: the aggregate totals at construction, and the
+// conditional and return-stack counters once per (conditional
+// configuration key, RAS depth). Passes that declare a shared conditional
+// configuration then replay the tape, driving only their indirect
+// predictors over the record stream, instead of re-simulating the
+// conditional and return sides.
 //
-// The tape's loops step through the trace one maximal same-type run at a
-// time (trace.Columns.RunEnd), skipping classes a memo does not observe and
-// feeding predictors whole same-class runs at a time.
+// The replay loop steps through the trace one maximal same-type run at a
+// time (trace.Columns.RunEnd), feeding predictors whole same-class runs at
+// a time.
 //
 // A Tape is safe for concurrent use: the scheduler runs many passes of the
 // same workload at once and they all share one tape.
 type Tape struct {
 	cols *trace.Columns
 
-	mu   sync.Mutex
-	ras  map[int]*rasMemo
-	cond map[string]*condMemo
+	mu    sync.Mutex
+	memos map[memoKey]*memo
 }
 
-// condMemo memoizes one conditional configuration's misprediction count.
-// Once gives single-flight semantics: concurrent passes over the same key
-// block until the first has simulated the conditional side, then share it.
-type condMemo struct {
-	once        sync.Once
-	mispredicts int64
+// memoKey names one shared side: a conditional configuration key at one
+// return-stack depth.
+type memoKey struct {
+	cond     string
+	rasDepth int
 }
 
-type rasMemo struct {
-	once        sync.Once
-	mispredicts int64
+// memo holds one key's conditional and return counters. Once gives
+// single-flight semantics: concurrent passes under the same key block until
+// the first has simulated the shared side, then share it.
+type memo struct {
+	once   sync.Once
+	shared Result
 }
 
 // NewTape validates the trace and builds a tape over it. The pass-invariant
@@ -59,7 +60,7 @@ func NewTape(cols *trace.Columns) (*Tape, error) {
 	if err := cols.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return &Tape{cols: cols, ras: make(map[int]*rasMemo), cond: make(map[string]*condMemo)}, nil
+	return &Tape{cols: cols, memos: make(map[memoKey]*memo)}, nil
 }
 
 // Columns returns the underlying columnar trace (shared; callers must not
@@ -69,91 +70,27 @@ func (tp *Tape) Columns() *trace.Columns { return tp.cols }
 // Instructions returns the trace's total instruction count.
 func (tp *Tape) Instructions() int64 { return tp.cols.Instructions() }
 
-// condMispredicts returns the misprediction count of the conditional
-// configuration named by key, simulating cp over the trace on the key's
-// first use. Callers guarantee that every cp arriving under one key is a
-// fresh or Reset predictor of the identical configuration; later arrivals
-// are left untouched.
-func (tp *Tape) condMispredicts(key string, cp cond.Predictor) int64 {
+// sharedSide returns the conditional and return-stack counters of the
+// configuration named by condKey at the given RAS depth, running the
+// engine's own loop (runRange) with cp and no indirect predictors on the
+// key's first use. Callers guarantee that every cp arriving under one key
+// is a fresh or Reset predictor of the identical configuration; later
+// arrivals are left untouched.
+func (tp *Tape) sharedSide(condKey string, cp cond.Predictor, rasDepth int) Result {
+	k := memoKey{cond: condKey, rasDepth: rasDepth}
 	tp.mu.Lock()
-	m := tp.cond[key]
+	m := tp.memos[k]
 	if m == nil {
-		m = &condMemo{}
-		tp.cond[key] = m
-	}
-	tp.mu.Unlock()
-	m.once.Do(func() { m.mispredicts = tp.simulateCond(cp) })
-	return m.mispredicts
-}
-
-// simulateCond drives the conditional predictor over the trace exactly as
-// Run does — same call sequence, no indirect predictors — and returns its
-// misprediction count. Runs hoist the class dispatch; per-record order
-// within and across runs is the trace order.
-func (tp *Tape) simulateCond(cp cond.Predictor) int64 {
-	tt, hasTT := cp.(cond.TargetTrainer)
-	edges, idx, typ := tp.cols.Edges(), tp.cols.EdgeIndex(), tp.cols.Types()
-	var mis int64
-	for s, end := 0, 0; s < len(typ); s = end {
-		end = tp.cols.RunEnd(s)
-		if bt := trace.BranchType(typ[s]); bt == trace.CondDirect {
-			for i := s; i < end; i++ {
-				e := edges[idx[i]]
-				taken := tp.cols.Taken(i)
-				if cp.Predict(e.PC) != taken {
-					mis++
-				}
-				if hasTT {
-					tt.TrainWithTarget(e.PC, taken, e.Target)
-				} else {
-					cp.Train(e.PC, taken)
-				}
-				cp.UpdateHistory(e.PC, taken)
-			}
-		} else {
-			for i := s; i < end; i++ {
-				e := edges[idx[i]]
-				cp.OnOther(e.PC, e.Target, bt)
-			}
-		}
-	}
-	return mis
-}
-
-// returnMispredicts returns the RAS misprediction count at the given stack
-// depth, replaying the trace's call/return sequence on the depth's first
-// use. Only call and return runs are replayed; the (dominant) conditional
-// and jump runs are skipped whole.
-func (tp *Tape) returnMispredicts(depth int) int64 {
-	tp.mu.Lock()
-	m := tp.ras[depth]
-	if m == nil {
-		m = &rasMemo{}
-		tp.ras[depth] = m
+		m = &memo{}
+		tp.memos[k] = m
 	}
 	tp.mu.Unlock()
 	m.once.Do(func() {
-		stack := ras.New(depth)
-		edges, idx, typ := tp.cols.Edges(), tp.cols.EdgeIndex(), tp.cols.Types()
-		var mis int64
-		for s, e := 0, 0; s < len(typ); s = e {
-			e = tp.cols.RunEnd(s)
-			switch trace.BranchType(typ[s]) {
-			case trace.DirectCall, trace.IndirectCall:
-				for i := s; i < e; i++ {
-					stack.Push(edges[idx[i]].PC + instructionSize)
-				}
-			case trace.Return:
-				for i := s; i < e; i++ {
-					if !stack.Predict(edges[idx[i]].Target) {
-						mis++
-					}
-				}
-			}
-		}
-		m.mispredicts = mis
+		pr := &PausedRun{stack: ras.New(rasDepth)}
+		runRange(tp.cols, cp, nil, pr, tp.cols.Len())
+		m.shared = pr.shared
 	})
-	return m.mispredicts
+	return m.shared
 }
 
 // Run simulates one pass over the tape's trace. A non-empty condKey names
@@ -182,8 +119,7 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 	if len(indirects) == 0 {
 		return nil, fmt.Errorf("sim: no indirect predictors")
 	}
-	condMis := tp.condMispredicts(condKey, cp)
-	retMis := tp.returnMispredicts(opts.rasDepth())
+	shared := tp.sharedSide(condKey, cp, opts.rasDepth())
 
 	perPred := make([]Result, len(indirects))
 	edges, idx := tp.cols.Edges(), tp.cols.EdgeIndex()
@@ -239,14 +175,5 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 		}
 	}
 
-	for i, ip := range indirects {
-		perPred[i].Trace = tp.cols.Name
-		perPred[i].Predictor = ip.Name()
-		perPred[i].Instructions = tp.cols.Instructions()
-		perPred[i].CondBranches = tp.cols.Count(trace.CondDirect)
-		perPred[i].CondMispredicts = condMis
-		perPred[i].Returns = tp.cols.Count(trace.Return)
-		perPred[i].ReturnMispredicts = retMis
-	}
-	return perPred, nil
+	return finalize(tp.cols, indirects, &PausedRun{shared: shared, perPred: perPred}), nil
 }

@@ -67,6 +67,41 @@ func TestTapeRunMatchesFullRun(t *testing.T) {
 	}
 }
 
+// TestTapeRASDepthsMatchFullRun runs passes under one conditional key at
+// RAS depths 64 and 256 over a trace that recurses past 64 levels: each
+// depth's counters must equal Run's at that depth, and the two depths must
+// differ, so a memo that ignored the depth would fail.
+func TestTapeRASDepthsMatchFullRun(t *testing.T) {
+	tr := workload.RecursiveSpec("tape-deep", "T", 60_000, workload.RecursiveParams{
+		MaxDepth: 100, MinDepth: 80, VisitorClasses: 3, Work: 8,
+	}).Build()
+	tape, err := NewTape(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var returnMis []int64
+	for _, depth := range []int{64, 256} {
+		opts := Options{RASDepth: depth}
+		got, err := tape.Run("hp", cond.NewHashedPerceptron(cond.DefaultHPConfig()),
+			[]predictor.Indirect{btb.NewIndirect(btb.Default32K())}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(tr, cond.NewHashedPerceptron(cond.DefaultHPConfig()),
+			[]predictor.Indirect{btb.NewIndirect(btb.Default32K())}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] {
+			t.Errorf("depth %d: tape %+v != full run %+v", depth, got[0], want[0])
+		}
+		returnMis = append(returnMis, got[0].ReturnMispredicts)
+	}
+	if returnMis[0] == returnMis[1] {
+		t.Errorf("depths 64 and 256 both give %d return mispredicts; the trace does not tell them apart", returnMis[0])
+	}
+}
+
 // TestTapeCondSimulatedOncePerKey checks the memoization: the second pass
 // under the same key must never drive its conditional predictor, while a
 // new key must simulate again.

@@ -4,22 +4,20 @@
 // driver rebuilds every trace from its generator (internal/experiments PR 1
 // profile: most of the suite wall clock). The cache keys on the spec's
 // identity (name, seed, instruction budget, parameter fingerprint — see
-// workload.Spec.Identity),
-// deduplicates concurrent builds with single-flight entries, counts hits,
-// misses and bytes, and can bound its memory footprint with an LRU spill
-// that evicts traces to disk and decodes them back on the next touch
-// instead of rebuilding.
+// workload.Spec.Identity), deduplicates concurrent builds with
+// single-flight entries, and counts hits, misses and bytes. Every built
+// trace stays in memory until Close.
 //
-// Spill files are a persistent cache tier, not just eviction overflow.
-// Each file is self-describing — a trace.SpillHeader carrying the full
-// workload identity and record count, then checksummed payload blocks —
-// and is written via temp file + rename so a crash never leaves a
-// decodable-but-truncated file at a canonical name. A cache whose Config names a SpillDir indexes
-// the directory's existing files at construction (Preload), so Get serves
-// identities spilled by an earlier process from disk without running the
-// generator; with Config.KeepSpill, Close flushes every live entry to the
-// directory and retains the files, making repeated full-suite runs warm
-// after the first.
+// Spill files are the cache's persistent tier. Each file is
+// self-describing — a trace.SpillHeader carrying the full workload
+// identity and record count, then checksummed payload blocks — and is
+// written via temp file + rename so a crash never leaves a
+// decodable-but-truncated file at a canonical name. A cache whose Config
+// names a SpillDir indexes the directory's existing files at construction
+// (Preload), so Get serves identities spilled by an earlier process from
+// disk without running the generator; with Config.KeepSpill, Close flushes
+// every live entry to the directory and retains the files, making repeated
+// full-suite runs warm after the first.
 //
 // Entries hold traces as trace.Columns (what generators emit, spill files
 // decode into, and the replay engine consumes). Each entry also memoizes
@@ -30,7 +28,6 @@
 package tracecache
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -59,21 +56,16 @@ const (
 
 // Config parameterizes a Cache.
 type Config struct {
-	// MaxBytes bounds the approximate in-memory footprint of live traces;
-	// 0 means unbounded. When the bound is exceeded the least-recently-used
-	// entries are evicted.
-	MaxBytes int64
-	// SpillDir, when non-empty, receives evicted traces as self-describing
-	// spill files so a later Get decodes them from disk instead of
-	// re-running the generator. New creates the directory if needed and
-	// indexes any spill files already in it (see Preload), so a directory
-	// kept by a previous process warm-starts this one. Empty means evicted
-	// traces are simply dropped.
+	// SpillDir, when non-empty, is the directory of the persistent tier.
+	// New creates it if needed and indexes any spill files already in it
+	// (see Preload), so a Get decodes a trace that a previous process kept
+	// there instead of re-running the generator. Empty means no spill tier.
 	SpillDir string
 	// KeepSpill retains SpillDir's files at Close for a later process:
 	// Close flushes every live entry to disk, keeps all valid spill files,
-	// and prunes stale-format files and orphaned temp files. When false,
-	// Close removes the cache's spill files (both written and preloaded).
+	// and prunes stale-format files and orphaned temp files. It is the
+	// only way spill files get written. When false, Close removes the
+	// spill files the cache indexed.
 	KeepSpill bool
 }
 
@@ -88,23 +80,18 @@ type Stats struct {
 	Misses int64
 	// SpillLoads counts entries restored by decoding a spill file.
 	SpillLoads int64
-	// PreloadHits counts the subset of SpillLoads served by files indexed
-	// from a pre-existing spill directory (written by an earlier process)
-	// rather than spilled by this one.
-	PreloadHits int64
 	// SpillErrors counts spill-tier failures: writes that were dropped and
 	// loads that failed validation or I/O and fell back to the generator.
 	// The first failure is logged to stderr; the rest only count here.
 	SpillErrors int64
-	// Evictions counts entries evicted from memory by the byte budget.
-	Evictions int64
-	// LiveBytes approximates the bytes held by live entries.
+	// LiveBytes approximates the bytes held by live entries: each charges
+	// its trace's Columns.Bytes, its name and entryOverheadBytes.
 	LiveBytes int64
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d builds, %d hits, %d misses, %d spill loads (%d preload), %d spill errors, %d evictions, %.1f MB live",
-		s.Builds, s.Hits, s.Misses, s.SpillLoads, s.PreloadHits, s.SpillErrors, s.Evictions, float64(s.LiveBytes)/(1<<20))
+	return fmt.Sprintf("%d builds, %d hits, %d misses, %d spill loads, %d spill errors, %.1f MB live",
+		s.Builds, s.Hits, s.Misses, s.SpillLoads, s.SpillErrors, float64(s.LiveBytes)/(1<<20))
 }
 
 // Cache is a process-wide trace cache. The zero value is not usable; use
@@ -112,21 +99,17 @@ func (s Stats) String() string {
 type Cache struct {
 	cfg Config
 
-	mu        sync.Mutex
-	entries   map[workload.Identity]*Entry
-	lru       *list.List // of *Entry, front = most recently used
-	spilled   map[workload.Identity]string
-	preloaded map[workload.Identity]bool // spilled paths adopted by Preload
-	stale     []string                   // unreadable *.blbptrc files; pruned at Close with KeepSpill
-	live      int64                      // bytes, under mu
+	mu      sync.Mutex
+	entries map[workload.Identity]*Entry
+	spilled map[workload.Identity]string
+	stale   []string // unreadable *.blbptrc files; pruned at Close with KeepSpill
 
-	builds      atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	spillLoads  atomic.Int64
-	preloadHits atomic.Int64
-	spillErrs   atomic.Int64
-	evictions   atomic.Int64
+	builds     atomic.Int64
+	hits       atomic.Int64
+	misses     atomic.Int64
+	spillLoads atomic.Int64
+	spillErrs  atomic.Int64
+	live       atomic.Int64 // bytes
 
 	logSpillErr sync.Once
 }
@@ -137,11 +120,9 @@ type Cache struct {
 // rather than failing construction.
 func New(cfg Config) *Cache {
 	c := &Cache{
-		cfg:       cfg,
-		entries:   make(map[workload.Identity]*Entry),
-		lru:       list.New(),
-		spilled:   make(map[workload.Identity]string),
-		preloaded: make(map[workload.Identity]bool),
+		cfg:     cfg,
+		entries: make(map[workload.Identity]*Entry),
+		spilled: make(map[workload.Identity]string),
 	}
 	if cfg.SpillDir != "" {
 		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
@@ -156,15 +137,11 @@ func New(cfg Config) *Cache {
 
 // Entry is one cached workload: the built trace (held in columnar form —
 // what every hot consumer replays) plus memoized derived artifacts. Entries
-// stay valid after eviction — eviction only drops the cache's own
-// reference.
+// stay valid after Close, which only drops the cache's own references.
 type Entry struct {
-	id    workload.Identity
 	once  sync.Once
 	build func() // bound at creation; every Get runs it through once
 	cols  *trace.Columns
-	bytes int64
-	elem  *list.Element // LRU position, nil once evicted; under Cache.mu
 
 	statsOnce sync.Once
 	stats     *trace.Stats
@@ -192,9 +169,9 @@ func (e *Entry) Tape() (*sim.Tape, error) {
 
 // Preload indexes every spill file in dir by the identity in its header,
 // so subsequent Gets of those identities decode from disk instead of
-// running the generator — even identities never evicted (or built) in this
-// process. New calls it on Config.SpillDir; call it directly to adopt
-// files from an additional directory. Files with the spill extension that
+// running the generator — even identities never built in this process.
+// New calls it on Config.SpillDir; call it directly to adopt files from an
+// additional directory. Files with the spill extension that
 // do not parse as spill files (older formats, truncated crash leftovers)
 // are remembered as stale and pruned by Close when KeepSpill is set.
 // Identities already live or already indexed are skipped. Returns the
@@ -231,7 +208,6 @@ func (c *Cache) Preload(dir string) int {
 		_, indexed := c.spilled[id]
 		if !live && !indexed {
 			c.spilled[id] = path
-			c.preloaded[id] = true
 			n++
 		}
 		c.mu.Unlock()
@@ -242,30 +218,24 @@ func (c *Cache) Preload(dir string) int {
 // Get returns the cache entry for the spec, building the trace on first
 // touch. Concurrent Gets of the same spec coalesce onto one build; every
 // other caller blocks until it completes and shares the entry. When the
-// identity has a spill file on disk (evicted earlier, or preloaded from a
-// previous process), the build decodes it — falling back to the generator
-// if the file fails identity, checksum, or record-count validation.
+// identity has a spill file on disk (indexed by Preload), the build
+// decodes it — falling back to the generator if the file fails identity,
+// checksum, or record-count validation.
 func (c *Cache) Get(spec workload.Spec) *Entry {
 	id := spec.Identity()
 	c.mu.Lock()
-	e := c.entries[id]
-	if e != nil {
-		c.touch(e)
+	if e := c.entries[id]; e != nil {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		e.once.Do(e.build) // coalesce onto an in-flight build
 		return e
 	}
-	e = &Entry{id: id}
+	e := &Entry{}
 	spillPath := c.spilled[id]
-	fromPreload := c.preloaded[id]
 	e.build = func() {
 		if spillPath != "" {
 			if cols, err := loadSpill(spillPath, id); err == nil {
 				c.spillLoads.Add(1)
-				if fromPreload {
-					c.preloadHits.Add(1)
-				}
 				e.cols = cols
 			} else {
 				// Wrong-identity, corrupt, or unreadable file: drop it from
@@ -275,7 +245,6 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 				c.mu.Lock()
 				if c.spilled[id] == spillPath {
 					delete(c.spilled, id)
-					delete(c.preloaded, id)
 				}
 				c.mu.Unlock()
 			}
@@ -284,79 +253,13 @@ func (c *Cache) Get(spec workload.Spec) *Entry {
 			c.builds.Add(1)
 			e.cols = spec.Build()
 		}
-		e.bytes = e.cols.Bytes() + int64(len(e.cols.Name)) + entryOverheadBytes
+		c.live.Add(e.cols.Bytes() + int64(len(e.cols.Name)) + entryOverheadBytes)
 	}
 	c.entries[id] = e
 	c.mu.Unlock()
 	c.misses.Add(1)
-
 	e.once.Do(e.build)
-
-	c.mu.Lock()
-	if e.elem == nil && c.entries[id] == e {
-		e.elem = c.lru.PushFront(e)
-		c.live += e.bytes
-	}
-	victims := c.collectVictims(e)
-	c.mu.Unlock()
-	c.spill(victims)
 	return e
-}
-
-// touch moves a live entry to the LRU front. Caller holds mu.
-func (c *Cache) touch(e *Entry) {
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
-}
-
-// collectVictims evicts least-recently-used entries until the footprint
-// fits the budget again, sparing keep, and returns them for spilling.
-// Caller holds mu.
-func (c *Cache) collectVictims(keep *Entry) []*Entry {
-	if c.cfg.MaxBytes <= 0 {
-		return nil
-	}
-	var victims []*Entry
-	for c.live > c.cfg.MaxBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		v := back.Value.(*Entry)
-		if v == keep {
-			break
-		}
-		c.lru.Remove(back)
-		v.elem = nil
-		delete(c.entries, v.id)
-		c.live -= v.bytes
-		c.evictions.Add(1)
-		victims = append(victims, v)
-	}
-	return victims
-}
-
-// spill writes evicted traces to the spill directory (outside the lock).
-// A failed write counts in SpillErrors — the next Get of that identity
-// rebuilds from the generator.
-func (c *Cache) spill(victims []*Entry) {
-	if c.cfg.SpillDir == "" {
-		return
-	}
-	for _, v := range victims {
-		c.mu.Lock()
-		_, done := c.spilled[v.id]
-		c.mu.Unlock()
-		if done {
-			continue
-		}
-		path := filepath.Join(c.cfg.SpillDir, spillName(v.id))
-		if err := writeSpill(path, v.id, v.cols); err != nil {
-			c.spillFailure(fmt.Errorf("spilling %s: %w", v.id.Name, err))
-			continue
-		}
-		c.mu.Lock()
-		c.spilled[v.id] = path
-		c.mu.Unlock()
-	}
 }
 
 // spillFailure counts a spill-tier error and logs the first one; later
@@ -433,54 +336,48 @@ func loadSpill(path string, id workload.Identity) (*trace.Columns, error) {
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	live := c.live
-	c.mu.Unlock()
 	return Stats{
 		Builds:      c.builds.Load(),
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		SpillLoads:  c.spillLoads.Load(),
-		PreloadHits: c.preloadHits.Load(),
 		SpillErrors: c.spillErrs.Load(),
-		Evictions:   c.evictions.Load(),
-		LiveBytes:   live,
+		LiveBytes:   c.live.Load(),
 	}
 }
 
-// Close drops every entry. Without KeepSpill it removes the cache's spill
-// files, written and preloaded alike (the pre-persistence behavior). With
-// KeepSpill it instead flushes every live built entry to the spill
-// directory so a later process can Preload the complete working set,
-// retains all valid spill files, and prunes stale-format files and
-// orphaned temp files. Close must not race concurrent Gets.
+// Close drops every entry. Without KeepSpill it removes the spill files
+// the cache indexed. With KeepSpill it instead writes
+// every built entry that has no spill file yet to the spill directory, so
+// a later process can Preload the complete working set, retains all valid
+// spill files, and prunes stale-format files and orphaned temp files. A
+// failed write counts in SpillErrors; the next process rebuilds that
+// trace from its generator. Close must not race concurrent Gets.
 func (c *Cache) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.cfg.KeepSpill && c.cfg.SpillDir != "" {
-		c.mu.Lock()
-		var flush []*Entry
 		for id, e := range c.entries {
-			if e.cols == nil {
+			if _, done := c.spilled[id]; done || e.cols == nil {
 				continue
 			}
-			if _, done := c.spilled[id]; !done {
-				flush = append(flush, e)
+			path := filepath.Join(c.cfg.SpillDir, spillName(id))
+			if err := writeSpill(path, id, e.cols); err != nil {
+				c.spillFailure(fmt.Errorf("spilling %s: %w", id.Name, err))
+				continue
 			}
+			c.spilled[id] = path
 		}
-		stale := c.stale
-		c.stale = nil
-		c.mu.Unlock()
-		c.spill(flush)
-		for _, path := range stale {
+		for _, path := range c.stale {
 			os.Remove(path)
 		}
+		c.stale = nil
 		if tmps, err := filepath.Glob(filepath.Join(c.cfg.SpillDir, tempPattern)); err == nil {
 			for _, tmp := range tmps {
 				os.Remove(tmp)
 			}
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.cfg.KeepSpill {
 		for id, path := range c.spilled {
 			os.Remove(path)
@@ -488,6 +385,5 @@ func (c *Cache) Close() {
 		}
 	}
 	c.entries = make(map[workload.Identity]*Entry)
-	c.lru.Init()
-	c.live = 0
+	c.live.Store(0)
 }

@@ -39,29 +39,27 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 	}
 }
 
-// TestBudgetCountsTrueBytes: the byte budget charges each entry what its
-// trace really holds (Columns.Bytes: spare capacity included).
-// Two traces fit a budget of exactly their bytes, and one byte less evicts
-// the older.
-func TestBudgetCountsTrueBytes(t *testing.T) {
-	specs := []workload.Spec{testSpec("budget-a", 20_000), testSpec("budget-b", 20_000)}
+// TestLiveBytesCountsTrueBytes: LiveBytes charges each entry what its
+// trace really holds (Columns.Bytes: spare capacity included) plus its
+// name and entryOverheadBytes, once per entry however often it is fetched,
+// and Close drops the charge.
+func TestLiveBytesCountsTrueBytes(t *testing.T) {
+	specs := []workload.Spec{testSpec("live-a", 20_000), testSpec("live-b", 20_000)}
 	var both int64
 	for _, s := range specs {
 		both += s.Build().Bytes() + int64(len(s.Name)) + entryOverheadBytes
 	}
-	for _, tc := range []struct{ budget, evictions int64 }{{both, 0}, {both - 1, 1}} {
-		c := New(Config{MaxBytes: tc.budget})
-		for _, s := range specs {
-			c.Get(s)
-		}
-		st := c.Stats()
-		c.Close()
-		if st.Evictions != tc.evictions {
-			t.Errorf("budget %d: %d evictions, want %d", tc.budget, st.Evictions, tc.evictions)
-		}
-		if tc.evictions == 0 && st.LiveBytes != both {
-			t.Errorf("budget %d: live bytes %d, want %d", tc.budget, st.LiveBytes, both)
-		}
+	c := New(Config{})
+	for _, s := range specs {
+		c.Get(s)
+		c.Get(s)
+	}
+	if got := c.Stats().LiveBytes; got != both {
+		t.Errorf("live bytes %d, want %d", got, both)
+	}
+	c.Close()
+	if got := c.Stats().LiveBytes; got != 0 {
+		t.Errorf("live bytes after Close %d, want 0", got)
 	}
 }
 
@@ -115,38 +113,24 @@ func TestConcurrentGetSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSpillRoundTrip bounds the cache so the first trace is evicted and
-// spilled, then re-Gets it and checks it comes back from disk, record for
-// record, without a second generator run.
+// TestSpillRoundTrip writes a trace through a KeepSpill Close, then has a
+// second cache over the directory decode it, record for record, without a
+// generator run.
 func TestSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	specA := testSpec("spill-a", 5_000)
-	specB := testSpec("spill-b", 5_000)
+	spec := testSpec("spill-a", 5_000)
+	reference := spec.Build()
 
-	reference := specA.Build()
+	c1 := New(Config{SpillDir: dir, KeepSpill: true})
+	c1.Get(spec)
+	c1.Close()
 
-	c := New(Config{MaxBytes: 1, SpillDir: dir})
-	defer c.Close()
-	c.Get(specA)
-	c.Get(specB) // evicts and spills A (budget fits nothing, newest is spared)
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a 1-byte budget: %+v", st)
+	c2 := New(Config{SpillDir: dir})
+	defer c2.Close()
+	tr := c2.Get(spec).Columns()
+	if st := c2.Stats(); st.SpillLoads != 1 || st.Builds != 0 {
+		t.Errorf("spill loads/builds = %d/%d, want 1/0 (reload must not rebuild)", st.SpillLoads, st.Builds)
 	}
-	names, _ := os.ReadDir(dir)
-	if len(names) == 0 {
-		t.Fatal("no spill file written")
-	}
-
-	e := c.Get(specA)
-	st = c.Stats()
-	if st.SpillLoads != 1 {
-		t.Errorf("spill loads = %d, want 1", st.SpillLoads)
-	}
-	if st.Builds != 2 {
-		t.Errorf("builds = %d, want 2 (reload must not rebuild)", st.Builds)
-	}
-	tr := e.Columns()
 	if tr.Name != reference.Name || tr.Len() != reference.Len() {
 		t.Fatalf("reloaded trace shape differs: %s/%d vs %s/%d",
 			tr.Name, tr.Len(), reference.Name, reference.Len())
@@ -158,12 +142,22 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloseRemovesSpillFiles: without KeepSpill, Close removes every spill
+// file the cache indexed, the one it loaded and the one it never touched.
 func TestCloseRemovesSpillFiles(t *testing.T) {
 	dir := t.TempDir()
-	c := New(Config{MaxBytes: 1, SpillDir: dir})
-	c.Get(testSpec("close-a", 4_000))
-	c.Get(testSpec("close-b", 4_000))
-	c.Close()
+	specA, specB := testSpec("close-a", 4_000), testSpec("close-b", 4_000)
+	c1 := New(Config{SpillDir: dir, KeepSpill: true})
+	c1.Get(specA)
+	c1.Get(specB)
+	c1.Close()
+	if names, _ := os.ReadDir(dir); len(names) != 2 {
+		t.Fatalf("%d spill files after KeepSpill Close, want 2", len(names))
+	}
+
+	c2 := New(Config{SpillDir: dir})
+	c2.Get(specA)
+	c2.Close()
 	names, _ := os.ReadDir(dir)
 	if len(names) != 0 {
 		t.Errorf("%d spill files left after Close", len(names))
@@ -196,8 +190,8 @@ func TestWarmStartAcrossCaches(t *testing.T) {
 	if st.Builds != 0 {
 		t.Errorf("warm cache builds = %d, want 0", st.Builds)
 	}
-	if st.SpillLoads != 2 || st.PreloadHits != 2 {
-		t.Errorf("spill loads/preload hits = %d/%d, want 2/2", st.SpillLoads, st.PreloadHits)
+	if st.SpillLoads != 2 {
+		t.Errorf("spill loads = %d, want 2", st.SpillLoads)
 	}
 	if st.SpillErrors != 0 {
 		t.Errorf("spill errors = %d, want 0", st.SpillErrors)
@@ -277,8 +271,8 @@ func TestPreloadIndexesByHeaderNotFilename(t *testing.T) {
 		t.Errorf("Get(B) returned %q", tr.Name)
 	}
 	st := c2.Stats()
-	if st.PreloadHits != 1 || st.Builds != 1 {
-		t.Errorf("preload hits/builds = %d/%d, want 1/1", st.PreloadHits, st.Builds)
+	if st.SpillLoads != 1 || st.Builds != 1 {
+		t.Errorf("spill loads/builds = %d/%d, want 1/1", st.SpillLoads, st.Builds)
 	}
 }
 
@@ -350,34 +344,36 @@ func TestTruncatedSpillRejectedAtPreload(t *testing.T) {
 }
 
 // TestSpillDirCreated covers the silent-drop bug: a nested, nonexistent
-// SpillDir must be created up front so evictions actually spill.
+// SpillDir must be created up front so the KeepSpill flush has somewhere
+// to write.
 func TestSpillDirCreated(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "spill")
-	c := New(Config{MaxBytes: 1, SpillDir: dir})
-	defer c.Close()
-	c.Get(testSpec("mkdir-a", 4_000))
-	c.Get(testSpec("mkdir-b", 4_000)) // evicts and spills A
-	names, err := os.ReadDir(dir)
-	if err != nil {
+	c := New(Config{SpillDir: dir, KeepSpill: true})
+	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("spill dir not created: %v", err)
 	}
-	if len(names) == 0 {
-		t.Error("eviction wrote no spill file into the created dir")
+	c.Get(testSpec("mkdir-a", 4_000))
+	c.Close()
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("KeepSpill Close wrote %d spill files into the created dir, want 1", len(names))
 	}
 	if st := c.Stats(); st.SpillErrors != 0 {
 		t.Errorf("spill errors = %d, want 0", st.SpillErrors)
 	}
 }
 
-// TestSpillLeavesNoTempFiles checks the atomic write path: after spilling,
-// only finished .blbptrc files remain in the directory.
+// TestSpillLeavesNoTempFiles checks the atomic write path: after a
+// KeepSpill flush, only finished .blbptrc files remain in the directory.
 func TestSpillLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	c := New(Config{MaxBytes: 1, SpillDir: dir})
-	defer c.Close()
+	c := New(Config{SpillDir: dir, KeepSpill: true})
 	c.Get(testSpec("tmp-a", 4_000))
 	c.Get(testSpec("tmp-b", 4_000))
+	c.Close()
 	names, _ := os.ReadDir(dir)
+	if len(names) != 2 {
+		t.Errorf("%d files after flushing two traces, want 2", len(names))
+	}
 	for _, de := range names {
 		if filepath.Ext(de.Name()) != spillExt {
 			t.Errorf("stray non-spill file %q after spill", de.Name())

@@ -175,10 +175,19 @@ func (ws *WorkloadSpec) Validate() error {
 	} else if ws.Instructions <= 0 {
 		return fmt.Errorf("wspec: spec %q: instructions must be positive", ws.Name)
 	}
-	return ws.validateNode(&ws.Generator, "generator", 0, true)
+	var entries int64
+	if err := ws.validateNode(&ws.Generator, "generator", 0, true, &entries); err != nil {
+		return err
+	}
+	if entries > maxTableEntries {
+		return fmt.Errorf("wspec: spec %q: generator: its leaves' tables total %d entries, above the maximum %d", ws.Name, entries, maxTableEntries)
+	}
+	return nil
 }
 
-func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) error {
+// validateNode checks the subtree at n and adds the table entries its
+// leaves allocate when built (see validateSizes) to *entries.
+func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool, entries *int64) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("wspec: spec %q: %s: %s", ws.Name, at, fmt.Sprintf(format, args...))
 	}
@@ -206,7 +215,9 @@ func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) er
 		if err := ws.validateDraw(n, params, at); err != nil {
 			return err
 		}
-		return validateSizes(n, params, bad)
+		leaf, err := validateSizes(n, params, bad)
+		*entries += leaf
+		return err
 	case "mixed":
 		if err := noLeafFields(n, bad); err != nil {
 			return err
@@ -228,7 +239,7 @@ func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) er
 			if total += n.Parts[i].Weight; total < 0 {
 				return fmt.Errorf("wspec: spec %q: %s: mixed part %d: weights overflow their sum", ws.Name, at, i)
 			}
-			if err := ws.validateNode(&n.Parts[i].Generator, fmt.Sprintf("%s: mixed part %d", at, i), depth+1, false); err != nil {
+			if err := ws.validateNode(&n.Parts[i].Generator, fmt.Sprintf("%s: mixed part %d", at, i), depth+1, false, entries); err != nil {
 				return err
 			}
 		}
@@ -262,7 +273,7 @@ func (ws *WorkloadSpec) validateNode(n *Node, at string, depth int, top bool) er
 				}
 				prev = until
 			}
-			if err := ws.validateNode(&n.Phases[i].Generator, fmt.Sprintf("%s: phase %d", at, i), depth+1, false); err != nil {
+			if err := ws.validateNode(&n.Phases[i].Generator, fmt.Sprintf("%s: phase %d", at, i), depth+1, false, entries); err != nil {
 				return err
 			}
 		}
@@ -354,6 +365,13 @@ const maxSkew = 64
 // is vdispatch's 4,096² × 8 B = 128 MiB.
 const maxSize = 4096
 
+// maxTableEntries bounds a whole spec's table entries, the sum of what
+// validateSizes charges its leaves. A mixed or phases node constructs every
+// part before the first instruction, so without it N parts at the per-leaf
+// cap would allocate N of the largest table. The bound is one leaf's
+// maximum, maxSize².
+const maxTableEntries = maxSize * maxSize
+
 // validateSizes checks the preconditions the generator constructors enforce
 // by panicking, over every value an integer parameter can take at build
 // time: its static value, or each value of its draw range. No integer
@@ -363,7 +381,13 @@ const maxSize = 4096
 // static or drawn, must not exceed maxSkew. It runs after validateDraw, so
 // every drawn parameter exists and has an ordered range, integral for an
 // integer parameter.
-func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error) error {
+//
+// It returns the leaf's charge against maxTableEntries: the entries of the
+// largest table its constructor allocates, at the top of every draw range.
+// That is Classes × Sites for vdispatch and Opcodes × CondPerHandler for
+// the interpreter, and at least the largest integer parameter for every
+// kind.
+func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error) (int64, error) {
 	pv := reflect.ValueOf(params)
 	span := func(name string) (lo, hi int64) {
 		if r, ok := n.Draw[name]; ok {
@@ -372,6 +396,7 @@ func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error
 		v := pv.FieldByName(name).Int()
 		return v, v
 	}
+	var entries int64
 	for i := 0; i < pv.NumField(); i++ {
 		if pv.Field(i).Kind() != reflect.Int {
 			continue
@@ -380,37 +405,49 @@ func validateSizes(n *Node, params factoryParams, bad func(string, ...any) error
 		lo, hi := span(name)
 		if least := minSizes[n.Kind][name]; lo < least {
 			if _, drawn := n.Draw[name]; drawn {
-				return bad("%s draw range for %q starts at %d, below its minimum %d", n.Kind, name, lo, least)
+				return 0, bad("%s draw range for %q starts at %d, below its minimum %d", n.Kind, name, lo, least)
 			}
-			return bad("%s parameter %q is %d, below its minimum %d", n.Kind, name, lo, least)
+			return 0, bad("%s parameter %q is %d, below its minimum %d", n.Kind, name, lo, least)
 		}
 		if name == "Bank" && hi >= workload.MaxBank {
-			return bad("draw range for \"Bank\" ends at %d, out of range [0, %d)", hi, workload.MaxBank)
+			return 0, bad("draw range for \"Bank\" ends at %d, out of range [0, %d)", hi, workload.MaxBank)
 		}
 		if hi > maxSize {
 			if _, drawn := n.Draw[name]; drawn {
-				return bad("%s draw range for %q ends at %d, above its maximum %d", n.Kind, name, hi, maxSize)
+				return 0, bad("%s draw range for %q ends at %d, above its maximum %d", n.Kind, name, hi, maxSize)
 			}
-			return bad("%s parameter %q is %d, above its maximum %d", n.Kind, name, hi, maxSize)
+			return 0, bad("%s parameter %q is %d, above its maximum %d", n.Kind, name, hi, maxSize)
 		}
+		entries = max(entries, hi)
 	}
 	if n.Kind == "recursive" {
 		_, minDepth := span("MinDepth")
 		maxDepth, _ := span("MaxDepth")
 		if minDepth > maxDepth {
-			return bad("recursive needs MinDepth <= MaxDepth, but MinDepth can be %d and MaxDepth %d", minDepth, maxDepth)
+			return 0, bad("recursive needs MinDepth <= MaxDepth, but MinDepth can be %d and MaxDepth %d", minDepth, maxDepth)
 		}
 	}
 	if cb, ok := params.(workload.CallbacksParams); ok {
 		if r, drawn := n.Draw["Skew"]; drawn {
 			if r.Max > maxSkew {
-				return bad("callbacks draw range for \"Skew\" ends at %g, above its maximum %d", r.Max, maxSkew)
+				return 0, bad("callbacks draw range for \"Skew\" ends at %g, above its maximum %d", r.Max, maxSkew)
 			}
 		} else if cb.Skew > maxSkew {
-			return bad("callbacks parameter \"Skew\" is %g, above its maximum %d", cb.Skew, maxSkew)
+			return 0, bad("callbacks parameter \"Skew\" is %g, above its maximum %d", cb.Skew, maxSkew)
 		}
 	}
-	return nil
+	table := func(rows, cols string) int64 {
+		_, r := span(rows)
+		_, c := span(cols)
+		return r * c
+	}
+	switch n.Kind {
+	case "vdispatch":
+		entries = max(entries, table("Classes", "Sites"))
+	case "interpreter":
+		entries = max(entries, table("Opcodes", "CondPerHandler"))
+	}
+	return entries, nil
 }
 
 // sortedDrawFields returns the draw map's keys in sorted order, the one

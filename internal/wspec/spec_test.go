@@ -97,13 +97,28 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// mixOf returns the body of a mixed node of n weight-1 parts, each the
+// generator node gen.
+func mixOf(n int, gen string) string {
+	parts := strings.Repeat(`{"weight": 1, "generator": `+gen+`}, `, n)
+	return `"kind": "mixed", "parts": [` + strings.TrimSuffix(parts, ", ") + `]`
+}
+
+// vdispatchAtCap is a vdispatch node whose target table, Classes × Sites,
+// is the largest one leaf may allocate: 4,096², 128 MiB of targets.
+const vdispatchAtCap = `{"kind": "vdispatch", "params": {"Classes": 4096, "Sites": 4096, "Objects": 9}}`
+
+// smallVDispatch is a vdispatch node of 64 × 64 = 4,096 table entries.
+const smallVDispatch = `{"kind": "vdispatch", "params": {"Classes": 64, "Sites": 64, "Objects": 9}}`
+
 // TestValidateRejectsBuildPanics pins Validate's check of each precondition
 // a generator constructor enforces by panicking, for a static parameter and
 // for a draw range that can produce a failing value, plus a random mix's
-// weight sum, a drawn bank, a callbacks Skew and the size cap. Every spec
-// here used to pass validation; all but the drawn bank could then panic in
-// Build, a Skew above 2^53 never finished it, and a size of 10^9 made Build
-// allocate tens of gigabytes.
+// weight sum, a drawn bank, a callbacks Skew, the size cap and the spec's
+// total table size. Every spec here used to pass validation; all but the
+// drawn bank could then panic in Build, a Skew above 2^53 never finished
+// it, a size of 10^9 made Build allocate tens of gigabytes, and the
+// 100-part mix at the size cap about 12.5 GiB.
 func TestValidateRejectsBuildPanics(t *testing.T) {
 	const at = `wspec: spec "x": generator: `
 	cases := []struct {
@@ -163,11 +178,24 @@ func TestValidateRejectsBuildPanics(t *testing.T) {
 			`interpreter parameter "Opcodes" is 1000000000, above its maximum 4096`},
 		{"vdispatch Sites drawn above cap", `"kind": "vdispatch", "params": {"Classes": 2, "Objects": 9}, "draw": {"Sites": {"min": 1, "max": 1e9}}`,
 			`vdispatch draw range for "Sites" ends at 1000000000, above its maximum 4096`},
+		{"mix of 100 parts at the cap", mixOf(100, vdispatchAtCap),
+			`its leaves' tables total 1677721600 entries, above the maximum 16777216`},
+		{"phases of many small parts", `"kind": "phases", "phases": [{"until": 500, "generator": {` + mixOf(2048, smallVDispatch) + `}}, {"generator": {` + mixOf(2049, smallVDispatch) + `}}]`,
+			`its leaves' tables total 16781312 entries, above the maximum 16777216`},
+		{"interpreter tables drawn", `"kind": "mixed", "parts": [{"weight": 1, "generator": {"kind": "interpreter", "params": {"Opcodes": 4096, "ProgramLen": 40}, "draw": {"CondPerHandler": {"min": 0, "max": 4096}}}}, {"weight": 1, "generator": {"kind": "mono", "params": {"Sites": 1}}}]`,
+			`its leaves' tables total 16777217 entries, above the maximum 16777216`},
 	}
 	for _, tc := range cases {
 		in := `{"name": "x", "instructions": 1000, "generator": {` + tc.node + `}}`
 		if _, err := Decode([]byte(in)); err == nil || err.Error() != at+tc.want {
 			t.Errorf("%s: Decode error\n got  %v\n want %q", tc.label, err, at+tc.want)
+		}
+	}
+	// The total may reach one leaf's maximum exactly, in one leaf or many.
+	for _, node := range []string{vdispatchAtCap[1 : len(vdispatchAtCap)-1], mixOf(4096, smallVDispatch)} {
+		in := `{"name": "x", "instructions": 1000, "generator": {` + node + `}}`
+		if _, err := Decode([]byte(in)); err != nil {
+			t.Errorf("a spec of 4,096² table entries rejected: %v", err)
 		}
 	}
 }
@@ -269,6 +297,7 @@ func FuzzWorkloadSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"name": "r", "generator": {"kind": "replay", "path": "x.spill"}}`))
 	f.Add([]byte(`{"name": "z", "instructions": 100, "generator": {"kind": "callbacks", "params": {"Events": 4, "Skew": 1e300}}}`))
 	f.Add([]byte(`{"name": "o", "instructions": 100, "generator": {"kind": "interpreter", "params": {"Opcodes": 1000000000, "ProgramLen": 40}}}`))
+	f.Add([]byte(`{"name": "h", "instructions": 100, "generator": {` + mixOf(100, vdispatchAtCap) + `}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := Decode(data)
 		if err != nil {

@@ -15,12 +15,13 @@ git diff --exit-code results/lint.json
 go run ./cmd/blbplint -suppressed -exceptions ANALYSIS_EXCEPTIONS.md ./...
 go build ./...
 # The race-enabled tests are also the ownership gate for the experiments
-# pool's three goroutine launch sites: newPool's `go p.worker`, and the
-# pool submits of Runner.RunSuites and Runner.AnalyzeSuite.
+# pool's three goroutine launch sites: newPool's `go p.worker`, whose
+# workers range over the pool's one FIFO task channel, and the submits of
+# Runner.RunSuites and Runner.AnalyzeSuite that send tasks into it.
 # TestDriverCSVDeterministicAcrossParallelism (8 workers, built-in plans run
 # through runspec.Exec) and TestAnalyzeSuiteOrder (2 workers) drive all
-# three, and TestPoolRunsEachTaskOnce floods the pool so pops and steals
-# interleave. TestDriverCSVDeterministicAcrossParallelism and
+# three, and TestPoolRunsEachTaskOnce floods the channel so submits and
+# worker receives interleave. TestDriverCSVDeterministicAcrossParallelism and
 # TestRecycledSetsDeterministicAcrossWorkers (8 workers each) also cover
 # the run plans' free lists of recycled predictor sets.
 go test -race ./...
@@ -99,15 +100,19 @@ grep -q "trace cache: 0 builds" "$warm/stats.txt"
 diff "$cold/overall.csv" "$warm/overall.csv"
 rm -rf "$spill" "$cold" "$warm"
 # Recycled-set smoke: run plans Reset and reuse each pass's predictor set
-# across workloads. fig10 and extras, serially and at -parallel 4, must
-# render byte-identical CSVs. fig10's thirteen passes recycle their sets;
-# extras is one pass whose targetcache and cascaded members have no Reset,
-# so its btb, btb2bit, ittage and blbp are constructed per task instead.
+# across workloads. fig10, extras and overall, serially and at -parallel 4,
+# must render byte-identical CSVs. fig10's thirteen passes recycle their
+# sets; extras is one pass whose targetcache and cascaded members have no
+# Reset, so its btb, btb2bit, ittage and blbp are constructed per task
+# instead. overall runs VPC's full engine beside passes that share one
+# conditional/RAS memo per trace, so it also gates the worker queue and the
+# memo's use of the engine loop.
 rdir=$(mktemp -d)
-go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" fig10 extras >/dev/null
-go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" fig10 extras >/dev/null
+go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" fig10 extras overall >/dev/null
+go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" fig10 extras overall >/dev/null
 diff "$rdir/serial/fig10.csv" "$rdir/parallel/fig10.csv"
 diff "$rdir/serial/extras.csv" "$rdir/parallel/extras.csv"
+diff "$rdir/serial/overall.csv" "$rdir/parallel/overall.csv"
 rm -rf "$rdir"
 # Run-plan round trip: every built-in must dump as valid JSON, and a dumped
 # plan re-run via -plan must regenerate the compiled-in CSV byte for byte.
