@@ -47,7 +47,7 @@ micro:
 	$(GO) test -run xxx -bench 'BenchmarkSimRun|BenchmarkTapeReplay|BenchmarkTapeMemo|BenchmarkVPCPass' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkDrawCDF' -benchmem ./internal/workload/
 	$(GO) test -run xxx -bench 'BenchmarkSpecBuild' -benchmem ./internal/wspec/
-	$(GO) test -run xxx -bench 'BenchmarkReadSpill' -benchmem ./internal/trace/
+	$(GO) test -run xxx -bench 'BenchmarkWriteSpill|BenchmarkReadSpill' -benchmem ./internal/trace/
 	$(GO) test -run xxx -bench 'Throughput|EndToEnd' -benchmem .
 
 # Regenerate the committed results (full-scale instruction base). The

@@ -25,6 +25,14 @@ import "fmt"
 // exactly once in trace order. No segmentation is stored: at about 1.6
 // records per run it would cost more bytes than the edge index column.
 //
+// A record's InstrBefore, the instructions before its branch, is one byte
+// while every gap in the trace fits in one: generators' gaps are short (none
+// in the suite exceeds 182, about half are 0). The first gap above 255,
+// whether Append or the SPL3 decoder meets it, widens that trace's column
+// once to 4 bytes per record. Only Append, Record, finalize and the SPL3
+// codec touch the column; no replay loop reads it, so the two widths fork
+// no replay path.
+//
 // A Columns is built once (by a workload generator, a decoder, or Append)
 // and is read-only afterwards: the accessor methods return the underlying
 // arrays, and callers must not mutate them. A successful Validate is cached
@@ -33,10 +41,11 @@ type Columns struct {
 	// Name identifies the workload the trace came from.
 	Name string
 
-	edge        []uint32 // record i's PC and target are edges[edge[i]]
-	instrBefore []uint32
-	typ         []uint8
-	taken       []uint64 // bitset, bit i = record i's outcome
+	edge    []uint32 // record i's PC and target are edges[edge[i]]
+	instr8  []uint8  // record i's InstrBefore while every gap fits a byte
+	instr32 []uint32 // record i's InstrBefore once one has not; instr8 is then nil
+	typ     []uint8
+	taken   []uint64 // bitset, bit i = record i's outcome
 
 	edges []Edge   // the distinct (PC, target) pairs, in first-seen order
 	slots []uint32 // intern's open-addressing index: edge index + 1, 0 = empty
@@ -75,7 +84,11 @@ func (c *Columns) Grow(n int) {
 		return
 	}
 	c.edge = append(make([]uint32, 0, n), c.edge...)
-	c.instrBefore = append(make([]uint32, 0, n), c.instrBefore...)
+	if c.instr32 != nil {
+		c.instr32 = append(make([]uint32, 0, n), c.instr32...)
+	} else {
+		c.instr8 = append(make([]uint8, 0, n), c.instr8...)
+	}
 	c.typ = append(make([]uint8, 0, n), c.typ...)
 	if words := (n + 63) / 64; cap(c.taken) < words {
 		c.taken = append(make([]uint64, 0, words), c.taken...)
@@ -87,7 +100,7 @@ func (c *Columns) Grow(n int) {
 // its interning index.
 func (c *Columns) Bytes() int64 {
 	return int64(cap(c.edges))*16 + int64(cap(c.taken))*8 +
-		int64(cap(c.edge)+cap(c.instrBefore)+cap(c.slots))*4 + int64(cap(c.typ))
+		int64(cap(c.edge)+cap(c.instr32)+cap(c.slots))*4 + int64(cap(c.instr8)+cap(c.typ))
 }
 
 // Len returns the number of records.
@@ -105,15 +118,23 @@ func (c *Columns) Count(t BranchType) int64 {
 	return c.counts[t]
 }
 
-// Edges, EdgeIndex, InstrBefore, Types and TakenWords return the
-// underlying arrays (shared; callers must not mutate them): record i's PC
-// and target are Edges()[EdgeIndex()[i]]. Hot loops hoist these calls and
-// index the slices directly.
-func (c *Columns) Edges() []Edge         { return c.edges }
-func (c *Columns) EdgeIndex() []uint32   { return c.edge }
-func (c *Columns) InstrBefore() []uint32 { return c.instrBefore }
-func (c *Columns) Types() []uint8        { return c.typ }
-func (c *Columns) TakenWords() []uint64  { return c.taken }
+// Edges, EdgeIndex, Types and TakenWords return the underlying arrays
+// (shared; callers must not mutate them): record i's PC and target are
+// Edges()[EdgeIndex()[i]]. Hot loops hoist these calls and index the slices
+// directly.
+func (c *Columns) Edges() []Edge        { return c.edges }
+func (c *Columns) EdgeIndex() []uint32  { return c.edge }
+func (c *Columns) Types() []uint8       { return c.typ }
+func (c *Columns) TakenWords() []uint64 { return c.taken }
+
+// InstrBefore returns record i's count of non-branch instructions before
+// its branch, from whichever width the trace's gap column has.
+func (c *Columns) InstrBefore(i int) uint32 {
+	if c.instr32 != nil {
+		return c.instr32[i]
+	}
+	return uint32(c.instr8[i])
+}
 
 // RunEnd returns the end of the maximal same-type run that starts at record
 // i (0 <= i < Len): the first index after i whose type differs from record
@@ -156,7 +177,7 @@ func (c *Columns) Record(i int) Record {
 	return Record{
 		PC:          e.PC,
 		Target:      e.Target,
-		InstrBefore: c.instrBefore[i],
+		InstrBefore: c.InstrBefore(i),
 		Type:        BranchType(c.typ[i]),
 		Taken:       c.Taken(i),
 	}
@@ -168,7 +189,14 @@ func (c *Columns) Record(i int) Record {
 func (c *Columns) Append(r Record) {
 	i := len(c.typ)
 	c.edge = append(c.edge, c.intern(Edge{r.PC, r.Target}))
-	c.instrBefore = append(c.instrBefore, r.InstrBefore)
+	if c.instr32 == nil && r.InstrBefore > 0xff {
+		c.widen()
+	}
+	if c.instr32 != nil {
+		c.instr32 = append(c.instr32, r.InstrBefore)
+	} else {
+		c.instr8 = append(c.instr8, uint8(r.InstrBefore))
+	}
 	c.typ = append(c.typ, uint8(r.Type))
 	if i&63 == 0 {
 		c.taken = append(c.taken, 0)
@@ -181,6 +209,17 @@ func (c *Columns) Append(r Record) {
 	}
 	c.instructions += int64(r.InstrBefore) + 1
 	c.validated = false
+}
+
+// widen moves the gap column from one byte to four per record, at the same
+// length and capacity. It runs at most once per trace, at the first gap
+// above 255.
+func (c *Columns) widen() {
+	wide := make([]uint32, len(c.instr8), cap(c.instr8))
+	for i, g := range c.instr8 {
+		wide[i] = uint32(g)
+	}
+	c.instr8, c.instr32 = nil, wide
 }
 
 // intern returns e's index in the edge table, adding e on first sight. The
@@ -224,17 +263,20 @@ func (c *Columns) slot(e Edge) *uint32 {
 }
 
 // finalize rebuilds the per-class counts and the instruction total from the
-// filled typ/instrBefore columns. The spill decoder fills the columns by
-// index (no per-record Append) and then calls this once.
+// filled type and gap columns. The spill decoder fills the columns by index
+// (no per-record Append) and then calls this once.
 //
 //blbp:hot
 func (c *Columns) finalize() {
 	c.counts = [numBranchTypes]int64{}
 	var instr int64
-	for _, ib := range c.instrBefore {
+	for _, ib := range c.instr8 {
 		instr += int64(ib)
 	}
-	c.instructions = instr + int64(len(c.instrBefore))
+	for _, ib := range c.instr32 {
+		instr += int64(ib)
+	}
+	c.instructions = instr + int64(len(c.typ))
 	for _, t := range c.typ {
 		if t < numBranchTypes {
 			c.counts[t]++
@@ -280,7 +322,11 @@ func (c *Columns) growCapped(need, total int) {
 // zeroing the new taken words, so a decoder can fill records by index.
 func (c *Columns) extend(n int) {
 	c.edge = c.edge[:n]
-	c.instrBefore = c.instrBefore[:n]
+	if c.instr32 != nil {
+		c.instr32 = c.instr32[:n]
+	} else {
+		c.instr8 = c.instr8[:n]
+	}
 	c.typ = c.typ[:n]
 	for words := (n + 63) / 64; len(c.taken) < words; {
 		c.taken = append(c.taken, 0)

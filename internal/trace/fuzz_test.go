@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -59,40 +60,50 @@ func TestReadHugeCountRejected(t *testing.T) {
 // TestDecodersLyingRecordCount pins the SPL3 decoder's allocation when a
 // header claims 2^24 records but the body holds one valid record. The
 // decoder reserves at most 64K records before any block verifies, so the
-// decode fails at the missing records having allocated about 0.7 MB;
-// reserving the claimed count would commit about 150 MB first.
+// decode fails at the missing records having allocated about 0.5 MB, or
+// about 0.7 MB when the record's gap of 2^32-1 widens the reserved gap
+// column to 4 bytes per record; reserving the claimed count would commit
+// about 100 MB first.
 func TestDecodersLyingRecordCount(t *testing.T) {
-	one := columnsOf("x", Record{PC: 0x400000, Target: 0x400020, InstrBefore: 3, Type: CondDirect, Taken: true})
-	var spill bytes.Buffer
-	if err := WriteSpillColumns(&spill, SpillHeader{Name: one.Name}, one); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		gap  uint32
+	}{
+		{"SPL3", 3},
+		{"SPL3 wide gap", math.MaxUint32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one := columnsOf("x", Record{PC: 0x400000, Target: 0x400020, InstrBefore: tc.gap, Type: CondDirect, Taken: true})
+			var spill bytes.Buffer
+			if err := WriteSpillColumns(&spill, SpillHeader{Name: one.Name}, one); err != nil {
+				t.Fatal(err)
+			}
+			// countAt is the offset of the header's one-byte record count:
+			// after the magic, the name, and the one-byte seed, instruction
+			// budget and fingerprint.
+			data, countAt := spill.Bytes(), 8+2+3
+			if data[countAt] != 1 {
+				t.Fatalf("byte %d of the honest encoding is %#x, not its record count 1", countAt, data[countAt])
+			}
+			if _, c, err := ReadSpillColumns(bytes.NewReader(data)); err != nil || c.Len() != 1 || c.Record(0) != one.Record(0) {
+				t.Fatalf("honest one-record input did not decode to its one record: %v", err)
+			}
+			lying := binary.AppendUvarint(append([]byte(nil), data[:countAt]...), 1<<24)
+			lying = append(lying, data[countAt+1:]...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := ReadSpillColumns(bytes.NewReader(lying))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Error("a header claiming 2^24 records over one record decoded")
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("decoding the lying header allocated %d bytes (error: %v)", alloc, err)
+			if alloc >= 4<<20 {
+				t.Errorf("decoding the lying header allocated %d bytes, want < 4 MB", alloc)
+			}
+		})
 	}
-	t.Run("SPL3", func(t *testing.T) {
-		// countAt is the offset of the header's one-byte record count:
-		// after the magic, the name, and the one-byte seed, instruction
-		// budget and fingerprint.
-		data, countAt := spill.Bytes(), 8+2+3
-		if data[countAt] != 1 {
-			t.Fatalf("byte %d of the honest encoding is %#x, not its record count 1", countAt, data[countAt])
-		}
-		if _, c, err := ReadSpillColumns(bytes.NewReader(data)); err != nil || c.Len() != 1 {
-			t.Fatalf("honest one-record input did not decode to one record: %v", err)
-		}
-		lying := binary.AppendUvarint(append([]byte(nil), data[:countAt]...), 1<<24)
-		lying = append(lying, data[countAt+1:]...)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err := ReadSpillColumns(bytes.NewReader(lying))
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Error("a header claiming 2^24 records over one record decoded")
-		}
-		alloc := after.TotalAlloc - before.TotalAlloc
-		t.Logf("decoding the lying header allocated %d bytes (error: %v)", alloc, err)
-		if alloc >= 4<<20 {
-			t.Errorf("decoding the lying header allocated %d bytes, want < 4 MB", alloc)
-		}
-	})
 }
 
 // FuzzTraceRoundTrip drives the SPL3 encoder and decoder together: fuzz
@@ -104,6 +115,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("loop", []byte{
 		0x00, 0x40, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0x03, 0x00, 0x09,
 		0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x7f, 0x00, 0x0c, 0x00, 0x03,
+	})
+	// Gaps of 255 and 256: the second record widens the gap column.
+	f.Add("gaps", []byte{
+		0x00, 0x40, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0xff, 0x00, 0x42,
+		0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x7f, 0x00, 0x00, 0x01, 0x03,
 	})
 	f.Fuzz(func(t *testing.T, name string, data []byte) {
 		if len(name) > 1<<12 {

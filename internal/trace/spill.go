@@ -42,6 +42,10 @@ import (
 // XOR deltas keep hot-loop records to a handful of bytes without requiring
 // monotonic addresses.
 //
+// The writer emits the header in one Write and each block, its three
+// prefix fields included, in one more, from a single block buffer reused
+// for every block, so it needs no buffered writer of its own.
+//
 // Blocking serves the reader: each block is checksummed and then decoded
 // from one contiguous in-memory slice (binary.Uvarint over []byte instead
 // of a byte-at-a-time bufio stream), and a corrupt or truncated file fails
@@ -66,6 +70,12 @@ var spillMagic = [8]byte{'B', 'L', 'B', 'P', 'S', 'P', 'L', '3'}
 // bytes) a block stays comfortably inside CPU caches while amortizing the
 // per-block checksum.
 const spillBlockRecords = 4096
+
+// blockPrefixRoom is the room the writer reserves ahead of each block's
+// payload for the block's record count, payload size and checksum, which
+// are known only once the payload is encoded; it fits two full uvarints and
+// the checksum.
+const blockPrefixRoom = 2*binary.MaxVarintLen64 + 8
 
 // maxSpillRecordLen bounds one encoded record: 1 header byte, a 5-byte
 // uvarint for the 32-bit instruction count, and two 10-byte uvarints for
@@ -97,81 +107,58 @@ type SpillHeader struct {
 	Records int64
 }
 
-// writeSpillHeader writes the header fields.
-func writeSpillHeader(bw *bufio.Writer, h SpillHeader, records int) error {
-	if _, err := bw.Write(spillMagic[:]); err != nil {
-		return err
+// appendSpillHeader appends the encoded header fields to buf.
+func appendSpillHeader(buf []byte, h SpillHeader, records int) []byte {
+	buf = append(buf, spillMagic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(h.Name)))
+	buf = append(buf, h.Name...)
+	for _, v := range []uint64{uint64(h.Seed), uint64(h.Instructions), h.Fingerprint, uint64(records)} {
+		buf = binary.AppendUvarint(buf, v)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(h.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(h.Name); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(h.Seed), uint64(h.Instructions), h.Fingerprint} {
-		if err := putUvarint(v); err != nil {
-			return err
-		}
-	}
-	return putUvarint(uint64(records))
+	return buf
 }
 
 // WriteSpillColumns encodes c as a spill file: header then checksummed
 // record blocks. Name, Seed, Instructions and Fingerprint are taken from h;
-// Records is computed from c and h's value for it is ignored.
+// Records is computed from c and h's value for it is ignored. The header
+// and each block reach w in one Write apiece, all from one buffer.
 func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeSpillHeader(bw, h, c.Len()); err != nil {
+	buf := appendSpillHeader(make([]byte, 0, blockPrefixRoom+spillBlockRecords*8), h, c.Len())
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	scratch := make([]byte, 0, spillBlockRecords*8)
-	edges, idx, instr := c.edges, c.edge, c.instrBefore
+	edges, idx := c.edges, c.edge
 	for start := 0; start < c.Len(); start += spillBlockRecords {
-		end := start + spillBlockRecords
-		if end > c.Len() {
-			end = c.Len()
-		}
-		scratch = scratch[:0]
+		end := min(start+spillBlockRecords, c.Len())
+		buf = buf[:blockPrefixRoom]
 		var prevPC uint64
 		for i := start; i < end; i++ {
 			header := c.typ[i]
 			if c.Taken(i) {
 				header |= 1 << 3
 			}
-			scratch = append(scratch, header)
+			buf = append(buf, header)
 			e := edges[idx[i]]
-			scratch = binary.AppendUvarint(scratch, uint64(instr[i]))
-			scratch = binary.AppendUvarint(scratch, e.PC^prevPC)
-			scratch = binary.AppendUvarint(scratch, e.Target^e.PC)
+			buf = binary.AppendUvarint(buf, uint64(c.InstrBefore(i)))
+			buf = binary.AppendUvarint(buf, e.PC^prevPC)
+			buf = binary.AppendUvarint(buf, e.Target^e.PC)
 			prevPC = e.PC
 		}
-		n := binary.PutUvarint(buf[:], uint64(end-start))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], uint64(len(scratch)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(buf[:8], fnv64a(scratch))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(scratch); err != nil {
+		payload := buf[blockPrefixRoom:]
+		var prefix [blockPrefixRoom]byte
+		n := binary.PutUvarint(prefix[:], uint64(end-start))
+		n += binary.PutUvarint(prefix[n:], uint64(len(payload)))
+		binary.LittleEndian.PutUint64(prefix[n:], fnv64a(payload))
+		n += 8
+		copy(buf[blockPrefixRoom-n:], prefix[:n])
+		if _, err := w.Write(buf[blockPrefixRoom-n:]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // readSpillHeader decodes the header from br.
@@ -303,16 +290,16 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 
 // decodeBlockColumns bulk-decodes one block's records (PC delta chain
 // starting at 0) straight into the record columns at index base, interning
-// each (PC, target) pair into the edge table. data must be consumed
-// exactly. Validation is inlined — Record.Validate's two
-// conditions plus the varint/overflow checks — and any malformation
-// reports false: the (cold) caller re-walks the block with blockError for
-// the diagnostic, so no error values are built on this path.
+// each (PC, target) pair into the edge table and widening the gap column at
+// the trace's first gap above 255. data must be consumed exactly.
+// Validation is inlined — Record.Validate's two conditions plus the
+// varint/overflow checks — and any malformation reports false: the (cold)
+// caller re-walks the block with blockError for the diagnostic, so no error
+// values are built on this path.
 //
 //blbp:hot
 func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
 	idx := c.edge[base : base+nrec]
-	instrs := c.instrBefore[base : base+nrec]
 	typs := c.typ[base : base+nrec]
 	var prevPC uint64
 	off := 0
@@ -347,7 +334,14 @@ func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
 		}
 		off += n
 		idx[i] = c.intern(Edge{pc, tgtDelta ^ pc})
-		instrs[i] = uint32(ib)
+		if c.instr32 == nil && ib > 0xff {
+			c.widen()
+		}
+		if c.instr32 != nil {
+			c.instr32[base+i] = uint32(ib)
+		} else {
+			c.instr8[base+i] = uint8(ib)
+		}
 		typs[i] = typ
 		if taken {
 			j := uint(base + i)

@@ -356,20 +356,68 @@ func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkReadSpill decodes a spill file that fits the decoder's 64K-record
-// reservation and one that grows past it, each for a trace of all-new edges
-// (bigSpillTrace) and for one whose PCs cycle over 1,050 records, about as
-// many edges as a suite trace holds.
+// TestWriteSpillAllocatesOneBuffer pins the encoder's allocation for a
+// 40,000-record trace (ten blocks), of all-new edges and of edges that
+// cycle as a suite trace's do: one block buffer, reused for the header and
+// every block, of 40 KiB. A 64 KiB buffered writer, or a buffer per block,
+// would not fit under 64 KiB.
+func TestWriteSpillAllocatesOneBuffer(t *testing.T) {
+	for _, tr := range []*Columns{bigSpillTrace(40_000), cyclingSpillTrace(40_000, 1050)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := WriteSpillColumns(io.Discard, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("encoding %d records with %d edges allocated %d bytes", tr.Len(), len(tr.Edges()), alloc)
+		if alloc >= 64<<10 {
+			t.Errorf("encoding %d records with %d edges allocated %d bytes, want < 64 KiB", tr.Len(), len(tr.Edges()), alloc)
+		}
+	}
+}
+
+// spillBenchCases are the traces the spill benchmarks encode and decode: one
+// that fits the decoder's 64K-record reservation and one that grows past
+// it, each for a trace of all-new edges (bigSpillTrace) and for one whose
+// PCs cycle over 1,050 records, about as many edges as a suite trace holds.
+var spillBenchCases = []struct {
+	name            string
+	records, period int
+}{
+	{"records=40000", 40_000, 40_000},
+	{"records=300000", 300_000, 300_000},
+	{"records=40000,period=1050", 40_000, 1050},
+	{"records=300000,period=1050", 300_000, 1050},
+}
+
+// BenchmarkWriteSpill encodes each of spillBenchCases to io.Discard, so
+// B/op is the encoder's own buffer.
+func BenchmarkWriteSpill(b *testing.B) {
+	for _, bc := range spillBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := cyclingSpillTrace(bc.records, bc.period)
+			h := SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}
+			var buf bytes.Buffer
+			if err := WriteSpillColumns(&buf, h, tr); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteSpillColumns(io.Discard, h, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadSpill decodes each of spillBenchCases.
 func BenchmarkReadSpill(b *testing.B) {
-	for _, bc := range []struct {
-		name            string
-		records, period int
-	}{
-		{"records=40000", 40_000, 40_000},
-		{"records=300000", 300_000, 300_000},
-		{"records=40000,period=1050", 40_000, 1050},
-		{"records=300000,period=1050", 300_000, 1050},
-	} {
+	for _, bc := range spillBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
 			tr := cyclingSpillTrace(bc.records, bc.period)
 			var buf bytes.Buffer

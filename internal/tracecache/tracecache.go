@@ -16,8 +16,8 @@
 // names a SpillDir indexes the directory's existing files at construction
 // (Preload), so Get serves identities spilled by an earlier process from
 // disk without running the generator; with Config.KeepSpill, Close flushes
-// every live entry to the directory and retains the files, making repeated
-// full-suite runs warm after the first.
+// every live entry to the directory, making repeated full-suite runs warm
+// after the first. Without KeepSpill the cache only reads the directory.
 //
 // Entries hold traces as trace.Columns (what generators emit, spill files
 // decode into, and the replay engine consumes). Each entry also memoizes
@@ -61,11 +61,11 @@ type Config struct {
 	// (see Preload), so a Get decodes a trace that a previous process kept
 	// there instead of re-running the generator. Empty means no spill tier.
 	SpillDir string
-	// KeepSpill retains SpillDir's files at Close for a later process:
-	// Close flushes every live entry to disk, keeps all valid spill files,
-	// and prunes stale-format files and orphaned temp files. It is the
-	// only way spill files get written. When false, Close removes the
-	// spill files the cache indexed.
+	// KeepSpill makes Close flush every live entry to SpillDir for a later
+	// process and prune stale-format files and orphaned temp files there.
+	// It is the only way spill files get written. A cache without it only
+	// reads its directory: the one file it ever removes is one that Get
+	// finds failing its identity or checksum check.
 	KeepSpill bool
 }
 
@@ -346,13 +346,12 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Close drops every entry. Without KeepSpill it removes the spill files
-// the cache indexed. With KeepSpill it instead writes
-// every built entry that has no spill file yet to the spill directory, so
-// a later process can Preload the complete working set, retains all valid
-// spill files, and prunes stale-format files and orphaned temp files. A
-// failed write counts in SpillErrors; the next process rebuilds that
-// trace from its generator. Close must not race concurrent Gets.
+// Close drops every entry. With KeepSpill it first writes every built entry
+// that has no spill file yet to the spill directory, so a later process can
+// Preload the complete working set, and prunes stale-format files and
+// orphaned temp files; without it, Close leaves the directory alone. A
+// failed write counts in SpillErrors; the next process rebuilds that trace
+// from its generator. Close must not race concurrent Gets.
 func (c *Cache) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -376,12 +375,6 @@ func (c *Cache) Close() {
 			for _, tmp := range tmps {
 				os.Remove(tmp)
 			}
-		}
-	}
-	if !c.cfg.KeepSpill {
-		for id, path := range c.spilled {
-			os.Remove(path)
-			delete(c.spilled, id)
 		}
 	}
 	c.entries = make(map[workload.Identity]*Entry)

@@ -142,9 +142,11 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCloseRemovesSpillFiles: without KeepSpill, Close removes every spill
-// file the cache indexed, the one it loaded and the one it never touched.
-func TestCloseRemovesSpillFiles(t *testing.T) {
+// TestReadOnlyCloseKeepsSpillFiles: a cache without KeepSpill only reads
+// its directory. Its Close leaves every spill file an earlier process kept,
+// the one it loaded and the one it never touched, so a third cache still
+// serves both from disk with no generator run.
+func TestReadOnlyCloseKeepsSpillFiles(t *testing.T) {
 	dir := t.TempDir()
 	specA, specB := testSpec("close-a", 4_000), testSpec("close-b", 4_000)
 	c1 := New(Config{SpillDir: dir, KeepSpill: true})
@@ -158,9 +160,16 @@ func TestCloseRemovesSpillFiles(t *testing.T) {
 	c2 := New(Config{SpillDir: dir})
 	c2.Get(specA)
 	c2.Close()
-	names, _ := os.ReadDir(dir)
-	if len(names) != 0 {
-		t.Errorf("%d spill files left after Close", len(names))
+	if names, _ := os.ReadDir(dir); len(names) != 2 {
+		t.Fatalf("%d spill files after a read-only Close, want 2", len(names))
+	}
+
+	c3 := New(Config{SpillDir: dir})
+	defer c3.Close()
+	c3.Get(specA)
+	c3.Get(specB)
+	if st := c3.Stats(); st.Builds != 0 || st.SpillLoads != 2 || st.SpillErrors != 0 {
+		t.Errorf("third cache: %v, want 0 builds, 2 spill loads, 0 spill errors", st)
 	}
 }
 

@@ -98,6 +98,14 @@ go run ./cmd/experiments -base 4000 -csv "$warm" \
 	>/dev/null 2>"$warm/stats.txt"
 grep -q "trace cache: 0 builds" "$warm/stats.txt"
 diff "$cold/overall.csv" "$warm/overall.csv"
+# A run without -cachekeep only reads the directory: it too serves every
+# trace from disk, and leaves every spill file where it found it.
+kept=$(ls "$spill"/*.blbptrc | wc -l)
+test "$kept" -gt 0
+go run ./cmd/experiments -base 4000 -cachespill "$spill" -cachestats overall \
+	>/dev/null 2>"$warm/readonly.txt"
+grep -q "trace cache: 0 builds" "$warm/readonly.txt"
+test "$(ls "$spill"/*.blbptrc | wc -l)" -eq "$kept"
 rm -rf "$spill" "$cold" "$warm"
 # Recycled-set smoke: run plans Reset and reuse each pass's predictor set
 # across workloads. fig10, extras and overall, serially and at -parallel 4,
