@@ -297,11 +297,11 @@ func buildPass(name string, overrides []byte) (*pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits := p.StorageBits()
-	if e.NewProvider != nil {
-		bits = cp.StorageBits() // the consolidated structure is the budget
+	ps := &pass{cp: cp, p: p, bits: p.StorageBits(), consolidated: e.NewProvider != nil}
+	if ps.consolidated {
+		ps.bits = cp.StorageBits() // the consolidated structure is the budget
 	}
-	return &pass{cp: cp, p: p, bits: bits}, nil
+	return ps, nil
 }
 
 // simulateOne runs a single named predictor over the whole trace.

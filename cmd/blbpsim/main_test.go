@@ -210,3 +210,30 @@ func TestSnapshotFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestConsolidatedSnapshotWritesOneStructure: a combined pass's two faces,
+// the predictor and its indirect view, share one structure, so -snapshot
+// must encode it once. Its file is then smaller than a blbp pass's, which
+// holds a hashed perceptron beside the BLBP; encoding both faces made it
+// about 1.5 times the blbp file's size.
+func TestConsolidatedSnapshotWritesOneStructure(t *testing.T) {
+	dir := t.TempDir()
+	size := func(pred string) int64 {
+		t.Helper()
+		snap := filepath.Join(dir, pred+".snp")
+		base := []string{"-workload", "400.perlbench-1", "-base", "40000", "-predictors", pred}
+		if err := run(append(base, "-snapshot", snap, "-snapat", "900")); err != nil {
+			t.Fatalf("%s snapshot: %v", pred, err)
+		}
+		fi, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	combined, dedicated := size("combined"), size("blbp")
+	t.Logf("combined snapshot %d B, blbp snapshot %d B", combined, dedicated)
+	if combined >= dedicated {
+		t.Errorf("combined snapshot is %d B, want under the blbp snapshot's %d B", combined, dedicated)
+	}
+}

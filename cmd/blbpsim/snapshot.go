@@ -38,19 +38,27 @@ func runFingerprint(tr *blbp.Trace) uint64 {
 }
 
 // pass is one built predictor pass: the conditional predictor, the indirect
-// predictor under test, and its modeled storage budget.
+// predictor under test, and its modeled storage budget. consolidated marks
+// a pass whose indirect predictor is a view of its conditional predictor
+// (combined), so the two share one state.
 type pass struct {
-	cp   blbp.ConditionalPredictor
-	p    blbp.IndirectPredictor
-	bits int
+	cp           blbp.ConditionalPredictor
+	p            blbp.IndirectPredictor
+	bits         int
+	consolidated bool
 }
 
-// passSnapshotters resolves the pass's Snapshotter faces, with a clear
-// error for catalog entries that do not support warm-state snapshots.
+// snapshotters resolves the pass's Snapshotter faces, with a clear error
+// for catalog entries that do not support warm-state snapshots. A
+// consolidated pass has no separate indirect face (is is nil): its
+// conditional face already encodes the whole structure.
 func (ps *pass) snapshotters(name string) (cs, is predictor.Snapshotter, err error) {
 	cs, ok := predictor.AsSnapshotter(ps.cp)
 	if !ok {
 		return nil, nil, fmt.Errorf("conditional predictor for %q (%T) does not support snapshots", name, ps.cp)
+	}
+	if ps.consolidated {
+		return cs, nil, nil
 	}
 	is, ok = predictor.AsSnapshotter(ps.p)
 	if !ok {
@@ -90,8 +98,10 @@ func snapshotRun(tr *blbp.Trace, names []string, configs configFlags, path strin
 		if err := encodeNested(c.Section(fmt.Sprintf("pass%d.cond", i)), cs); err != nil {
 			return fmt.Errorf("snapshotting conditional predictor for %q: %w", name, err)
 		}
-		if err := encodeNested(c.Section(fmt.Sprintf("pass%d.ind", i)), is); err != nil {
-			return fmt.Errorf("snapshotting %q: %w", name, err)
+		if is != nil {
+			if err := encodeNested(c.Section(fmt.Sprintf("pass%d.ind", i)), is); err != nil {
+				return fmt.Errorf("snapshotting %q: %w", name, err)
+			}
 		}
 	}
 	if err := snapshot.WriteFileAtomic(path, "blbpsnp-*.tmp", c.EncodeTo); err != nil {
@@ -175,8 +185,10 @@ func resumeRun(tr *blbp.Trace, names []string, configs configFlags, path string)
 		if err := restoreNested(dec, fmt.Sprintf("pass%d.cond", i), cs); err != nil {
 			return nil, fmt.Errorf("restoring conditional predictor for %q: %w", name, err)
 		}
-		if err := restoreNested(dec, fmt.Sprintf("pass%d.ind", i), is); err != nil {
-			return nil, fmt.Errorf("restoring %q: %w", name, err)
+		if is != nil {
+			if err := restoreNested(dec, fmt.Sprintf("pass%d.ind", i), is); err != nil {
+				return nil, fmt.Errorf("restoring %q: %w", name, err)
+			}
 		}
 		sd, err := dec.Section(fmt.Sprintf("pass%d.sim", i))
 		if err != nil {

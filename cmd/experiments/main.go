@@ -33,10 +33,11 @@
 //	-cachespill DIR spill directory for the trace cache's persistent tier.
 //	                Existing spill files in it warm-start the run: traces
 //	                decode from disk instead of re-running the generators.
-//	                A run without -cachekeep leaves the directory as it
-//	                found it, deleting only a file that fails its identity
-//	                or checksum check. Default with -cachekeep: a new temp
-//	                dir, whose path is printed at exit
+//	                A run without -cachekeep needs an existing DIR and
+//	                leaves it as it found it, deleting only a file that
+//	                fails its identity or checksum check. With -cachekeep
+//	                DIR is created if absent; default: a new temp dir,
+//	                whose path is printed at exit
 //	-cachekeep      keep the spill directory at exit, flushing every built
 //	                trace to it, so the next run warm-starts from it
 //	-cachestats     print trace-cache counters to stderr at the end
@@ -94,7 +95,7 @@ func run(args []string) error {
 	dumpSpec := fs.String("dumpspec", "", "print the named built-in workload spec as JSON and exit")
 	listWorkloads := fs.Bool("list-workloads", false, "list every built-in workload spec name")
 	list := fs.Bool("list", false, "list predictors, substrates, outputs, and built-in plans")
-	cacheSpill := fs.String("cachespill", "", "spill directory for the trace cache's persistent tier; a run without -cachekeep leaves it as it found it (default with -cachekeep: a new temp dir)")
+	cacheSpill := fs.String("cachespill", "", "spill directory for the trace cache's persistent tier; a run without -cachekeep needs an existing one and leaves it as it found it (default with -cachekeep: a new temp dir)")
 	cacheKeep := fs.Bool("cachekeep", false, "keep the spill directory at exit for a later warm start")
 	cacheStats := fs.Bool("cachestats", false, "print trace-cache counters to stderr at the end")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -199,9 +200,11 @@ func run(args []string) error {
 		spillDir = dir
 		spillIsTemp = true
 	}
-	if spillDir != "" {
-		if err := os.MkdirAll(spillDir, 0o755); err != nil {
-			return fmt.Errorf("spill directory %s: %w", spillDir, err)
+	// A run without -cachekeep only reads the directory: one that does not
+	// exist is a mistyped warm-start path, not an empty cache.
+	if spillDir != "" && !*cacheKeep {
+		if _, err := os.Stat(spillDir); err != nil {
+			return fmt.Errorf("-cachespill: %w (without -cachekeep the run only reads an existing directory)", err)
 		}
 	}
 	runner := experiments.NewRunnerConfig(*parallel, tracecache.Config{SpillDir: spillDir, KeepSpill: *cacheKeep})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +69,20 @@ func TestWarmStartCSVIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("overall.csv differs cold vs warm:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+}
+
+// TestMissingSpillDirRefused: without -cachekeep a run only reads its
+// -cachespill directory, so one that does not exist is a mistyped
+// warm-start path. The run must fail naming it and create nothing.
+func TestMissingSpillDirRefused(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nodir", "typo")
+	err := run([]string{"-base", "4000", "-cachespill", missing, "-cachestats", "table1"})
+	if err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("run with a missing -cachespill dir: err = %v, want an error naming %s", err, missing)
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+		t.Errorf("the run created %s (stat: %v)", filepath.Dir(missing), err)
 	}
 }
 

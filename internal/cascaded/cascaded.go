@@ -75,6 +75,20 @@ func New(cfg Config) *Predictor {
 	}
 }
 
+// Reset restores the freshly constructed state: both stages empty, an
+// empty history register, and no pending prediction. Run plans recycle a
+// pass's predictors through it between workloads.
+func (p *Predictor) Reset() {
+	p.stage1.Reset()
+	for i := range p.stage2 {
+		p.stage2[i] = entry{}
+	}
+	p.hist = 0
+	p.lastPC, p.lastOK = 0, false
+	p.lastS1, p.lastS1Hit = 0, false
+	p.lastS2, p.lastS2Hit = 0, false
+}
+
 // Name implements predictor.Indirect.
 func (p *Predictor) Name() string { return "cascaded" }
 

@@ -39,6 +39,14 @@ func New(cfg core.Config) *Predictor {
 	return &Predictor{core: core.New(cfg)}
 }
 
+// Reset restores the freshly constructed state: the shared BLBP core and
+// the conditional-role counters. Run plans recycle a pass's predictors
+// through it between workloads.
+func (p *Predictor) Reset() {
+	p.core.Reset()
+	p.condPredictions, p.condMispredicts = 0, 0
+}
+
 // Name implements predictor.Indirect and labels cond-side reporting.
 func (p *Predictor) Name() string { return "combined" }
 
@@ -130,3 +138,7 @@ func (v *IndirectView) OnOther(pc, target uint64, bt trace.BranchType) {}
 
 // StorageBits implements predictor.Indirect.
 func (v *IndirectView) StorageBits() int { return v.p.StorageBits() }
+
+// Reset resets the underlying consolidated predictor: the view shares its
+// state, so resetting either face resets the whole structure.
+func (v *IndirectView) Reset() { v.p.Reset() }

@@ -1,8 +1,9 @@
 // Package cond implements conditional (taken/not-taken) branch predictors.
 // The simulation harness uses a hashed perceptron predictor for conditional
 // branches, as the paper does (§4.2), and the VPC indirect predictor drives
-// the same perceptron through virtual PCs. Bimodal and gshare predictors are
-// included as simple references and for tests.
+// the same perceptron through virtual PCs. TAGE pairs with ITTAGE as the
+// COTTAGE configuration, and a bimodal predictor serves as the tests' cheap
+// reference.
 package cond
 
 import "blbp/internal/trace"

@@ -28,7 +28,6 @@ func measureLateMispredicts(p Predictor, pcs []uint64, outcomes []bool) int {
 func predictorsUnderTest() []Predictor {
 	return []Predictor{
 		NewBimodal(4096),
-		NewGShare(4096, 12),
 		NewHashedPerceptron(DefaultHPConfig()),
 	}
 }
@@ -67,10 +66,6 @@ func TestAlternatingPatternNeedsHistory(t *testing.T) {
 	outcomes := make([]bool, 2000)
 	for i := range outcomes {
 		outcomes[i] = i%2 == 0
-	}
-	g := NewGShare(4096, 12)
-	if mis := measureLateMispredicts(g, []uint64{0x500}, outcomes); mis > 5 {
-		t.Errorf("gshare: %d late mispredicts on alternating pattern, want <= 5", mis)
 	}
 	h := NewHashedPerceptron(DefaultHPConfig())
 	if mis := measureLateMispredicts(h, []uint64{0x500}, outcomes); mis > 5 {
@@ -194,10 +189,6 @@ func TestStorageBudgets(t *testing.T) {
 	if NewBimodal(4096).StorageBits() != 8192 {
 		t.Error("bimodal storage bits")
 	}
-	g := NewGShare(4096, 12)
-	if g.StorageBits() != 8192+12 {
-		t.Error("gshare storage bits")
-	}
 }
 
 func TestOnOtherDoesNotCrashAndAffectsHistory(t *testing.T) {
@@ -240,21 +231,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestBimodalGShareConstructorPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"bimodal zero":    func() { NewBimodal(0) },
-		"gshare zero":     func() { NewGShare(0, 12) },
-		"gshare hist big": func() { NewGShare(16, 64) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+func TestBimodalConstructorPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewBimodal(0): no panic")
+		}
+	}()
+	NewBimodal(0)
 }
 
 func TestDeterminism(t *testing.T) {

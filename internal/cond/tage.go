@@ -124,21 +124,40 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 		idxFolds[i] = ghist.Register(0, lens[i]-1, 22)
 		tagFolds[i] = ghist.Register(0, lens[i]-1, 17)
 	}
-	base := make([]counter2, cfg.BaseEntries)
-	for i := range base {
-		base[i] = 1
-	}
-	return &TAGE{
+	t := &TAGE{
 		cfg:      cfg,
 		lens:     lens,
 		tagBits:  tagBits,
 		tables:   tables,
-		base:     base,
+		base:     make([]counter2, cfg.BaseEntries),
 		ghist:    ghist,
 		idxFolds: idxFolds,
 		tagFolds: tagFolds,
-		rng:      0x853c49e6748fea9b,
 	}
+	t.Reset()
+	return t
+}
+
+// Reset restores the freshly constructed state: empty tagged tables, weakly
+// not-taken base counters, empty histories, the initial allocation seed, a
+// zero update count, and no pending prediction (the rest of the prediction
+// cache is rebuilt by the next Predict). Run plans recycle a pass's
+// predictors through it between workloads.
+func (t *TAGE) Reset() {
+	for _, tbl := range t.tables {
+		for i := range tbl {
+			tbl[i] = tageEntry{}
+		}
+	}
+	for i := range t.base {
+		t.base[i] = 1
+	}
+	t.ghist.Reset()
+	t.phist = 0
+	t.useAltOnNA = 0
+	t.lastPC, t.lastOK = 0, false
+	t.updates = 0
+	t.rng = 0x853c49e6748fea9b
 }
 
 // Name implements Predictor.

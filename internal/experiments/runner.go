@@ -39,11 +39,12 @@ type Pass struct {
 	// consolidated predictor) and is always fully simulated.
 	CondKey string
 	// New returns the pass's predictors for workload index w, fresh or
-	// Reset. Most passes ignore w; plans that keep per-workload instances
-	// for their outputs (hierarchy, latency) use it to key them. The task
-	// calls a non-nil release once Tape.Run has returned, after which the
-	// pass may Reset the set and hand it to a later task; nil means the
-	// set is never reused.
+	// Reset, and a release func. The task calls release once Tape.Run has
+	// returned, after which the pass Resets the set and hands it to a
+	// later task. A compiled run-plan pass always returns a release, and
+	// plans with a probe output (hierarchy, latency) use w to key the
+	// values release copies out of the set before it is Reset. A nil
+	// release means the set is never reused.
 	New func(w int) (cp cond.Predictor, indirects []predictor.Indirect, release func())
 }
 

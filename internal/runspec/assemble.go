@@ -428,15 +428,14 @@ func renderHierarchy(c *OutputContext) (*report.Table, any, error) {
 	res.HierMPKI = meanMPKI(rows, "hierarchy")
 	rates := make([]float64, 0, len(rows))
 	for w := range rows {
-		inst, err := c.probe(w, "hierarchy")
+		p, err := c.probe(w, "hierarchy")
 		if err != nil {
 			return nil, nil, err
 		}
-		h, ok := inst.(interface{ L2ProbeRate() float64 })
-		if !ok {
+		if !p.hasL2 {
 			return nil, nil, fmt.Errorf("predictor %q exposes no L2 probe rate", "hierarchy")
 		}
-		rates = append(rates, h.L2ProbeRate())
+		rates = append(rates, p.l2Rate)
 	}
 	res.HierL2ProbeRate = stats.Mean(rates)
 
@@ -490,15 +489,14 @@ func renderLatency(c *OutputContext) (*report.Table, any, error) {
 	}
 	var hist []int64
 	for w := range rows {
-		inst, err := c.probe(w, experiments.NameBLBP)
+		p, err := c.probe(w, experiments.NameBLBP)
 		if err != nil {
 			return nil, nil, err
 		}
-		rec, ok := inst.(interface{ CandidateHistogram() []int64 })
-		if !ok {
+		h := p.candHist
+		if h == nil {
 			return nil, nil, fmt.Errorf("predictor %q exposes no candidate histogram", experiments.NameBLBP)
 		}
-		h := rec.CandidateHistogram()
 		if hist == nil {
 			hist = make([]int64, len(h))
 		}

@@ -9,20 +9,6 @@ import (
 	"blbp/internal/predictor"
 )
 
-// GShareConfig parameterizes the gshare conditional substrate.
-type GShareConfig struct {
-	// Entries is the 2-bit counter table size.
-	Entries int
-	// HistBits is the global history length XORed into the index.
-	HistBits int
-}
-
-// BimodalConfig parameterizes the bimodal conditional substrate.
-type BimodalConfig struct {
-	// Entries is the 2-bit counter table size.
-	Entries int
-}
-
 // condEntry is one registered conditional predictor substrate.
 type condEntry struct {
 	name string
@@ -142,38 +128,6 @@ func init() {
 				return nil, fmt.Errorf("runspec: tage config has type %T", cfg)
 			}
 			return cond.NewTAGE(c), nil
-		},
-	})
-	registerCond(condEntry{
-		name:       "gshare",
-		doc:        "two-bit gshare (cheap reference substrate)",
-		defaultKey: "gshare/default",
-		def:        func() any { return GShareConfig{Entries: 16384, HistBits: 14} },
-		build: func(cfg any) (cond.Predictor, error) {
-			c, ok := cfg.(GShareConfig)
-			if !ok {
-				return nil, fmt.Errorf("runspec: gshare config has type %T", cfg)
-			}
-			if c.Entries <= 0 || c.HistBits < 0 {
-				return nil, fmt.Errorf("runspec: gshare config %+v out of range", c)
-			}
-			return cond.NewGShare(c.Entries, c.HistBits), nil
-		},
-	})
-	registerCond(condEntry{
-		name:       "bimodal",
-		doc:        "two-bit bimodal (minimal reference substrate)",
-		defaultKey: "bimodal/default",
-		def:        func() any { return BimodalConfig{Entries: 16384} },
-		build: func(cfg any) (cond.Predictor, error) {
-			c, ok := cfg.(BimodalConfig)
-			if !ok {
-				return nil, fmt.Errorf("runspec: bimodal config has type %T", cfg)
-			}
-			if c.Entries <= 0 {
-				return nil, fmt.Errorf("runspec: bimodal config %+v out of range", c)
-			}
-			return cond.NewBimodal(c.Entries), nil
 		},
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"blbp/internal/cond"
 	"blbp/internal/core"
 	"blbp/internal/experiments"
 	"blbp/internal/predictor"
@@ -55,7 +56,7 @@ func TestDiffConfigEqualIsNil(t *testing.T) {
 }
 
 func TestDiffConfigRejectsMismatches(t *testing.T) {
-	if _, err := diffConfig(core.DefaultConfig(), GShareConfig{}); err == nil {
+	if _, err := diffConfig(core.DefaultConfig(), cond.DefaultTAGEConfig()); err == nil {
 		t.Error("diff across distinct types accepted")
 	}
 	if _, err := diffConfig(42, 43); err == nil {

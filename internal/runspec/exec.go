@@ -25,8 +25,8 @@ type Exec struct {
 	registry map[string]wspec.WorkloadSpec
 }
 
-// suiteRun is one memoized simulation: the resolved suites, the per-draw
-// results, and the compiled plan (whose probe store outputs may read).
+// suiteRun is one memoized simulation: the per-draw results and the
+// compiled plan (whose probe values outputs may read).
 type suiteRun struct {
 	results [][]experiments.WorkloadResult
 	cp      *compiledPlan

@@ -66,14 +66,14 @@ func (c *OutputContext) requireNames(rows []experiments.WorkloadResult, names []
 	return nil
 }
 
-// probe returns workload w's retained raw instance of the named predictor.
-func (c *OutputContext) probe(w int, name string) (any, error) {
+// probe returns workload w's probe values of the named predictor.
+func (c *OutputContext) probe(w int, name string) (probe, error) {
 	if c.cp == nil || c.cp.probes == nil {
-		return nil, fmt.Errorf("no probe instances retained")
+		return probe{}, fmt.Errorf("no probe values recorded")
 	}
-	p := c.cp.probes.find(w, name)
-	if p == nil {
-		return nil, fmt.Errorf("no retained instance of %q for workload %d", name, w)
+	p, ok := c.cp.probes.find(w, name)
+	if !ok {
+		return probe{}, fmt.Errorf("no probe values of %q for workload %d", name, w)
 	}
 	return p, nil
 }
@@ -85,8 +85,8 @@ type outputEntry struct {
 	// needsPasses marks outputs assembled from simulation results (vs
 	// pure workload characterizations).
 	needsPasses bool
-	// needsProbes marks outputs that read per-instance state after the
-	// run; the executor retains predictor instances for their plans.
+	// needsProbes marks outputs that read per-instance values after the
+	// run; their plans' tasks copy those values out before each Reset.
 	needsProbes bool
 	render      func(*OutputContext) (*report.Table, *report.Chart, any, error)
 }

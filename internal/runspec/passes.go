@@ -17,47 +17,73 @@ type compiledPlan struct {
 	// names[i] is the key specs[i]'s results appear under.
 	specs []PredictorSpec
 	names []string
-	// probes retains the constructed predictor instances per (pass,
-	// workload) when an output needs to read per-instance metrics after
-	// the run; nil otherwise.
+	// probes holds the values probe outputs read per (pass, workload),
+	// copied out of each task's predictors before they are Reset; nil when
+	// the plan has no probe output.
 	probes *probeStore
 }
 
-// probeStore retains the raw (pre-rename) predictor instances of every
-// (pass, workload) cell. Each simulation task writes only its own cell, so
-// concurrent passes never share a slot.
-type probeStore struct {
-	insts [][][]predictor.Indirect // [pass][workload][spec-in-pass]
-	names [][]string               // [pass][spec-in-pass] display names
+// probe is what the probe outputs read of one predictor after its task:
+// BLBP's candidate-set histogram (latency) and its IBTB's L2 probe rate
+// (hierarchy). candHist is nil, and hasL2 false, for a predictor that
+// exposes no such value.
+type probe struct {
+	candHist []int64
+	l2Rate   float64
+	hasL2    bool
 }
 
-// find returns workload w's instance of the named predictor (nil if the
-// plan has no such predictor or the cell never ran).
-func (s *probeStore) find(w int, name string) predictor.Indirect {
+// probeStore holds the probe values of every (pass, workload) cell. Each
+// simulation task writes only its own cell, so concurrent passes never
+// share a slot.
+type probeStore struct {
+	cells [][][]probe // [pass][workload][spec-in-pass]
+	names [][]string  // [pass][spec-in-pass] display names
+}
+
+// record copies one (pass, workload) cell's probe values out of its raw
+// (pre-rename) instances. The per-pass slices are preallocated before any
+// task runs and each task owns a distinct slot, so no synchronization is
+// needed beyond the runner's own completion barrier.
+func (s *probeStore) record(pi, w int, raw []predictor.Indirect) {
+	cell := make([]probe, len(raw))
+	for si, ind := range raw {
+		if h, ok := ind.(interface{ CandidateHistogram() []int64 }); ok {
+			cell[si].candHist = h.CandidateHistogram()
+		}
+		if h, ok := ind.(interface{ L2ProbeRate() float64 }); ok {
+			cell[si].l2Rate, cell[si].hasL2 = h.L2ProbeRate(), true
+		}
+	}
+	s.cells[pi][w] = cell
+}
+
+// find returns workload w's probe values of the named predictor (false if
+// the plan has no such predictor or the cell never ran).
+func (s *probeStore) find(w int, name string) (probe, bool) {
 	for pi := range s.names {
 		for si, n := range s.names[pi] {
 			if n != name {
 				continue
 			}
-			if w >= len(s.insts[pi]) || s.insts[pi][w] == nil {
-				return nil
+			if w >= len(s.cells[pi]) || s.cells[pi][w] == nil {
+				return probe{}, false
 			}
-			return s.insts[pi][w][si]
+			return s.cells[pi][w][si], true
 		}
 	}
-	return nil
+	return probe{}, false
 }
 
 // compilePasses lowers the plan's passes. Every constructor is dry-run
-// once here so config and wiring errors surface before any simulation; the
-// per-workload factories built below can then only repeat constructions
-// that are known to succeed, and a recycling pass keeps the dry run's set
-// as its first free one.
+// once here so config and wiring errors surface before any simulation;
+// each pass keeps the dry run's set as its first free one, and any later
+// construction only repeats one known to succeed.
 func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, error) {
 	cp := &compiledPlan{}
 	if withProbes {
 		cp.probes = &probeStore{
-			insts: make([][][]predictor.Indirect, len(p.Passes)),
+			cells: make([][][]probe, len(p.Passes)),
 			names: make([][]string, len(p.Passes)),
 		}
 	}
@@ -68,9 +94,9 @@ func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, erro
 		}
 		if cp.probes != nil {
 			// Preallocated here, before any task runs, so the concurrent
-			// factories below only ever write their own (pass, workload)
+			// releases below only ever write their own (pass, workload)
 			// slot.
-			cp.probes.insts[pi] = make([][]predictor.Indirect, workloads)
+			cp.probes.cells[pi] = make([][]probe, workloads)
 			cp.probes.names[pi] = names
 		}
 		cp.passes = append(cp.passes, pass)
@@ -84,11 +110,8 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 	fail := func(err error) (experiments.Pass, []string, error) {
 		return experiments.Pass{}, nil, fmt.Errorf("runspec: pass %d: %v", pi, err)
 	}
-	rebuildFailed := func(err error) {
-		panic(fmt.Sprintf("runspec: pass %d construction failed after successful dry run: %v", pi, err))
-	}
 
-	// Materialize every config once; the factories below close over the
+	// Materialize every config once; newSet below closes over the
 	// resolved values.
 	type resolved struct {
 		entry predictor.Entry
@@ -96,8 +119,7 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 	}
 	specs := make([]resolved, len(ps.Predictors))
 	names := make([]string, len(ps.Predictors))
-	provider := -1
-	bound := false
+	provider, bound := false, false
 	for si, spec := range ps.Predictors {
 		e, ok := predictor.Lookup(spec.Type)
 		if !ok {
@@ -109,37 +131,9 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		}
 		specs[si] = resolved{entry: e, cfg: cfg}
 		names[si] = displayName(spec)
-		switch {
-		case e.NewProvider != nil:
-			provider = si
-		case e.NewBound != nil:
-			bound = true
-		}
+		provider = provider || e.NewProvider != nil
+		bound = bound || e.NewBound != nil
 	}
-
-	if provider >= 0 {
-		// A consolidated predictor provides the pass's conditional
-		// predictor itself; the pass owns conditional state.
-		r := specs[provider]
-		rename := ps.Predictors[provider].Name
-		if _, _, err := r.entry.NewProvider(r.cfg); err != nil {
-			return fail(err)
-		}
-		pass := experiments.Pass{New: func(w int) (cond.Predictor, []predictor.Indirect, func()) {
-			cpred, ind, err := r.entry.NewProvider(r.cfg)
-			if err != nil {
-				rebuildFailed(err)
-			}
-			inds := []predictor.Indirect{ind}
-			retain(probes, pi, w, inds)
-			if rename != "" {
-				inds[0] = experiments.Rename(ind, rename)
-			}
-			return cpred, inds, nil
-		}}
-		return pass, names, nil
-	}
-
 	ce, ok := lookupCond(condNameOrDefault(ps.Cond))
 	if !ok {
 		return fail(fmt.Errorf("unknown conditional substrate %q", ps.Cond))
@@ -150,22 +144,30 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 	}
 
 	// newSet is the pass's one construction path: the conditional
-	// predictor, then every indirect predictor (bound ones over it).
+	// predictor (a consolidated predictor is its own), then every indirect
+	// predictor (bound ones over it). The set's release copies its task's
+	// probe values out (plans with a probe output only), Resets the set
+	// and hands it back to free.
+	free := &setList{}
 	newSet := func() (*predictorSet, error) {
-		cpred, err := ce.build(condCfg)
-		if err != nil {
-			return nil, err
-		}
 		s := &predictorSet{
-			cond: cpred,
 			raw:  make([]predictor.Indirect, len(specs)),
 			inds: make([]predictor.Indirect, len(specs)),
 		}
+		var err error
+		if !provider {
+			if s.cond, err = ce.build(condCfg); err != nil {
+				return nil, err
+			}
+		}
 		for si, r := range specs {
 			var ind predictor.Indirect
-			if r.entry.NewBound != nil {
-				ind, err = r.entry.NewBound(r.cfg, cpred)
-			} else {
+			switch {
+			case r.entry.NewProvider != nil:
+				s.cond, ind, err = r.entry.NewProvider(r.cfg)
+			case r.entry.NewBound != nil:
+				ind, err = r.entry.NewBound(r.cfg, s.cond)
+			default:
 				ind, err = r.entry.New(r.cfg)
 			}
 			if err != nil {
@@ -177,23 +179,30 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 			}
 			s.inds[si] = ind
 		}
-		return s, nil
-	}
-	build := func() *predictorSet {
-		s, err := newSet()
-		if err != nil {
-			rebuildFailed(err)
+		s.release = func() {
+			if probes != nil {
+				probes.record(pi, s.w, s.raw)
+			}
+			s.reset()
+			free.give(s)
 		}
-		return s
+		return s, nil
 	}
 
 	// Dry-run the whole pass once: the conditional predictor, every
-	// indirect predictor, and the natural-name fallback check.
+	// indirect predictor, their Resets, and the natural-name fallback
+	// check.
 	trial, err := newSet()
 	if err != nil {
 		return fail(err)
 	}
+	if _, ok := trial.cond.(resetter); !ok {
+		return fail(fmt.Errorf("conditional predictor %q has no Reset", trial.cond.Name()))
+	}
 	for si, r := range specs {
+		if _, ok := trial.raw[si].(resetter); !ok {
+			return fail(fmt.Errorf("predictor %q has no Reset", r.entry.Name))
+		}
 		// A config override can change what the instance calls itself
 		// (btb's hysteresis flag); without an explicit name the results
 		// would then be keyed differently than the plan expects.
@@ -203,34 +212,25 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 		}
 	}
 
-	var newFn func(w int) (cond.Predictor, []predictor.Indirect, func())
-	if probes == nil && trial.resettable() {
-		// Recycle: the dry run's set seeds the free list, and each task
-		// Resets its set on release for the next task to take.
-		free := &setList{sets: []*predictorSet{trial}}
-		newFn = func(int) (cond.Predictor, []predictor.Indirect, func()) {
-			s := free.take()
-			if s == nil {
-				s = build()
-			}
-			return s.cond, s.inds, func() {
-				s.reset()
-				free.give(s)
+	// The dry run's set is the first free one. Each task takes a free set
+	// or builds one.
+	free.give(trial)
+	newFn := func(w int) (cond.Predictor, []predictor.Indirect, func()) {
+		s := free.take()
+		if s == nil {
+			var err error
+			if s, err = newSet(); err != nil {
+				panic(fmt.Sprintf("runspec: pass %d construction failed after successful dry run: %v", pi, err))
 			}
 		}
-	} else {
-		// Outputs read the retained instances after the run, or a member
-		// cannot Reset: every task builds its own set.
-		newFn = func(w int) (cond.Predictor, []predictor.Indirect, func()) {
-			s := build()
-			retain(probes, pi, w, s.raw)
-			return s.cond, s.inds, nil
-		}
+		s.w = w
+		return s.cond, s.inds, s.release
 	}
 
-	if bound {
-		// A pass whose predictor shares (and pollutes) the conditional
-		// predictor owns its conditional state: never tape-shared.
+	if provider || bound {
+		// A pass whose predictor is, or shares (and pollutes), the
+		// conditional predictor owns its conditional state: never
+		// tape-shared.
 		return experiments.Pass{New: newFn}, names, nil
 	}
 	return experiments.Pass{
@@ -241,35 +241,27 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 
 // predictorSet is one constructed instance of a pass: its conditional
 // predictor, the raw indirect instances, and the views the engine runs
-// (renamed where the plan names the predictor).
+// (renamed where the plan names the predictor). w is the workload index of
+// the task holding the set; release is built once per set, so handing a
+// set to a task allocates nothing.
 type predictorSet struct {
-	cond cond.Predictor
-	raw  []predictor.Indirect
-	inds []predictor.Indirect
+	cond    cond.Predictor
+	raw     []predictor.Indirect
+	inds    []predictor.Indirect
+	w       int
+	release func()
 }
 
 // resetter is a predictor that can restore its freshly constructed state
 // in place. Reset must leave the instance indistinguishable from New's:
 // the same results on any later trace and, for a predictor.Snapshotter,
-// the same EncodeState bytes.
+// the same EncodeState bytes. Every member of a pass must implement it.
 type resetter interface{ Reset() }
 
-// resettable reports whether every member of the set can Reset.
-func (s *predictorSet) resettable() bool {
-	if _, ok := s.cond.(resetter); !ok {
-		return false
-	}
-	for _, ind := range s.raw {
-		if _, ok := ind.(resetter); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// reset restores every member to its freshly constructed state. A bound
-// predictor (VPC) resets only its own structures; the shared conditional
-// predictor is reset here as the set's cond.
+// reset restores every member to its freshly constructed state. The
+// conditional predictor is reset here as the set's cond: a bound predictor
+// (VPC) resets only its own structures, and a consolidated predictor's
+// indirect view resets the same shared structure again.
 func (s *predictorSet) reset() {
 	s.cond.(resetter).Reset()
 	for _, ind := range s.raw {
@@ -302,15 +294,4 @@ func (l *setList) give(s *predictorSet) {
 	l.mu.Lock()
 	l.sets = append(l.sets, s)
 	l.mu.Unlock()
-}
-
-// retain records one (pass, workload) cell's raw instances in the probe
-// store. The per-pass slices are preallocated before any task runs and
-// each task owns a distinct slot, so no synchronization is needed beyond
-// the runner's own completion barrier.
-func retain(probes *probeStore, pi, w int, inds []predictor.Indirect) {
-	if probes == nil {
-		return
-	}
-	probes.insts[pi][w] = inds
 }

@@ -8,9 +8,12 @@
 // The layer sits on top of internal/experiments (the execution machinery
 // and the paper's variant definitions) and internal/predictor (the
 // configurable registry); compiling a plan is the one way a run builds its
-// passes. Assembled outputs are byte-identical to the bespoke drivers they
-// replaced; the determinism rules of internal/analysis apply to this
-// package.
+// passes. Every compiled pass recycles its predictors: a task takes a set
+// from the pass's free list and its release Resets the set and hands it
+// back, first copying out the values a probe output (latency, hierarchy)
+// reads, so no predictor instance outlives the run. Assembled outputs are
+// byte-identical to the bespoke drivers they replaced; the determinism
+// rules of internal/analysis apply to this package.
 package runspec
 
 import (

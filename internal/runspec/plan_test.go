@@ -125,7 +125,7 @@ func FuzzRunPlanDecode(f *testing.F) {
 		}
 		f.Add(enc)
 	}
-	f.Add([]byte(`{"name":"x","suite":{"kind":"holdout"},"passes":[{"cond":"gshare","predictors":[{"type":"ittage"}]}],"outputs":[{"table":"mpki","file":"out"}]}`))
+	f.Add([]byte(`{"name":"x","suite":{"kind":"holdout"},"passes":[{"cond":"tage","predictors":[{"type":"ittage"}]}],"outputs":[{"table":"mpki","file":"out"}]}`))
 	f.Add([]byte(`{"name":"x","bogus":true}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{`))

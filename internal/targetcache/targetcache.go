@@ -76,6 +76,16 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Reset restores the freshly constructed state: every entry invalid and
+// an empty history register. Run plans recycle a pass's predictors through
+// it between workloads.
+func (c *Cache) Reset() {
+	for i := range c.entries {
+		c.entries[i] = entry{}
+	}
+	c.hist = 0
+}
+
 // Name implements predictor.Indirect.
 func (c *Cache) Name() string { return "targetcache" }
 

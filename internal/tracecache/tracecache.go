@@ -13,11 +13,12 @@
 // identity and record count, then checksummed payload blocks — and is
 // written via temp file + rename so a crash never leaves a
 // decodable-but-truncated file at a canonical name. A cache whose Config
-// names a SpillDir indexes the directory's existing files at construction
-// (Preload), so Get serves identities spilled by an earlier process from
-// disk without running the generator; with Config.KeepSpill, Close flushes
-// every live entry to the directory, making repeated full-suite runs warm
-// after the first. Without KeepSpill the cache only reads the directory.
+// names a SpillDir indexes the directory's existing files at construction,
+// so Get serves identities spilled by an earlier process from disk without
+// running the generator; with Config.KeepSpill, Close flushes every live
+// entry to the directory, making repeated full-suite runs warm after the
+// first. Without KeepSpill the cache only reads the directory, which must
+// exist.
 //
 // Entries hold traces as trace.Columns (what generators emit, spill files
 // decode into, and the replay engine consumes). Each entry also memoizes
@@ -48,7 +49,7 @@ import (
 const entryOverheadBytes = 256
 
 // spillExt names finished spill files; tempPattern names in-flight writes
-// (never indexed by Preload, renamed onto spillExt names when complete).
+// (never indexed by preload, renamed onto spillExt names when complete).
 const (
 	spillExt    = ".blbptrc"
 	tempPattern = "spill-*.tmp"
@@ -57,9 +58,11 @@ const (
 // Config parameterizes a Cache.
 type Config struct {
 	// SpillDir, when non-empty, is the directory of the persistent tier.
-	// New creates it if needed and indexes any spill files already in it
-	// (see Preload), so a Get decodes a trace that a previous process kept
-	// there instead of re-running the generator. Empty means no spill tier.
+	// New indexes any spill files already in it, so a Get decodes a trace
+	// that a previous process kept there instead of re-running the
+	// generator. Only a KeepSpill cache creates the directory; for any
+	// other, a missing directory counts as a spill error. Empty means no
+	// spill tier.
 	SpillDir string
 	// KeepSpill makes Close flush every live entry to SpillDir for a later
 	// process and prune stale-format files and orphaned temp files there.
@@ -114,24 +117,28 @@ type Cache struct {
 	logSpillErr sync.Once
 }
 
-// New constructs a cache. A non-empty Config.SpillDir is created if absent
-// and its existing spill files are indexed so Get can warm-start from them;
-// directory errors disable the spill tier and count in Stats.SpillErrors
-// rather than failing construction.
+// New constructs a cache. A KeepSpill cache creates Config.SpillDir if
+// absent; every cache with a SpillDir indexes the spill files already in it
+// so Get can warm-start from them. A directory that cannot be created
+// disables the spill tier; that and one that cannot be read count in
+// Stats.SpillErrors rather than failing construction.
 func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		entries: make(map[workload.Identity]*Entry),
 		spilled: make(map[workload.Identity]string),
 	}
-	if cfg.SpillDir != "" {
+	if cfg.SpillDir == "" {
+		return c
+	}
+	if cfg.KeepSpill {
 		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
 			c.spillFailure(fmt.Errorf("creating spill dir: %w", err))
 			c.cfg.SpillDir = ""
-		} else {
-			c.Preload(cfg.SpillDir)
+			return c
 		}
 	}
+	c.preload()
 	return c
 }
 
@@ -167,29 +174,25 @@ func (e *Entry) Tape() (*sim.Tape, error) {
 	return e.tape, e.tapeErr
 }
 
-// Preload indexes every spill file in dir by the identity in its header,
-// so subsequent Gets of those identities decode from disk instead of
+// preload indexes every spill file in the spill directory by the identity
+// in its header, so Gets of those identities decode from disk instead of
 // running the generator — even identities never built in this process.
-// New calls it on Config.SpillDir; call it directly to adopt files from an
-// additional directory. Files with the spill extension that
-// do not parse as spill files (older formats, truncated crash leftovers)
-// are remembered as stale and pruned by Close when KeepSpill is set.
-// Identities already live or already indexed are skipped. Returns the
-// number of identities indexed.
-func (c *Cache) Preload(dir string) int {
-	des, err := os.ReadDir(dir)
+// Files with the spill extension that do not parse as spill files (older
+// formats, truncated crash leftovers) are remembered as stale and pruned by
+// Close when KeepSpill is set. Of two files declaring one identity, the
+// first in directory order is indexed. New calls it before the cache is
+// shared, so it takes no lock.
+func (c *Cache) preload() {
+	des, err := os.ReadDir(c.cfg.SpillDir)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			c.spillFailure(fmt.Errorf("reading spill dir: %w", err))
-		}
-		return 0
+		c.spillFailure(fmt.Errorf("reading spill dir: %w", err))
+		return
 	}
-	n := 0
 	for _, de := range des {
 		if de.IsDir() || !strings.HasSuffix(de.Name(), spillExt) {
 			continue
 		}
-		path := filepath.Join(dir, de.Name())
+		path := filepath.Join(c.cfg.SpillDir, de.Name())
 		h, err := readSpillHeaderFile(path)
 		if err != nil {
 			// Surface the damage instead of silently skipping the file: the
@@ -197,28 +200,19 @@ func (c *Cache) Preload(dir string) int {
 			// Stats.SpillErrors, while the file is still remembered as stale
 			// so Close can prune it.
 			c.spillFailure(fmt.Errorf("preloading %s: %w", path, err))
-			c.mu.Lock()
 			c.stale = append(c.stale, path)
-			c.mu.Unlock()
 			continue
 		}
-		id := headerIdentity(h)
-		c.mu.Lock()
-		_, live := c.entries[id]
-		_, indexed := c.spilled[id]
-		if !live && !indexed {
+		if id := headerIdentity(h); c.spilled[id] == "" {
 			c.spilled[id] = path
-			n++
 		}
-		c.mu.Unlock()
 	}
-	return n
 }
 
 // Get returns the cache entry for the spec, building the trace on first
 // touch. Concurrent Gets of the same spec coalesce onto one build; every
 // other caller blocks until it completes and shares the entry. When the
-// identity has a spill file on disk (indexed by Preload), the build
+// identity has a spill file on disk (indexed at construction), the build
 // decodes it — falling back to the generator if the file fails identity,
 // checksum, or record-count validation.
 func (c *Cache) Get(spec workload.Spec) *Entry {
@@ -348,7 +342,7 @@ func (c *Cache) Stats() Stats {
 
 // Close drops every entry. With KeepSpill it first writes every built entry
 // that has no spill file yet to the spill directory, so a later process can
-// Preload the complete working set, and prunes stale-format files and
+// preload the complete working set, and prunes stale-format files and
 // orphaned temp files; without it, Close leaves the directory alone. A
 // failed write counts in SpillErrors; the next process rebuilds that trace
 // from its generator. Close must not race concurrent Gets.

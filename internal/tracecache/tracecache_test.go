@@ -255,7 +255,7 @@ func TestSpillCollisionWrongIdentityRejected(t *testing.T) {
 }
 
 // TestPreloadIndexesByHeaderNotFilename renames a valid spill file to
-// another identity's canonical name: Preload must index it under the
+// another identity's canonical name: New must index it under the
 // identity its header declares, so the right Get loads it and the
 // file-name identity builds fresh.
 func TestPreloadIndexesByHeaderNotFilename(t *testing.T) {
@@ -316,7 +316,7 @@ func TestCorruptSpillFallsBackToBuild(t *testing.T) {
 }
 
 // TestTruncatedSpillRejectedAtPreload truncates a file inside the header:
-// Preload must skip it as stale and Close with KeepSpill must prune it
+// New must index it as stale and Close with KeepSpill must prune it
 // while retaining valid files.
 func TestTruncatedSpillRejectedAtPreload(t *testing.T) {
 	dir := t.TempDir()
@@ -349,6 +349,23 @@ func TestTruncatedSpillRejectedAtPreload(t *testing.T) {
 	}
 	if _, err := os.Stat(valid); err != nil {
 		t.Errorf("valid spill file not retained: %v", err)
+	}
+}
+
+// TestReadOnlySpillDirNotCreated: only a KeepSpill cache creates its
+// directory. A cache that only reads a directory that does not exist
+// leaves it absent and counts a spill error, so a mistyped warm-start path
+// is not silently a cold run.
+func TestReadOnlySpillDirNotCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nested", "typo")
+	c := New(Config{SpillDir: dir})
+	c.Get(testSpec("missing-dir", 4_000))
+	c.Close()
+	if _, err := os.Stat(filepath.Dir(dir)); !os.IsNotExist(err) {
+		t.Errorf("a read-only cache created %s (stat: %v)", filepath.Dir(dir), err)
+	}
+	if st := c.Stats(); st.SpillErrors != 1 || st.Builds != 1 {
+		t.Errorf("spill errors/builds = %d/%d, want 1/1", st.SpillErrors, st.Builds)
 	}
 }
 
@@ -445,8 +462,8 @@ func TestSpillFilePublishedMode(t *testing.T) {
 	}
 }
 
-// TestPreloadSurfacesCorruptFiles covers the swallowed-error bug: Preload
-// used to silently skip files whose header failed to read or decode, so a
+// TestPreloadSurfacesCorruptFiles covers the swallowed-error bug: the
+// preload used to silently skip files whose header failed to read or decode, so a
 // wiped-out warm-start directory looked like a cold cache. The failures
 // must count in Stats.SpillErrors (and log once) while the files are still
 // remembered as stale for pruning.
@@ -467,7 +484,7 @@ func TestPreloadSurfacesCorruptFiles(t *testing.T) {
 
 // TestLegacySpillIsCountedMiss pins the miss rule for older spill formats:
 // an SPL2 file (no fingerprint field) in the spill directory is a counted
-// spill error at Preload, never served, rebuilt from the generator, and
+// spill error at preload, never served, rebuilt from the generator, and
 // pruned by a KeepSpill Close.
 func TestLegacySpillIsCountedMiss(t *testing.T) {
 	dir := t.TempDir()
@@ -487,7 +504,7 @@ func TestLegacySpillIsCountedMiss(t *testing.T) {
 
 	c := New(Config{SpillDir: dir, KeepSpill: true})
 	if st := c.Stats(); st.SpillErrors != 1 {
-		t.Errorf("spill errors after Preload = %d, want 1", st.SpillErrors)
+		t.Errorf("spill errors after preload = %d, want 1", st.SpillErrors)
 	}
 	if got := c.Get(spec).Columns(); got.Name != spec.Name || got.Len() == 0 {
 		t.Fatalf("Get served %q with %d records", got.Name, got.Len())

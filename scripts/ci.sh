@@ -23,7 +23,8 @@ go build ./...
 # three, and TestPoolRunsEachTaskOnce floods the channel so submits and
 # worker receives interleave. TestDriverCSVDeterministicAcrossParallelism and
 # TestRecycledSetsDeterministicAcrossWorkers (8 workers each) also cover
-# the run plans' free lists of recycled predictor sets.
+# the run plans' free lists of recycled predictor sets, the latter on every
+# built-in plan with passes.
 go test -race ./...
 # perfbench is its own module (it holds the contract benchmark), so the
 # root ./... walks above never compile it. Vet, test and lint it here: it
@@ -107,20 +108,23 @@ go run ./cmd/experiments -base 4000 -cachespill "$spill" -cachestats overall \
 grep -q "trace cache: 0 builds" "$warm/readonly.txt"
 test "$(ls "$spill"/*.blbptrc | wc -l)" -eq "$kept"
 rm -rf "$spill" "$cold" "$warm"
-# Recycled-set smoke: run plans Reset and reuse each pass's predictor set
-# across workloads. fig10, extras and overall, serially and at -parallel 4,
-# must render byte-identical CSVs. fig10's thirteen passes recycle their
-# sets; extras is one pass whose targetcache and cascaded members have no
-# Reset, so its btb, btb2bit, ittage and blbp are constructed per task
-# instead. overall runs VPC's full engine beside passes that share one
-# conditional/RAS memo per trace, so it also gates the worker queue and the
-# memo's use of the engine loop.
+# Recycled-set smoke: every run-plan pass Resets and reuses its predictor
+# set across workloads. These plans, serially and at -parallel 4, must
+# render byte-identical CSVs: fig10's thirteen single-predictor passes;
+# extras, whose one pass holds all six standalone baselines (targetcache
+# and cascaded among them); cottage's TAGE substrate; combined's
+# consolidated predictor, whose indirect view shares its state; latency and
+# hierarchy, whose releases copy each workload's probe values out before
+# the Reset; and overall, which runs VPC's full engine beside passes that
+# share one conditional/RAS memo per trace, so it also gates the worker
+# queue and the memo's use of the engine loop.
 rdir=$(mktemp -d)
-go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" fig10 extras overall >/dev/null
-go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" fig10 extras overall >/dev/null
-diff "$rdir/serial/fig10.csv" "$rdir/parallel/fig10.csv"
-diff "$rdir/serial/extras.csv" "$rdir/parallel/extras.csv"
-diff "$rdir/serial/overall.csv" "$rdir/parallel/overall.csv"
+recycled="fig10 extras cottage combined latency hierarchy overall"
+go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" $recycled >/dev/null
+go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" $recycled >/dev/null
+for p in $recycled; do
+	diff "$rdir/serial/$p.csv" "$rdir/parallel/$p.csv"
+done
 rm -rf "$rdir"
 # Run-plan round trip: every built-in must dump as valid JSON, and a dumped
 # plan re-run via -plan must regenerate the compiled-in CSV byte for byte.
