@@ -188,20 +188,24 @@ type (
 	RecursiveParams = workload.RecursiveParams
 )
 
-// Custom workload constructors.
+// Custom workload constructors. Each compiles a one-generator workload
+// spec, seeded from its name, exactly as the same spec written as JSON
+// compiles, and panics on parameters the spec validator rejects (a size
+// below a generator's minimum or above 4,096, a bank out of range, a
+// non-positive instruction count).
 var (
 	// NewInterpreterWorkload builds an interpreter workload spec.
-	NewInterpreterWorkload = workload.InterpreterSpec
+	NewInterpreterWorkload = wspec.Leaf[InterpreterParams]
 	// NewVDispatchWorkload builds a virtual-dispatch workload spec.
-	NewVDispatchWorkload = workload.VDispatchSpec
+	NewVDispatchWorkload = wspec.Leaf[VDispatchParams]
 	// NewSwitcherWorkload builds a switch/parser workload spec.
-	NewSwitcherWorkload = workload.SwitcherSpec
+	NewSwitcherWorkload = wspec.Leaf[SwitcherParams]
 	// NewCallbacksWorkload builds an event-loop workload spec.
-	NewCallbacksWorkload = workload.CallbacksSpec
+	NewCallbacksWorkload = wspec.Leaf[CallbacksParams]
 	// NewMonoWorkload builds a monomorphic-calls workload spec.
-	NewMonoWorkload = workload.MonoSpec
+	NewMonoWorkload = wspec.Leaf[MonoParams]
 	// NewRecursiveWorkload builds a recursion-heavy workload spec.
-	NewRecursiveWorkload = workload.RecursiveSpec
+	NewRecursiveWorkload = wspec.Leaf[RecursiveParams]
 )
 
 // Trace I/O -----------------------------------------------------------------

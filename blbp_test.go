@@ -2,6 +2,8 @@ package blbp_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"blbp"
@@ -110,5 +112,39 @@ func TestAblationConfigSwitchesExposed(t *testing.T) {
 	p.Update(0x10, 0x4000)
 	if tgt, ok := p.Predict(0x10); !ok || tgt != 0x4000 {
 		t.Error("unoptimized BLBP fails basic prediction")
+	}
+}
+
+// TestWorkloadConstructorsValidate: the public constructors compile a
+// one-leaf workload spec, so parameters the spec validator refuses panic at
+// construction with its message, before Build could allocate a
+// 5,000-site dispatch table.
+func TestWorkloadConstructorsValidate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func()
+		want  string
+	}{
+		{"sites above the cap", func() {
+			blbp.NewVDispatchWorkload("wide", "T", 10_000, blbp.VDispatchParams{Classes: 4, Sites: 5000, Objects: 8})
+		}, `vdispatch parameter "Sites" is 5000, above its maximum 4096`},
+		{"depths inverted", func() {
+			blbp.NewRecursiveWorkload("inverted", "T", 10_000, blbp.RecursiveParams{MinDepth: 10, MaxDepth: 5})
+		}, "recursive needs MinDepth <= MaxDepth"},
+		{"no instructions", func() {
+			blbp.NewMonoWorkload("empty", "T", 0, blbp.MonoParams{Sites: 4})
+		}, "instructions must be positive"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: constructor returned a spec", c.name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want it to contain %q", c.name, msg, c.want)
+				}
+			}()
+			c.build()
+		}()
 	}
 }

@@ -29,9 +29,6 @@ const instructionSize = 4
 // Predictor is the consolidated conditional+indirect predictor.
 type Predictor struct {
 	core *core.BLBP
-
-	condPredictions int64
-	condMispredicts int64
 }
 
 // New constructs a consolidated predictor over a BLBP core configuration.
@@ -39,13 +36,9 @@ func New(cfg core.Config) *Predictor {
 	return &Predictor{core: core.New(cfg)}
 }
 
-// Reset restores the freshly constructed state: the shared BLBP core and
-// the conditional-role counters. Run plans recycle a pass's predictors
-// through it between workloads.
-func (p *Predictor) Reset() {
-	p.core.Reset()
-	p.condPredictions, p.condMispredicts = 0, 0
-}
+// Reset restores the freshly constructed state of the shared BLBP core.
+// Run plans recycle a pass's predictors through it between workloads.
+func (p *Predictor) Reset() { p.core.Reset() }
 
 // Name implements predictor.Indirect and labels cond-side reporting.
 func (p *Predictor) Name() string { return "combined" }
@@ -55,7 +48,6 @@ func (p *Predictor) Name() string { return "combined" }
 // Predict implements cond.Predictor: select between the branch's known
 // targets; an IBTB miss (or a fall-through selection) predicts not taken.
 func (p *Predictor) Predict(pc uint64) bool {
-	p.condPredictions++
 	target, ok := p.core.Predict(pc)
 	if !ok {
 		return false

@@ -1,72 +1,15 @@
 package combined
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-
-	"blbp/internal/snapshot"
-)
-
-// Snapshot layout of the consolidated predictor: a "combined" container
-// whose "core" section nests the BLBP core's own container bytes, plus the
-// conditional-role counters.
-const (
-	snapName    = "combined"
-	secCore     = "core"
-	secCond     = "cond"
-	maxCoreSnap = 1 << 28
-)
+import "io"
 
 // EncodeState implements predictor.Snapshotter for the consolidated
-// predictor: the shared BLBP core nested whole, plus the conditional-role
-// counters.
-func (p *Predictor) EncodeState(w io.Writer) error {
-	c := snapshot.NewContainer(snapName, snapshot.Fingerprint(p.core.Config()))
-	var nested bytes.Buffer
-	if err := p.core.EncodeState(&nested); err != nil {
-		return err
-	}
-	c.Section(secCore).Bytes(nested.Bytes())
-	ce := c.Section(secCond)
-	ce.I64(p.condPredictions)
-	ce.I64(p.condMispredicts)
-	return c.EncodeTo(w)
-}
+// predictor: both engine roles share the one BLBP core, so its snapshot is
+// the core's own.
+func (p *Predictor) EncodeState(w io.Writer) error { return p.core.EncodeState(w) }
 
 // RestoreState implements predictor.Snapshotter. On error the predictor's
 // state is unspecified: discard it.
-func (p *Predictor) RestoreState(r io.Reader) error {
-	dc, err := snapshot.ReadContainer(r, snapName, snapshot.Fingerprint(p.core.Config()))
-	if err != nil {
-		return err
-	}
-	d, err := dc.Section(secCore)
-	if err != nil {
-		return err
-	}
-	nested := d.BytesMax(maxCoreSnap)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if err := p.core.RestoreState(bytes.NewReader(nested)); err != nil {
-		return err
-	}
-	if d, err = dc.Section(secCond); err != nil {
-		return err
-	}
-	condPredictions := d.I64()
-	condMispredicts := d.I64()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if condPredictions < 0 || condMispredicts < 0 || condMispredicts > condPredictions {
-		return fmt.Errorf("%w: conditional counters inconsistent", snapshot.ErrCorrupt)
-	}
-	p.condPredictions = condPredictions
-	p.condMispredicts = condMispredicts
-	return nil
-}
+func (p *Predictor) RestoreState(r io.Reader) error { return p.core.RestoreState(r) }
 
 // EncodeState delegates to the underlying consolidated predictor: both
 // engine roles share one state, so snapshotting either view snapshots the

@@ -603,9 +603,6 @@ func (p *BLBP) IBTBMissRate() float64 {
 // TrainEvents returns how many per-bit weight-vector updates have occurred.
 func (p *BLBP) TrainEvents() int64 { return p.trainEvents }
 
-// Predictions returns how many predictions have been made.
-func (p *BLBP) Predictions() int64 { return p.predictions }
-
 // CandidateHistogram returns the distribution of candidate-set sizes seen
 // at prediction time (index = number of candidates, final bucket clamps).
 // It feeds the §3.7 latency analysis: with 5 cosine similarities computed

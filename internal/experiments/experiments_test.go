@@ -3,6 +3,9 @@ package experiments_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,34 +286,67 @@ func TestOverallAndDerivedFigures(t *testing.T) {
 	}
 }
 
+// blbpArms returns the names and merged configurations of a built-in
+// plan's BLBP arms, in plan order.
+func blbpArms(t *testing.T, plan string) ([]string, []core.Config) {
+	t.Helper()
+	p, ok := runspec.Builtin(plan)
+	if !ok {
+		t.Fatalf("no built-in plan %q", plan)
+	}
+	e, _ := predictor.Lookup(experiments.NameBLBP)
+	var names []string
+	var cfgs []core.Config
+	for _, pass := range p.Passes {
+		for _, spec := range pass.Predictors {
+			if spec.Type != experiments.NameBLBP {
+				continue
+			}
+			cfg, err := e.Config(spec.Config)
+			if err != nil {
+				t.Fatalf("%s arm %s: %v", plan, spec.Name, err)
+			}
+			names = append(names, spec.Name)
+			cfgs = append(cfgs, cfg.(core.Config))
+		}
+	}
+	return names, cfgs
+}
+
+// TestAblationVariantsCoverPaperArms: fig10's twelve BLBP arms are §3.6's
+// optimization subsets (all off, each alone, each removed, all on), each
+// once, and differ from the default configuration in nothing else.
 func TestAblationVariantsCoverPaperArms(t *testing.T) {
-	vs := experiments.AblationVariants()
-	if len(vs) != 12 {
-		t.Fatalf("got %d variants, want 12", len(vs))
+	names, cfgs := blbpArms(t, "fig10")
+	if len(names) != 12 {
+		t.Fatalf("got %d arms, want 12", len(names))
 	}
-	names := map[string]bool{}
-	for _, v := range vs {
-		names[v.Name] = true
-		if err := v.Config.Validate(); err != nil {
-			t.Errorf("variant %s: invalid config: %v", v.Name, err)
+	opts := []string{"local", "intervals", "transfer", "adaptive", "selective"}
+	seen := map[string]bool{}
+	for i, name := range names {
+		if seen[name] {
+			t.Errorf("arm %q appears twice", name)
 		}
-	}
-	for _, want := range []string{"all-off", "all-on", "only-local", "no-intervals", "no-selective"} {
-		if !names[want] {
-			t.Errorf("missing ablation arm %q", want)
-		}
-	}
-	// all-off must disable everything; all-on must enable everything.
-	for _, v := range vs {
-		switch v.Name {
-		case "all-off":
-			if v.Config.UseLocal || v.Config.UseIntervals || v.Config.UseTransfer || v.Config.UseAdaptiveTheta || v.Config.UseSelective {
-				t.Error("all-off leaves an optimization on")
-			}
+		seen[name] = true
+		var on [5]bool
+		switch name {
 		case "all-on":
-			if !(v.Config.UseLocal && v.Config.UseIntervals && v.Config.UseTransfer && v.Config.UseAdaptiveTheta && v.Config.UseSelective) {
-				t.Error("all-on leaves an optimization off")
+			on = [5]bool{true, true, true, true, true}
+		case "all-off":
+		default:
+			mode, opt, _ := strings.Cut(name, "-")
+			k := slices.Index(opts, opt)
+			if k < 0 || (mode != "only" && mode != "no") {
+				t.Errorf("arm %q is not a §3.6 subset", name)
+				continue
 			}
+			for j := range on {
+				on[j] = (j == k) == (mode == "only")
+			}
+		}
+		want := core.DefaultConfig().WithAllOptimizations(on[0], on[1], on[2], on[3], on[4])
+		if !reflect.DeepEqual(cfgs[i], want) {
+			t.Errorf("%s: merged config %+v, want the default with optimizations %v", name, cfgs[i], on)
 		}
 	}
 }
@@ -329,14 +365,19 @@ func TestFig10PassesOnMiniSuite(t *testing.T) {
 	}
 }
 
+// TestAssocVariantsGeometry: fig11's arms sweep associativity 4 to 64,
+// each holding the default's 4,096 IBTB entries.
 func TestAssocVariantsGeometry(t *testing.T) {
-	vs := experiments.AssocVariants(nil)
-	if len(vs) != 5 {
-		t.Fatalf("got %d variants, want 5", len(vs))
+	names, cfgs := blbpArms(t, "fig11")
+	if len(names) != 5 {
+		t.Fatalf("got %d arms, want 5", len(names))
 	}
-	for _, v := range vs {
-		if v.Config.IBTB.Sets*v.Config.IBTB.Assoc != 4096 {
-			t.Errorf("%s: entries = %d, want 4096", v.Name, v.Config.IBTB.Sets*v.Config.IBTB.Assoc)
+	for i, cfg := range cfgs {
+		if got, want := cfg.IBTB.Assoc, 4<<i; got != want || names[i] != fmt.Sprintf("assoc-%d", want) {
+			t.Errorf("arm %d: %s at %d ways, want assoc-%d", i, names[i], got, want)
+		}
+		if cfg.IBTB.Sets*cfg.IBTB.Assoc != 4096 {
+			t.Errorf("%s: entries = %d, want 4096", names[i], cfg.IBTB.Sets*cfg.IBTB.Assoc)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package experiments_test
 
 import (
+	"fmt"
 	"testing"
 
+	"blbp/internal/core"
 	"blbp/internal/runspec"
 )
 
@@ -46,6 +48,60 @@ func TestArraysPassesOnMiniSuite(t *testing.T) {
 	mean := extensionData(t, "arrays", 60_000).(map[string]float64)
 	if mean["arrays-8"] <= 0 {
 		t.Error("arrays-8 missing or zero")
+	}
+}
+
+// TestGeometricIntervalsValid: each arrays arm's n-1 geometric intervals
+// are well formed and reach the full 630-bit history depth.
+func TestGeometricIntervalsValid(t *testing.T) {
+	names, cfgs := blbpArms(t, "arrays")
+	for i, cfg := range cfgs {
+		var n int
+		fmt.Sscanf(names[i], "arrays-%d", &n)
+		if cfg.SubPredictors() != n || len(cfg.GEHLLengths) != n-1 {
+			t.Errorf("%s: %d intervals and %d GEHL lengths, want %d", names[i], len(cfg.Intervals), len(cfg.GEHLLengths), n-1)
+			continue
+		}
+		if last := cfg.Intervals[n-2]; last.Hi != 630 {
+			t.Errorf("%s: last interval ends at %d, want 630", names[i], last.Hi)
+		}
+		for k, iv := range cfg.Intervals {
+			if iv.Lo < 0 || iv.Hi <= iv.Lo {
+				t.Errorf("%s: interval %d = %+v malformed", names[i], k, iv)
+			}
+		}
+	}
+}
+
+// TestArraysVariantsStorageRoughlyConstant: the arrays arms scale their
+// rows so weight storage stays in the default's class.
+func TestArraysVariantsStorageRoughlyConstant(t *testing.T) {
+	names, cfgs := blbpArms(t, "arrays")
+	if len(names) != 6 {
+		t.Fatalf("got %d arms, want 6", len(names))
+	}
+	ref := core.New(core.DefaultConfig()).StorageBits()
+	for i, cfg := range cfgs {
+		ratio := float64(core.New(cfg).StorageBits()) / float64(ref)
+		// Power-of-two row rounding makes storage vary; it must stay in
+		// the same class.
+		if ratio < 0.6 || ratio > 1.2 {
+			t.Errorf("%s: storage ratio %.2f vs default, want ~1", names[i], ratio)
+		}
+	}
+}
+
+// TestTargetBitsVariants: targetbits sweeps GlobalTargetBits 0, 1, 2 and 4.
+func TestTargetBitsVariants(t *testing.T) {
+	names, cfgs := blbpArms(t, "targetbits")
+	want := []int{0, 1, 2, 4}
+	if len(cfgs) != len(want) {
+		t.Fatalf("got %d arms, want %d", len(cfgs), len(want))
+	}
+	for i, cfg := range cfgs {
+		if cfg.GlobalTargetBits != want[i] || names[i] != fmt.Sprintf("targetbits-%d", want[i]) {
+			t.Errorf("arm %d: %s folds %d target bits, want targetbits-%d", i, names[i], cfg.GlobalTargetBits, want[i])
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package experiments
 
-import "blbp/internal/core"
-
 // Canonical predictor names used across all experiments.
 const (
 	NameBTB    = "btb"
@@ -20,9 +18,3 @@ const (
 	// CondKeyTAGE is cond.NewTAGE(cond.DefaultTAGEConfig()).
 	CondKeyTAGE = "tage/default"
 )
-
-// BLBPVariant names one BLBP configuration.
-type BLBPVariant struct {
-	Name   string
-	Config core.Config
-}

@@ -124,10 +124,9 @@ func init() {
 		},
 	})
 	Register(Entry{
-		Name:       "combined",
-		ResultName: "combined",
-		Doc:        "§6 consolidated BLBP: one structure for conditionals and targets",
-		Default:    func() any { return core.DefaultConfig() },
+		Name:    "combined",
+		Doc:     "§6 consolidated BLBP: one structure for conditionals and targets",
+		Default: func() any { return core.DefaultConfig() },
 		NewProvider: func(cfg any) (cond.Predictor, Indirect, error) {
 			c, err := cfgAs[core.Config]("combined", cfg)
 			if err != nil {

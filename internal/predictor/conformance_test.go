@@ -206,8 +206,8 @@ func TestCatalogDefaultConfigsRoundTrip(t *testing.T) {
 		if bitsDef <= 0 {
 			t.Errorf("%s: non-positive storage budget %d", e.Name, bitsDef)
 		}
-		if pd.Name() != e.ResultName || prt.Name() != e.ResultName {
-			t.Errorf("%s: instance names %q/%q, want ResultName %q", e.Name, pd.Name(), prt.Name(), e.ResultName)
+		if pd.Name() != e.Name || prt.Name() != e.Name {
+			t.Errorf("%s: instance names %q/%q, want the registry name", e.Name, pd.Name(), prt.Name())
 		}
 	}
 	if n < 8 {

@@ -100,12 +100,9 @@ func AsSnapshotter(v any) (Snapshotter, bool) {
 //     engine's conditional predictor and exposes an indirect view (the
 //     paper's §6 combined structure).
 type Entry struct {
-	// Name is the registry key referenced by CLIs and run plans.
+	// Name is the registry key referenced by CLIs and run plans, and the
+	// name a built instance reports in results (Indirect.Name()).
 	Name string
-	// ResultName is the name the built predictor reports in results
-	// (Indirect.Name() of a default-config instance). It usually equals
-	// Name; run plans use it to locate a pass's rows in a suite result.
-	ResultName string
 	// Doc is a one-line description for -list output.
 	Doc string
 	// Default returns the default configuration value (a plain struct
@@ -193,9 +190,6 @@ func Register(e Entry) {
 	}
 	if n != 1 {
 		panic(fmt.Sprintf("predictor: entry %q must set exactly one constructor", e.Name))
-	}
-	if e.ResultName == "" {
-		e.ResultName = e.Name
 	}
 	if _, dup := registry[e.Name]; dup {
 		panic(fmt.Sprintf("predictor: duplicate registration of %q", e.Name))

@@ -21,9 +21,6 @@ func NewLRU(numSets, assoc int) *LRU {
 	}
 }
 
-// Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
-
 func (l *LRU) touch(set, way int) {
 	l.clock++
 	l.stamp[set*l.assoc+way] = l.clock
@@ -33,10 +30,10 @@ func (l *LRU) touch(set, way int) {
 // recent; stamps are comparable across sets.
 func (l *LRU) Stamp(set, way int) uint64 { return l.stamp[set*l.assoc+way] }
 
-// OnHit implements Policy.
+// OnHit records a reference to an existing entry.
 func (l *LRU) OnHit(set, way int) { l.touch(set, way) }
 
-// OnInsert implements Policy.
+// OnInsert records an entry installed in the way.
 func (l *LRU) OnInsert(set, way int) { l.touch(set, way) }
 
 // Reset zeroes every stamp and the clock, the freshly constructed state.
@@ -49,8 +46,8 @@ func (l *LRU) Reset() {
 	l.clock = 0
 }
 
-// Victim implements Policy: the way with the oldest stamp. Never-touched
-// ways have stamp 0 and are preferred.
+// Victim selects the way to evict from a full set: the one with the
+// oldest stamp. Never-touched ways have stamp 0 and are preferred.
 func (l *LRU) Victim(set int) int {
 	base := set * l.assoc
 	best, bestStamp := 0, l.stamp[base]

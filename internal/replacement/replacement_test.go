@@ -160,17 +160,6 @@ func TestLRUFullSequenceMatchesReference(t *testing.T) {
 	}
 }
 
-func TestPolicyInterfaceCompliance(t *testing.T) {
-	var _ Policy = NewRRIP(1, 1, 2)
-	var _ Policy = NewLRU(1, 1)
-	if NewRRIP(1, 1, 2).Name() != "rrip" {
-		t.Error("RRIP name")
-	}
-	if NewLRU(1, 1).Name() != "lru" {
-		t.Error("LRU name")
-	}
-}
-
 func TestLRUPanicsOnBadGeometry(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,3 +1,11 @@
+// Package replacement implements the cache replacement policies the paper's
+// structures use: re-reference interval prediction (RRIP, Jaleel et al.) for
+// BLBP's indirect branch target buffer, and least-recently-used (LRU) for
+// the region array and set-associative BTBs.
+//
+// A policy manages the ways of a set-associative structure laid out as
+// numSets × assoc (way indices are local to a set); callers report hits
+// and insertions and ask for victims.
 package replacement
 
 import "blbp/internal/threshold"
@@ -31,17 +39,16 @@ func NewRRIP(numSets, assoc, bits int) *RRIP {
 	return r
 }
 
-// Name implements Policy.
-func (r *RRIP) Name() string { return "rrip" }
-
-// OnHit implements Policy: promote to near-immediate re-reference.
+// OnHit records a reference to an existing entry, promoting it to
+// near-immediate re-reference.
 func (r *RRIP) OnHit(set, way int) { r.rrpv[set*r.assoc+way] = 0 }
 
-// OnInsert implements Policy: predict a long (but not distant) interval.
+// OnInsert records an entry installed in the way, predicting a long (but
+// not distant) re-reference interval.
 func (r *RRIP) OnInsert(set, way int) { r.rrpv[set*r.assoc+way] = r.max - 1 }
 
-// Victim implements Policy: find the first way predicted distant, aging the
-// whole set until one exists.
+// Victim selects the way to evict from a full set: the first way predicted
+// distant, aging the whole set until one exists.
 func (r *RRIP) Victim(set int) int {
 	base := set * r.assoc
 	for {

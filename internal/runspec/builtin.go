@@ -1,11 +1,11 @@
 package runspec
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 
 	"blbp/internal/core"
-	"blbp/internal/experiments"
-	"blbp/internal/predictor"
 )
 
 // builtinOrder is the canonical presentation order (the CLI's "all").
@@ -50,11 +50,9 @@ func Builtin(name string) (*Plan, bool) {
 		p.Suite.Kind = "holdout"
 		return p, true
 	case "fig10":
-		return variantsPlan(name, "optimization ablation vs ITTAGE (paper Figure 10)",
-			experiments.AblationVariants()), true
+		return variantsPlan(name, "optimization ablation vs ITTAGE (paper Figure 10)", ablationArms), true
 	case "fig11":
-		return variantsPlan(name, "IBTB associativity sweep (paper Figure 11)",
-			experiments.AssocVariants(nil)), true
+		return variantsPlan(name, "IBTB associativity sweep (paper Figure 11)", assocArms), true
 	case "extras":
 		return &Plan{
 			Name: name,
@@ -66,11 +64,9 @@ func Builtin(name string) (*Plan, bool) {
 			Outputs: []Output{{Table: name}},
 		}, true
 	case "arrays":
-		return variantsPlan(name, "weight-SRAM array-count sweep at ~constant storage",
-			experiments.ArraysVariants(nil)), true
+		return variantsPlan(name, "weight-SRAM array-count sweep at ~constant storage", arraysArms()), true
 	case "targetbits":
-		return variantsPlan(name, "target bits folded into BLBP's global history",
-			experiments.TargetBitsVariants()), true
+		return variantsPlan(name, "target bits folded into BLBP's global history", targetBitsArms), true
 	case "combined":
 		return &Plan{
 			Name: name,
@@ -82,19 +78,14 @@ func Builtin(name string) (*Plan, bool) {
 			Outputs: []Output{{Table: name}},
 		}, true
 	case "hierarchy":
-		mono8 := core.DefaultConfig()
-		mono8.IBTB.Assoc = 8
-		mono8.IBTB.Sets = 512
-		hier := core.DefaultConfig()
-		hier.UseHierarchicalIBTB = true
 		return &Plan{
 			Name: name,
 			Doc:  "two-level IBTB hierarchy vs 64-way monolith (§6)",
-			Passes: []Pass{
-				{Predictors: []PredictorSpec{{Type: "blbp", Name: "mono-64way"}}},
-				{Predictors: []PredictorSpec{{Type: "blbp", Name: "mono-8way", Config: mustDiffBLBP(mono8)}}},
-				{Predictors: []PredictorSpec{{Type: "blbp", Name: "hierarchy", Config: mustDiffBLBP(hier)}}},
-			},
+			Passes: armPasses([]arm{
+				{"mono-64way", ""},
+				{"mono-8way", `{"IBTB": {"Sets": 512, "Assoc": 8}}`},
+				{"hierarchy", `{"UseHierarchicalIBTB": true}`},
+			}),
 			Outputs: []Output{{Table: name}},
 		}, true
 	case "cottage":
@@ -141,31 +132,133 @@ func standardPlan(name, doc string) *Plan {
 	}
 }
 
-// variantsPlan lowers a BLBP sweep to one single-predictor pass per variant
-// (so the scheduler fans the arms out as independent tasks, exactly like the
-// bespoke drivers did) plus the ITTAGE reference pass.
-func variantsPlan(name, doc string, variants []experiments.BLBPVariant) *Plan {
-	passes := make([]Pass, 0, len(variants)+1)
-	for _, v := range variants {
-		passes = append(passes, Pass{Predictors: []PredictorSpec{
-			{Type: "blbp", Name: v.Name, Config: mustDiffBLBP(v.Config)},
-		}})
-	}
-	passes = append(passes, Pass{Predictors: []PredictorSpec{{Type: "ittage"}}})
-	return &Plan{Name: name, Doc: doc, Passes: passes, Outputs: []Output{{Table: name}}}
+// arm is one BLBP configuration of a sweep: the name its results appear
+// under and the JSON override it merges onto the registered default
+// configuration ("" runs the default).
+type arm struct {
+	name, config string
 }
 
-// mustDiffBLBP renders a BLBP configuration as the minimal JSON override
-// against the registered default. The built-in sweeps only vary compiled-in
-// configurations, so a diff failure is a programming error.
-func mustDiffBLBP(cfg core.Config) []byte {
-	e, ok := predictor.Lookup(experiments.NameBLBP)
-	if !ok {
-		panic("runspec: blbp is not registered")
+// ablationArms are the paper's Figure 10 arms, subsets of §3.6's five
+// optimizations (local history, history intervals, transfer function,
+// adaptive threshold, selective bit training): all off, each alone, each
+// removed from the full predictor, and all on. The default configuration
+// has all five on, so each override turns off the ones its arm leaves out.
+var ablationArms = []arm{
+	{"all-off", `{"UseLocal": false, "UseIntervals": false, "UseTransfer": false, "UseAdaptiveTheta": false, "UseSelective": false}`},
+	{"only-local", `{"UseIntervals": false, "UseTransfer": false, "UseAdaptiveTheta": false, "UseSelective": false}`},
+	{"only-intervals", `{"UseLocal": false, "UseTransfer": false, "UseAdaptiveTheta": false, "UseSelective": false}`},
+	{"only-selective", `{"UseLocal": false, "UseIntervals": false, "UseTransfer": false, "UseAdaptiveTheta": false}`},
+	{"only-transfer", `{"UseLocal": false, "UseIntervals": false, "UseAdaptiveTheta": false, "UseSelective": false}`},
+	{"only-adaptive", `{"UseLocal": false, "UseIntervals": false, "UseTransfer": false, "UseSelective": false}`},
+	{"no-intervals", `{"UseIntervals": false}`},
+	{"no-adaptive", `{"UseAdaptiveTheta": false}`},
+	{"no-transfer", `{"UseTransfer": false}`},
+	{"no-local", `{"UseLocal": false}`},
+	{"no-selective", `{"UseSelective": false}`},
+	{"all-on", ""},
+}
+
+// assocArms sweep IBTB associativity at the default's 4,096 entries, as
+// the paper's Figure 11 does; the default is 64-way.
+var assocArms = []arm{
+	{"assoc-4", `{"IBTB": {"Sets": 1024, "Assoc": 4}}`},
+	{"assoc-8", `{"IBTB": {"Sets": 512, "Assoc": 8}}`},
+	{"assoc-16", `{"IBTB": {"Sets": 256, "Assoc": 16}}`},
+	{"assoc-32", `{"IBTB": {"Sets": 128, "Assoc": 32}}`},
+	{"assoc-64", ""},
+}
+
+// targetBitsArms sweep GlobalTargetBits, the implementation choice DESIGN.md
+// §2 documents: how many hashed target bits each resolved indirect branch
+// contributes to BLBP's global history. 0 is the paper-literal
+// conditional-only history; the default is 2.
+var targetBitsArms = []arm{
+	{"targetbits-0", `{"GlobalTargetBits": 0}`},
+	{"targetbits-1", `{"GlobalTargetBits": 1}`},
+	{"targetbits-2", ""},
+	{"targetbits-4", `{"GlobalTargetBits": 4}`},
+}
+
+// arraysArms sweep the number of weight SRAM arrays, one local table plus
+// n-1 tables over geometric history intervals. The paper's §3 positions
+// BLBP as reducing SNIP's 44 arrays to 8; this sweep quantifies the
+// trade-off. Each arm scales its rows down to a power of two so that total
+// weight storage stays roughly the default's.
+func arraysArms() []arm {
+	def := core.DefaultConfig()
+	totalRows := def.SubPredictors() * def.TableEntries
+	var arms []arm
+	for _, n := range []int{2, 4, 8, 16, 24, 44} {
+		intervals, lengths := geometricIntervals(n-1, def.HistBits-1)
+		rows := 1
+		for rows*2 <= totalRows/n {
+			rows *= 2
+		}
+		// Ints and slices of ints always marshal.
+		override, _ := json.Marshal(struct {
+			TableEntries int
+			Intervals    []core.Interval
+			GEHLLengths  []int
+		}{rows, intervals, lengths})
+		arms = append(arms, arm{fmt.Sprintf("arrays-%d", n), string(override)})
 	}
-	diff, err := diffConfig(e.Default(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("runspec: diffing blbp config: %v", err))
+	return arms
+}
+
+// geometricIntervals splits the usable history depth into n geometric
+// intervals, each starting slightly before the previous one ends, as the
+// paper's tuned intervals overlap, with the GEHL lengths that go with them.
+func geometricIntervals(n, maxHist int) ([]core.Interval, []int) {
+	intervals := make([]core.Interval, n)
+	lengths := make([]int, n)
+	lo := 0
+	hi := 13
+	ratio := 1.0
+	if n > 1 {
+		// Choose the growth so the last interval ends at maxHist.
+		ratio = math.Pow(float64(maxHist)/13, 1/float64(n-1))
 	}
-	return diff
+	end := 13.0
+	for i := 0; i < n; i++ {
+		if hi > maxHist {
+			hi = maxHist
+		}
+		intervals[i] = core.Interval{Lo: lo, Hi: hi}
+		lengths[i] = hi + 1
+		// Next interval starts inside the current one (~15% overlap).
+		lo = hi - (hi-lo)/6
+		end *= ratio
+		hi = int(end + 0.5)
+		if hi <= lo {
+			hi = lo + 1
+		}
+	}
+	intervals[n-1].Hi = maxHist
+	if intervals[n-1].Lo >= maxHist {
+		intervals[n-1].Lo = maxHist - 1
+	}
+	lengths[n-1] = maxHist + 1
+	return intervals, lengths
+}
+
+// armPasses gives each arm a single-predictor pass, so the scheduler fans
+// the arms out as independent tasks.
+func armPasses(arms []arm) []Pass {
+	passes := make([]Pass, 0, len(arms)+1)
+	for _, a := range arms {
+		spec := PredictorSpec{Type: "blbp", Name: a.name}
+		if a.config != "" {
+			spec.Config = json.RawMessage(a.config)
+		}
+		passes = append(passes, Pass{Predictors: []PredictorSpec{spec}})
+	}
+	return passes
+}
+
+// variantsPlan runs a BLBP sweep, one pass per arm, plus the ITTAGE
+// reference pass.
+func variantsPlan(name, doc string, arms []arm) *Plan {
+	passes := append(armPasses(arms), Pass{Predictors: []PredictorSpec{{Type: "ittage"}}})
+	return &Plan{Name: name, Doc: doc, Passes: passes, Outputs: []Output{{Table: name}}}
 }

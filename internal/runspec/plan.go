@@ -5,10 +5,10 @@
 // plan, so experiments are data — every built-in driver of cmd/experiments
 // is a plan here, and user plans run the same path via `experiments -plan`.
 //
-// The layer sits on top of internal/experiments (the execution machinery
-// and the paper's variant definitions) and internal/predictor (the
-// configurable registry); compiling a plan is the one way a run builds its
-// passes. Every compiled pass recycles its predictors: a task takes a set
+// The layer sits on top of internal/experiments (the execution machinery)
+// and internal/predictor (the configurable registry); compiling a plan is
+// the one way a run builds its passes. The paper's sweeps are built-in
+// plans whose arms are declared as JSON overrides (builtin.go). Every compiled pass recycles its predictors: a task takes a set
 // from the pass's free list and its release Resets the set and hands it
 // back, first copying out the values a probe output (latency, hierarchy)
 // reads, so no predictor instance outlives the run. Assembled outputs are
@@ -165,7 +165,7 @@ func (p *Plan) Validate() error {
 			}
 			name := spec.Name
 			if name == "" {
-				name = e.ResultName
+				name = e.Name
 			}
 			if seen[name] {
 				return fmt.Errorf("runspec: duplicate predictor name %q; set a unique \"name\" on each instance", name)
@@ -242,7 +242,7 @@ func displayName(spec PredictorSpec) string {
 		return spec.Name
 	}
 	if e, ok := predictor.Lookup(spec.Type); ok {
-		return e.ResultName
+		return e.Name
 	}
 	return spec.Type
 }

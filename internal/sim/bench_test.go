@@ -11,6 +11,7 @@ import (
 	"blbp/internal/trace"
 	"blbp/internal/vpc"
 	"blbp/internal/workload"
+	"blbp/internal/wspec"
 )
 
 // BenchmarkSimRun drives one full engine pass (hashed perceptron + BLBP)
@@ -33,7 +34,7 @@ func BenchmarkSimRun(b *testing.B) {
 // tapeBenchTrace builds the 600K-instruction interpreter workload the tape
 // benchmarks replay.
 func tapeBenchTrace() *trace.Columns {
-	return workload.InterpreterSpec("tape-replay", "T", 600_000, workload.InterpreterParams{
+	return wspec.Leaf("tape-replay", "T", 600_000, workload.InterpreterParams{
 		Opcodes: 110, ProgramLen: 280, Work: 180, CondPerHandler: 2,
 		CondNoise: 0.003, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 30,
 	}).Build()

@@ -9,6 +9,7 @@ import (
 	"blbp/internal/predictor"
 	"blbp/internal/trace"
 	"blbp/internal/workload"
+	"blbp/internal/wspec"
 )
 
 // stubIndirect predicts a fixed target for every branch.
@@ -206,16 +207,16 @@ func TestAccountingMatchesTraceAnalysis(t *testing.T) {
 	// Engine accounting must agree exactly with offline trace analysis for
 	// every workload family.
 	specs := []workload.Spec{
-		workload.InterpreterSpec("acc-i", "T", 30_000, workload.InterpreterParams{
+		wspec.Leaf("acc-i", "T", 30_000, workload.InterpreterParams{
 			Opcodes: 8, ProgramLen: 24, Work: 20, CondPerHandler: 1, MonoCalls: 1, MonoSites: 8,
 		}),
-		workload.VDispatchSpec("acc-v", "T", 30_000, workload.VDispatchParams{
+		wspec.Leaf("acc-v", "T", 30_000, workload.VDispatchParams{
 			Classes: 3, Sites: 2, Objects: 12, MethodWork: 20, MethodConds: 1, AlternatingSites: 1,
 		}),
-		workload.CallbacksSpec("acc-c", "T", 30_000, workload.CallbacksParams{
+		wspec.Leaf("acc-c", "T", 30_000, workload.CallbacksParams{
 			Events: 4, Skew: 1.5, Wrappers: 2, HandlerWork: 20, HandlerConds: 1,
 		}),
-		workload.RecursiveSpec("acc-r", "T", 30_000, workload.RecursiveParams{
+		wspec.Leaf("acc-r", "T", 30_000, workload.RecursiveParams{
 			MaxDepth: 40, MinDepth: 5, VisitorClasses: 2, Work: 10,
 		}),
 	}
@@ -242,7 +243,7 @@ func TestAccountingMatchesTraceAnalysis(t *testing.T) {
 }
 
 func TestRASOverflowVisibleInEngine(t *testing.T) {
-	spec := workload.RecursiveSpec("deep", "T", 60_000, workload.RecursiveParams{
+	spec := wspec.Leaf("deep", "T", 60_000, workload.RecursiveParams{
 		MaxDepth: 100, MinDepth: 80, Work: 8,
 	})
 	tr := spec.Build()

@@ -9,11 +9,12 @@ import (
 	"blbp/internal/core"
 	"blbp/internal/predictor"
 	"blbp/internal/workload"
+	"blbp/internal/wspec"
 )
 
 // tapeWorkload builds a realistic trace exercising every record type.
 func tapeWorkload() *workload.Spec {
-	s := workload.VDispatchSpec("tape-unit", "T", 60_000, workload.VDispatchParams{
+	s := wspec.Leaf("tape-unit", "T", 60_000, workload.VDispatchParams{
 		Classes: 5, Sites: 3, Objects: 24, TypeNoise: 0.002,
 		AlternatingSites: 1, MethodWork: 30, MethodConds: 2, CondNoise: 0.005,
 		MonoCalls: 1, MonoSites: 8,
@@ -72,7 +73,7 @@ func TestTapeRunMatchesFullRun(t *testing.T) {
 // depth's counters must equal Run's at that depth, and the two depths must
 // differ, so a memo that ignored the depth would fail.
 func TestTapeRASDepthsMatchFullRun(t *testing.T) {
-	tr := workload.RecursiveSpec("tape-deep", "T", 60_000, workload.RecursiveParams{
+	tr := wspec.Leaf("tape-deep", "T", 60_000, workload.RecursiveParams{
 		MaxDepth: 100, MinDepth: 80, VisitorClasses: 3, Work: 8,
 	}).Build()
 	tape, err := NewTape(tr)

@@ -52,8 +52,9 @@ import (
 // at the first bad block instead of after hashing the whole payload.
 // Restarting the delta chain per block keeps blocks independently
 // decodable. The per-block record bound (the only writer never exceeds
-// spillBlockRecords) caps the block buffer a reader allocates at 106 KB
-// before it has read a single payload byte.
+// spillBlockRecords) caps the block buffer a reader allocates at 133 KB
+// (106 KB and a quarter of headroom) before it has read a single payload
+// byte.
 //
 // The fingerprint hashes the workload's canonicalized generator parameters
 // (workload.FingerprintCanon), completing the identity: two workloads can
@@ -161,6 +162,17 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	return nil
 }
 
+// spillReadBuffer sizes the decoder's buffered reader. It serves the
+// header and the block prefixes; io.ReadFull of a block payload longer than
+// the buffered bytes reads the rest straight into the block buffer, so a
+// larger buffer would save few reads.
+const spillReadBuffer = 4 << 10
+
+// spillHeaderBuffer sizes the reader ReadSpillHeader probes a file with: a
+// header is a few dozen bytes unless the name is long, and a longer one
+// only costs the probe another read.
+const spillHeaderBuffer = 512
+
 // readSpillHeader decodes the header from br.
 func readSpillHeader(br *bufio.Reader) (SpillHeader, error) {
 	var h SpillHeader
@@ -213,7 +225,7 @@ func readSpillHeader(br *bufio.Reader) (SpillHeader, error) {
 // payload unread — the cheap probe a cache uses to index a directory of
 // spill files by identity without decoding any records.
 func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
-	return readSpillHeader(bufio.NewReader(r))
+	return readSpillHeader(bufio.NewReaderSize(r, spillHeaderBuffer))
 }
 
 // ReadSpillColumns decodes a complete spill file into columnar form: the
@@ -221,7 +233,7 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // record count and the per-record validation. Each block is bulk-decoded
 // straight into the record columns and the edge table.
 func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, spillReadBuffer)
 	h, err := readSpillHeader(br)
 	if err != nil {
 		return h, nil, err
@@ -264,7 +276,7 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 		}
 		want := binary.LittleEndian.Uint64(sumBuf[:])
 		if uint64(cap(block)) < nbytes {
-			block = make([]byte, nbytes)
+			block = make([]byte, nbytes, nbytes+nbytes/4)
 		}
 		block = block[:nbytes]
 		if _, err := io.ReadFull(br, block); err != nil {

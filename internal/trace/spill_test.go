@@ -356,6 +356,31 @@ func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	}
 }
 
+// TestSpillDecodeBuffersStaySmall pins the decoder's own buffers: one
+// decode of a 40,000-record trace whose PCs cycle over 1,050 records, as a
+// suite trace's do, allocates under 400 KiB, its columns and edge table
+// included. A 64 KiB buffered reader, or a block buffer re-allocated for
+// each block larger than every earlier one, would not fit.
+func TestSpillDecodeBuffersStaySmall(t *testing.T) {
+	tr := cyclingSpillTrace(40_000, 1050)
+	var spill bytes.Buffer
+	if err := WriteSpillColumns(&spill, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, got, err := ReadSpillColumns(bytes.NewReader(spill.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("decoding %d records with %d edges allocated %d bytes", got.Len(), len(got.Edges()), alloc)
+	if alloc >= 400<<10 {
+		t.Errorf("decoding %d records allocated %d bytes, want < 400 KiB", got.Len(), alloc)
+	}
+}
+
 // TestWriteSpillAllocatesOneBuffer pins the encoder's allocation for a
 // 40,000-record trace (ten blocks), of all-new edges and of edges that
 // cycle as a suite trace's do: one block buffer, reused for the header and

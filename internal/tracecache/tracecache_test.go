@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"blbp/internal/workload"
+	"blbp/internal/wspec"
 )
 
 func testSpec(name string, instr int64) workload.Spec {
-	return workload.InterpreterSpec(name, "T", instr, workload.InterpreterParams{
+	return wspec.Leaf(name, "T", instr, workload.InterpreterParams{
 		Opcodes: 10, ProgramLen: 24, Work: 20, CondPerHandler: 1,
 		CondNoise: 0.005, DispatchNoise: 0.002,
 	})
@@ -558,7 +559,7 @@ func TestZeroFingerprintSpillNotServedToOtherParams(t *testing.T) {
 func TestFingerprintDistinguishesSpills(t *testing.T) {
 	dir := t.TempDir()
 	specA := testSpec("same-name", 4_000)
-	specB := workload.MonoSpec("same-name", "T", 4_000, workload.MonoParams{Sites: 8, Work: 10})
+	specB := wspec.Leaf("same-name", "T", 4_000, workload.MonoParams{Sites: 8, Work: 10})
 	if specA.Identity() == specB.Identity() {
 		t.Fatal("identities should differ by fingerprint")
 	}

@@ -169,9 +169,6 @@ func (v *VPC) Reset() {
 	v.lastPC, v.lastOK = 0, false
 }
 
-// BTBHitRate exposes the underlying BTB hit rate (diagnostics).
-func (v *VPC) BTBHitRate() float64 { return v.btb.HitRate() }
-
 // Cond returns the shared conditional predictor.
 func (v *VPC) Cond() *cond.HashedPerceptron { return v.hp }
 

@@ -11,8 +11,7 @@ import (
 // This file is the constructor surface the declarative spec layer
 // (internal/wspec) compiles through: per-family Model factories on the
 // exported parameter structs, the compositors that combine them, and the
-// canonical fingerprint helpers both worlds share so a legacy constructor
-// and a decoded spec of the same generator hash identically.
+// canonical fingerprint helpers a compiled spec's identity hashes.
 
 // SeedFor derives a workload's default seed from its name (stable across
 // processes; suite salts append "#<salt>" before hashing).

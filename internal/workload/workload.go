@@ -4,6 +4,11 @@
 // control-flow process — interpreter dispatch, virtual dispatch, switch
 // parsing, callback tables — parameterized by seed, so every trace is
 // deterministic and the full 88-workload suite mirrors Table 1's categories.
+//
+// Workloads are declared in internal/wspec and compiled down to the Spec
+// this package defines; there is no second construction path. The public
+// constructors (blbp.NewInterpreterWorkload, ...) compile a one-leaf spec
+// through wspec.Leaf and panic on anything wspec's Validate rejects.
 package workload
 
 import (
@@ -144,6 +149,17 @@ func innerLoop(e *emitter, pc uint64, trips, workPer int) {
 	e.cond(pc, false)
 }
 
+// Categories mirroring the paper's Table 1 benchmark sources.
+const (
+	CatSPEC2000    = "SPEC CPU2000"
+	CatSPEC2006    = "SPEC CPU2006"
+	CatSPEC2017    = "SPEC CPU2017"
+	CatMobileShort = "CBP-5 SHORT-MOBILE"
+	CatMobileLong  = "CBP-5 LONG-MOBILE"
+	CatServerShort = "CBP-5 SHORT-SERVER"
+	CatServerLong  = "CBP-5 LONG-SERVER"
+)
+
 // Spec names one fully-parameterized workload of the suite.
 type Spec struct {
 	// Name is the unique workload name (e.g. "mobile-s-07").
@@ -168,8 +184,7 @@ type Spec struct {
 }
 
 // NewSpec constructs a generator-backed Spec. It is the bridge the
-// declarative spec layer (internal/wspec) compiles through; direct users of
-// this package normally reach for the per-family constructors instead.
+// declarative spec layer (internal/wspec) compiles through.
 func NewSpec(name, category string, seed, instructions int64, fingerprint uint64, build func(rng *rand.Rand) Model) Spec {
 	return Spec{
 		Name: name, Category: category, Seed: seed, Instructions: instructions,

@@ -11,8 +11,14 @@ import (
 // disjointness, default base) live in internal/wspec, where the suites are
 // defined; this file tests the generator models and the Spec machinery.
 
+// leaf builds a one-model spec as wspec compiles a leaf generator: seeded
+// from its name, fingerprinted by its kind and parameters.
+func leaf(name string, instructions int64, kind string, p interface{ New(*rand.Rand) Model }) Spec {
+	return NewSpec(name, "T", SeedFor(name), instructions, FingerprintCanon(CanonParams(kind, p)), p.New)
+}
+
 func TestBuildDeterministic(t *testing.T) {
-	s := VDispatchSpec("det", "T", 5_000, VDispatchParams{
+	s := leaf("det", 5_000, "vdispatch", VDispatchParams{
 		Classes: 6, Sites: 4, Objects: 24, TypeNoise: 0.002,
 		MethodWork: 210, MethodConds: 3, CondNoise: 0.004,
 		MonoCalls: 1, MonoSites: 40,
@@ -31,11 +37,11 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestBuildReachesInstructionBudget(t *testing.T) {
 	for _, s := range []Spec{
-		InterpreterSpec("t-i", "T", 20_000, InterpreterParams{Opcodes: 8, ProgramLen: 40, Work: 5, CondPerHandler: 1}),
-		SwitcherSpec("t-s", "T", 20_000, SwitcherParams{Tokens: 8, CaseWork: 5, CaseConds: 1}),
-		VDispatchSpec("t-v", "T", 20_000, VDispatchParams{Classes: 3, Sites: 2, Objects: 16, MethodWork: 5, MethodConds: 1}),
-		CallbacksSpec("t-c", "T", 20_000, CallbacksParams{Events: 4, Skew: 1.2, Wrappers: 2, HandlerWork: 5, HandlerConds: 1}),
-		MonoSpec("t-m", "T", 20_000, MonoParams{Sites: 32, Work: 5}),
+		leaf("t-i", 20_000, "interpreter", InterpreterParams{Opcodes: 8, ProgramLen: 40, Work: 5, CondPerHandler: 1}),
+		leaf("t-s", 20_000, "switcher", SwitcherParams{Tokens: 8, CaseWork: 5, CaseConds: 1}),
+		leaf("t-v", 20_000, "vdispatch", VDispatchParams{Classes: 3, Sites: 2, Objects: 16, MethodWork: 5, MethodConds: 1}),
+		leaf("t-c", 20_000, "callbacks", CallbacksParams{Events: 4, Skew: 1.2, Wrappers: 2, HandlerWork: 5, HandlerConds: 1}),
+		leaf("t-m", 20_000, "mono", MonoParams{Sites: 32, Work: 5}),
 	} {
 		tr := s.Build()
 		got := tr.Instructions()
@@ -50,10 +56,10 @@ func TestBuildReachesInstructionBudget(t *testing.T) {
 
 func TestTracesAreValid(t *testing.T) {
 	for _, s := range []Spec{
-		InterpreterSpec("v-i", "T", 5_000, InterpreterParams{Opcodes: 12, ProgramLen: 40, Work: 60, CondPerHandler: 2, CondNoise: 0.01, DispatchNoise: 0.01, MonoCalls: 1, MonoSites: 20}),
-		SwitcherSpec("v-s", "T", 5_000, SwitcherParams{Tokens: 10, TransitionNoise: 0.02, CaseWork: 50, CaseConds: 2, MonoCalls: 1, MonoSites: 20}),
-		CallbacksSpec("v-c", "T", 5_000, CallbacksParams{Events: 6, Skew: 2.0, Wrappers: 3, HandlerWork: 40, HandlerConds: 2}),
-		RecursiveSpec("v-r", "T", 5_000, RecursiveParams{MaxDepth: 30, MinDepth: 5, VisitorClasses: 3, Work: 8}),
+		leaf("v-i", 5_000, "interpreter", InterpreterParams{Opcodes: 12, ProgramLen: 40, Work: 60, CondPerHandler: 2, CondNoise: 0.01, DispatchNoise: 0.01, MonoCalls: 1, MonoSites: 20}),
+		leaf("v-s", 5_000, "switcher", SwitcherParams{Tokens: 10, TransitionNoise: 0.02, CaseWork: 50, CaseConds: 2, MonoCalls: 1, MonoSites: 20}),
+		leaf("v-c", 5_000, "callbacks", CallbacksParams{Events: 6, Skew: 2.0, Wrappers: 3, HandlerWork: 40, HandlerConds: 2}),
+		leaf("v-r", 5_000, "recursive", RecursiveParams{MaxDepth: 30, MinDepth: 5, VisitorClasses: 3, Work: 8}),
 	} {
 		tr := s.Build()
 		for i := 0; i < tr.Len(); i++ {
@@ -69,7 +75,7 @@ func TestCallReturnBalance(t *testing.T) {
 	// Every return must target the instruction after some prior call, and
 	// the stack never underflows (Build would panic otherwise). Verify by
 	// replaying with a stack.
-	s := VDispatchSpec("bal", "T", 30_000, VDispatchParams{
+	s := leaf("bal", 30_000, "vdispatch", VDispatchParams{
 		Classes: 4, Sites: 3, Objects: 32, AlternatingSites: 2,
 		MethodWork: 6, MethodConds: 2,
 	})
@@ -95,20 +101,6 @@ func TestCallReturnBalance(t *testing.T) {
 	}
 	if returns == 0 {
 		t.Error("no returns in a vdispatch trace")
-	}
-}
-
-func TestByName(t *testing.T) {
-	suite := []Spec{
-		MonoSpec("one", "T", 1_000, MonoParams{Sites: 4, Work: 5}),
-		MonoSpec("two", "T", 1_000, MonoParams{Sites: 4, Work: 5, Bank: 1}),
-	}
-	s, ok := ByName("two", suite)
-	if !ok || s.Name != "two" {
-		t.Error("ByName failed to find a present workload")
-	}
-	if _, ok := ByName("no-such-workload", suite); ok {
-		t.Error("ByName found a nonexistent workload")
 	}
 }
 
@@ -196,7 +188,7 @@ func TestUnwindPCsDisjointFromGeneratorBanks(t *testing.T) {
 	// End-to-end: a trace that ends mid-recursion (tiny budget, deep burst)
 	// exercises the unwind; none of its unwind return PCs may fall in a
 	// generator bank window.
-	s := RecursiveSpec("unwind", "T", 300, RecursiveParams{MaxDepth: 80, MinDepth: 70, Work: 1})
+	s := leaf("unwind", 300, "recursive", RecursiveParams{MaxDepth: 80, MinDepth: 70, Work: 1})
 	tr := s.Build()
 	sawUnwind := false
 	for ri := 0; ri < tr.Len(); ri++ {
@@ -223,7 +215,7 @@ func TestSpecWithoutGeneratorPanics(t *testing.T) {
 }
 
 func TestRecursiveBalancedAndDeep(t *testing.T) {
-	s := RecursiveSpec("rec", "T", 60_000, RecursiveParams{
+	s := leaf("rec", 60_000, "recursive", RecursiveParams{
 		MaxDepth: 90, MinDepth: 10, VisitorClasses: 3, Work: 8,
 	})
 	tr := s.Build()
@@ -259,7 +251,7 @@ func TestRecursiveBalancedAndDeep(t *testing.T) {
 func TestRecursiveRASOverflowMispredicts(t *testing.T) {
 	// Sanity at the trace level: depths beyond 64 guarantee that a
 	// 64-entry RAS replayed over this trace would mispredict some returns.
-	s := RecursiveSpec("rec2", "T", 60_000, RecursiveParams{
+	s := leaf("rec2", 60_000, "recursive", RecursiveParams{
 		MaxDepth: 100, MinDepth: 80, Work: 6,
 	})
 	tr := s.Build()
@@ -298,7 +290,7 @@ func TestRecursiveConstructorPanics(t *testing.T) {
 			t.Error("invalid recursive params accepted")
 		}
 	}()
-	RecursiveSpec("bad", "T", 1000, RecursiveParams{MaxDepth: 5, MinDepth: 10}).Build()
+	leaf("bad", 1000, "recursive", RecursiveParams{MaxDepth: 5, MinDepth: 10}).Build()
 }
 
 func TestMixedConstructorPanics(t *testing.T) {
@@ -436,15 +428,15 @@ func TestWithRngIsolatesClientStreams(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesParams(t *testing.T) {
-	a := MonoSpec("same-name", "T", 1_000, MonoParams{Sites: 4, Work: 5})
-	b := MonoSpec("same-name", "T", 1_000, MonoParams{Sites: 8, Work: 5})
+	a := leaf("same-name", 1_000, "mono", MonoParams{Sites: 4, Work: 5})
+	b := leaf("same-name", 1_000, "mono", MonoParams{Sites: 8, Work: 5})
 	if a.Fingerprint == b.Fingerprint {
 		t.Error("different parameters produced equal fingerprints")
 	}
 	if a.Identity() == b.Identity() {
 		t.Error("identities collide across parameter changes")
 	}
-	c := MonoSpec("same-name", "T", 1_000, MonoParams{Sites: 4, Work: 5})
+	c := leaf("same-name", 1_000, "mono", MonoParams{Sites: 4, Work: 5})
 	if a.Identity() != c.Identity() {
 		t.Error("identical specs disagree on identity")
 	}

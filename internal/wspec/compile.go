@@ -15,12 +15,9 @@ import (
 // Compile lowers a validated spec to the workload.Spec the execution
 // layers consume. The compiled spec's fingerprint hashes the canonicalized
 // generator tree (workload.CanonParams composition), so two specs that
-// differ only in parameters get distinct cache identities; a leaf spec's
-// fingerprint equals the one the programmatic constructor
-// (workload.InterpreterSpec, ...) computes for the same parameters, so
-// both paths share cache entries and spill files. Replay specs read the
-// recorded file's header here — a missing or corrupt file fails at
-// compile, not mid-run.
+// differ only in parameters get distinct cache identities. Replay specs
+// read the recorded file's header here — a missing or corrupt file fails
+// at compile, not mid-run.
 func Compile(ws WorkloadSpec) (workload.Spec, error) {
 	if err := ws.Validate(); err != nil {
 		return workload.Spec{}, err
@@ -217,7 +214,7 @@ type factoryParams interface {
 
 // decodeLeafParams strictly decodes a leaf node's parameters into the
 // kind's exported parameter struct. Nil params mean all-defaults, exactly
-// as a zero struct passed to the programmatic constructor.
+// as a zero struct passed to Leaf.
 func decodeLeafParams(kind string, raw json.RawMessage) (factoryParams, error) {
 	decode := func(dst any) error {
 		if len(raw) == 0 {

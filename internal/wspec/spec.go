@@ -51,7 +51,7 @@ type Node struct {
 	Kind string `json:"kind"`
 	// Params holds the leaf kind's parameter struct (the exported
 	// workload.*Params types, by Go field name). Omitted fields default to
-	// zero, exactly as the programmatic constructors take them.
+	// zero, exactly as Leaf takes them.
 	Params json.RawMessage `json:"params,omitempty"`
 	// Draw maps leaf parameter names to ranges drawn per instance at build
 	// time (uniformly, from the build rng): distributions over entropy,

@@ -165,17 +165,3 @@ func TestLookupAndNames(t *testing.T) {
 		t.Errorf("Names() order unexpected: first %q, last %q", names[0], names[len(names)-1])
 	}
 }
-
-// TestLeafFingerprintMatchesConstructorPath pins the shared cache identity:
-// a leaf spec compiled from data and the same workload built through the
-// programmatic constructor produce the same fingerprint (and thus hit the
-// same trace-cache entries and spill files).
-func TestLeafFingerprintMatchesConstructorPath(t *testing.T) {
-	p := workload.InterpreterParams{Opcodes: 32, ProgramLen: 80, Work: 50, CondPerHandler: 1, CondNoise: 0.01, DispatchNoise: 0.002, MonoCalls: 1, MonoSites: 10}
-	fromCtor := workload.InterpreterSpec("fp-check", "T", 5_000, p)
-	ws := builtin("fp-check", "T", 5_000, leafNode("interpreter", p))
-	fromSpec := MustCompile(ws)
-	if fromCtor.Identity() != fromSpec.Identity() {
-		t.Errorf("identities diverge: constructor %+v, spec %+v", fromCtor.Identity(), fromSpec.Identity())
-	}
-}

@@ -29,6 +29,34 @@ func builtin(name, category string, instructions int64, g Node) WorkloadSpec {
 	return WorkloadSpec{Name: name, Category: category, Instructions: instructions, Generator: g}
 }
 
+// leafParams lists the six generator parameter structs.
+type leafParams interface {
+	workload.InterpreterParams | workload.VDispatchParams | workload.SwitcherParams |
+		workload.CallbacksParams | workload.MonoParams | workload.RecursiveParams
+}
+
+// Leaf compiles the one-leaf spec of a single generator, seeded from its
+// name: the path the public blbp.New*Workload constructors take. It panics
+// on any parameters Validate rejects.
+func Leaf[P leafParams](name, category string, instructions int64, p P) workload.Spec {
+	var kind string
+	switch any(p).(type) {
+	case workload.InterpreterParams:
+		kind = "interpreter"
+	case workload.VDispatchParams:
+		kind = "vdispatch"
+	case workload.SwitcherParams:
+		kind = "switcher"
+	case workload.CallbacksParams:
+		kind = "callbacks"
+	case workload.MonoParams:
+		kind = "mono"
+	case workload.RecursiveParams:
+		kind = "recursive"
+	}
+	return MustCompile(builtin(name, category, instructions, leafNode(kind, p)))
+}
+
 func mixedNode(random bool, parts ...Part) Node {
 	return Node{Kind: "mixed", Random: random, Parts: parts}
 }
