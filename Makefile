@@ -20,8 +20,8 @@ lint:
 	@mkdir -p results
 	$(GO) run ./cmd/blbplint -jsonout results/lint.json ./...
 
-# Full CI gate: lint + build + race-enabled tests + perfbench vet/test/lint
-# + fuzz smoke + gofmt -s.
+# Full CI gate: lint + build + examples run + race-enabled tests + perfbench
+# vet/test/lint + fuzz smoke + gofmt -s.
 ci:
 	sh scripts/ci.sh
 

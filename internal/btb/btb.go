@@ -47,9 +47,6 @@ type BTB struct {
 	sets    int
 	entries []entry
 	lru     *replacement.LRU
-
-	lookups int64
-	hits    int64
 }
 
 // New constructs a BTB from cfg.
@@ -79,14 +76,12 @@ func (b *BTB) setAndTag(pc uint64) (int, uint64) {
 
 // Lookup returns the stored target for pc, if any.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	b.lookups++
 	set, tag := b.setAndTag(pc)
 	base := set * b.cfg.Assoc
 	for w := 0; w < b.cfg.Assoc; w++ {
 		e := &b.entries[base+w]
 		if e.valid && e.tag == tag {
 			b.lru.OnHit(set, w)
-			b.hits++
 			return e.target, true
 		}
 	}
@@ -147,14 +142,6 @@ func (b *BTB) SlotRecency(pc uint64) uint64 {
 	return b.lru.Stamp(set, b.lru.Victim(set))
 }
 
-// HitRate returns the fraction of lookups that hit (0 when never used).
-func (b *BTB) HitRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(b.lookups)
-}
-
 // StorageBits returns the modeled hardware cost in bits: per entry a valid
 // bit, the partial tag, the stored target bits, recency state
 // (log2(assoc) bits per way), and the hysteresis bit when enabled.
@@ -167,15 +154,13 @@ func (b *BTB) StorageBits() int {
 	return b.cfg.Entries * perEntry
 }
 
-// Reset restores the freshly constructed state: every entry invalid, the
-// recency stamps and clock zeroed (VPC reads them through SlotRecency), and
-// the hit counters cleared.
+// Reset restores the freshly constructed state: every entry invalid and the
+// recency stamps and clock zeroed (VPC reads them through SlotRecency).
 func (b *BTB) Reset() {
 	for i := range b.entries {
 		b.entries[i] = entry{}
 	}
 	b.lru.Reset()
-	b.lookups, b.hits = 0, 0
 }
 
 func log2ceil(n int) int {

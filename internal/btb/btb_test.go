@@ -101,20 +101,6 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	b := New(small())
-	b.Update(0x100, 0xA)
-	b.Lookup(0x100)
-	b.Lookup(0x200)
-	if got := b.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
-	}
-	fresh := New(small())
-	if fresh.HitRate() != 0 {
-		t.Error("HitRate on unused BTB should be 0")
-	}
-}
-
 func TestStorageBits(t *testing.T) {
 	b := New(Default32K())
 	// 32768 × (1 valid + 8 tag + 44 target + 0 lru) = 1736704 bits ≈ 212 KB

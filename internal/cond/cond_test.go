@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blbp/internal/history"
 	"blbp/internal/trace"
 )
 
@@ -147,7 +148,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		h.UpdateHistory(pc, taken)
 	}
 	before := h.Predict(0x999)
-	snap := h.HistSnapshot()
+	var snap history.FoldedSnapshot
+	h.HistSnapshotInto(&snap)
 	for i := 0; i < 20; i++ {
 		h.SpecShift(i%2 == 0)
 	}

@@ -115,8 +115,8 @@ func (c HPConfig) validate() error {
 
 // HashedPerceptron is a Tarjan & Skadron-style hashed perceptron predictor
 // over a configurable feature set. It also exposes the speculation hooks
-// (SpecShift, HistSnapshot/HistRestore) that the VPC predictor needs to walk
-// virtual PCs.
+// (SpecShift, HistSnapshotInto/HistRestore) that the VPC predictor needs to
+// walk virtual PCs.
 type HashedPerceptron struct {
 	cfg      HPConfig
 	weights  [][]int8 // one table per feature
@@ -293,13 +293,10 @@ func (h *HashedPerceptron) SpecShift(taken bool) {
 	h.lastOK = false
 }
 
-// HistSnapshot captures global-history state (including the incrementally
-// maintained folds) for later rollback.
-func (h *HashedPerceptron) HistSnapshot() history.FoldedSnapshot { return h.ghist.Snapshot() }
-
-// HistSnapshotInto captures global-history state into a caller-owned
-// snapshot, reusing its storage; VPC snapshots once per prediction, making
-// this the allocation-free hot variant.
+// HistSnapshotInto captures global-history state (including the
+// incrementally maintained folds) into a caller-owned snapshot for later
+// rollback, reusing its storage: VPC snapshots once per prediction, so
+// steady-state snapshotting does not allocate.
 func (h *HashedPerceptron) HistSnapshotInto(dst *history.FoldedSnapshot) {
 	h.ghist.SnapshotInto(dst)
 }

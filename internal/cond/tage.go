@@ -55,12 +55,11 @@ type tageEntry struct {
 // TAGE is the conditional direction predictor.
 type TAGE struct {
 	cfg      TAGEConfig
-	lens     []int
 	tagBits  []int
 	tables   [][]tageEntry
 	base     []counter2
 	ghist    *history.FoldedSet
-	idxFolds []history.FoldID // per-table index fold over [0, lens[i]-1]
+	idxFolds []history.FoldID // per-table index fold over its history length
 	tagFolds []history.FoldID // per-table tag fold over the same interval
 	phist    uint64
 
@@ -126,7 +125,6 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	}
 	t := &TAGE{
 		cfg:      cfg,
-		lens:     lens,
 		tagBits:  tagBits,
 		tables:   tables,
 		base:     make([]counter2, cfg.BaseEntries),

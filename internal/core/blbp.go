@@ -82,22 +82,18 @@ type BLBP struct {
 	rowOff []int // absolute weight offset of each sub-predictor's active row
 	// pRowOff holds the absolute pweights offset of the same rows, one per
 	// sub-predictor: ranging over it is what bounds a lane accumulation.
-	pRowOff       []int
-	acc           [8]uint64
-	yout          [64]int // per-bit summed confidence (first K entries live)
-	suppressMask  uint64  // bit k set = selective training suppresses bit k
-	kMask         uint64  // low K bits
-	hadCandidates bool
+	pRowOff      []int
+	acc          [8]uint64
+	yout         [64]int // per-bit summed confidence (first K entries live)
+	suppressMask uint64  // bit k set = selective training suppresses bit k
+	kMask        uint64  // low K bits
 
-	candCap  int
 	candBuf  []uint64
 	candBits []uint64 // candidate targets pre-shifted by BitOffset
 
-	// Diagnostics.
-	predictions int64
-	ibtbMisses  int64
-	trainEvents int64
-	candHist    []int64 // histogram of candidate-set sizes at prediction
+	// candHist is the histogram of candidate-set sizes at prediction, read
+	// by the latency output.
+	candHist []int64
 }
 
 // New constructs a BLBP predictor from cfg, panicking on invalid
@@ -163,7 +159,6 @@ func New(cfg Config) *BLBP {
 		rowOff:      make([]int, n),
 		pRowOff:     make([]int, n),
 		kMask:       uint64(1)<<uint(cfg.K) - 1,
-		candCap:     candCap,
 		candBuf:     make([]uint64, 0, candCap),
 		candBits:    make([]uint64, 0, candCap),
 		candHist:    make([]int64, candCap+1),
@@ -361,16 +356,14 @@ func (p *BLBP) gather(pc uint64) {
 	}
 	p.candBits = bits
 	p.computeSuppress(bits)
-	p.hadCandidates = len(p.candBuf) > 0
 }
 
-// finishPredict selects among the prepared candidates using the per-bit
-// sums in p.yout and records the prediction-time bookkeeping (counters,
-// histogram, pending state for the matching Update).
+// finishPredict selects among the prepared candidates using the packed lane
+// sums in p.acc and records the prediction-time bookkeeping (the
+// candidate-count histogram and the pending state for the matching Update).
 //
 //blbp:hot
 func (p *BLBP) finishPredict(pc uint64) (uint64, bool) {
-	p.predictions++
 	candidates := p.candBuf
 	if n := len(candidates); n < len(p.candHist) {
 		p.candHist[n]++
@@ -379,7 +372,6 @@ func (p *BLBP) finishPredict(pc uint64) (uint64, bool) {
 	}
 	p.lastPC, p.lastOK = pc, true
 	if len(candidates) == 0 {
-		p.ibtbMisses++
 		return 0, false
 	}
 	best := candidates[0]
@@ -469,7 +461,6 @@ func (p *BLBP) Update(pc, actual uint64) {
 		if correct && a >= th {
 			continue
 		}
-		p.trainEvents++
 		wMin := int(-p.wMax)
 		if bit {
 			for i, base := range p.rowOff {
@@ -527,9 +518,9 @@ func (p *BLBP) OnCondSpan(c *trace.Columns, start, end int) {
 func (p *BLBP) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {}
 
 // Reset restores the predictor to its freshly constructed state: weights,
-// packed image, IBTB, histories, thresholds, pending state, and
-// diagnostics. internal/batch uses it to recycle stream slots without
-// reallocating (admission of a new stream onto a retired slot).
+// packed image, IBTB, histories, thresholds, pending state, and the
+// candidate-count histogram. internal/batch uses it to recycle stream slots
+// without reallocating (admission of a new stream onto a retired slot).
 func (p *BLBP) Reset() {
 	for i := range p.weights {
 		p.weights[i] = 0
@@ -543,21 +534,19 @@ func (p *BLBP) Reset() {
 	}
 	p.lastPC, p.lastOK = 0, false
 	p.suppressMask = 0
-	p.hadCandidates = false
 	p.candBuf = p.candBuf[:0]
 	p.candBits = p.candBits[:0]
-	p.predictions, p.ibtbMisses, p.trainEvents = 0, 0, 0
 	for i := range p.candHist {
 		p.candHist[i] = 0
 	}
 }
 
 // Fingerprint hashes the predictor's trained state — weights, packed image,
-// global and local histories, thresholds, and event counters — into one
-// 64-bit FNV-1a digest. The batch differential suites compare it between a
-// batched stream and its serial reference; the IBTB is excluded (its
-// package owns its layout) but any buffer divergence surfaces in the
-// predicted-target comparison those suites also make.
+// global and local histories, and thresholds — into one 64-bit FNV-1a
+// digest. The batch differential suites compare it between a batched stream
+// and its serial reference; the IBTB is excluded (its package owns its
+// layout) but any buffer divergence surfaces in the predicted-target
+// comparison those suites also make.
 func (p *BLBP) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -586,22 +575,8 @@ func (p *BLBP) Fingerprint() uint64 {
 	for _, th := range p.thetas {
 		mix(uint64(th.Theta()))
 	}
-	mix(uint64(p.predictions))
-	mix(uint64(p.trainEvents))
-	mix(uint64(p.ibtbMisses))
 	return h
 }
-
-// IBTBMissRate returns the fraction of predictions with no stored targets.
-func (p *BLBP) IBTBMissRate() float64 {
-	if p.predictions == 0 {
-		return 0
-	}
-	return float64(p.ibtbMisses) / float64(p.predictions)
-}
-
-// TrainEvents returns how many per-bit weight-vector updates have occurred.
-func (p *BLBP) TrainEvents() int64 { return p.trainEvents }
 
 // CandidateHistogram returns the distribution of candidate-set sizes seen
 // at prediction time (index = number of candidates, final bucket clamps).

@@ -37,11 +37,7 @@ func (p *BLBP) EncodeState(w io.Writer) error {
 		te.Int(theta)
 		te.Int(tc)
 	}
-	ce := c.Section(secCounters)
-	ce.I64(p.predictions)
-	ce.I64(p.ibtbMisses)
-	ce.I64(p.trainEvents)
-	ce.I64s(p.candHist)
+	c.Section(secCounters).I64s(p.candHist)
 	return c.EncodeTo(w)
 }
 
@@ -128,23 +124,19 @@ func (p *BLBP) RestoreState(r io.Reader) error {
 	if d, err = dc.Section(secCounters); err != nil {
 		return err
 	}
-	predictions := d.I64()
-	ibtbMisses := d.I64()
-	trainEvents := d.I64()
 	candHist := make([]int64, len(p.candHist))
 	d.I64sInto(candHist)
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	if predictions < 0 || ibtbMisses < 0 || trainEvents < 0 || ibtbMisses > predictions {
-		return fmt.Errorf("%w: diagnostic counters inconsistent", snapshot.ErrCorrupt)
+	for n, c := range candHist {
+		if c < 0 {
+			return fmt.Errorf("%w: candidate-count bucket %d holds %d", snapshot.ErrCorrupt, n, c)
+		}
 	}
 
 	copy(p.weights, weights)
 	p.rebuildPacked()
-	p.predictions = predictions
-	p.ibtbMisses = ibtbMisses
-	p.trainEvents = trainEvents
 	copy(p.candHist, candHist)
 	p.flushPrediction()
 	return nil
@@ -175,7 +167,6 @@ func (p *BLBP) rebuildPacked() {
 func (p *BLBP) flushPrediction() {
 	p.lastPC, p.lastOK = 0, false
 	p.suppressMask = 0
-	p.hadCandidates = false
 	p.candBuf = p.candBuf[:0]
 	p.candBits = p.candBits[:0]
 }

@@ -218,8 +218,8 @@ type FoldedSnapshot struct {
 }
 
 // SnapshotInto captures the current state into dst, reusing dst's storage
-// when possible so steady-state snapshotting does not allocate. VPC
-// snapshots once per prediction, which makes this the hot variant.
+// when possible so steady-state snapshotting does not allocate (VPC
+// snapshots once per prediction).
 func (s *FoldedSet) SnapshotInto(dst *FoldedSnapshot) {
 	s.catchUp()
 	dst.words = append(dst.words[:0], s.g.words...)
@@ -228,13 +228,6 @@ func (s *FoldedSet) SnapshotInto(dst *FoldedSnapshot) {
 	for i := range s.accs {
 		dst.accs = append(dst.accs, s.accs[i].acc)
 	}
-}
-
-// Snapshot returns a freshly allocated copy of the current state.
-func (s *FoldedSet) Snapshot() FoldedSnapshot {
-	var snap FoldedSnapshot
-	s.SnapshotInto(&snap)
-	return snap
 }
 
 // Restore reinstates a snapshot taken from a FoldedSet with the same

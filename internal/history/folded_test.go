@@ -149,7 +149,8 @@ func TestFoldedSetRestoreShapeChecks(t *testing.T) {
 	a := NewFoldedSet(64)
 	a.Register(0, 10, 5)
 	b := NewFoldedSet(64)
-	snap := a.Snapshot()
+	var snap FoldedSnapshot
+	a.SnapshotInto(&snap)
 	defer func() {
 		if recover() == nil {
 			t.Error("Restore with mismatched fold count did not panic")

@@ -194,9 +194,6 @@ func (b *IBTB) Contains(pc, target uint64) bool {
 	return false
 }
 
-// RegionEvictions exposes how many regions were replaced (diagnostics).
-func (b *IBTB) RegionEvictions() int64 { return b.regions.Evictions() }
-
 // StorageBits returns the modeled hardware cost: per entry a valid bit, the
 // partial tag, a region index, the offset, and the RRIP counter; plus the
 // region array (44-bit bases and LRU rank bits).

@@ -92,9 +92,6 @@ func TestRegionEvictionInvalidatesEntries(t *testing.T) {
 			t.Error("candidate from evicted region survived")
 		}
 	}
-	if b.RegionEvictions() == 0 {
-		t.Error("expected at least one region eviction")
-	}
 }
 
 func TestHotTargetSurvivesPressure(t *testing.T) {

@@ -96,13 +96,12 @@ type baseEntry struct {
 // ITTAGE is the predictor.
 type ITTAGE struct {
 	cfg      Config
-	lens     []int // geometric history length per tagged table
 	tagBits  []int
 	tables   [][]taggedEntry
 	base     []baseEntry
 	regions  *region.Array
 	ghist    *history.FoldedSet
-	idxFolds []history.FoldID // per-table index fold over [0, lens[i]-1]
+	idxFolds []history.FoldID // per-table index fold over its history length
 	tagFolds []history.FoldID // per-table tag fold over the same interval
 	phist    uint64           // 16-bit path history
 
@@ -148,7 +147,6 @@ func New(cfg Config) *ITTAGE {
 	}
 	return &ITTAGE{
 		cfg:      cfg,
-		lens:     lens,
 		tagBits:  tagBits,
 		tables:   tables,
 		base:     make([]baseEntry, cfg.BaseEntries),
@@ -214,13 +212,6 @@ func geometricLengths(min, max, n int) []int {
 
 // Name implements predictor.Indirect.
 func (p *ITTAGE) Name() string { return "ittage" }
-
-// Lengths exposes the geometric history lengths (diagnostics/tests).
-func (p *ITTAGE) Lengths() []int {
-	out := make([]int, len(p.lens))
-	copy(out, p.lens)
-	return out
-}
 
 func (p *ITTAGE) nextRand() uint64 {
 	p.rng ^= p.rng << 13

@@ -208,15 +208,6 @@ func TestOnOtherAndName(t *testing.T) {
 	p.OnOther(0x1, 0x2, trace.DirectCall)
 }
 
-func TestLengthsAccessorCopies(t *testing.T) {
-	p := New(DefaultConfig())
-	l := p.Lengths()
-	l[0] = 9999
-	if p.Lengths()[0] == 9999 {
-		t.Error("Lengths exposes internal state")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []func(Config) Config{
 		func(c Config) Config { c.BaseEntries = 0; return c },

@@ -13,12 +13,13 @@ import (
 	"blbp/internal/vpc"
 )
 
-// The snapshottable predictors (tentpole of the warm-state work): BLBP,
-// ITTAGE, the consolidated combined structure (either view), and the
-// conditional TAGE/hashed-perceptron predictors. The remaining catalog
-// entries (btb, btb2bit, targetcache, cascaded, vpc) intentionally do not
-// implement Snapshotter yet; tools probing with AsSnapshotter must report
-// that clearly rather than silently skipping state.
+// The snapshottable predictors, whose trained state a run can save and
+// restore (warm start): BLBP, ITTAGE, the consolidated combined structure
+// (either view), and the conditional TAGE/hashed-perceptron predictors. The
+// remaining catalog entries (btb, btb2bit, targetcache, cascaded, vpc)
+// intentionally do not implement Snapshotter yet; tools probing with
+// AsSnapshotter must report that clearly rather than silently skipping
+// state.
 var (
 	_ Snapshotter = (*core.BLBP)(nil)
 	_ Snapshotter = (*ittage.ITTAGE)(nil)

@@ -10,9 +10,6 @@ type Stack struct {
 	addrs []uint64
 	top   int // index of the next free slot
 	depth int // live entries, <= cap
-
-	predictions int64
-	correct     int64
 }
 
 // New returns a stack with the given capacity.
@@ -47,13 +44,8 @@ func (s *Stack) Pop() (addr uint64, ok bool) {
 // Predict pops a return address and scores it against the actual target,
 // returning whether the prediction was correct.
 func (s *Stack) Predict(actual uint64) bool {
-	s.predictions++
 	addr, ok := s.Pop()
-	if ok && addr == actual {
-		s.correct++
-		return true
-	}
-	return false
+	return ok && addr == actual
 }
 
 // Depth returns the number of live entries.
@@ -62,16 +54,7 @@ func (s *Stack) Depth() int { return s.depth }
 // Capacity returns the configured capacity.
 func (s *Stack) Capacity() int { return len(s.addrs) }
 
-// Accuracy returns the fraction of Predict calls that were correct.
-func (s *Stack) Accuracy() float64 {
-	if s.predictions == 0 {
-		return 0
-	}
-	return float64(s.correct) / float64(s.predictions)
-}
-
-// Reset empties the stack and clears statistics.
+// Reset empties the stack.
 func (s *Stack) Reset() {
 	s.top, s.depth = 0, 0
-	s.predictions, s.correct = 0, 0
 }

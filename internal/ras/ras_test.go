@@ -45,9 +45,6 @@ func TestPredictScoring(t *testing.T) {
 	if s.Predict(0xCC) {
 		t.Error("wrong return counted correct")
 	}
-	if got := s.Accuracy(); got != 0.5 {
-		t.Errorf("Accuracy = %v, want 0.5", got)
-	}
 }
 
 func TestPredictOnEmptyIsWrong(t *testing.T) {
@@ -75,7 +72,7 @@ func TestReset(t *testing.T) {
 	s.Push(1)
 	s.Predict(1)
 	s.Reset()
-	if s.Depth() != 0 || s.Accuracy() != 0 {
+	if s.Depth() != 0 {
 		t.Error("Reset did not clear state")
 	}
 }
@@ -89,9 +86,6 @@ func TestDeepCallChain(t *testing.T) {
 		if !s.Predict(uint64(0x1000 + i)) {
 			t.Fatalf("mispredicted return %d in a within-capacity chain", i)
 		}
-	}
-	if s.Accuracy() != 1.0 {
-		t.Errorf("Accuracy = %v, want 1.0", s.Accuracy())
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 	"blbp/internal/snapshot"
 )
 
-// EncodeState serializes the stack contents and statistics.
+// EncodeState serializes the stack contents: the address slots, the top
+// index and the live depth.
 func (s *Stack) EncodeState(e *snapshot.Enc) {
 	e.U64s(s.addrs)
 	e.Int(s.top)
 	e.Int(s.depth)
-	e.I64(s.predictions)
-	e.I64(s.correct)
 }
 
 // RestoreStack rebuilds a stack from state captured by EncodeState. The
@@ -33,8 +32,6 @@ func (s *Stack) RestoreState(d *snapshot.Dec) error {
 	d.U64sInto(addrs)
 	top := d.Int()
 	depth := d.Int()
-	predictions := d.I64()
-	correct := d.I64()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -44,13 +41,8 @@ func (s *Stack) RestoreState(d *snapshot.Dec) error {
 	if depth < 0 || depth > len(s.addrs) {
 		return fmt.Errorf("%w: stack depth %d outside capacity %d", snapshot.ErrCorrupt, depth, len(s.addrs))
 	}
-	if correct < 0 || predictions < 0 || correct > predictions {
-		return fmt.Errorf("%w: stack statistics inconsistent", snapshot.ErrCorrupt)
-	}
 	copy(s.addrs, addrs)
 	s.top = top
 	s.depth = depth
-	s.predictions = predictions
-	s.correct = correct
 	return nil
 }

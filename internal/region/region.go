@@ -26,7 +26,6 @@ type Array struct {
 	valid      []bool
 	lru        *replacement.LRU
 	offsetBits int
-	evictions  int64
 }
 
 // New returns a region array with the given number of entries, where stored
@@ -54,9 +53,6 @@ func (a *Array) Entries() int { return len(a.bases) }
 // OffsetBits returns the configured offset width.
 func (a *Array) OffsetBits() int { return a.offsetBits }
 
-// Evictions returns how many valid regions have been replaced.
-func (a *Array) Evictions() int64 { return a.evictions }
-
 func (a *Array) split(target uint64) (base, offset uint64) {
 	return target >> uint(a.offsetBits), target & (1<<uint(a.offsetBits) - 1)
 }
@@ -83,9 +79,6 @@ func (a *Array) Acquire(target uint64) (Ref, uint64) {
 		}
 	}
 	victim := a.lru.Victim(0)
-	if a.valid[victim] {
-		a.evictions++
-	}
 	a.bases[victim] = base
 	a.gens[victim]++
 	a.valid[victim] = true
@@ -115,10 +108,10 @@ func (a *Array) Touch(ref Ref) {
 }
 
 // Reset restores the freshly constructed state: bases, generations and
-// valid bits zeroed, the LRU state cleared, and the eviction count back to
-// 0. Zeroed generations let an old Ref resolve again once its slot is
-// reacquired, so the owner must clear every Ref it holds in the same Reset
-// (the IBTB and ITTAGE zero their entries).
+// valid bits zeroed and the LRU state cleared. Zeroed generations let an old
+// Ref resolve again once its slot is reacquired, so the owner must clear
+// every Ref it holds in the same Reset (the IBTB and ITTAGE zero their
+// entries).
 func (a *Array) Reset() {
 	for i := range a.bases {
 		a.bases[i] = 0
@@ -126,5 +119,4 @@ func (a *Array) Reset() {
 		a.valid[i] = false
 	}
 	a.lru.Reset()
-	a.evictions = 0
 }

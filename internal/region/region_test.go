@@ -34,14 +34,17 @@ func TestSameRegionShared(t *testing.T) {
 func TestEvictionInvalidatesStaleRefs(t *testing.T) {
 	a := New(2, 20)
 	ref0, off0 := a.Acquire(0x1 << 20)
-	a.Acquire(0x2 << 20)
-	// Third distinct region evicts the LRU (region of ref0).
-	a.Acquire(0x3 << 20)
+	ref1, off1 := a.Acquire(0x2 << 20)
+	// Third distinct region evicts the LRU (region of ref0) and only it.
+	ref2, off2 := a.Acquire(0x3 << 20)
 	if _, ok := a.Resolve(ref0, off0); ok {
 		t.Error("stale reference resolved after its region was evicted")
 	}
-	if a.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", a.Evictions())
+	if got, ok := a.Resolve(ref1, off1); !ok || got != 0x2<<20 {
+		t.Errorf("Resolve(ref1) = %#x/%v, want %#x/true", got, ok, 0x2<<20)
+	}
+	if got, ok := a.Resolve(ref2, off2); !ok || got != 0x3<<20 {
+		t.Errorf("Resolve(ref2) = %#x/%v, want %#x/true", got, ok, 0x3<<20)
 	}
 }
 
@@ -110,16 +113,17 @@ func TestResetInvalidatesEverything(t *testing.T) {
 }
 
 // TestResetRestoresNew churns a region array through evictions, so bases,
-// generations, LRU stamps and the eviction count have all moved, and
-// requires Reset to leave it deeply equal to a freshly constructed one.
+// generations and LRU stamps have all moved, and requires Reset to leave it
+// deeply equal to a freshly constructed one.
 func TestResetRestoresNew(t *testing.T) {
 	a := New(8, 20)
 	rng := rand.New(rand.NewSource(5))
+	first, firstOff := a.Acquire(0x40 << 20)
 	for i := 0; i < 200; i++ {
 		ref, _ := a.Acquire(uint64(rng.Intn(32)) << 20)
 		a.Touch(ref)
 	}
-	if a.Evictions() == 0 {
+	if _, ok := a.Resolve(first, firstOff); ok {
 		t.Fatal("workload evicted nothing")
 	}
 	a.Reset()
@@ -152,12 +156,18 @@ func TestWorkingSetWithinCapacityNeverEvicts(t *testing.T) {
 	for i := range bases {
 		bases[i] = uint64(i+1) << 20
 	}
+	refs := make([]Ref, len(bases))
+	for i, b := range bases {
+		refs[i], _ = a.Acquire(b)
+	}
 	for i := 0; i < 10000; i++ {
 		tgt := bases[rng.Intn(len(bases))] | uint64(rng.Intn(1<<20))
 		a.Acquire(tgt)
 	}
-	if a.Evictions() != 0 {
-		t.Errorf("Evictions = %d with working set <= capacity, want 0", a.Evictions())
+	for i, ref := range refs {
+		if got, ok := a.Resolve(ref, 0); !ok || got != bases[i] {
+			t.Errorf("Resolve(region %d) = %#x/%v with working set <= capacity, want %#x/true", i, got, ok, bases[i])
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package region
 
-import (
-	"fmt"
-
-	"blbp/internal/snapshot"
-)
+import "blbp/internal/snapshot"
 
 // EncodeState serializes the region array: bases, generation counters,
 // valid bits, and the LRU recency state.
@@ -13,7 +9,6 @@ func (a *Array) EncodeState(e *snapshot.Enc) {
 	e.U32s(a.gens)
 	e.Bools(a.valid)
 	a.lru.EncodeState(e)
-	e.I64(a.evictions)
 }
 
 // RestoreState reinstates state captured by EncodeState into an array of
@@ -31,16 +26,8 @@ func (a *Array) RestoreState(d *snapshot.Dec) error {
 	if err := a.lru.RestoreState(d); err != nil {
 		return err
 	}
-	evictions := d.I64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if evictions < 0 {
-		return fmt.Errorf("%w: negative eviction count", snapshot.ErrCorrupt)
-	}
 	copy(a.bases, bases)
 	copy(a.gens, gens)
 	copy(a.valid, valid)
-	a.evictions = evictions
 	return nil
 }

@@ -42,10 +42,6 @@ type VPC struct {
 	hp  *cond.HashedPerceptron
 	btb *btb.BTB
 
-	// Prediction-time state for Update.
-	lastPC uint64
-	lastOK bool
-
 	scratchVPCA []uint64
 	snapBuf     history.FoldedSnapshot // reused across predictions
 }
@@ -85,7 +81,6 @@ func (v *VPC) vpcAddr(pc uint64, iter int) uint64 {
 // speculatively extended with the virtual not-taken outcomes during the walk
 // and rolled back before returning.
 func (v *VPC) Predict(pc uint64) (uint64, bool) {
-	v.lastPC, v.lastOK = pc, true
 	v.hp.HistSnapshotInto(&v.snapBuf)
 	defer v.hp.HistRestore(&v.snapBuf)
 	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
@@ -110,7 +105,6 @@ func (v *VPC) Predict(pc uint64) (uint64, bool) {
 // virtual branch holds the actual target, it is installed at the first free
 // (or final) iteration slot.
 func (v *VPC) Update(pc, actual uint64) {
-	v.lastOK = false
 	vpcas := v.scratchVPCA[:0]
 	foundIter := 0
 	for iter := 1; iter <= v.cfg.MaxIter; iter++ {
@@ -160,14 +154,10 @@ func (v *VPC) OnCond(pc uint64, taken bool) {}
 // OnOther implements predictor.Indirect as a no-op for the same reason.
 func (v *VPC) OnOther(pc, target uint64, bt trace.BranchType) {}
 
-// Reset restores the freshly constructed state of VPC's own structures:
-// the BTB and the pending prediction. The shared conditional predictor is
-// left alone; whoever owns it (the pass, which hands it to the engine too)
-// resets it alongside.
-func (v *VPC) Reset() {
-	v.btb.Reset()
-	v.lastPC, v.lastOK = 0, false
-}
+// Reset restores the freshly constructed state of VPC's own structure, the
+// BTB. The shared conditional predictor is left alone; whoever owns it (the
+// pass, which hands it to the engine too) resets it alongside.
+func (v *VPC) Reset() { v.btb.Reset() }
 
 // Cond returns the shared conditional predictor.
 func (v *VPC) Cond() *cond.HashedPerceptron { return v.hp }

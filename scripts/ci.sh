@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint) with a drift check of the committed
-# results/lint.json, suppression/exceptions audit, build, race-enabled
-# tests, perfbench vet/test/lint, fuzz smoke, snapshot, trace-file,
-# warm-start, recycled-set, run-plan, and workload-spec round-trip smokes,
-# and a strict gofmt -s check. Run from the repository root (or `make ci`).
+# results/lint.json, suppression/exceptions audit, build, an examples run,
+# race-enabled tests, perfbench vet/test/lint, fuzz smoke, snapshot,
+# trace-file, warm-start, recycled-set, run-plan, and workload-spec
+# round-trip smokes, and a strict gofmt -s check. Run from the repository
+# root (or `make ci`).
 set -eux
 
 make lint
@@ -14,6 +15,16 @@ git diff --exit-code results/lint.json
 # ANALYSIS_EXCEPTIONS.md and vice versa; drift in either direction fails.
 go run ./cmd/blbplint -suppressed -exceptions ANALYSIS_EXCEPTIONS.md ./...
 go build ./...
+# Examples smoke: the programs under examples/ are the library-API smoke at
+# the package boundary. go build compiles them, but a program can compile
+# and still panic at run time (the public workload constructors panic on
+# invalid parameters), so each one runs and must exit 0.
+edir=$(mktemp -d)
+for e in examples/*/; do
+	go build -o "$edir/example" "./$e"
+	"$edir/example" >/dev/null
+done
+rm -rf "$edir"
 # The race-enabled tests are also the ownership gate for the experiments
 # pool's three goroutine launch sites: newPool's `go p.worker`, whose
 # workers range over the pool's one FIFO task channel, and the submits of
