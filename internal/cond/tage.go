@@ -1,8 +1,6 @@
 package cond
 
 import (
-	"math"
-
 	"blbp/internal/hashing"
 	"blbp/internal/history"
 	"blbp/internal/threshold"
@@ -91,23 +89,7 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	if cfg.ResetPeriod <= 0 {
 		panic("cond: TAGE ResetPeriod must be positive")
 	}
-	lens := make([]int, cfg.Tables)
-	ratio := 1.0
-	if cfg.Tables > 1 {
-		ratio = math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1/float64(cfg.Tables-1))
-	}
-	v := float64(cfg.MinHist)
-	prev := 0
-	for i := range lens {
-		l := int(v + 0.5)
-		if l <= prev {
-			l = prev + 1
-		}
-		lens[i] = l
-		prev = l
-		v *= ratio
-	}
-	lens[cfg.Tables-1] = cfg.MaxHist
+	lens := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.Tables)
 	tables := make([][]tageEntry, cfg.Tables)
 	tagBits := make([]int, cfg.Tables)
 	ghist := history.NewFoldedSet(cfg.HistBits)

@@ -2,7 +2,10 @@ package cond
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"blbp/internal/history"
 )
 
 func TestTAGEAlwaysTaken(t *testing.T) {
@@ -139,5 +142,35 @@ func TestTAGETrainWithoutPredictIsSafe(t *testing.T) {
 	}
 	if !p.Predict(0x123) {
 		t.Error("bias not learned through out-of-contract Train")
+	}
+}
+
+// TestTAGERegistersGeometricLengths pins TAGE's tagged tables to
+// history.GeometricLengths at 1, 2, 8 and 12 tables: each table's index
+// and tag folds span its length. ittage's
+// TestRegistersSharedGeometricLengths pins ITTAGE to the same series, so
+// the two predictors register the same lengths.
+func TestTAGERegistersGeometricLengths(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 12} {
+		cfg := DefaultTAGEConfig()
+		cfg.Tables = n
+		p := NewTAGE(cfg)
+		got := make([]int, n)
+		for i := range got {
+			// Shift one taken bit in and count the not-taken bits that push
+			// it out of both folds.
+			p.ghist.Reset()
+			p.ghist.Shift(true)
+			for p.ghist.Value(p.idxFolds[i]) != 0 {
+				p.ghist.Shift(false)
+				got[i]++
+				if (p.ghist.Value(p.tagFolds[i]) != 0) != (p.ghist.Value(p.idxFolds[i]) != 0) {
+					t.Fatalf("%d tables, table %d: index and tag folds span different lengths", n, i)
+				}
+			}
+		}
+		if want := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d tables register %v, want %v", n, got, want)
+		}
 	}
 }

@@ -503,13 +503,15 @@ func (p *BLBP) OnCond(pc uint64, taken bool) {
 func (p *BLBP) OnOther(pc, target uint64, bt trace.BranchType) {}
 
 // OnCondSpan implements predictor.SpanFeeder: a whole conditional segment
-// folds into the global history through one call — identical to OnCond per
-// record, with the interface dispatch amortized over the run and long runs
-// taking the bulk register-shift + refold path (no fold is read mid-span).
+// shifts into the global history through one call — identical to OnCond
+// per record, with the interface dispatch amortized over the run (no fold
+// is read mid-span, so the folds catch up once per 64 bits).
 //
 //blbp:hot
 func (p *BLBP) OnCondSpan(c *trace.Columns, start, end int) {
-	p.ghist.ShiftRun(c.TakenWords(), start, end)
+	for i := start; i < end; i++ {
+		p.ghist.Shift(c.At(i).Taken)
+	}
 	p.lastOK = false
 }
 

@@ -1,6 +1,9 @@
 package history
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // FoldID identifies one registered fold within a FoldedSet.
 type FoldID int
@@ -40,7 +43,7 @@ type foldView struct {
 
 // FoldedSet couples a Global history register with a set of interval folds
 // maintained incrementally and *lazily*. Each (lo, hi, width) interval is
-// registered once at predictor construction. Shift/ShiftBits/ShiftRun only
+// registered once at predictor construction. Shift and ShiftBits only
 // advance the raw register and a pending-bit counter; the accumulators are
 // caught up in one O(1) step each at the next fold read (catchUp). Between
 // reads the predictor observes nothing, so laziness is invisible: Value is
@@ -183,23 +186,6 @@ func (s *FoldedSet) ShiftBits(v uint64, n int) {
 	}
 }
 
-// ShiftRun inserts run bits start..end-1 of the packed bitset words (bit i
-// lives at words[i/64], bit position i%64), oldest first — observably
-// identical to calling Shift on each bit in order. With lazy catch-up a
-// whole run costs one raw register shift per bit plus one accumulator
-// update per 64 bits.
-//
-//blbp:hot
-func (s *FoldedSet) ShiftRun(words []uint64, start, end int) {
-	for i := start; i < end; i++ {
-		if s.pending == 64 {
-			s.catchUp()
-		}
-		s.g.Shift(words[uint(i)>>6]&(1<<(uint(i)&63)) != 0)
-		s.pending++
-	}
-}
-
 // Reset clears all history bits and registered folds.
 func (s *FoldedSet) Reset() {
 	s.g.Reset()
@@ -242,4 +228,31 @@ func (s *FoldedSet) Restore(snap *FoldedSnapshot) {
 	for i := range s.accs {
 		s.accs[i].acc = snap.accs[i]
 	}
+}
+
+// GeometricLengths returns the history lengths of n tagged tables, from min
+// to max in a geometric series (Seznec's GEHL formula) rounded to strictly
+// increasing integers, the last clamped to max. One table gets [min]. TAGE
+// and ITTAGE both size their tables' folds by it.
+func GeometricLengths(min, max, n int) []int {
+	lens := make([]int, n)
+	ratio := 1.0
+	if n > 1 {
+		ratio = math.Pow(float64(max)/float64(min), 1/float64(n-1))
+	}
+	prev := 0
+	v := float64(min)
+	for i := range lens {
+		l := int(v + 0.5)
+		if l <= prev {
+			l = prev + 1
+		}
+		lens[i] = l
+		prev = l
+		v *= ratio
+	}
+	if lens[n-1] > max {
+		lens[n-1] = max
+	}
+	return lens
 }

@@ -186,30 +186,21 @@ func BenchmarkFoldFromScratch(b *testing.B) {
 	}
 }
 
-// TestFoldedSetShiftRunMatchesShift drives two identically registered sets
-// through random packed-bitset runs — one via ShiftRun (straddling the bulk
-// threshold from both sides), one via per-bit Shift — and checks every fold
-// stays identical after each run.
-func TestFoldedSetShiftRunMatchesShift(t *testing.T) {
+// TestFoldedSetLongRunsMatchFold shifts runs of random bits between fold
+// reads, as the span feeders do over a conditional run, with run lengths
+// that straddle the 64-pending-bit catch-up bound and exceed the capacity,
+// and checks every fold against the from-scratch Fold after each run.
+func TestFoldedSetLongRunsMatchFold(t *testing.T) {
 	const capacity = 631
 	rng := rand.New(rand.NewSource(7))
 
-	bulk := NewFoldedSet(capacity)
-	ref := NewFoldedSet(capacity)
+	fs := NewFoldedSet(capacity)
 	ids := make([]FoldID, len(foldedTestIntervals))
 	for i, iv := range foldedTestIntervals {
-		ids[i] = bulk.Register(iv.lo, iv.hi, iv.width)
-		ref.Register(iv.lo, iv.hi, iv.width)
+		ids[i] = fs.Register(iv.lo, iv.hi, iv.width)
 	}
-
-	words := make([]uint64, 64)
-	for i := range words {
-		words[i] = rng.Uint64()
-	}
-	pos := 0
 	for step := 0; step < 400; step++ {
-		// Run lengths cover empty, short, catch-up-bound-adjacent (the lazy
-		// accumulators catch up every 64 pending bits), and
+		// Run lengths cover empty, short, catch-up-bound-adjacent and
 		// longer-than-capacity runs.
 		n := rng.Intn(130)
 		switch rng.Intn(8) {
@@ -218,26 +209,13 @@ func TestFoldedSetShiftRunMatchesShift(t *testing.T) {
 		case 1:
 			n = rng.Intn(800)
 		}
-		if pos+n > len(words)*64 {
-			pos = 0
+		for i := 0; i < n; i++ {
+			fs.Shift(rng.Intn(2) == 0)
 		}
-		bulk.ShiftRun(words, pos, pos+n)
-		for i := pos; i < pos+n; i++ {
-			ref.Shift(words[uint(i)>>6]&(1<<(uint(i)&63)) != 0)
-		}
-		pos += n
 		for i, iv := range foldedTestIntervals {
-			want := ref.Value(ids[i])
-			got := bulk.Value(ids[i])
-			if got != want {
-				t.Fatalf("step %d (run %d): fold[%d,%d]@%d = %#x, want %#x",
-					step, n, iv.lo, iv.hi, iv.width, got, want)
-			}
-			// Ground truth: the lazy catch-up (with pending anywhere up to
-			// the 64-bit bound) must equal the from-scratch fold.
-			if scratch := bulk.Fold(iv.lo, iv.hi, iv.width); got != scratch {
+			if got, want := fs.Value(ids[i]), fs.Fold(iv.lo, iv.hi, iv.width); got != want {
 				t.Fatalf("step %d (run %d): fold[%d,%d]@%d = %#x, from-scratch %#x",
-					step, n, iv.lo, iv.hi, iv.width, got, scratch)
+					step, n, iv.lo, iv.hi, iv.width, got, want)
 			}
 		}
 	}

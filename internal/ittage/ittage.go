@@ -9,7 +9,6 @@ package ittage
 
 import (
 	"fmt"
-	"math"
 
 	"blbp/internal/hashing"
 	"blbp/internal/history"
@@ -129,7 +128,7 @@ func New(cfg Config) *ITTAGE {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lens := geometricLengths(cfg.MinHist, cfg.MaxHist, cfg.Tables)
+	lens := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.Tables)
 	tables := make([][]taggedEntry, cfg.Tables)
 	tagBits := make([]int, cfg.Tables)
 	ghist := history.NewFoldedSet(cfg.HistBits)
@@ -182,32 +181,6 @@ func (p *ITTAGE) Reset() {
 	p.lastPC, p.lastOK = 0, false
 	p.updates = 0
 	p.rng = rngSeed
-}
-
-// geometricLengths returns n history lengths from min to max in a geometric
-// series (Seznec's GEHL formula), strictly increasing.
-func geometricLengths(min, max, n int) []int {
-	lens := make([]int, n)
-	if n == 1 {
-		lens[0] = min
-		return lens
-	}
-	ratio := math.Pow(float64(max)/float64(min), 1/float64(n-1))
-	prev := 0
-	v := float64(min)
-	for i := 0; i < n; i++ {
-		l := int(v + 0.5)
-		if l <= prev {
-			l = prev + 1
-		}
-		lens[i] = l
-		prev = l
-		v *= ratio
-	}
-	if lens[n-1] > max {
-		lens[n-1] = max
-	}
-	return lens
 }
 
 // Name implements predictor.Indirect.
@@ -470,14 +443,14 @@ func (p *ITTAGE) OnOther(pc, target uint64, bt trace.BranchType) {
 }
 
 // OnCondSpan implements predictor.SpanFeeder: a whole conditional segment
-// folds into the global and path histories through one call — identical to
-// OnCond per record, with the interface dispatch amortized over the run.
+// shifts into the global and path histories through one call — identical
+// to OnCond per record, with the interface dispatch amortized over the run.
 func (p *ITTAGE) OnCondSpan(c *trace.Columns, start, end int) {
-	p.ghist.ShiftRun(c.TakenWords(), start, end)
-	edges := c.Edges()
 	phist := p.phist
-	for _, k := range c.EdgeIndex()[start:end] {
-		phist = (phist<<1 ^ edges[k].PC>>2) & 0xFFFF
+	for i := start; i < end; i++ {
+		r := c.At(i)
+		p.ghist.Shift(r.Taken)
+		phist = (phist<<1 ^ r.PC>>2) & 0xFFFF
 	}
 	p.phist = phist
 	p.lastOK = false
@@ -486,10 +459,9 @@ func (p *ITTAGE) OnCondSpan(c *trace.Columns, start, end int) {
 // OnOtherSpan implements predictor.SpanFeeder: only the path history
 // advances, one whole segment per call.
 func (p *ITTAGE) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {
-	edges := c.Edges()
 	phist := p.phist
-	for _, k := range c.EdgeIndex()[start:end] {
-		phist = (phist<<1 ^ edges[k].PC>>2) & 0xFFFF
+	for i := start; i < end; i++ {
+		phist = (phist<<1 ^ c.At(i).PC>>2) & 0xFFFF
 	}
 	p.phist = phist
 	p.lastOK = false

@@ -2,8 +2,10 @@ package ittage
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"blbp/internal/history"
 	"blbp/internal/trace"
 )
 
@@ -23,8 +25,29 @@ func lateMispredicts(p *ITTAGE, targets []uint64, condOutcomes []bool) int {
 	return mis
 }
 
+// registeredLengths returns the history length each tagged table's index
+// and tag folds span: a single taken bit is shifted in and followed by
+// not-taken bits until it leaves both folds. It fails the test when the two
+// folds of a table span different lengths.
+func registeredLengths(t *testing.T, p *ITTAGE) []int {
+	t.Helper()
+	lens := make([]int, len(p.idxFolds))
+	for i := range lens {
+		p.ghist.Reset()
+		p.ghist.Shift(true)
+		for p.ghist.Value(p.idxFolds[i]) != 0 {
+			p.ghist.Shift(false)
+			lens[i]++
+			if (p.ghist.Value(p.tagFolds[i]) != 0) != (p.ghist.Value(p.idxFolds[i]) != 0) {
+				t.Fatalf("table %d: index and tag folds span different lengths", i)
+			}
+		}
+	}
+	return lens
+}
+
 func TestGeometricLengths(t *testing.T) {
-	lens := geometricLengths(4, 630, 8)
+	lens := registeredLengths(t, New(DefaultConfig()))
 	if len(lens) != 8 {
 		t.Fatalf("got %d lengths, want 8", len(lens))
 	}
@@ -42,9 +65,26 @@ func TestGeometricLengths(t *testing.T) {
 }
 
 func TestGeometricLengthsSingle(t *testing.T) {
-	lens := geometricLengths(5, 100, 1)
+	cfg := DefaultConfig()
+	cfg.Tables, cfg.MinHist, cfg.MaxHist = 1, 5, 100
+	lens := registeredLengths(t, New(cfg))
 	if len(lens) != 1 || lens[0] != 5 {
-		t.Errorf("geometricLengths(5,100,1) = %v, want [5]", lens)
+		t.Errorf("one table with MinHist 5, MaxHist 100 registers %v, want [5]", lens)
+	}
+}
+
+// TestRegistersSharedGeometricLengths pins ITTAGE's tagged tables to
+// history.GeometricLengths at 1, 2, 8 and 12 tables. cond's
+// TestTAGERegistersGeometricLengths pins TAGE to the same series, so the
+// two predictors register the same lengths.
+func TestRegistersSharedGeometricLengths(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 12} {
+		cfg := DefaultConfig()
+		cfg.Tables = n
+		got := registeredLengths(t, New(cfg))
+		if want := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d tables register %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"blbp/internal/snapshot"
 )
 
-// EncodeState serializes the stack contents: the address slots, the top
-// index and the live depth.
+// EncodeState serializes the stack contents: the address slots, whose
+// count prefix is the capacity, the top index and the live depth.
 func (s *Stack) EncodeState(e *snapshot.Enc) {
 	e.U64s(s.addrs)
 	e.Int(s.top)
@@ -16,33 +16,31 @@ func (s *Stack) EncodeState(e *snapshot.Enc) {
 
 // RestoreStack rebuilds a stack from state captured by EncodeState. The
 // capacity is carried by the snapshot (as the address-slice length), so the
-// caller need not know the original configuration.
-func RestoreStack(d *snapshot.Dec, capacity int) (*Stack, error) {
-	s := New(capacity)
-	if err := s.RestoreState(d); err != nil {
+// caller need not know the original configuration; it passes only the
+// largest capacity it accepts, which is checked before the stack is
+// allocated.
+func RestoreStack(d *snapshot.Dec, maxCapacity int) (*Stack, error) {
+	capacity := d.Int()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// RestoreState reinstates state captured by EncodeState into a stack of the
-// same capacity.
-func (s *Stack) RestoreState(d *snapshot.Dec) error {
-	addrs := make([]uint64, len(s.addrs))
-	d.U64sInto(addrs)
-	top := d.Int()
-	depth := d.Int()
+	if capacity <= 0 || capacity > maxCapacity {
+		return nil, fmt.Errorf("%w: RAS capacity %d outside (0,%d]", snapshot.ErrCorrupt, capacity, maxCapacity)
+	}
+	s := New(capacity)
+	for i := range s.addrs {
+		s.addrs[i] = d.U64()
+	}
+	s.top = d.Int()
+	s.depth = d.Int()
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if top < 0 || top >= len(s.addrs) {
-		return fmt.Errorf("%w: stack top %d outside capacity %d", snapshot.ErrCorrupt, top, len(s.addrs))
+	if s.top < 0 || s.top >= capacity {
+		return nil, fmt.Errorf("%w: stack top %d outside capacity %d", snapshot.ErrCorrupt, s.top, capacity)
 	}
-	if depth < 0 || depth > len(s.addrs) {
-		return fmt.Errorf("%w: stack depth %d outside capacity %d", snapshot.ErrCorrupt, depth, len(s.addrs))
+	if s.depth < 0 || s.depth > capacity {
+		return nil, fmt.Errorf("%w: stack depth %d outside capacity %d", snapshot.ErrCorrupt, s.depth, capacity)
 	}
-	copy(s.addrs, addrs)
-	s.top = top
-	s.depth = depth
-	return nil
+	return s, nil
 }

@@ -48,6 +48,20 @@ func genEquivTrace(seed int64, n int, shape uint8) *trace.Columns {
 	return tr
 }
 
+// wideEquivTrace is genEquivTrace with record i's gap raised by 32·i, so
+// every record is distinct: past 65,536 records the trace's index column
+// is 4 bytes wide.
+func wideEquivTrace(seed int64, n int, shape uint8) *trace.Columns {
+	base := genEquivTrace(seed, n, shape)
+	tr := trace.NewColumns("fuzz-wide", n)
+	for i := 0; i < n; i++ {
+		r := base.Record(i)
+		r.InstrBefore += uint32(i) * 32
+		tr.Append(r)
+	}
+	return tr
+}
+
 // equivPredictors builds one fresh suite-shaped pass: a hashed perceptron
 // driving ITTAGE and BLBP.
 func equivPredictors() (cond.Predictor, []predictor.Indirect) {
@@ -62,10 +76,9 @@ func equivPredictors() (cond.Predictor, []predictor.Indirect) {
 // consolidated predictor, and the spill round trip through the columnar
 // decoder must all reproduce the record-at-a-time oracle (referenceRun)
 // bit for bit — every Result field, all six branch types, predictions
-// included.
-func checkEquivalence(t *testing.T, seed int64, nRec int, shape uint8) {
+// included. seed names the trace in failures and its spill header.
+func checkEquivalence(t *testing.T, seed int64, tr *trace.Columns) {
 	t.Helper()
-	tr := genEquivTrace(seed, nRec, shape)
 
 	cpRef, ipsRef := equivPredictors()
 	ref, err := referenceRun(tr, cpRef, ipsRef, Options{})
@@ -152,14 +165,16 @@ func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(int64(-3), uint16(64), uint8(0x00))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8) {
 		if nRec := int(n) % 2048; nRec > 0 {
-			checkEquivalence(t, seed, nRec, shape)
+			checkEquivalence(t, seed, genEquivTrace(seed, nRec, shape))
 		}
 	})
 }
 
 // TestColumnarEquivalenceSeeds runs the differential on the fuzz seed
 // corpus (plus two edge shapes) so `go test` exercises it without the fuzz
-// engine.
+// engine, and on a trace of 70,000 distinct records, whose index column
+// widens to 4 bytes at record 65,536: past the fuzz target's 2,048-record
+// cap, so it has its own size.
 func TestColumnarEquivalenceSeeds(t *testing.T) {
 	cases := []struct {
 		seed  int64
@@ -170,6 +185,7 @@ func TestColumnarEquivalenceSeeds(t *testing.T) {
 		{99, 2047, 0x71}, {5, 1, 0x30},
 	}
 	for _, c := range cases {
-		checkEquivalence(t, c.seed, int(c.n)%2048, c.shape)
+		checkEquivalence(t, c.seed, genEquivTrace(c.seed, int(c.n)%2048, c.shape))
 	}
+	checkEquivalence(t, 11, wideEquivTrace(11, 70_000, 0x22))
 }

@@ -52,82 +52,80 @@ func runRange(cols *trace.Columns, cp cond.Predictor, indirects []predictor.Indi
 	stack := pr.stack
 	shared := &pr.shared
 	perPred := pr.perPred
-	edges, idx, typ := cols.Edges(), cols.EdgeIndex(), cols.Types()
 	tt, hasTT := cp.(cond.TargetTrainer)
 
 	for s, en := pr.next, 0; s < stop; s = en {
 		en = min(cols.RunEnd(s), stop)
-		switch bt := trace.BranchType(typ[s]); bt {
+		switch bt := cols.At(s).Type; bt {
 		case trace.CondDirect:
 			shared.CondBranches += int64(en - s)
 			for i := s; i < en; i++ {
-				e := edges[idx[i]]
-				taken := cols.Taken(i)
-				if cp.Predict(e.PC) != taken {
+				r := cols.At(i)
+				if cp.Predict(r.PC) != r.Taken {
 					shared.CondMispredicts++
 				}
 				if hasTT {
-					tt.TrainWithTarget(e.PC, taken, e.Target)
+					tt.TrainWithTarget(r.PC, r.Taken, r.Target)
 				} else {
-					cp.Train(e.PC, taken)
+					cp.Train(r.PC, r.Taken)
 				}
-				cp.UpdateHistory(e.PC, taken)
+				cp.UpdateHistory(r.PC, r.Taken)
 				for _, ip := range indirects {
-					ip.OnCond(e.PC, taken)
+					ip.OnCond(r.PC, r.Taken)
 				}
 			}
 
 		case trace.IndirectJump, trace.IndirectCall:
 			isCall := bt == trace.IndirectCall
 			for i := s; i < en; i++ {
-				e := edges[idx[i]]
+				r := cols.At(i)
 				for j := range indirects {
 					ip := indirects[j]
 					perPred[j].IndirectBranches++
-					pred, ok := ip.Predict(e.PC)
+					pred, ok := ip.Predict(r.PC)
 					if !ok {
 						perPred[j].NoPrediction++
 						perPred[j].IndirectMispredicts++
-					} else if pred != e.Target {
+					} else if pred != r.Target {
 						perPred[j].IndirectMispredicts++
 					}
-					ip.Update(e.PC, e.Target)
+					ip.Update(r.PC, r.Target)
 				}
 				if isCall {
-					stack.Push(e.PC + instructionSize)
+					stack.Push(r.PC + instructionSize)
 				}
-				cp.OnOther(e.PC, e.Target, bt)
+				cp.OnOther(r.PC, r.Target, bt)
 			}
 
 		case trace.Return:
 			shared.Returns += int64(en - s)
 			for i := s; i < en; i++ {
-				e := edges[idx[i]]
-				if !stack.Predict(e.Target) {
+				r := cols.At(i)
+				if !stack.Predict(r.Target) {
 					shared.ReturnMispredicts++
 				}
-				cp.OnOther(e.PC, e.Target, trace.Return)
+				cp.OnOther(r.PC, r.Target, trace.Return)
 				for _, ip := range indirects {
-					ip.OnOther(e.PC, e.Target, trace.Return)
+					ip.OnOther(r.PC, r.Target, trace.Return)
 				}
 			}
 
 		case trace.DirectCall:
 			for i := s; i < en; i++ {
-				e := edges[idx[i]]
-				stack.Push(e.PC + instructionSize)
-				cp.OnOther(e.PC, e.Target, trace.DirectCall)
+				r := cols.At(i)
+				stack.Push(r.PC + instructionSize)
+				cp.OnOther(r.PC, r.Target, trace.DirectCall)
 				for _, ip := range indirects {
-					ip.OnOther(e.PC, e.Target, trace.DirectCall)
+					ip.OnOther(r.PC, r.Target, trace.DirectCall)
 				}
 			}
 
 		case trace.UncondDirect:
 			for i := s; i < en; i++ {
-				e := edges[idx[i]]
-				cp.OnOther(e.PC, e.Target, trace.UncondDirect)
+				r := cols.At(i)
+				cp.OnOther(r.PC, r.Target, trace.UncondDirect)
 				for _, ip := range indirects {
-					ip.OnOther(e.PC, e.Target, trace.UncondDirect)
+					ip.OnOther(r.PC, r.Target, trace.UncondDirect)
 				}
 			}
 		}
@@ -202,7 +200,6 @@ const maxRASCapacity = 1 << 20
 // EncodeState serializes the paused engine state into a snapshot section.
 func (pr *PausedRun) EncodeState(e *snapshot.Enc) {
 	e.Int(pr.next)
-	e.Int(pr.stack.Capacity())
 	pr.stack.EncodeState(e)
 	encodeResult(e, &pr.shared)
 	e.Int(len(pr.perPred))
@@ -215,17 +212,13 @@ func (pr *PausedRun) EncodeState(e *snapshot.Enc) {
 // EncodeState.
 func RestorePausedRun(d *snapshot.Dec) (*PausedRun, error) {
 	next := d.Int()
-	capacity := d.Int()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if next < 0 {
 		return nil, fmt.Errorf("%w: negative resume index", snapshot.ErrCorrupt)
 	}
-	if capacity <= 0 || capacity > maxRASCapacity {
-		return nil, fmt.Errorf("%w: RAS capacity %d outside (0,%d]", snapshot.ErrCorrupt, capacity, maxRASCapacity)
-	}
-	stack, err := ras.RestoreStack(d, capacity)
+	stack, err := ras.RestoreStack(d, maxRASCapacity)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"blbp/internal/combined"
@@ -185,6 +187,41 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		cpB, ipsB := passPredictors("suite")
 		if _, err := restorePass(flipped, cpB, ipsB); err == nil {
 			t.Errorf("restore with bit flip at offset %d succeeded", off)
+		}
+	}
+}
+
+// TestRestorePausedRunBoundsRASCapacity: a run section whose RAS
+// capacity, the count prefix of the stack's address slots, is not in
+// (0, maxRASCapacity] fails restore as corrupt before any stack is
+// allocated, however large the count.
+func TestRestorePausedRunBoundsRASCapacity(t *testing.T) {
+	for _, capacity := range []int{0, -1, maxRASCapacity + 1, 1 << 40} {
+		c := snapshot.NewContainer(testSnapName, testSnapFingerprint)
+		e := c.Section("run")
+		e.Int(0)
+		e.Int(capacity)
+		var buf bytes.Buffer
+		if err := c.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := snapshot.ReadContainer(bytes.NewReader(buf.Bytes()), testSnapName, testSnapFingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := dec.Section("run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = RestorePausedRun(rd)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("capacity %d: restore error %v, want ErrCorrupt", capacity, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("capacity %d: restore allocated %d bytes before failing", capacity, alloc)
 		}
 	}
 }

@@ -122,40 +122,40 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 	shared := tp.sharedSide(condKey, cp, opts.rasDepth())
 
 	perPred := make([]Result, len(indirects))
-	edges, idx := tp.cols.Edges(), tp.cols.EdgeIndex()
 	spans := make([]predictor.SpanFeeder, len(indirects))
 	for i, ip := range indirects {
 		if sf, ok := ip.(predictor.SpanFeeder); ok {
 			spans[i] = sf
 		}
 	}
-	typ := tp.cols.Types()
-	for s, end := 0, 0; s < len(typ); s = end {
-		end = tp.cols.RunEnd(s)
-		switch bt := trace.BranchType(typ[s]); bt {
+	cols := tp.cols
+	for s, end := 0, 0; s < cols.Len(); s = end {
+		end = cols.RunEnd(s)
+		switch bt := cols.At(s).Type; bt {
 		case trace.CondDirect:
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnCondSpan(tp.cols, s, end)
+					spans[j].OnCondSpan(cols, s, end)
 					continue
 				}
 				for i := s; i < end; i++ {
-					ip.OnCond(edges[idx[i]].PC, tp.cols.Taken(i))
+					r := cols.At(i)
+					ip.OnCond(r.PC, r.Taken)
 				}
 			}
 		case trace.IndirectJump, trace.IndirectCall:
 			for j, ip := range indirects {
 				var mispredicts, noPred int64
-				for _, k := range idx[s:end] {
-					e := edges[k]
-					pred, ok := ip.Predict(e.PC)
+				for i := s; i < end; i++ {
+					r := cols.At(i)
+					pred, ok := ip.Predict(r.PC)
 					if !ok {
 						noPred++
 						mispredicts++
-					} else if pred != e.Target {
+					} else if pred != r.Target {
 						mispredicts++
 					}
-					ip.Update(e.PC, e.Target)
+					ip.Update(r.PC, r.Target)
 				}
 				perPred[j].IndirectBranches += int64(end - s)
 				perPred[j].IndirectMispredicts += mispredicts
@@ -164,12 +164,12 @@ func (tp *Tape) Run(condKey string, cp cond.Predictor, indirects []predictor.Ind
 		default: // Return, DirectCall, UncondDirect
 			for j, ip := range indirects {
 				if spans[j] != nil {
-					spans[j].OnOtherSpan(tp.cols, s, end, bt)
+					spans[j].OnOtherSpan(cols, s, end, bt)
 					continue
 				}
 				for i := s; i < end; i++ {
-					e := edges[idx[i]]
-					ip.OnOther(e.PC, e.Target, bt)
+					r := cols.At(i)
+					ip.OnOther(r.PC, r.Target, bt)
 				}
 			}
 		}

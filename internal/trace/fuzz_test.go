@@ -58,12 +58,11 @@ func TestReadHugeCountRejected(t *testing.T) {
 }
 
 // TestDecodersLyingRecordCount pins the SPL3 decoder's allocation when a
-// header claims 2^24 records but the body holds one valid record. The
-// decoder reserves at most 64K records before any block verifies, so the
-// decode fails at the missing records having allocated about 0.5 MB, or
-// about 0.7 MB when the record's gap of 2^32-1 widens the reserved gap
-// column to 4 bytes per record; reserving the claimed count would commit
-// about 100 MB first.
+// header claims 2^24 records but the body holds one valid record, of a
+// short gap or of a gap of 2^32-1. The decoder reserves at most 64K
+// records of index before any block verifies, so the decode fails at the
+// missing records having allocated about 0.14 MB; reserving the claimed
+// count would commit 32 MB of index first.
 func TestDecodersLyingRecordCount(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -116,7 +115,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		0x00, 0x40, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0x03, 0x00, 0x09,
 		0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x7f, 0x00, 0x0c, 0x00, 0x03,
 	})
-	// Gaps of 255 and 256: the second record widens the gap column.
+	// Gaps of 255 and 256: two records that differ only in the gap.
 	f.Add("gaps", []byte{
 		0x00, 0x40, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0xff, 0x00, 0x42,
 		0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x7f, 0x00, 0x00, 0x01, 0x03,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // SPL3 is the one on-disk trace format. The trace cache spills to it,
@@ -44,7 +45,8 @@ import (
 //
 // The writer emits the header in one Write and each block, its three
 // prefix fields included, in one more, from a single block buffer reused
-// for every block, so it needs no buffered writer of its own.
+// for every block and by the next file written, so it needs no buffered
+// writer of its own.
 //
 // Blocking serves the reader: each block is checksummed and then decoded
 // from one contiguous in-memory slice (binary.Uvarint over []byte instead
@@ -122,31 +124,34 @@ func appendSpillHeader(buf []byte, h SpillHeader, records int) []byte {
 // WriteSpillColumns encodes c as a spill file: header then checksummed
 // record blocks. Name, Seed, Instructions and Fingerprint are taken from h;
 // Records is computed from c and h's value for it is ignored. The header
-// and each block reach w in one Write apiece, all from one buffer.
+// and each block reach w in one Write apiece, all from one block buffer,
+// which the next call reuses: a cache flush writes every file it spills
+// through one buffer.
 func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	buf := appendSpillHeader(make([]byte, 0, blockPrefixRoom+spillBlockRecords*8), h, c.Len())
+	bp := spillBlockBuffers.Get().(*[]byte)
+	defer spillBlockBuffers.Put(bp)
+	buf := appendSpillHeader((*bp)[:0], h, c.Len())
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	edges, idx := c.edges, c.edge
 	for start := 0; start < c.Len(); start += spillBlockRecords {
 		end := min(start+spillBlockRecords, c.Len())
 		buf = buf[:blockPrefixRoom]
 		var prevPC uint64
 		for i := start; i < end; i++ {
-			header := c.typ[i]
-			if c.Taken(i) {
+			r := c.At(i)
+			header := uint8(r.Type)
+			if r.Taken {
 				header |= 1 << 3
 			}
 			buf = append(buf, header)
-			e := edges[idx[i]]
-			buf = binary.AppendUvarint(buf, uint64(c.InstrBefore(i)))
-			buf = binary.AppendUvarint(buf, e.PC^prevPC)
-			buf = binary.AppendUvarint(buf, e.Target^e.PC)
-			prevPC = e.PC
+			buf = binary.AppendUvarint(buf, uint64(r.InstrBefore))
+			buf = binary.AppendUvarint(buf, r.PC^prevPC)
+			buf = binary.AppendUvarint(buf, r.Target^r.PC)
+			prevPC = r.PC
 		}
 		payload := buf[blockPrefixRoom:]
 		var prefix [blockPrefixRoom]byte
@@ -159,8 +164,18 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 			return err
 		}
 	}
+	*bp = buf
 	return nil
 }
+
+// spillBlockBuffers holds the writer's block buffers between calls. A
+// buffer starts with room for a block of typical records (8 bytes each,
+// well above the suite's average), so an encoder reallocates it only for a
+// block of unusually long records, and keeps the larger buffer.
+var spillBlockBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 0, blockPrefixRoom+spillBlockRecords*8)
+	return &b
+}}
 
 // spillReadBuffer sizes the decoder's buffered reader. It serves the
 // header and the block prefixes; io.ReadFull of a block payload longer than
@@ -231,7 +246,7 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // ReadSpillColumns decodes a complete spill file into columnar form: the
 // header, then every block, verified against its checksum, the header's
 // record count and the per-record validation. Each block is bulk-decoded
-// straight into the record columns and the edge table.
+// straight into the trace's table and index column.
 func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 	br := bufio.NewReaderSize(r, spillReadBuffer)
 	h, err := readSpillHeader(br)
@@ -246,12 +261,11 @@ func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
 }
 
 // readSpillBlocks decodes the block sequence into a Columns: each block is
-// bounds-checked and checksummed, then bulk-decoded by index into the
-// record columns.
+// bounds-checked and checksummed, then bulk-decoded into the trace.
 func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 	// Reserve at most 64K records up front: a corrupt record count must not
 	// commit gigabytes before any block verifies. Past that, growCapped
-	// grows the columns as verified blocks arrive.
+	// grows the index column as verified blocks arrive.
 	c := NewColumns(h.Name, int(min(h.Records, 1<<16)))
 	var block []byte
 	var decoded int64
@@ -285,34 +299,27 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 		if got := fnv64a(block); got != want {
 			return nil, fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want)
 		}
-		base := int(decoded)
-		c.growCapped(base+int(nrec), int(h.Records))
-		c.extend(base + int(nrec))
-		if !decodeBlockColumns(c, base, block, int(nrec)) {
+		c.growCapped(int(decoded)+int(nrec), int(h.Records))
+		if !decodeBlock(c, block, int(nrec)) {
 			return nil, blockError(block, int(nrec))
 		}
 		decoded += int64(nrec)
 	}
-	c.finalize()
 	// Every record was validated during decoding; mark the columns so
 	// simulation passes skip revalidation.
 	c.validated = true
 	return c, nil
 }
 
-// decodeBlockColumns bulk-decodes one block's records (PC delta chain
-// starting at 0) straight into the record columns at index base, interning
-// each (PC, target) pair into the edge table and widening the gap column at
-// the trace's first gap above 255. data must be consumed exactly.
-// Validation is inlined — Record.Validate's two conditions plus the
-// varint/overflow checks — and any malformation reports false: the (cold)
-// caller re-walks the block with blockError for the diagnostic, so no error
-// values are built on this path.
+// decodeBlock decodes one block's records (PC delta chain starting at 0)
+// and appends them to c, within the capacity growCapped reserved. data
+// must be consumed exactly. Validation is inlined — Record.Validate's two
+// conditions plus the varint/overflow checks — and any malformation
+// reports false: the (cold) caller re-walks the block with blockError for
+// the diagnostic, so no error values are built on this path.
 //
 //blbp:hot
-func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
-	idx := c.edge[base : base+nrec]
-	typs := c.typ[base : base+nrec]
+func decodeBlock(c *Columns, data []byte, nrec int) bool {
 	var prevPC uint64
 	off := 0
 	for i := 0; i < nrec; i++ {
@@ -345,20 +352,7 @@ func decodeBlockColumns(c *Columns, base int, data []byte, nrec int) bool {
 			return false
 		}
 		off += n
-		idx[i] = c.intern(Edge{pc, tgtDelta ^ pc})
-		if c.instr32 == nil && ib > 0xff {
-			c.widen()
-		}
-		if c.instr32 != nil {
-			c.instr32[base+i] = uint32(ib)
-		} else {
-			c.instr8[base+i] = uint8(ib)
-		}
-		typs[i] = typ
-		if taken {
-			j := uint(base + i)
-			c.taken[j>>6] |= 1 << (j & 63)
-		}
+		c.Append(Record{PC: pc, Target: tgtDelta ^ pc, InstrBefore: uint32(ib), Type: BranchType(typ), Taken: taken})
 		prevPC = pc
 	}
 	return off == len(data)

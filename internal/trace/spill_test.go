@@ -77,23 +77,26 @@ func TestReadSpillHeaderOnly(t *testing.T) {
 }
 
 // bigSpillTrace spans several encoder blocks. Its PCs never repeat, so
-// almost every record is a new edge: the edge table's worst case.
+// almost every record is a new table entry: the table's worst case.
 func bigSpillTrace(records int) *Columns { return cyclingSpillTrace(records, records) }
 
-// cyclingSpillTrace is bigSpillTrace with its PC walk restarting every
-// period records, as a generator's loops revisit their branches. The record
-// pattern repeats every 105 records, so a period that is a multiple of 105
-// gives a trace of at most period edges however long it runs.
+// cyclingSpillTrace is bigSpillTrace with its walk restarting every period
+// records, as a generator's loops revisit their branches: record i is
+// record i%period of the first period, so the trace holds at most period
+// distinct records however long it runs. A period that is a multiple of
+// 105 keeps the PC and target pattern, which repeats every 105 records,
+// whole.
 func cyclingSpillTrace(records, period int) *Columns {
 	t := NewColumns("spill-big", records)
 	pc := uint64(0x400000)
 	for i := 0; i < records; i++ {
-		if i%period == 0 {
+		j := i % period
+		if j == 0 {
 			pc = 0x400000
 		}
 		switch i % 3 {
 		case 0:
-			t.Append(Record{PC: pc, Target: pc + 0x20, InstrBefore: uint32(i % 17), Type: CondDirect, Taken: i%2 == 0})
+			t.Append(Record{PC: pc, Target: pc + 0x20, InstrBefore: uint32(j % 17), Type: CondDirect, Taken: j%2 == 0})
 		case 1:
 			t.Append(Record{PC: pc + 4, Target: uint64(0x7f0000 + i%5*64), InstrBefore: 9, Type: IndirectCall, Taken: true})
 		default:
@@ -330,9 +333,9 @@ func TestEncodingIsCompact(t *testing.T) {
 }
 
 // TestSpillDecodeAllocatesAboutOnce decodes a 300K-record spill file. Past
-// the 64K-record reservation the record columns grow by capped doubling,
-// and the edge table and its index (almost every record here is a new
-// edge) by doubling, so the decode allocates at most 3× the trace's Bytes.
+// the 64K-record reservation the index column grows by capped doubling,
+// and the table and its interning index (almost every record here is a new
+// entry) by doubling, so the decode allocates at most 3× the trace's Bytes.
 func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 	tr := bigSpillTrace(300_000)
 	var spill bytes.Buffer
@@ -358,7 +361,7 @@ func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
 
 // TestSpillDecodeBuffersStaySmall pins the decoder's own buffers: one
 // decode of a 40,000-record trace whose PCs cycle over 1,050 records, as a
-// suite trace's do, allocates under 400 KiB, its columns and edge table
+// suite trace's do, allocates under 400 KiB, its index column and table
 // included. A 64 KiB buffered reader, or a block buffer re-allocated for
 // each block larger than every earlier one, would not fit.
 func TestSpillDecodeBuffersStaySmall(t *testing.T) {
@@ -375,38 +378,54 @@ func TestSpillDecodeBuffersStaySmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("decoding %d records with %d edges allocated %d bytes", got.Len(), len(got.Edges()), alloc)
+	t.Logf("decoding %d records with %d distinct ones allocated %d bytes", got.Len(), len(got.table), alloc)
 	if alloc >= 400<<10 {
 		t.Errorf("decoding %d records allocated %d bytes, want < 400 KiB", got.Len(), alloc)
 	}
 }
 
 // TestWriteSpillAllocatesOneBuffer pins the encoder's allocation for a
-// 40,000-record trace (ten blocks), of all-new edges and of edges that
-// cycle as a suite trace's do: one block buffer, reused for the header and
-// every block, of 40 KiB. A 64 KiB buffered writer, or a buffer per block,
-// would not fit under 64 KiB.
+// 40,000-record trace (ten blocks), of all-distinct records and of records
+// that cycle as a suite trace's do: one block buffer, reused for the header
+// and every block, of 40 KiB. A 64 KiB buffered writer, or a buffer per
+// block, would not fit under 64 KiB. Writing 8 traces in a row, as a cache
+// flush does, must reuse the buffer too: under two buffers' 80 KiB, where a
+// buffer per file would take 320 KiB.
 func TestWriteSpillAllocatesOneBuffer(t *testing.T) {
-	for _, tr := range []*Columns{bigSpillTrace(40_000), cyclingSpillTrace(40_000, 1050)} {
+	write := func(traces ...*Columns) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := WriteSpillColumns(io.Discard, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr)
+		for _, tr := range traces {
+			if err := WriteSpillColumns(io.Discard, SpillHeader{Name: tr.Name, Seed: 3, Instructions: 1e6}, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alloc := after.TotalAlloc - before.TotalAlloc
-		t.Logf("encoding %d records with %d edges allocated %d bytes", tr.Len(), len(tr.Edges()), alloc)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, tr := range []*Columns{bigSpillTrace(40_000), cyclingSpillTrace(40_000, 1050)} {
+		alloc := write(tr)
+		t.Logf("encoding %d records with %d distinct ones allocated %d bytes", tr.Len(), len(tr.table), alloc)
 		if alloc >= 64<<10 {
-			t.Errorf("encoding %d records with %d edges allocated %d bytes, want < 64 KiB", tr.Len(), len(tr.Edges()), alloc)
+			t.Errorf("encoding %d records with %d distinct ones allocated %d bytes, want < 64 KiB", tr.Len(), len(tr.table), alloc)
 		}
+	}
+	traces := make([]*Columns, 8)
+	for i := range traces {
+		traces[i] = cyclingSpillTrace(40_000, 105*(i+1))
+	}
+	alloc := write(traces...)
+	t.Logf("encoding 8 traces in a row allocated %d bytes", alloc)
+	if alloc >= 2*40<<10 {
+		t.Errorf("encoding 8 traces in a row allocated %d bytes, want < 80 KiB (one block buffer)", alloc)
 	}
 }
 
 // spillBenchCases are the traces the spill benchmarks encode and decode: one
 // that fits the decoder's 64K-record reservation and one that grows past
-// it, each for a trace of all-new edges (bigSpillTrace) and for one whose
-// PCs cycle over 1,050 records, about as many edges as a suite trace holds.
+// it, each for a trace of all-distinct records (bigSpillTrace) and for one
+// that cycles over 1,050 records, about as many distinct records as a suite
+// trace holds.
 var spillBenchCases = []struct {
 	name            string
 	records, period int

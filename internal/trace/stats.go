@@ -26,24 +26,24 @@ type siteInfo struct {
 
 // Analyze computes statistics over a trace. Totals and per-class counts
 // come from the columns' aggregates; only the indirect records are visited
-// for the per-site target sets.
+// for the per-site target sets, each read through Columns.At from the
+// trace's table of distinct records.
 func Analyze(c *Columns) *Stats {
 	s := &Stats{Name: c.Name, Instructions: c.Instructions(), targets: make(map[uint64]*siteInfo)}
 	for t := BranchType(0); t < numBranchTypes; t++ {
 		s.Count[t] = c.Count(t)
 	}
-	edges, idx := c.Edges(), c.EdgeIndex()
-	for i, t := range c.Types() {
-		if !BranchType(t).IsIndirect() {
+	for i := 0; i < c.Len(); i++ {
+		r := c.At(i)
+		if !r.Type.IsIndirect() {
 			continue
 		}
-		e := edges[idx[i]]
-		site := s.targets[e.PC]
+		site := s.targets[r.PC]
 		if site == nil {
 			site = &siteInfo{targets: make(map[uint64]struct{})}
-			s.targets[e.PC] = site
+			s.targets[r.PC] = site
 		}
-		site.targets[e.Target] = struct{}{}
+		site.targets[r.Target] = struct{}{}
 		site.execs++
 	}
 	return s

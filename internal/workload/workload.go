@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"blbp/internal/trace"
 )
@@ -26,21 +27,53 @@ const instructionSize = 4
 // emitter builds a columnar trace while tracking straight-line instruction
 // counts and a call stack so call/return pairs stay balanced.
 type emitter struct {
-	cols     *trace.Columns
-	reserved int   // records cols has capacity for
-	pending  int64 // straight-line instructions since the last branch
-	instr    int64
-	limit    int64
-	stack    []uint64
+	cols    *trace.Columns
+	rng     *rand.Rand
+	pending int64 // straight-line instructions since the last branch
+	instr   int64
+	limit   int64
+	stack   []uint64
 }
 
-// firstReserve is the record capacity an emitter starts with: enough
-// records to project the trace's final length from, little memory next to
-// a suite trace.
-const firstReserve = 4096
+// idle holds the emitters no build is using. An emitter builds into a
+// scratch trace that Build detaches an exactly sized copy of
+// (trace.Columns.Detach) before the emitter comes back here, so each
+// trace's arrays are allocated once, at their final size, and an emitter's
+// own arrays grow only for a trace larger than any it has built. It is a
+// free list rather than a sync.Pool: a pool drops its objects at every
+// other collection and misses whenever the building goroutine has moved
+// to another processor, and each miss regrows a scratch as large as the
+// trace (building the suite allocated 1.23–1.27× its traces' bytes in
+// three runs with a pool, 1.17× with this list). It holds at most one
+// emitter per build ever run at once.
+var idle struct {
+	sync.Mutex
+	emitters []*emitter
+}
 
-func newEmitter(name string, limit int64) *emitter {
-	return &emitter{cols: trace.NewColumns(name, firstReserve), reserved: firstReserve, limit: limit}
+// newEmitter returns an idle emitter, or a new one, reset for a trace of
+// the given name and instruction budget, with its generator stream seeded.
+func newEmitter(name string, limit, seed int64) *emitter {
+	idle.Lock()
+	defer idle.Unlock()
+	if n := len(idle.emitters); n > 0 {
+		e := idle.emitters[n-1]
+		idle.emitters = idle.emitters[:n-1]
+		e.cols.Name = name
+		e.rng.Seed(seed)
+		e.pending, e.instr, e.limit, e.stack = 0, 0, limit, e.stack[:0]
+		return e
+	}
+	return &emitter{cols: trace.NewColumns(name, 0), rng: rand.New(rand.NewSource(seed)), limit: limit}
+}
+
+// finish returns the built trace and makes the emitter idle.
+func (e *emitter) finish() *trace.Columns {
+	cols := e.cols.Detach()
+	idle.Lock()
+	defer idle.Unlock()
+	idle.emitters = append(idle.emitters, e)
+	return cols
 }
 
 // done reports whether the instruction budget is exhausted.
@@ -61,26 +94,11 @@ func (e *emitter) emit(rec trace.Record) {
 		// never get here, but the guard keeps InstrBefore in uint32 range.
 		e.pending -= maxPending
 		e.instr += maxPending + 1
-		e.add(trace.Record{PC: rec.PC - 8, Target: rec.PC - 4, InstrBefore: maxPending, Type: trace.CondDirect})
+		e.cols.Append(trace.Record{PC: rec.PC - 8, Target: rec.PC - 4, InstrBefore: maxPending, Type: trace.CondDirect})
 	}
 	rec.InstrBefore = uint32(e.pending)
 	e.instr += e.pending + 1
 	e.pending = 0
-	e.add(rec)
-}
-
-// add appends rec, whose instructions e.instr already counts. When the
-// reserved capacity is used up it reserves the projected final record
-// count — the records so far scaled by the instruction budget over the
-// instructions so far — plus 1/32 headroom for the last step's overshoot
-// and the closing unwind, so each column is allocated about once, near its
-// final size, rather than through append's repeated ~1.25× regrowth.
-func (e *emitter) add(rec trace.Record) {
-	if n := e.cols.Len(); n == e.reserved {
-		next := max(n, int(float64(n+1)*float64(e.limit)/float64(e.instr)))
-		e.reserved = next + next/32
-		e.cols.Grow(e.reserved)
-	}
 	e.cols.Append(rec)
 }
 
@@ -232,11 +250,10 @@ func (s Spec) Build() *trace.Columns {
 	if s.build == nil {
 		panic(fmt.Sprintf("workload: spec %q has no generator", s.Name))
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	m := s.build(rng)
-	e := newEmitter(s.Name, s.Instructions)
+	e := newEmitter(s.Name, s.Instructions, s.Seed)
+	m := s.build(e.rng)
 	for !e.done() {
-		m.step(e, rng)
+		m.step(e, e.rng)
 	}
 	// Unwind any live call stack so traces end balanced. The return PCs
 	// live in a bank reserved for the unwind (generator banks are bounded
@@ -246,7 +263,7 @@ func (s Spec) Build() *trace.Columns {
 	for i := len(e.stack); i > 0; i-- {
 		e.ret(funcAddr(unwindBank, 0) + uint64(i)*instructionSize)
 	}
-	return e.cols
+	return e.finish()
 }
 
 // MaxBank bounds the bank index a generator model may occupy (exclusive).

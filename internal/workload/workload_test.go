@@ -322,7 +322,7 @@ func TestMixedRoundRobinFollowsWeights(t *testing.T) {
 	a := newMono(MonoParams{Sites: 1, Work: 1, Bank: 0}, rng)
 	b := newMono(MonoParams{Sites: 1, Work: 1, Bank: 1}, rng)
 	m := NewMixed([]Model{a, b}, []int{2, 1}, false)
-	e := newEmitter("rr", 10_000)
+	e := newEmitter("rr", 10_000, 1)
 	banks := []int{}
 	for i := 0; i < 9; i++ {
 		before := e.cols.Len()

@@ -8,29 +8,29 @@ import (
 	"blbp/internal/workload"
 )
 
-// lenBytes is what c's record columns and edge table would occupy at
-// exactly their lengths: the floor Columns.Bytes (capacities, plus the
-// interning index) is measured against. The gap column takes one byte per
-// record unless some gap exceeds 255, and then four.
+// lenBytes is what c's index column and table would occupy at exactly
+// their lengths: the floor Columns.Bytes (capacities, plus the interning
+// index) is measured against. The index takes two bytes per record unless
+// the table passes 65,536 entries, and then four; a table entry is a
+// 24-byte Record.
 func lenBytes(c *trace.Columns) int64 {
-	gapBytes := int64(1)
+	distinct := make(map[trace.Record]struct{})
 	for i := 0; i < c.Len(); i++ {
-		if c.InstrBefore(i) > 0xff {
-			gapBytes = 4
-			break
-		}
+		distinct[c.Record(i)] = struct{}{}
 	}
-	return int64(len(c.Edges()))*16 + int64(len(c.TakenWords()))*8 +
-		int64(len(c.EdgeIndex()))*4 + int64(c.Len())*gapBytes + int64(len(c.Types()))
+	indexBytes := int64(2)
+	if len(distinct) > 1<<16 {
+		indexBytes = 4
+	}
+	return int64(len(distinct))*24 + int64(c.Len())*indexBytes
 }
 
 // maxSuiteBytesPerRecord bounds the built suite's Columns.Bytes per record.
-// The four record columns take 6 bytes plus one taken bit per record (a
-// 4-byte edge index, a 1-byte gap and a 1-byte type), and capacity slack and
-// the per-trace edge tables (about a thousand edges each) add a little. A
-// 4-byte gap column (9⅛ bytes per record) or an 8-byte PC or target column
-// (17 bytes per record and up) would not fit.
-const maxSuiteBytesPerRecord = 7
+// The index column takes 2 bytes per record, and capacity slack and the
+// per-trace tables (about a thousand records each) add a little. A 4-byte
+// index (4 bytes per record and up) or per-record type, gap or taken
+// columns would not fit.
+const maxSuiteBytesPerRecord = 3
 
 // TestSuiteBuildAllocatesOnce builds the 88-workload suite at the scale
 // results/ is made at and checks that the generators allocate each trace's

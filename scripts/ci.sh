@@ -57,7 +57,9 @@ go test -fuzz FuzzSnapshotRoundTrip -fuzztime 5s -run xxx ./internal/sim/
 go test -fuzz FuzzReadContainer -fuzztime 5s -run xxx ./internal/snapshot/
 # Replay differential smoke: the seed-corpus differential (the
 # record-at-a-time oracle vs sim.Run, tape replay, the consolidated
-# predictor, and the spill round trip) must hold without the fuzz engine.
+# predictor, and the spill round trip) must hold without the fuzz engine,
+# on the corpus and on a 70,000-record trace of distinct records, whose
+# index column widens from 2 to 4 bytes past 65,536 table entries.
 go test -run 'TestColumnarEquivalenceSeeds' -count 1 ./internal/sim/
 # Snapshot smoke: a run paused mid-trace by -snapshot and resumed by
 # -restore in a fresh process must emit a CSV byte-identical to the
