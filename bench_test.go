@@ -311,7 +311,7 @@ func BenchmarkExtensionHierarchy(b *testing.B) {
 	res := out.Data.(runspec.HierarchyResult)
 	b.ReportMetric(res.Mono64MPKI, "MPKI-mono64")
 	b.ReportMetric(res.HierMPKI, "MPKI-hierarchy")
-	b.ReportMetric(res.HierL2ProbeRate, "L2-probe-rate")
+	b.ReportMetric(res.HierL2Rate, "L2-probe-rate")
 }
 
 // BenchmarkExtensionCottage runs the §2.2 COTTAGE pairing (TAGE + ITTAGE)

@@ -71,6 +71,7 @@ type BLBP struct {
 	sumBias  int // SubPredictors() * laneBias, subtracted on unpack
 
 	buffer     ibtb.Buffer
+	hier       *ibtb.Hierarchy // buffer if two-level, else nil: its lookup reports L2 probes
 	ghist      *history.FoldedSet
 	ghistFolds []history.FoldID // one registered fold per interval table
 	local      *history.Local
@@ -91,9 +92,23 @@ type BLBP struct {
 	candBuf  []uint64
 	candBits []uint64 // candidate targets pre-shifted by BitOffset
 
-	// candHist is the histogram of candidate-set sizes at prediction, read
-	// by the latency output.
-	candHist []int64
+	// obs, when attached by Observe, counts each prediction's candidate set
+	// and IBTB lookup. It is not predictive state: nothing encodes it.
+	obs *Observation
+}
+
+// Observation holds the counts the latency and hierarchy outputs read of a
+// BLBP, which counts into it while it is attached (Observe). Both outputs
+// are paper analyses (§3.7, §6), not predictor behavior, so the counts live
+// here rather than in the predictor or its snapshot.
+type Observation struct {
+	// Candidates[n] counts the predictions made over n candidate targets;
+	// the final bucket also counts every larger set. Observe sizes an empty
+	// histogram to the predictor's largest candidate set plus one.
+	Candidates []int64
+	// Lookups counts the lookups of a two-level IBTB and L2Probes those
+	// that probed its second level; a monolithic IBTB leaves both 0.
+	Lookups, L2Probes int64
 }
 
 // New constructs a BLBP predictor from cfg, panicking on invalid
@@ -116,14 +131,14 @@ func New(cfg Config) *BLBP {
 		thetas[k] = threshold.New(cfg.ThetaInit, 16, 1, maxYout)
 	}
 	var buffer ibtb.Buffer
-	var candCap int
+	var hier *ibtb.Hierarchy
 	if cfg.UseHierarchicalIBTB {
-		buffer = ibtb.NewHierarchy(cfg.IBTBHierarchy)
-		candCap = cfg.IBTBHierarchy.L1.Assoc + cfg.IBTBHierarchy.L2.Assoc
+		hier = ibtb.NewHierarchy(cfg.IBTBHierarchy)
+		buffer = hier
 	} else {
 		buffer = ibtb.New(cfg.IBTB)
-		candCap = cfg.IBTB.Assoc
 	}
+	candCap := cfg.maxCandidates()
 	ghist := history.NewFoldedSet(cfg.HistBits)
 	folds := make([]history.FoldID, len(cfg.Intervals))
 	for i := range folds {
@@ -152,6 +167,7 @@ func New(cfg Config) *BLBP {
 		wMax:        maxW,
 		transfer:    transfer,
 		buffer:      buffer,
+		hier:        hier,
 		ghist:       ghist,
 		ghistFolds:  folds,
 		local:       history.NewLocal(cfg.LocalEntries, cfg.LocalBits),
@@ -161,7 +177,6 @@ func New(cfg Config) *BLBP {
 		kMask:       uint64(1)<<uint(cfg.K) - 1,
 		candBuf:     make([]uint64, 0, candCap),
 		candBits:    make([]uint64, 0, candCap),
-		candHist:    make([]int64, candCap+1),
 	}
 	p.fillPackedBias()
 	return p
@@ -177,6 +192,15 @@ func (p *BLBP) fillPackedBias() {
 	for i := range p.pweights {
 		p.pweights[i] = w
 	}
+}
+
+// maxCandidates returns the largest candidate set the configured IBTB can
+// return: its associativity, or both levels' for the hierarchy.
+func (c *Config) maxCandidates() int {
+	if c.UseHierarchicalIBTB {
+		return c.IBTBHierarchy.L1.Assoc + c.IBTBHierarchy.L2.Assoc
+	}
+	return c.IBTB.Assoc
 }
 
 // interval returns the global-history interval indexing sub-predictor i+1
@@ -349,7 +373,18 @@ func (p *BLBP) prepare(pc uint64) {
 //
 //blbp:hot
 func (p *BLBP) gather(pc uint64) {
-	p.candBuf = p.buffer.Candidates(pc, p.candBuf[:0])
+	if p.hier != nil {
+		var l2 bool
+		p.candBuf, l2 = p.hier.Lookup(pc, p.candBuf[:0])
+		if p.obs != nil {
+			p.obs.Lookups++
+			if l2 {
+				p.obs.L2Probes++
+			}
+		}
+	} else {
+		p.candBuf = p.buffer.Candidates(pc, p.candBuf[:0])
+	}
 	bits := p.candBits[:0]
 	for _, c := range p.candBuf {
 		bits = append(bits, c>>uint(p.cfg.BitOffset))
@@ -359,16 +394,15 @@ func (p *BLBP) gather(pc uint64) {
 }
 
 // finishPredict selects among the prepared candidates using the packed lane
-// sums in p.acc and records the prediction-time bookkeeping (the
-// candidate-count histogram and the pending state for the matching Update).
+// sums in p.acc and records the prediction-time bookkeeping (the pending
+// state for the matching Update, and the candidate count when observed).
 //
 //blbp:hot
 func (p *BLBP) finishPredict(pc uint64) (uint64, bool) {
 	candidates := p.candBuf
-	if n := len(candidates); n < len(p.candHist) {
-		p.candHist[n]++
-	} else {
-		p.candHist[len(p.candHist)-1]++
+	if p.obs != nil {
+		h := p.obs.Candidates
+		h[min(len(candidates), len(h)-1)]++
 	}
 	p.lastPC, p.lastOK = pc, true
 	if len(candidates) == 0 {
@@ -520,9 +554,9 @@ func (p *BLBP) OnCondSpan(c *trace.Columns, start, end int) {
 func (p *BLBP) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {}
 
 // Reset restores the predictor to its freshly constructed state: weights,
-// packed image, IBTB, histories, thresholds, pending state, and the
-// candidate-count histogram. internal/batch uses it to recycle stream slots
-// without reallocating (admission of a new stream onto a retired slot).
+// packed image, IBTB, histories, thresholds and pending state. It detaches
+// any Observation. internal/batch uses it to recycle stream slots without
+// reallocating (admission of a new stream onto a retired slot).
 func (p *BLBP) Reset() {
 	for i := range p.weights {
 		p.weights[i] = 0
@@ -538,9 +572,17 @@ func (p *BLBP) Reset() {
 	p.suppressMask = 0
 	p.candBuf = p.candBuf[:0]
 	p.candBits = p.candBits[:0]
-	for i := range p.candHist {
-		p.candHist[i] = 0
+	p.obs = nil
+}
+
+// Observe attaches o: every later prediction counts into it until
+// Observe(nil) or Reset detaches it. Observing changes no prediction, no
+// Fingerprint and no encoded state.
+func (p *BLBP) Observe(o *Observation) {
+	if o != nil && len(o.Candidates) == 0 {
+		o.Candidates = make([]int64, p.cfg.maxCandidates()+1)
 	}
+	p.obs = o
 }
 
 // Fingerprint hashes the predictor's trained state — weights, packed image,
@@ -578,25 +620,6 @@ func (p *BLBP) Fingerprint() uint64 {
 		mix(uint64(th.Theta()))
 	}
 	return h
-}
-
-// CandidateHistogram returns the distribution of candidate-set sizes seen
-// at prediction time (index = number of candidates, final bucket clamps).
-// It feeds the §3.7 latency analysis: with 5 cosine similarities computed
-// per cycle, a prediction over n candidates takes ceil(n/5) cycles.
-func (p *BLBP) CandidateHistogram() []int64 {
-	out := make([]int64, len(p.candHist))
-	copy(out, p.candHist)
-	return out
-}
-
-// L2ProbeRate returns, for a hierarchical IBTB, the fraction of lookups
-// that needed the second level (0 for the monolithic buffer).
-func (p *BLBP) L2ProbeRate() float64 {
-	if h, ok := p.buffer.(*ibtb.Hierarchy); ok {
-		return h.L2ProbeRate()
-	}
-	return 0
 }
 
 // StorageBits implements predictor.Indirect: the weight tables, IBTB (with

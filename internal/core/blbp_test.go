@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blbp/internal/trace"
@@ -361,6 +363,8 @@ func TestHierarchicalIBTBConverges(t *testing.T) {
 	cfg := testConfig()
 	cfg.UseHierarchicalIBTB = true
 	p := New(cfg)
+	var o Observation
+	p.Observe(&o)
 	// Targets must be distinct within BLBP's K-bit prediction window
 	// (bits 2..13): 0x5000-style values alias with 0x1000 there.
 	seq := []uint64{0x1000, 0x2000, 0x3000}
@@ -372,42 +376,105 @@ func TestHierarchicalIBTBConverges(t *testing.T) {
 	if mis > 10 {
 		t.Errorf("%d late mispredicts with hierarchical IBTB, want <= 10", mis)
 	}
-	if p.L2ProbeRate() <= 0 {
-		t.Error("hierarchical predictor never probed L2")
+	if o.Lookups != int64(len(targets)) {
+		t.Errorf("observed %d lookups, want one per prediction (%d)", o.Lookups, len(targets))
 	}
-	// The monolithic configuration reports no L2 activity.
-	if New(testConfig()).L2ProbeRate() != 0 {
-		t.Error("monolithic predictor reports L2 probes")
+	if o.L2Probes <= 0 || o.L2Probes > o.Lookups {
+		t.Errorf("observed %d L2 probes in %d lookups, want some", o.L2Probes, o.Lookups)
+	}
+	// The monolithic configuration reports no lookups and no L2 probes.
+	var mono Observation
+	m := New(testConfig())
+	m.Observe(&mono)
+	lateMispredicts(m, targets, nil)
+	if mono.Lookups != 0 || mono.L2Probes != 0 {
+		t.Errorf("monolithic predictor observed %d lookups, %d L2 probes; want 0, 0", mono.Lookups, mono.L2Probes)
 	}
 }
 
-func TestCandidateHistogram(t *testing.T) {
+// TestObservationCountsCandidates: an attached Observation counts each
+// prediction's candidate set, and a detached one (Observe(nil), Reset)
+// counts nothing more.
+func TestObservationCountsCandidates(t *testing.T) {
 	p := New(testConfig())
+	var o Observation
+	p.Observe(&o)
+	if len(o.Candidates) != testConfig().IBTB.Assoc+1 {
+		t.Fatalf("Observe sized the histogram to %d buckets, want %d", len(o.Candidates), testConfig().IBTB.Assoc+1)
+	}
 	// One cold prediction (0 candidates), then predictions with exactly 1.
-	p.Predict(0x500)
-	p.Update(0x500, 0x9000)
-	for i := 0; i < 5; i++ {
-		p.Predict(0x500)
-		p.Update(0x500, 0x9000)
+	predict := func() {
+		for i := 0; i < 6; i++ {
+			p.Predict(0x500)
+			p.Update(0x500, 0x9000)
+		}
 	}
-	h := p.CandidateHistogram()
-	if h[0] != 1 {
-		t.Errorf("hist[0] = %d, want 1 (the cold prediction)", h[0])
+	predict()
+	want := make([]int64, len(o.Candidates))
+	want[0], want[1] = 1, 5
+	if !slices.Equal(o.Candidates, want) {
+		t.Errorf("histogram = %v, want %v (the cold prediction, then five warm)", o.Candidates, want)
 	}
-	if h[1] != 5 {
-		t.Errorf("hist[1] = %d, want 5", h[1])
+	p.Observe(nil)
+	predict()
+	if !slices.Equal(o.Candidates, want) {
+		t.Errorf("after Observe(nil): histogram = %v, want %v unchanged", o.Candidates, want)
 	}
-	var total int64
-	for _, v := range h {
-		total += v
+	p.Observe(&o)
+	p.Reset()
+	predict()
+	if !slices.Equal(o.Candidates, want) {
+		t.Errorf("after Reset: histogram = %v, want %v unchanged", o.Candidates, want)
 	}
-	if total != 6 {
-		t.Errorf("histogram total = %d, want 6", total)
-	}
-	// Accessor must copy.
-	h[0] = 999
-	if p.CandidateHistogram()[0] == 999 {
-		t.Error("CandidateHistogram exposes internal state")
+}
+
+// TestObservationChangesNothing: an observed and an unobserved BLBP driven
+// the same way make the same predictions and end with the same Fingerprint
+// and byte-identical EncodeState output, on both IBTB kinds.
+func TestObservationChangesNothing(t *testing.T) {
+	hier := testConfig()
+	hier.UseHierarchicalIBTB = true
+	for _, cfg := range []Config{testConfig(), hier} {
+		plain, observed := New(cfg), New(cfg)
+		var o Observation
+		observed.Observe(&o)
+		rng := rand.New(rand.NewSource(5))
+		const n = 4000
+		for i := 0; i < n; i++ {
+			taken := rng.Intn(2) == 0
+			plain.OnCond(0xC04D, taken)
+			observed.OnCond(0xC04D, taken)
+			pc := 0x400100 + uint64(rng.Intn(4))*0x40
+			tgt := 0x7000 + uint64(rng.Intn(8))*0x100
+			pa, oka := plain.Predict(pc)
+			pb, okb := observed.Predict(pc)
+			if pa != pb || oka != okb {
+				t.Fatalf("hierarchical=%v: prediction %d differs: (%#x, %v) vs observed (%#x, %v)",
+					cfg.UseHierarchicalIBTB, i, pa, oka, pb, okb)
+			}
+			plain.Update(pc, tgt)
+			observed.Update(pc, tgt)
+		}
+		var total int64
+		for _, c := range o.Candidates {
+			total += c
+		}
+		if total != n {
+			t.Errorf("hierarchical=%v: histogram counts %d predictions, want %d", cfg.UseHierarchicalIBTB, total, n)
+		}
+		if plain.Fingerprint() != observed.Fingerprint() {
+			t.Errorf("hierarchical=%v: Fingerprint differs when observed", cfg.UseHierarchicalIBTB)
+		}
+		var a, b bytes.Buffer
+		if err := plain.EncodeState(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := observed.EncodeState(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("hierarchical=%v: EncodeState differs when observed", cfg.UseHierarchicalIBTB)
+		}
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 
 // Snapshot section kinds of the BLBP core container.
 const (
-	snapName    = "blbp"
-	secWeights  = "weights"
-	secIBTB     = "ibtb"
-	secGhist    = "ghist"
-	secLocal    = "local"
-	secThetas   = "thetas"
-	secCounters = "counters"
+	snapName   = "blbp"
+	secWeights = "weights"
+	secIBTB    = "ibtb"
+	secGhist   = "ghist"
+	secLocal   = "local"
+	secThetas  = "thetas"
 )
 
 // EncodeState implements predictor.Snapshotter: the trained state framed in
@@ -37,7 +36,6 @@ func (p *BLBP) EncodeState(w io.Writer) error {
 		te.Int(theta)
 		te.Int(tc)
 	}
-	c.Section(secCounters).I64s(p.candHist)
 	return c.EncodeTo(w)
 }
 
@@ -121,23 +119,8 @@ func (p *BLBP) RestoreState(r io.Reader) error {
 		return err
 	}
 
-	if d, err = dc.Section(secCounters); err != nil {
-		return err
-	}
-	candHist := make([]int64, len(p.candHist))
-	d.I64sInto(candHist)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	for n, c := range candHist {
-		if c < 0 {
-			return fmt.Errorf("%w: candidate-count bucket %d holds %d", snapshot.ErrCorrupt, n, c)
-		}
-	}
-
 	copy(p.weights, weights)
 	p.rebuildPacked()
-	copy(p.candHist, candHist)
 	p.flushPrediction()
 	return nil
 }

@@ -123,20 +123,3 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		t.Errorf("restore into different config: got %v, want ErrMismatch", err)
 	}
 }
-
-// TestRestoreRejectsNegativeCandidateCount restores a snapshot whose
-// candidate-count histogram holds a negative bucket: the checksums are
-// intact, so only the restore's own check can refuse it.
-func TestRestoreRejectsNegativeCandidateCount(t *testing.T) {
-	a := New(DefaultConfig())
-	trainRandom(a, 3, 500)
-	a.candHist[3] = -1
-	var buf bytes.Buffer
-	if err := a.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := New(DefaultConfig())
-	if err := b.RestoreState(&buf); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("restore of a negative candidate count: got %v, want ErrCorrupt", err)
-	}
-}

@@ -129,8 +129,8 @@ func TestHierarchyPassOnMiniSuite(t *testing.T) {
 	if res.HierMPKI > res.Mono8MPKI*1.1 {
 		t.Errorf("hierarchy MPKI %.3f worse than monolithic 8-way %.3f", res.HierMPKI, res.Mono8MPKI)
 	}
-	if res.HierL2ProbeRate <= 0 || res.HierL2ProbeRate > 1 {
-		t.Errorf("L2 probe rate %.3f out of range", res.HierL2ProbeRate)
+	if res.HierL2Rate <= 0 || res.HierL2Rate > 1 {
+		t.Errorf("L2 probe rate %.3f out of range", res.HierL2Rate)
 	}
 }
 

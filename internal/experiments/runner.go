@@ -41,9 +41,7 @@ type Pass struct {
 	// New returns the pass's predictors for workload index w, fresh or
 	// Reset, and a release func. The task calls release once Tape.Run has
 	// returned, after which the pass Resets the set and hands it to a
-	// later task. A compiled run-plan pass always returns a release, and
-	// plans with a probe output (hierarchy, latency) use w to key the
-	// values release copies out of the set before it is Reset. A nil
+	// later task. A compiled run-plan pass always returns a release. A nil
 	// release means the set is never reused.
 	New func(w int) (cp cond.Predictor, indirects []predictor.Indirect, release func())
 }

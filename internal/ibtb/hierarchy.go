@@ -58,9 +58,6 @@ func DefaultHierarchyConfig() HierarchyConfig {
 type Hierarchy struct {
 	l1 *IBTB
 	l2 *IBTB
-
-	lookups  int64
-	l2Probes int64
 }
 
 // NewHierarchy constructs a two-level IBTB; it panics on invalid geometry.
@@ -68,18 +65,25 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{l1: New(cfg.L1), l2: New(cfg.L2)}
 }
 
-// Candidates implements Buffer: L1 candidates first; L2 is probed only when
-// L1 has no (or few) matches, and its candidates are appended. Duplicates
-// across levels are suppressed.
+// Candidates implements Buffer: Lookup without its probe report.
 func (h *Hierarchy) Candidates(pc uint64, buf []uint64) []uint64 {
-	h.lookups++
+	buf, _ = h.Lookup(pc, buf)
+	return buf
+}
+
+// Lookup appends pc's candidates to buf, L1's first. L2 is probed only
+// when L1 has no (or few) matches, and its candidates are appended with
+// duplicates across levels suppressed. probedL2 reports whether this
+// lookup probed L2: the slow path whose rate the hierarchy exists to keep
+// low.
+func (h *Hierarchy) Lookup(pc uint64, buf []uint64) (_ []uint64, probedL2 bool) {
 	start := len(buf)
 	buf = h.l1.Candidates(pc, buf)
 	l1n := len(buf) - start
 	// Probe L2 when L1 looks incomplete for a polymorphic branch: zero or
 	// exactly-full match sets suggest missing targets.
 	if l1n == 0 || l1n == h.l1.cfg.Assoc {
-		h.l2Probes++
+		probedL2 = true
 		mark := len(buf)
 		buf = h.l2.Candidates(pc, buf)
 		// Drop L2 entries that duplicate L1 ones.
@@ -98,7 +102,7 @@ func (h *Hierarchy) Candidates(pc uint64, buf []uint64) []uint64 {
 		}
 		buf = out
 	}
-	return buf
+	return buf, probedL2
 }
 
 // Insert implements Buffer: the hierarchy is inclusive, so every observed
@@ -109,14 +113,6 @@ func (h *Hierarchy) Insert(pc, target uint64) {
 	h.l2.Insert(pc, target)
 }
 
-// L2ProbeRate returns the fraction of lookups that needed the second level.
-func (h *Hierarchy) L2ProbeRate() float64 {
-	if h.lookups == 0 {
-		return 0
-	}
-	return float64(h.l2Probes) / float64(h.lookups)
-}
-
 // StorageBits implements Buffer.
 func (h *Hierarchy) StorageBits() int { return h.l1.StorageBits() + h.l2.StorageBits() }
 
@@ -124,5 +120,4 @@ func (h *Hierarchy) StorageBits() int { return h.l1.StorageBits() + h.l2.Storage
 func (h *Hierarchy) Reset() {
 	h.l1.Reset()
 	h.l2.Reset()
-	h.lookups, h.l2Probes = 0, 0
 }

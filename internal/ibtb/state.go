@@ -81,12 +81,10 @@ func (b *IBTB) RestoreState(d *snapshot.Dec) error {
 	return nil
 }
 
-// EncodeState serializes both levels and the probe statistics.
+// EncodeState serializes both levels.
 func (h *Hierarchy) EncodeState(e *snapshot.Enc) {
 	h.l1.EncodeState(e)
 	h.l2.EncodeState(e)
-	e.I64(h.lookups)
-	e.I64(h.l2Probes)
 }
 
 // RestoreState reinstates state captured by EncodeState into a hierarchy of
@@ -95,18 +93,5 @@ func (h *Hierarchy) RestoreState(d *snapshot.Dec) error {
 	if err := h.l1.RestoreState(d); err != nil {
 		return err
 	}
-	if err := h.l2.RestoreState(d); err != nil {
-		return err
-	}
-	lookups := d.I64()
-	l2Probes := d.I64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if lookups < 0 || l2Probes < 0 || l2Probes > lookups {
-		return fmt.Errorf("%w: hierarchy probe statistics inconsistent", snapshot.ErrCorrupt)
-	}
-	h.lookups = lookups
-	h.l2Probes = l2Probes
-	return nil
+	return h.l2.RestoreState(d)
 }

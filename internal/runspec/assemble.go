@@ -37,9 +37,9 @@ type HierarchyResult struct {
 	Mono8MPKI float64
 	// Hier is the two-level L1(8-way)+L2(16-way) hierarchy.
 	HierMPKI float64
-	// HierL2ProbeRate is the mean fraction of predictions that needed the
-	// hierarchy's second level.
-	HierL2ProbeRate float64
+	// HierL2Rate is the mean fraction of predictions whose IBTB lookup
+	// probed the hierarchy's second level.
+	HierL2Rate float64
 }
 
 // CottageResult aggregates the COTTAGE comparison.
@@ -428,16 +428,17 @@ func renderHierarchy(c *OutputContext) (*report.Table, any, error) {
 	res.HierMPKI = meanMPKI(rows, "hierarchy")
 	rates := make([]float64, 0, len(rows))
 	for w := range rows {
-		p, err := c.probe(w, "hierarchy")
+		o, err := c.observation(w, "hierarchy", "L2 probe rate")
 		if err != nil {
 			return nil, nil, err
 		}
-		if !p.hasL2 {
-			return nil, nil, fmt.Errorf("predictor %q exposes no L2 probe rate", "hierarchy")
+		rate := 0.0
+		if o.Lookups > 0 {
+			rate = float64(o.L2Probes) / float64(o.Lookups)
 		}
-		rates = append(rates, p.l2Rate)
+		rates = append(rates, rate)
 	}
-	res.HierL2ProbeRate = stats.Mean(rates)
+	res.HierL2Rate = stats.Mean(rates)
 
 	tb := report.NewTable(
 		"Extension (§6 future work): avoiding 64-way IBTB associativity with a two-level hierarchy",
@@ -445,7 +446,7 @@ func renderHierarchy(c *OutputContext) (*report.Table, any, error) {
 	)
 	tb.AddRowf("monolithic 64-way (paper)", res.Mono64MPKI, "")
 	tb.AddRowf("monolithic 8-way", res.Mono8MPKI, "")
-	tb.AddRowf("hierarchy 8-way L1 + 16-way L2", res.HierMPKI, res.HierL2ProbeRate)
+	tb.AddRowf("hierarchy 8-way L1 + 16-way L2", res.HierMPKI, res.HierL2Rate)
 	return tb, res, nil
 }
 
@@ -489,18 +490,14 @@ func renderLatency(c *OutputContext) (*report.Table, any, error) {
 	}
 	var hist []int64
 	for w := range rows {
-		p, err := c.probe(w, experiments.NameBLBP)
+		o, err := c.observation(w, experiments.NameBLBP, "candidate histogram")
 		if err != nil {
 			return nil, nil, err
 		}
-		h := p.candHist
-		if h == nil {
-			return nil, nil, fmt.Errorf("predictor %q exposes no candidate histogram", experiments.NameBLBP)
-		}
 		if hist == nil {
-			hist = make([]int64, len(h))
+			hist = make([]int64, len(o.Candidates))
 		}
-		for i, v := range h {
+		for i, v := range o.Candidates {
 			hist[i] += v
 		}
 	}

@@ -26,7 +26,7 @@ type Exec struct {
 }
 
 // suiteRun is one memoized simulation: the per-draw results and the
-// compiled plan (whose probe values outputs may read).
+// compiled plan (whose observations probe outputs read).
 type suiteRun struct {
 	results [][]experiments.WorkloadResult
 	cp      *compiledPlan

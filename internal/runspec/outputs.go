@@ -3,6 +3,7 @@ package runspec
 import (
 	"fmt"
 
+	"blbp/internal/core"
 	"blbp/internal/experiments"
 	"blbp/internal/report"
 	"blbp/internal/workload"
@@ -66,16 +67,25 @@ func (c *OutputContext) requireNames(rows []experiments.WorkloadResult, names []
 	return nil
 }
 
-// probe returns workload w's probe values of the named predictor.
-func (c *OutputContext) probe(w int, name string) (probe, error) {
-	if c.cp == nil || c.cp.probes == nil {
-		return probe{}, fmt.Errorf("no probe values recorded")
+// observation returns workload w's observation of the named predictor.
+// Only a BLBP counts into its cell, and attaching sizes the cell's
+// histogram, so a cell without one belongs to a predictor that exposes no
+// such value: what names the value the caller reads of it.
+func (c *OutputContext) observation(w int, name, what string) (*core.Observation, error) {
+	if c.cp == nil || c.cp.obs == nil {
+		return nil, fmt.Errorf("no observations recorded")
 	}
-	p, ok := c.cp.probes.find(w, name)
-	if !ok {
-		return probe{}, fmt.Errorf("no probe values of %q for workload %d", name, w)
+	for i, n := range c.cp.names {
+		if n != name {
+			continue
+		}
+		o := &c.cp.obs[w][i]
+		if o.Candidates == nil {
+			return nil, fmt.Errorf("predictor %q exposes no %s", name, what)
+		}
+		return o, nil
 	}
-	return p, nil
+	return nil, fmt.Errorf("plan has no predictor named %q", name)
 }
 
 // outputEntry is one registered output assembler.
@@ -85,8 +95,8 @@ type outputEntry struct {
 	// needsPasses marks outputs assembled from simulation results (vs
 	// pure workload characterizations).
 	needsPasses bool
-	// needsProbes marks outputs that read per-instance values after the
-	// run; their plans' tasks copy those values out before each Reset.
+	// needsProbes marks outputs that read BLBP observations: their plans
+	// attach a core.Observation to every BLBP member of each task.
 	needsProbes bool
 	render      func(*OutputContext) (*report.Table, *report.Chart, any, error)
 }

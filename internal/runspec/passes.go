@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"blbp/internal/cond"
+	"blbp/internal/core"
 	"blbp/internal/experiments"
 	"blbp/internal/predictor"
 )
@@ -17,62 +18,11 @@ type compiledPlan struct {
 	// names[i] is the key specs[i]'s results appear under.
 	specs []PredictorSpec
 	names []string
-	// probes holds the values probe outputs read per (pass, workload),
-	// copied out of each task's predictors before they are Reset; nil when
-	// the plan has no probe output.
-	probes *probeStore
-}
-
-// probe is what the probe outputs read of one predictor after its task:
-// BLBP's candidate-set histogram (latency) and its IBTB's L2 probe rate
-// (hierarchy). candHist is nil, and hasL2 false, for a predictor that
-// exposes no such value.
-type probe struct {
-	candHist []int64
-	l2Rate   float64
-	hasL2    bool
-}
-
-// probeStore holds the probe values of every (pass, workload) cell. Each
-// simulation task writes only its own cell, so concurrent passes never
-// share a slot.
-type probeStore struct {
-	cells [][][]probe // [pass][workload][spec-in-pass]
-	names [][]string  // [pass][spec-in-pass] display names
-}
-
-// record copies one (pass, workload) cell's probe values out of its raw
-// (pre-rename) instances. The per-pass slices are preallocated before any
-// task runs and each task owns a distinct slot, so no synchronization is
-// needed beyond the runner's own completion barrier.
-func (s *probeStore) record(pi, w int, raw []predictor.Indirect) {
-	cell := make([]probe, len(raw))
-	for si, ind := range raw {
-		if h, ok := ind.(interface{ CandidateHistogram() []int64 }); ok {
-			cell[si].candHist = h.CandidateHistogram()
-		}
-		if h, ok := ind.(interface{ L2ProbeRate() float64 }); ok {
-			cell[si].l2Rate, cell[si].hasL2 = h.L2ProbeRate(), true
-		}
-	}
-	s.cells[pi][w] = cell
-}
-
-// find returns workload w's probe values of the named predictor (false if
-// the plan has no such predictor or the cell never ran).
-func (s *probeStore) find(w int, name string) (probe, bool) {
-	for pi := range s.names {
-		for si, n := range s.names[pi] {
-			if n != name {
-				continue
-			}
-			if w >= len(s.cells[pi]) || s.cells[pi][w] == nil {
-				return probe{}, false
-			}
-			return s.cells[pi][w][si], true
-		}
-	}
-	return probe{}, false
+	// obs holds what the probe outputs read: per workload, one
+	// core.Observation per predictor in (pass, spec) order, into which a
+	// task's BLBP members count while it runs. nil when the plan has no
+	// probe output.
+	obs [][]core.Observation
 }
 
 // compilePasses lowers the plan's passes. Every constructor is dry-run
@@ -82,22 +32,21 @@ func (s *probeStore) find(w int, name string) (probe, bool) {
 func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, error) {
 	cp := &compiledPlan{}
 	if withProbes {
-		cp.probes = &probeStore{
-			cells: make([][][]probe, len(p.Passes)),
-			names: make([][]string, len(p.Passes)),
+		// Allocated before any task runs; each task writes only its own
+		// (pass, workload, member) cells.
+		members := 0
+		for _, ps := range p.Passes {
+			members += len(ps.Predictors)
+		}
+		cp.obs = make([][]core.Observation, workloads)
+		for w := range cp.obs {
+			cp.obs[w] = make([]core.Observation, members)
 		}
 	}
 	for pi := range p.Passes {
-		pass, names, err := compileOnePass(p.Passes[pi], pi, cp.probes)
+		pass, names, err := compileOnePass(p.Passes[pi], pi, cp.obs, len(cp.names))
 		if err != nil {
 			return nil, err
-		}
-		if cp.probes != nil {
-			// Preallocated here, before any task runs, so the concurrent
-			// releases below only ever write their own (pass, workload)
-			// slot.
-			cp.probes.cells[pi] = make([][]probe, workloads)
-			cp.probes.names[pi] = names
 		}
 		cp.passes = append(cp.passes, pass)
 		cp.specs = append(cp.specs, p.Passes[pi].Predictors...)
@@ -106,7 +55,9 @@ func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, erro
 	return cp, nil
 }
 
-func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []string, error) {
+// compileOnePass lowers pass pi, whose members' observation cells start at
+// index first of each obs row.
+func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (experiments.Pass, []string, error) {
 	fail := func(err error) (experiments.Pass, []string, error) {
 		return experiments.Pass{}, nil, fmt.Errorf("runspec: pass %d: %v", pi, err)
 	}
@@ -145,9 +96,8 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 
 	// newSet is the pass's one construction path: the conditional
 	// predictor (a consolidated predictor is its own), then every indirect
-	// predictor (bound ones over it). The set's release copies its task's
-	// probe values out (plans with a probe output only), Resets the set
-	// and hands it back to free.
+	// predictor (bound ones over it). The set's release Resets the set,
+	// which detaches any observation, and hands it back to free.
 	free := &setList{}
 	newSet := func() (*predictorSet, error) {
 		s := &predictorSet{
@@ -180,9 +130,6 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 			s.inds[si] = ind
 		}
 		s.release = func() {
-			if probes != nil {
-				probes.record(pi, s.w, s.raw)
-			}
 			s.reset()
 			free.give(s)
 		}
@@ -223,7 +170,9 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 				panic(fmt.Sprintf("runspec: pass %d construction failed after successful dry run: %v", pi, err))
 			}
 		}
-		s.w = w
+		if obs != nil {
+			s.observe(obs[w][first:])
+		}
 		return s.cond, s.inds, s.release
 	}
 
@@ -241,15 +190,23 @@ func compileOnePass(ps Pass, pi int, probes *probeStore) (experiments.Pass, []st
 
 // predictorSet is one constructed instance of a pass: its conditional
 // predictor, the raw indirect instances, and the views the engine runs
-// (renamed where the plan names the predictor). w is the workload index of
-// the task holding the set; release is built once per set, so handing a
-// set to a task allocates nothing.
+// (renamed where the plan names the predictor). release is built once per
+// set, so handing a set to a task allocates nothing.
 type predictorSet struct {
 	cond    cond.Predictor
 	raw     []predictor.Indirect
 	inds    []predictor.Indirect
-	w       int
 	release func()
+}
+
+// observe attaches cells[si] to member si when it is a BLBP, so the task
+// holding the set counts straight into its cells; reset detaches them.
+func (s *predictorSet) observe(cells []core.Observation) {
+	for si, ind := range s.raw {
+		if b, ok := ind.(*core.BLBP); ok {
+			b.Observe(&cells[si])
+		}
+	}
 }
 
 // resetter is a predictor that can restore its freshly constructed state

@@ -10,9 +10,10 @@
 // the one way a run builds its passes. The paper's sweeps are built-in
 // plans whose arms are declared as JSON overrides (builtin.go). Every
 // compiled pass recycles its predictors: a task takes a set from the pass's
-// free list and its release Resets the set and hands it back, first copying
-// out the values a probe output (latency, hierarchy) reads, so no predictor
-// instance outlives the run. Assembled outputs are byte-identical to the
+// free list and its release Resets the set and hands it back, so no
+// predictor instance outlives the run. A plan with a probe output (latency,
+// hierarchy) attaches to each task's BLBP members the core.Observation
+// cells the output reads. Assembled outputs are byte-identical to the
 // bespoke drivers they replaced; the determinism rules of internal/analysis
 // apply to this package.
 package runspec

@@ -300,8 +300,8 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 			return nil, fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want)
 		}
 		c.growCapped(int(decoded)+int(nrec), int(h.Records))
-		if !decodeBlock(c, block, int(nrec)) {
-			return nil, blockError(block, int(nrec))
+		if err := decodeBlock(c, block, int(nrec)); err != nil {
+			return nil, err
 		}
 		decoded += int64(nrec)
 	}
@@ -314,89 +314,82 @@ func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
 // decodeBlock decodes one block's records (PC delta chain starting at 0)
 // and appends them to c, within the capacity growCapped reserved. data
 // must be consumed exactly. Validation is inlined — Record.Validate's two
-// conditions plus the varint/overflow checks — and any malformation
-// reports false: the (cold) caller re-walks the block with blockError for
-// the diagnostic, so no error values are built on this path.
+// conditions plus the varint/overflow checks — and the first malformation
+// returns its diagnostic, built by the cold blockError so that this path
+// builds no error values while the block is well formed.
 //
 //blbp:hot
-func decodeBlock(c *Columns, data []byte, nrec int) bool {
+func decodeBlock(c *Columns, data []byte, nrec int) error {
 	var prevPC uint64
 	off := 0
 	for i := 0; i < nrec; i++ {
 		if off >= len(data) {
-			return false
+			return blockError(blockTruncated, i, 0, Record{})
 		}
 		header := data[off]
 		off++
-		typ := header & 0x7
-		taken := header&(1<<3) != 0
-		if typ >= numBranchTypes {
-			return false
-		}
-		if !taken && typ != uint8(CondDirect) {
-			return false
-		}
 		ib, n := uvarintFast(data, off)
-		if n <= 0 || ib > uint64(^uint32(0)) {
-			return false
+		if n <= 0 {
+			return blockError(badInstrCount, i, 0, Record{})
 		}
 		off += n
+		if ib > uint64(^uint32(0)) {
+			return blockError(instrCountOverflow, i, ib, Record{})
+		}
 		pcDelta, n := uvarintFast(data, off)
 		if n <= 0 {
-			return false
+			return blockError(badPC, i, 0, Record{})
 		}
 		off += n
 		pc := pcDelta ^ prevPC
 		tgtDelta, n := uvarintFast(data, off)
 		if n <= 0 {
-			return false
+			return blockError(badTarget, i, 0, Record{})
 		}
 		off += n
-		c.Append(Record{PC: pc, Target: tgtDelta ^ pc, InstrBefore: uint32(ib), Type: BranchType(typ), Taken: taken})
+		typ, taken := BranchType(header&0x7), header&(1<<3) != 0
+		if !typ.Valid() || !taken && !typ.IsConditional() {
+			return blockError(invalidRecord, i, 0, Record{PC: pc, Type: typ, Taken: taken})
+		}
+		c.Append(Record{PC: pc, Target: tgtDelta ^ pc, InstrBefore: uint32(ib), Type: typ, Taken: taken})
 		prevPC = pc
 	}
-	return off == len(data)
+	if off != len(data) {
+		return blockError(trailingBytes, 0, uint64(len(data)-off), Record{})
+	}
+	return nil
 }
 
-// blockError re-walks a block decodeBlockColumns rejected and returns the
-// precise diagnostic for its first malformation.
-func blockError(data []byte, nrec int) error {
-	var prevPC uint64
-	off := 0
-	for i := 0; i < nrec; i++ {
-		if off >= len(data) {
-			return fmt.Errorf("%w: block truncated at record %d", ErrSpillMismatch, i)
-		}
-		header := data[off]
-		off++
-		rec := Record{Type: BranchType(header & 0x7), Taken: header&(1<<3) != 0}
-		ib, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("%w: bad instr count at block record %d", ErrSpillMismatch, i)
-		}
-		off += n
-		if ib > uint64(^uint32(0)) {
-			return fmt.Errorf("%w: instr count %d overflows at block record %d", ErrSpillMismatch, ib, i)
-		}
-		pcDelta, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("%w: bad pc at block record %d", ErrSpillMismatch, i)
-		}
-		off += n
-		rec.PC = pcDelta ^ prevPC
-		if _, n = binary.Uvarint(data[off:]); n <= 0 {
-			return fmt.Errorf("%w: bad target at block record %d", ErrSpillMismatch, i)
-		}
-		off += n
-		if err := rec.Validate(); err != nil {
-			return fmt.Errorf("trace: block record %d: %w", i, err)
-		}
-		prevPC = rec.PC
+// blockFault names the malformation decodeBlock met.
+type blockFault uint8
+
+const (
+	blockTruncated     blockFault = iota // the block ends before record i
+	badInstrCount                        // record i's instruction count is no varint
+	instrCountOverflow                   // record i's instruction count, v, exceeds 32 bits
+	badPC                                // record i's PC delta is no varint
+	badTarget                            // record i's target delta is no varint
+	invalidRecord                        // record i, r (type, outcome and PC), fails Record.Validate
+	trailingBytes                        // v bytes follow the last record
+)
+
+// blockError builds decodeBlock's diagnostic for fault f at block record i.
+func blockError(f blockFault, i int, v uint64, r Record) error {
+	switch f {
+	case blockTruncated:
+		return fmt.Errorf("%w: block truncated at record %d", ErrSpillMismatch, i)
+	case badInstrCount:
+		return fmt.Errorf("%w: bad instr count at block record %d", ErrSpillMismatch, i)
+	case instrCountOverflow:
+		return fmt.Errorf("%w: instr count %d overflows at block record %d", ErrSpillMismatch, v, i)
+	case badPC:
+		return fmt.Errorf("%w: bad pc at block record %d", ErrSpillMismatch, i)
+	case badTarget:
+		return fmt.Errorf("%w: bad target at block record %d", ErrSpillMismatch, i)
+	case invalidRecord:
+		return fmt.Errorf("trace: block record %d: %w", i, r.Validate())
 	}
-	if off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes in block", ErrSpillMismatch, len(data)-off)
-	}
-	return fmt.Errorf("%w: malformed block contents", ErrSpillMismatch)
+	return fmt.Errorf("%w: %d trailing bytes in block", ErrSpillMismatch, v)
 }
 
 // uvarintFast is binary.Uvarint with an inlined single-byte fast path: spill

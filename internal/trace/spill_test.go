@@ -152,6 +152,63 @@ func TestSpillBlockCorruption(t *testing.T) {
 	}
 }
 
+// blockSpill frames payload as the one block of an SPL3 file whose header
+// and block prefix both claim nrec records, with a correct checksum, so
+// only the block's contents can fail the decode.
+func blockSpill(nrec int, payload []byte) []byte {
+	data := append(spillMagic[:len(spillMagic):len(spillMagic)], 1, 'b', 0, 0, 0) // name "b", seed, budget, fingerprint
+	data = binary.AppendUvarint(data, uint64(nrec))                               // records
+	data = binary.AppendUvarint(data, uint64(nrec))                               // nrec
+	data = binary.AppendUvarint(data, uint64(len(payload)))                       // nbytes
+	data = binary.LittleEndian.AppendUint64(data, fnv64a(payload))
+	return append(data, payload...)
+}
+
+// TestSpillBlockDiagnostics: a block whose checksum holds but whose
+// records are malformed fails with the diagnostic of its first
+// malformation, one case per diagnostic the decoder has. A record is a
+// header byte (type | taken<<3) and three varints: the instruction count,
+// the PC XOR the previous PC, and the target XOR the PC.
+func TestSpillBlockDiagnostics(t *testing.T) {
+	mismatch := ErrSpillMismatch.Error() + ": "
+	overflow := binary.AppendUvarint([]byte{0x08}, 1<<32)
+	cases := []struct {
+		name    string
+		nrec    int
+		payload []byte
+		want    string
+	}{
+		{"type out of range", 1, []byte{0x0f, 0, 1, 1},
+			"trace: block record 0: trace: invalid branch type 7"},
+		{"non-conditional not taken", 2, []byte{0x08, 0, 0x20, 1, 0x03, 0, 0x30, 0},
+			"trace: block record 1: trace: ind-jump branch at pc=0x10 marked not taken"},
+		{"bad instruction count", 1, []byte{0x08, 0x80},
+			mismatch + "bad instr count at block record 0"},
+		{"overflowing instruction count", 1, append(overflow, 1, 1),
+			mismatch + "instr count 4294967296 overflows at block record 0"},
+		{"bad pc varint", 1, []byte{0x08, 0, 0x80},
+			mismatch + "bad pc at block record 0"},
+		{"overflowing pc varint", 1, append([]byte{0x08, 0}, bytes.Repeat([]byte{0xff}, 11)...),
+			mismatch + "bad pc at block record 0"},
+		{"bad target varint", 1, []byte{0x08, 0, 1, 0x80},
+			mismatch + "bad target at block record 0"},
+		{"truncated block", 2, []byte{0x08, 0, 1, 1},
+			mismatch + "block truncated at record 1"},
+		{"trailing bytes", 1, []byte{0x08, 0, 1, 1, 0, 0},
+			mismatch + "2 trailing bytes in block"},
+	}
+	for _, tc := range cases {
+		_, _, err := ReadSpillColumns(bytes.NewReader(blockSpill(tc.nrec, tc.payload)))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The framing itself is sound: a well-formed payload decodes.
+	if _, c, err := ReadSpillColumns(bytes.NewReader(blockSpill(1, []byte{0x08, 0, 1, 1}))); err != nil || c.Len() != 1 {
+		t.Errorf("well-formed block: %v", err)
+	}
+}
+
 // oversizedBlockSpill is a 38-byte SPL3 file whose header claims 2^32
 // records and whose first block claims 2^32 records in 2^32 bytes.
 func oversizedBlockSpill() []byte {

@@ -1,6 +1,9 @@
 package trace
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Stats summarizes the branch population of a trace. It provides exactly the
 // quantities the paper's characterization figures need: the per-kilo-
@@ -14,39 +17,71 @@ type Stats struct {
 	Instructions int64
 	// Count holds dynamic execution counts per branch type.
 	Count [numBranchTypes]int64
-	// targets maps each static indirect branch PC to its observed target
-	// set and dynamic execution count.
-	targets map[uint64]*siteInfo
+	// sites holds one entry per static indirect branch, sorted by PC.
+	sites []site
 }
 
-type siteInfo struct {
-	targets map[uint64]struct{}
+// site is one static indirect branch: how many distinct targets it took and
+// how many times it executed.
+type site struct {
+	targets int
 	execs   int64
 }
 
 // Analyze computes statistics over a trace. Totals and per-class counts
-// come from the columns' aggregates; only the indirect records are visited
-// for the per-site target sets, each read through Columns.At from the
-// trace's table of distinct records.
+// come from the columns' aggregates. The per-site figures come from the
+// trace's table of distinct records: one pass over the index column counts
+// each entry's uses, then the indirect entries, sorted by PC and target,
+// group into sites.
 func Analyze(c *Columns) *Stats {
-	s := &Stats{Name: c.Name, Instructions: c.Instructions(), targets: make(map[uint64]*siteInfo)}
+	s := &Stats{Name: c.Name, Instructions: c.Instructions()}
 	for t := BranchType(0); t < numBranchTypes; t++ {
 		s.Count[t] = c.Count(t)
 	}
-	for i := 0; i < c.Len(); i++ {
-		r := c.At(i)
-		if !r.Type.IsIndirect() {
-			continue
+	var uses []int64
+	if c.idx32 != nil {
+		uses = countUses(len(c.table), c.idx32)
+	} else {
+		uses = countUses(len(c.table), c.idx16)
+	}
+	type entry struct {
+		pc, target uint64
+		uses       int64
+	}
+	var ind []entry
+	for i := range c.table {
+		if r := &c.table[i]; r.Type.IsIndirect() && uses[i] > 0 {
+			ind = append(ind, entry{r.PC, r.Target, uses[i]})
 		}
-		site := s.targets[r.PC]
-		if site == nil {
-			site = &siteInfo{targets: make(map[uint64]struct{})}
-			s.targets[r.PC] = site
+	}
+	// Entries differing only in gap or outcome share a (PC, target) pair:
+	// sorted by both, a site's distinct targets are its runs of equal
+	// target.
+	slices.SortFunc(ind, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.pc, b.pc), cmp.Compare(a.target, b.target))
+	})
+	for i, e := range ind {
+		newSite := i == 0 || e.pc != ind[i-1].pc
+		if newSite {
+			s.sites = append(s.sites, site{})
 		}
-		site.targets[r.Target] = struct{}{}
-		site.execs++
+		st := &s.sites[len(s.sites)-1]
+		if newSite || e.target != ind[i-1].target {
+			st.targets++
+		}
+		st.execs += e.uses
 	}
 	return s
+}
+
+// countUses returns how many records index each of n table entries, built
+// for each index width as runEnd is.
+func countUses[I uint16 | uint32](n int, idx []I) []int64 {
+	uses := make([]int64, n)
+	for _, i := range idx {
+		uses[i]++
+	}
+	return uses
 }
 
 // PerKilo returns the dynamic execution count of the given branch type per
@@ -73,7 +108,7 @@ func (s *Stats) IndirectCount() int64 {
 }
 
 // StaticIndirectSites returns the number of static indirect branch PCs seen.
-func (s *Stats) StaticIndirectSites() int { return len(s.targets) }
+func (s *Stats) StaticIndirectSites() int { return len(s.sites) }
 
 // PolymorphicFraction returns the fraction of dynamic indirect branch
 // executions whose static branch has more than one observed target over the
@@ -81,11 +116,10 @@ func (s *Stats) StaticIndirectSites() int { return len(s.targets) }
 // indirect branches.
 func (s *Stats) PolymorphicFraction() float64 {
 	var poly, total int64
-	//blbp:allow(determinism) commutative sum over site counters; order-independent
-	for _, site := range s.targets {
-		total += site.execs
-		if len(site.targets) > 1 {
-			poly += site.execs
+	for _, st := range s.sites {
+		total += st.execs
+		if st.targets > 1 {
+			poly += st.execs
 		}
 	}
 	if total == 0 {
@@ -105,14 +139,9 @@ func (s *Stats) TargetCountCCDF(max int) []float64 {
 	}
 	counts := make([]int64, max+1)
 	var total int64
-	//blbp:allow(determinism) commutative histogram accumulation; order-independent
-	for _, site := range s.targets {
-		n := len(site.targets)
-		if n > max {
-			n = max
-		}
-		counts[n] += site.execs
-		total += site.execs
+	for _, st := range s.sites {
+		counts[min(st.targets, max)] += st.execs
+		total += st.execs
 	}
 	ccdf := make([]float64, max)
 	if total == 0 {
@@ -126,26 +155,11 @@ func (s *Stats) TargetCountCCDF(max int) []float64 {
 	return ccdf
 }
 
-// TargetSetSizes returns the distinct-target-set size of every static
-// indirect branch, sorted ascending.
-func (s *Stats) TargetSetSizes() []int {
-	sizes := make([]int, 0, len(s.targets))
-	//blbp:allow(determinism) collected sizes are sorted below before returning
-	for _, site := range s.targets {
-		sizes = append(sizes, len(site.targets))
-	}
-	sort.Ints(sizes)
-	return sizes
-}
-
 // MaxTargets returns the largest distinct-target-set size observed, or 0.
 func (s *Stats) MaxTargets() int {
-	max := 0
-	//blbp:allow(determinism) max reduction; order-independent
-	for _, site := range s.targets {
-		if len(site.targets) > max {
-			max = len(site.targets)
-		}
+	n := 0
+	for _, st := range s.sites {
+		n = max(n, st.targets)
 	}
-	return max
+	return n
 }

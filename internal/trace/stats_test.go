@@ -100,12 +100,8 @@ func TestTargetCountCCDFClampsLargeSets(t *testing.T) {
 	}
 }
 
-func TestTargetSetSizesSorted(t *testing.T) {
+func TestMaxTargets(t *testing.T) {
 	s := statsFixture()
-	sizes := s.TargetSetSizes()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 3 {
-		t.Errorf("TargetSetSizes = %v, want [1 3]", sizes)
-	}
 	if got := s.MaxTargets(); got != 3 {
 		t.Errorf("MaxTargets = %d, want 3", got)
 	}

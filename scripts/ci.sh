@@ -1,10 +1,11 @@
 #!/bin/sh
 # CI gate: lint (vet + blbplint) with a drift check of the committed
 # results/lint.json, suppression/exceptions audit, build, an examples run,
-# race-enabled tests, perfbench vet/test/lint, fuzz smoke, snapshot,
-# trace-file, warm-start, recycled-set, run-plan, and workload-spec
-# round-trip smokes, and a strict gofmt -s check. Run from the repository
-# root (or `make ci`).
+# race-enabled tests, perfbench vet/test/lint, fuzz smoke, snapshot smokes
+# (the monolithic and the two-level IBTB), trace-file, warm-start,
+# recycled-set (with the workload characterizations), run-plan, and
+# workload-spec round-trip smokes, and a strict gofmt -s check. Run from
+# the repository root (or `make ci`).
 set -eux
 
 make lint
@@ -63,16 +64,20 @@ go test -fuzz FuzzReadContainer -fuzztime 5s -run xxx ./internal/snapshot/
 go test -run 'TestColumnarEquivalenceSeeds' -count 1 ./internal/sim/
 # Snapshot smoke: a run paused mid-trace by -snapshot and resumed by
 # -restore in a fresh process must emit a CSV byte-identical to the
-# uninterrupted run's (the tentpole's end-to-end differential gate).
+# uninterrupted run's. The second run does the same with BLBP's two-level
+# IBTB, whose snapshot sections the first run never writes.
 sdir=$(mktemp -d)
-go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
-	-predictors blbp,ittage,combined -csv "$sdir/full.csv" >/dev/null
-go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
-	-predictors blbp,ittage,combined -snapshot "$sdir/run.snp" -snapat 900 >/dev/null
-go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 \
-	-predictors blbp,ittage,combined -restore "$sdir/run.snp" \
-	-csv "$sdir/resumed.csv" >/dev/null
-diff "$sdir/full.csv" "$sdir/resumed.csv"
+snapsmoke() {
+	go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 "$@" \
+		-csv "$sdir/full.csv" >/dev/null
+	go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 "$@" \
+		-snapshot "$sdir/run.snp" -snapat 900 >/dev/null
+	go run ./cmd/blbpsim -workload 400.perlbench-1 -base 40000 "$@" \
+		-restore "$sdir/run.snp" -csv "$sdir/resumed.csv" >/dev/null
+	diff "$sdir/full.csv" "$sdir/resumed.csv"
+}
+snapsmoke -predictors blbp,ittage,combined
+snapsmoke -predictors blbp,ittage -config 'blbp={"UseHierarchicalIBTB":true}'
 rm -rf "$sdir"
 # Trace-file smoke: tracegen writes SPL3 under the spec's identity, the one
 # trace file format. blbpsim -trace on the file must render the CSV that
@@ -127,12 +132,14 @@ rm -rf "$spill" "$cold" "$warm"
 # extras, whose one pass holds all six standalone baselines (targetcache
 # and cascaded among them); cottage's TAGE substrate; combined's
 # consolidated predictor, whose indirect view shares its state; latency and
-# hierarchy, whose releases copy each workload's probe values out before
-# the Reset; and overall, which runs VPC's full engine beside passes that
-# share one conditional/RAS memo per trace, so it also gates the worker
-# queue and the memo's use of the engine loop.
+# hierarchy, whose tasks count into their own observation cells while they
+# run, so a release copies nothing before the Reset; and overall, which
+# runs VPC's full engine beside passes that share one conditional/RAS memo
+# per trace, so it also gates the worker queue and the memo's use of the
+# engine loop. fig1, fig6 and fig7 run no pass: they gate the per-site
+# trace statistics, which the analysis path computes on the same workers.
 rdir=$(mktemp -d)
-recycled="fig10 extras cottage combined latency hierarchy overall"
+recycled="fig10 extras cottage combined latency hierarchy overall fig1 fig6 fig7"
 go run ./cmd/experiments -base 4000 -parallel 1 -csv "$rdir/serial" $recycled >/dev/null
 go run ./cmd/experiments -base 4000 -parallel 4 -csv "$rdir/parallel" $recycled >/dev/null
 for p in $recycled; do
