@@ -220,8 +220,21 @@ func TestConfigValidation(t *testing.T) {
 			c.Features = []Feature{{Kind: FeaturePath, Depth: 999}}
 			return c
 		}(),
+		func() HPConfig { c := DefaultHPConfig(); c.LocalEntries = 0; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.LocalBits = 64; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.PathDepth = 0; return c }(),
+		func() HPConfig { c := DefaultHPConfig(); c.ThetaInit = 0; return c }(),
+		func() HPConfig {
+			c := DefaultHPConfig()
+			c.HistBits = 0
+			c.Features = []Feature{{Kind: FeatureBias}}
+			return c
+		}(),
 	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d: Validate accepts it", i)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

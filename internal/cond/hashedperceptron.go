@@ -85,15 +85,31 @@ func DefaultHPConfig() HPConfig {
 	}
 }
 
-func (c HPConfig) validate() error {
-	if c.TableEntries <= 0 {
-		return fmt.Errorf("cond: TableEntries must be positive")
+// Validate checks the configuration; predictor.MergeJSON runs it on every
+// run plan's cond_config, and each error names its field.
+func (c HPConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"TableEntries", c.TableEntries}, {"HistBits", c.HistBits},
+		{"LocalEntries", c.LocalEntries}, {"PathDepth", c.PathDepth},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("cond: %s=%d must be positive", f.name, f.v)
+		}
 	}
 	if c.WeightBits < 2 || c.WeightBits > 16 {
-		return fmt.Errorf("cond: WeightBits out of range")
+		return fmt.Errorf("cond: WeightBits=%d outside [2,16]", c.WeightBits)
+	}
+	if c.LocalBits < 1 || c.LocalBits > 63 {
+		return fmt.Errorf("cond: LocalBits=%d outside [1,63]", c.LocalBits)
+	}
+	if c.ThetaInit < 1 || c.ThetaInit > 1024 {
+		return fmt.Errorf("cond: ThetaInit=%d outside [1,1024]", c.ThetaInit)
 	}
 	if len(c.Features) == 0 {
-		return fmt.Errorf("cond: no features")
+		return fmt.Errorf("cond: no Features")
 	}
 	for i, f := range c.Features {
 		switch f.Kind {
@@ -136,7 +152,7 @@ type HashedPerceptron struct {
 // NewHashedPerceptron constructs a predictor; it panics on an invalid
 // configuration (configurations are build-time constants in this codebase).
 func NewHashedPerceptron(cfg HPConfig) *HashedPerceptron {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	w := make([][]int8, len(cfg.Features))

@@ -14,7 +14,6 @@ const (
 	secTables    = "tables"
 	secBase      = "base"
 	secGhist     = "ghist"
-	secMisc      = "misc"
 	secWeights   = "weights"
 	secLocal     = "local"
 	secPath      = "path"
@@ -44,12 +43,7 @@ func (t *TAGE) EncodeState(w io.Writer) error {
 	for _, ctr := range t.base {
 		be.U8(uint8(ctr))
 	}
-	t.ghist.EncodeState(c.Section(secGhist))
-	me := c.Section(secMisc)
-	me.U64(t.phist)
-	me.I8(t.useAltOnNA)
-	me.I64(t.updates)
-	me.U64(t.rng)
+	t.hist.EncodeState(c)
 	return c.EncodeTo(w)
 }
 
@@ -75,7 +69,7 @@ func (t *TAGE) RestoreState(r io.Reader) error {
 			return fmt.Errorf("%w: table %d holds %d entries, have %d", snapshot.ErrMismatch, ti, n, len(t.tables[ti]))
 		}
 		tbl := make([]tageEntry, len(t.tables[ti]))
-		tagMask := uint64(1)<<uint(t.tagBits[ti]) - 1
+		tagMask := uint64(1)<<uint(t.hist.TagBits(ti)) - 1
 		for i := range tbl {
 			en := tageEntry{
 				tag:   d.U64(),
@@ -87,7 +81,7 @@ func (t *TAGE) RestoreState(r io.Reader) error {
 				break
 			}
 			if en.tag&^tagMask != 0 {
-				return fmt.Errorf("%w: table %d tag %#x wider than %d bits", snapshot.ErrCorrupt, ti, en.tag, t.tagBits[ti])
+				return fmt.Errorf("%w: table %d tag %#x wider than %d bits", snapshot.ErrCorrupt, ti, en.tag, t.hist.TagBits(ti))
 			}
 			if en.ctr < -4 || en.ctr > 3 || en.u > 3 {
 				return fmt.Errorf("%w: table %d counters (%d,%d) out of range", snapshot.ErrCorrupt, ti, en.ctr, en.u)
@@ -121,44 +115,14 @@ func (t *TAGE) RestoreState(r io.Reader) error {
 		return err
 	}
 
-	if d, err = dc.Section(secGhist); err != nil {
+	if err := t.hist.RestoreState(dc); err != nil {
 		return err
-	}
-	if err := t.ghist.RestoreState(d); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = dc.Section(secMisc); err != nil {
-		return err
-	}
-	phist := d.U64()
-	useAlt := d.I8()
-	updates := d.I64()
-	rng := d.U64()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if phist&^uint64(0xffff) != 0 {
-		return fmt.Errorf("%w: path history %#x wider than 16 bits", snapshot.ErrCorrupt, phist)
-	}
-	if useAlt < -8 || useAlt > 7 {
-		return fmt.Errorf("%w: useAltOnNA %d out of range", snapshot.ErrCorrupt, useAlt)
-	}
-	if updates < 0 {
-		return fmt.Errorf("%w: negative update count", snapshot.ErrCorrupt)
 	}
 
 	for ti := range t.tables {
 		copy(t.tables[ti], tables[ti])
 	}
 	copy(t.base, base)
-	t.phist = phist
-	t.useAltOnNA = useAlt
-	t.updates = updates
-	t.rng = rng
 	t.lastPC, t.lastOK = 0, false
 	return nil
 }

@@ -1,7 +1,8 @@
 package cond
 
 import (
-	"blbp/internal/hashing"
+	"fmt"
+
 	"blbp/internal/history"
 	"blbp/internal/threshold"
 	"blbp/internal/trace"
@@ -9,7 +10,8 @@ import (
 
 // TAGEConfig parameterizes a conditional TAGE predictor (Seznec & Michaud).
 // Together with ITTAGE it forms COTTAGE, the combined design the paper's
-// related work describes; the cottage experiment pairs the two.
+// related work describes; the cottage experiment pairs the two. Its fields
+// are history.TaggedGeometry's, in the same order, so it converts to one.
 type TAGEConfig struct {
 	// BaseEntries sizes the bimodal base predictor.
 	BaseEntries int
@@ -43,6 +45,16 @@ func DefaultTAGEConfig() TAGEConfig {
 	}
 }
 
+// Validate checks the configuration with the geometry checks TAGE shares
+// with ITTAGE (history.TaggedGeometry.Validate), each error naming its
+// field. predictor.MergeJSON runs it on every run plan's cond_config.
+func (c TAGEConfig) Validate() error {
+	if err := history.TaggedGeometry(c).Validate(); err != nil {
+		return fmt.Errorf("cond: TAGE %v", err)
+	}
+	return nil
+}
+
 type tageEntry struct {
 	tag   uint64
 	ctr   int8 // signed 3-bit counter: -4..3, >= 0 predicts taken
@@ -52,16 +64,10 @@ type tageEntry struct {
 
 // TAGE is the conditional direction predictor.
 type TAGE struct {
-	cfg      TAGEConfig
-	tagBits  []int
-	tables   [][]tageEntry
-	base     []counter2
-	ghist    *history.FoldedSet
-	idxFolds []history.FoldID // per-table index fold over its history length
-	tagFolds []history.FoldID // per-table tag fold over the same interval
-	phist    uint64
-
-	useAltOnNA int8
+	cfg    TAGEConfig
+	hist   history.Tagged
+	tables [][]tageEntry
+	base   []counter2
 
 	// Prediction-time state for Train.
 	lastPC       uint64
@@ -72,47 +78,23 @@ type TAGE struct {
 	altFromTable bool
 	lastPred     bool
 	usedProv     bool
-
-	updates int64
-	rng     uint64
 }
 
-// NewTAGE constructs a conditional TAGE predictor; it panics on invalid
-// configuration.
+// NewTAGE constructs a conditional TAGE predictor; it panics on a
+// configuration Validate rejects.
 func NewTAGE(cfg TAGEConfig) *TAGE {
-	if cfg.BaseEntries <= 0 || cfg.Tables <= 0 || cfg.TableEntries <= 0 {
-		panic("cond: TAGE geometry must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.MinHist <= 0 || cfg.MaxHist <= cfg.MinHist || cfg.MaxHist >= cfg.HistBits {
-		panic("cond: TAGE history lengths inconsistent")
-	}
-	if cfg.ResetPeriod <= 0 {
-		panic("cond: TAGE ResetPeriod must be positive")
-	}
-	lens := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.Tables)
 	tables := make([][]tageEntry, cfg.Tables)
-	tagBits := make([]int, cfg.Tables)
-	ghist := history.NewFoldedSet(cfg.HistBits)
-	idxFolds := make([]history.FoldID, cfg.Tables)
-	tagFolds := make([]history.FoldID, cfg.Tables)
 	for i := range tables {
 		tables[i] = make([]tageEntry, cfg.TableEntries)
-		tb := cfg.TagBitsMin + i/2
-		if tb > 15 {
-			tb = 15
-		}
-		tagBits[i] = tb
-		idxFolds[i] = ghist.Register(0, lens[i]-1, 22)
-		tagFolds[i] = ghist.Register(0, lens[i]-1, 17)
 	}
 	t := &TAGE{
-		cfg:      cfg,
-		tagBits:  tagBits,
-		tables:   tables,
-		base:     make([]counter2, cfg.BaseEntries),
-		ghist:    ghist,
-		idxFolds: idxFolds,
-		tagFolds: tagFolds,
+		cfg:    cfg,
+		hist:   history.NewTagged(history.TaggedGeometry(cfg), 0x853c49e6748fea9b),
+		tables: tables,
+		base:   make([]counter2, cfg.BaseEntries),
 	}
 	t.Reset()
 	return t
@@ -132,39 +114,12 @@ func (t *TAGE) Reset() {
 	for i := range t.base {
 		t.base[i] = 1
 	}
-	t.ghist.Reset()
-	t.phist = 0
-	t.useAltOnNA = 0
+	t.hist.Reset()
 	t.lastPC, t.lastOK = 0, false
-	t.updates = 0
-	t.rng = 0x853c49e6748fea9b
 }
 
 // Name implements Predictor.
 func (t *TAGE) Name() string { return "tage" }
-
-func (t *TAGE) nextRand() uint64 {
-	t.rng ^= t.rng << 13
-	t.rng ^= t.rng >> 7
-	t.rng ^= t.rng << 17
-	return t.rng
-}
-
-func (t *TAGE) tableIndex(i int, pc uint64) int {
-	fold := t.ghist.Value(t.idxFolds[i])
-	h := hashing.Combine(hashing.Mix64(pc)+uint64(i)<<48, fold^t.phist)
-	return hashing.Index(h, t.cfg.TableEntries)
-}
-
-func (t *TAGE) tableTag(i int, pc uint64) uint64 {
-	fold := t.ghist.Value(t.tagFolds[i])
-	h := hashing.Combine(hashing.Mix64(pc)*3+uint64(i)<<40, fold*7+t.phist)
-	return hashing.Tag(h, t.tagBits[i])
-}
-
-func (t *TAGE) baseIndex(pc uint64) int {
-	return hashing.Index(hashing.Mix64(pc), t.cfg.BaseEntries)
-}
 
 // Predict implements Predictor.
 func (t *TAGE) Predict(pc uint64) bool {
@@ -173,9 +128,9 @@ func (t *TAGE) Predict(pc uint64) bool {
 	t.altFromTable = false
 	altSet := false
 	for i := t.cfg.Tables - 1; i >= 0; i-- {
-		idx := t.tableIndex(i, pc)
+		idx := t.hist.Index(i, pc)
 		e := &t.tables[i][idx]
-		if !e.valid || e.tag != t.tableTag(i, pc) {
+		if !e.valid || e.tag != t.hist.Tag(i, pc) {
 			continue
 		}
 		if t.provider == -1 {
@@ -187,7 +142,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 		}
 	}
 	if !altSet {
-		t.altPred = t.base[t.baseIndex(pc)].taken()
+		t.altPred = t.base[t.hist.BaseIndex(pc)].taken()
 	}
 	if t.provider == -1 {
 		t.lastPred = t.altPred
@@ -196,7 +151,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 	}
 	e := &t.tables[t.provider][t.providerIdx]
 	weak := e.ctr == 0 || e.ctr == -1
-	if weak && t.useAltOnNA >= 0 {
+	if weak && t.hist.UseAltOnNA >= 0 {
 		t.lastPred = t.altPred
 		t.usedProv = false
 	} else {
@@ -212,7 +167,6 @@ func (t *TAGE) Train(pc uint64, taken bool) {
 		t.Predict(pc)
 	}
 	t.lastOK = false
-	t.updates++
 	mispredicted := t.lastPred != taken
 
 	if t.provider >= 0 {
@@ -222,9 +176,9 @@ func (t *TAGE) Train(pc uint64, taken bool) {
 		if weak && t.altPred != provPred {
 			switch {
 			case t.altPred == taken:
-				t.useAltOnNA = threshold.SatInc8(t.useAltOnNA, 7)
+				t.hist.UseAltOnNA = threshold.SatInc8(t.hist.UseAltOnNA, history.UseAltMax)
 			case provPred == taken:
-				t.useAltOnNA = threshold.SatDec8(t.useAltOnNA, -8)
+				t.hist.UseAltOnNA = threshold.SatDec8(t.hist.UseAltOnNA, history.UseAltMin)
 			}
 		}
 		if taken {
@@ -241,38 +195,30 @@ func (t *TAGE) Train(pc uint64, taken bool) {
 		}
 		// Base trains when it served as alt or when the provider is new.
 		if !t.usedProv || !t.altFromTable {
-			bi := t.baseIndex(pc)
+			bi := t.hist.BaseIndex(pc)
 			t.base[bi] = t.base[bi].update(taken)
 		}
 	} else {
-		bi := t.baseIndex(pc)
+		bi := t.hist.BaseIndex(pc)
 		t.base[bi] = t.base[bi].update(taken)
 	}
 
 	if mispredicted && t.provider < t.cfg.Tables-1 {
-		start := t.provider + 1
-		if avail := t.cfg.Tables - start; avail > 1 && t.nextRand()&3 == 0 {
-			start++
-		}
-		for i := start; i < t.cfg.Tables; i++ {
-			idx := t.tableIndex(i, pc)
+		for i := t.hist.AllocStart(t.provider); i < t.cfg.Tables; i++ {
+			idx := t.hist.Index(i, pc)
 			e := &t.tables[i][idx]
 			if !e.valid || e.u == 0 {
 				ctr := int8(0)
 				if !taken {
 					ctr = -1
 				}
-				t.tables[i][idx] = tageEntry{tag: t.tableTag(i, pc), ctr: ctr, valid: true}
+				t.tables[i][idx] = tageEntry{tag: t.hist.Tag(i, pc), ctr: ctr, valid: true}
 				break
 			}
 		}
 	}
 
-	if t.updates%int64(t.cfg.ResetPeriod) == 0 {
-		var mask uint8 = 0b01
-		if (t.updates/int64(t.cfg.ResetPeriod))&1 == 1 {
-			mask = 0b10
-		}
+	if mask := t.hist.Tick(); mask != 0 {
 		for _, tbl := range t.tables {
 			for j := range tbl {
 				tbl[j].u &^= mask
@@ -283,26 +229,21 @@ func (t *TAGE) Train(pc uint64, taken bool) {
 
 // UpdateHistory implements Predictor.
 func (t *TAGE) UpdateHistory(pc uint64, taken bool) {
-	t.ghist.Shift(taken)
-	t.phist = (t.phist<<1 ^ pc>>2) & 0xFFFF
+	t.hist.Shift(pc, taken)
 	t.lastOK = false
 }
 
 // OnOther implements Predictor.
 func (t *TAGE) OnOther(pc, target uint64, bt trace.BranchType) {
-	t.phist = (t.phist<<1 ^ pc>>2) & 0xFFFF
 	if bt.IsIndirect() {
-		t.ghist.ShiftBits(hashing.Mix64(target), 2)
+		t.hist.ShiftIndirect(pc, target)
+	} else {
+		t.hist.ShiftPath(pc)
 	}
 	t.lastOK = false
 }
 
 // StorageBits implements Predictor.
 func (t *TAGE) StorageBits() int {
-	bits := 2 * t.cfg.BaseEntries
-	for i := range t.tables {
-		bits += t.cfg.TableEntries * (1 + t.tagBits[i] + 3 + 2)
-	}
-	bits += t.cfg.HistBits + 16 + 4
-	return bits
+	return 2*t.cfg.BaseEntries + t.cfg.Tables*t.cfg.TableEntries*(1+3+2) + t.hist.StorageBits()
 }

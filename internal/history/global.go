@@ -1,7 +1,10 @@
 // Package history implements the branch-history state that feeds predictor
 // index functions: a long global history register with interval folding
-// (BLBP's 630-bit GHIST and ITTAGE's geometric histories), a table of
-// per-branch local histories, and a path history register.
+// (BLBP's 630-bit GHIST and the hashed perceptron's features), a table of
+// per-branch local histories, a path history register, and Tagged, the
+// history half TAGE and ITTAGE share: their geometric folds, tag widths,
+// index and tag hashes, path register, allocation xorshift, usefulness
+// reset timing, use-alt counter and snapshot sections.
 package history
 
 // Global is a circular shift register of branch-history bits. Bit 0 is the
@@ -144,9 +147,10 @@ func (g *Global) Reset() {
 	g.head = 0
 }
 
-// Snapshot copies the register state; Restore reinstates it. VPC uses this
-// to speculatively shift virtual not-taken outcomes during its iteration
-// loop and roll them back.
+// Snapshot copies the register state; Restore reinstates it. Only tests
+// call them: the reference register of folded_test.go rolls back with them
+// while the FoldedSet under test uses SnapshotInto and Restore, the pair
+// VPC's speculative walk rolls back with.
 func (g *Global) Snapshot() GlobalSnapshot {
 	words := make([]uint64, len(g.words))
 	copy(words, g.words)

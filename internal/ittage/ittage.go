@@ -10,7 +10,6 @@ package ittage
 import (
 	"fmt"
 
-	"blbp/internal/hashing"
 	"blbp/internal/history"
 	"blbp/internal/region"
 	"blbp/internal/threshold"
@@ -59,21 +58,34 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks configuration consistency.
+// Validate checks configuration consistency: the geometry checks ITTAGE
+// shares with TAGE (history.TaggedGeometry.Validate) and the region
+// array's size, each error naming its field.
 func (c Config) Validate() error {
-	if c.BaseEntries <= 0 || c.TableEntries <= 0 || c.Tables <= 0 {
-		return fmt.Errorf("ittage: table geometry must be positive")
+	if err := c.geometry().Validate(); err != nil {
+		return fmt.Errorf("ittage: %v", err)
 	}
-	if c.MinHist <= 0 || c.MaxHist <= c.MinHist || c.MaxHist >= c.HistBits {
-		return fmt.Errorf("ittage: history lengths %d..%d inconsistent with %d history bits", c.MinHist, c.MaxHist, c.HistBits)
+	if c.RegionEntries <= 0 {
+		return fmt.Errorf("ittage: RegionEntries=%d must be positive", c.RegionEntries)
 	}
-	if c.TagBitsMin < 6 || c.TagBitsMin > 16 {
-		return fmt.Errorf("ittage: TagBitsMin=%d out of range", c.TagBitsMin)
-	}
-	if c.ResetPeriod <= 0 {
-		return fmt.Errorf("ittage: ResetPeriod must be positive")
+	if c.OffsetBits <= 0 || c.OffsetBits >= 64 {
+		return fmt.Errorf("ittage: OffsetBits=%d outside [1,63]", c.OffsetBits)
 	}
 	return nil
+}
+
+// geometry returns the tagged-table shape ITTAGE shares with TAGE.
+func (c Config) geometry() history.TaggedGeometry {
+	return history.TaggedGeometry{
+		BaseEntries:  c.BaseEntries,
+		Tables:       c.Tables,
+		TableEntries: c.TableEntries,
+		MinHist:      c.MinHist,
+		MaxHist:      c.MaxHist,
+		TagBitsMin:   c.TagBitsMin,
+		HistBits:     c.HistBits,
+		ResetPeriod:  c.ResetPeriod,
+	}
 }
 
 type taggedEntry struct {
@@ -94,17 +106,11 @@ type baseEntry struct {
 
 // ITTAGE is the predictor.
 type ITTAGE struct {
-	cfg      Config
-	tagBits  []int
-	tables   [][]taggedEntry
-	base     []baseEntry
-	regions  *region.Array
-	ghist    *history.FoldedSet
-	idxFolds []history.FoldID // per-table index fold over its history length
-	tagFolds []history.FoldID // per-table tag fold over the same interval
-	phist    uint64           // 16-bit path history
-
-	useAltOnNA int8 // counter choosing altpred for newly allocated entries
+	cfg     Config
+	hist    history.Tagged
+	tables  [][]taggedEntry
+	base    []baseEntry
+	regions *region.Array
 
 	// Prediction-time state cached for Update.
 	lastPC       uint64
@@ -118,9 +124,6 @@ type ITTAGE struct {
 	lastAltPred  uint64
 	lastAltOK    bool
 	lastUsedProv bool // final prediction came from provider (vs alt)
-
-	updates int64
-	rng     uint64 // deterministic xorshift for allocation choice
 }
 
 // New constructs an ITTAGE predictor; it panics on invalid configuration.
@@ -128,37 +131,18 @@ func New(cfg Config) *ITTAGE {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lens := history.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.Tables)
 	tables := make([][]taggedEntry, cfg.Tables)
-	tagBits := make([]int, cfg.Tables)
-	ghist := history.NewFoldedSet(cfg.HistBits)
-	idxFolds := make([]history.FoldID, cfg.Tables)
-	tagFolds := make([]history.FoldID, cfg.Tables)
 	for i := range tables {
 		tables[i] = make([]taggedEntry, cfg.TableEntries)
-		tb := cfg.TagBitsMin + i/2
-		if tb > 15 {
-			tb = 15
-		}
-		tagBits[i] = tb
-		idxFolds[i] = ghist.Register(0, lens[i]-1, 22)
-		tagFolds[i] = ghist.Register(0, lens[i]-1, 17)
 	}
 	return &ITTAGE{
-		cfg:      cfg,
-		tagBits:  tagBits,
-		tables:   tables,
-		base:     make([]baseEntry, cfg.BaseEntries),
-		regions:  region.New(cfg.RegionEntries, cfg.OffsetBits),
-		ghist:    ghist,
-		idxFolds: idxFolds,
-		tagFolds: tagFolds,
-		rng:      rngSeed,
+		cfg:     cfg,
+		hist:    history.NewTagged(cfg.geometry(), 0x9e3779b97f4a7c15),
+		tables:  tables,
+		base:    make([]baseEntry, cfg.BaseEntries),
+		regions: region.New(cfg.RegionEntries, cfg.OffsetBits),
 	}
 }
-
-// rngSeed seeds the allocation xorshift of every fresh or Reset predictor.
-const rngSeed = 0x9e3779b97f4a7c15
 
 // Reset restores the freshly constructed state: empty tagged and base
 // tables, regions and histories, the initial allocation seed, a zero
@@ -175,39 +159,12 @@ func (p *ITTAGE) Reset() {
 		p.base[i] = baseEntry{}
 	}
 	p.regions.Reset()
-	p.ghist.Reset()
-	p.phist = 0
-	p.useAltOnNA = 0
+	p.hist.Reset()
 	p.lastPC, p.lastOK = 0, false
-	p.updates = 0
-	p.rng = rngSeed
 }
 
 // Name implements predictor.Indirect.
 func (p *ITTAGE) Name() string { return "ittage" }
-
-func (p *ITTAGE) nextRand() uint64 {
-	p.rng ^= p.rng << 13
-	p.rng ^= p.rng >> 7
-	p.rng ^= p.rng << 17
-	return p.rng
-}
-
-func (p *ITTAGE) tableIndex(i int, pc uint64) int {
-	fold := p.ghist.Value(p.idxFolds[i])
-	h := hashing.Combine(hashing.Mix64(pc)+uint64(i)<<48, fold^p.phist)
-	return hashing.Index(h, p.cfg.TableEntries)
-}
-
-func (p *ITTAGE) tableTag(i int, pc uint64) uint64 {
-	fold := p.ghist.Value(p.tagFolds[i])
-	h := hashing.Combine(hashing.Mix64(pc)*3+uint64(i)<<40, fold*7+p.phist)
-	return hashing.Tag(h, p.tagBits[i])
-}
-
-func (p *ITTAGE) baseIndex(pc uint64) int {
-	return hashing.Index(hashing.Mix64(pc), p.cfg.BaseEntries)
-}
 
 // Predict implements predictor.Indirect.
 func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
@@ -217,9 +174,9 @@ func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 
 	// Find the two longest-history tag matches.
 	for i := p.cfg.Tables - 1; i >= 0; i-- {
-		idx := p.tableIndex(i, pc)
+		idx := p.hist.Index(i, pc)
 		e := &p.tables[i][idx]
-		if !e.valid || e.tag != p.tableTag(i, pc) {
+		if !e.valid || e.tag != p.hist.Tag(i, pc) {
 			continue
 		}
 		if _, ok := p.regions.Resolve(e.ref, e.offset); !ok {
@@ -235,7 +192,7 @@ func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 	}
 	// Alt defaults to the base table when no second tagged match exists.
 	if p.altProvider == -2 {
-		bi := p.baseIndex(pc)
+		bi := p.hist.BaseIndex(pc)
 		if b := &p.base[bi]; b.valid {
 			if tgt, ok := p.regions.Resolve(b.ref, b.offset); ok {
 				p.altProvider, p.altIdx = -1, bi
@@ -254,7 +211,7 @@ func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 	if p.provider == -2 {
 		// No tagged match: fall back to base (already captured as alt) or
 		// report no prediction.
-		bi := p.baseIndex(pc)
+		bi := p.hist.BaseIndex(pc)
 		if b := &p.base[bi]; b.valid {
 			if tgt, ok := p.regions.Resolve(b.ref, b.offset); ok {
 				p.provider, p.providerIdx = -1, bi
@@ -273,7 +230,7 @@ func (p *ITTAGE) Predict(pc uint64) (uint64, bool) {
 	p.lastPred, p.lastPredOK = tgt, true
 	// Newly allocated entries (weak confidence) may be overridden by the
 	// alternate prediction when experience says alt is usually right.
-	if e.ctr == 0 && p.useAltOnNA >= 0 && p.lastAltOK {
+	if e.ctr == 0 && p.hist.UseAltOnNA >= 0 && p.lastAltOK {
 		p.lastUsedProv = false
 		return p.lastAltPred, true
 	}
@@ -287,7 +244,6 @@ func (p *ITTAGE) Update(pc, actual uint64) {
 		p.Predict(pc) // out-of-contract: recompute provider state
 	}
 	p.lastOK = false
-	p.updates++
 
 	finalPred, finalOK := p.lastPred, p.lastPredOK
 	if !p.lastUsedProv {
@@ -301,9 +257,9 @@ func (p *ITTAGE) Update(pc, actual uint64) {
 		if e.ctr == 0 && p.lastAltOK && p.lastPredOK && p.lastAltPred != p.lastPred {
 			switch {
 			case p.lastAltPred == actual:
-				p.useAltOnNA = threshold.SatInc8(p.useAltOnNA, 7)
+				p.hist.UseAltOnNA = threshold.SatInc8(p.hist.UseAltOnNA, history.UseAltMax)
 			case p.lastPred == actual:
-				p.useAltOnNA = threshold.SatDec8(p.useAltOnNA, -8)
+				p.hist.UseAltOnNA = threshold.SatDec8(p.hist.UseAltOnNA, history.UseAltMin)
 			}
 		}
 	}
@@ -345,7 +301,7 @@ func (p *ITTAGE) Update(pc, actual uint64) {
 
 	// Base fill: keep the base table warm even when a tagged table
 	// provides, so altpred has something to offer.
-	bi := p.baseIndex(pc)
+	bi := p.hist.BaseIndex(pc)
 	if b := &p.base[bi]; !b.valid {
 		ref, off := p.regions.Acquire(actual)
 		p.base[bi] = baseEntry{ref: ref, offset: off, hyst: 0, valid: true}
@@ -368,12 +324,7 @@ func (p *ITTAGE) Update(pc, actual uint64) {
 	}
 
 	// Gradual usefulness reset.
-	if p.updates%int64(p.cfg.ResetPeriod) == 0 {
-		phase := (p.updates / int64(p.cfg.ResetPeriod)) & 1
-		var mask uint8 = 0b01
-		if phase == 1 {
-			mask = 0b10
-		}
+	if mask := p.hist.Tick(); mask != 0 {
 		for _, tbl := range p.tables {
 			for j := range tbl {
 				tbl[j].u &^= mask
@@ -383,33 +334,21 @@ func (p *ITTAGE) Update(pc, actual uint64) {
 
 	// History update: indirect branches fold hashed target bits into
 	// global history and the path register.
-	p.ghist.ShiftBits(hashing.Mix64(actual), 2)
-	p.phist = (p.phist<<1 ^ pc>>2) & 0xFFFF
+	p.hist.ShiftIndirect(pc, actual)
 }
 
 // allocate installs the actual target in up to one table with history
 // longer than the provider's, preferring entries with zero usefulness and
 // decaying usefulness when none is available (Seznec's allocation rule).
 func (p *ITTAGE) allocate(pc, actual uint64) {
-	start := p.provider + 1
-	if p.provider < 0 {
-		start = 0
-	}
-	// Randomize the starting point a little so allocations spread across
-	// tables (matches the reference implementation's behaviour).
-	if avail := p.cfg.Tables - start; avail > 1 {
-		r := p.nextRand()
-		if r&3 == 0 { // skip one table 25% of the time
-			start++
-		}
-	}
+	start := p.hist.AllocStart(p.provider)
 	for i := start; i < p.cfg.Tables; i++ {
-		idx := p.tableIndex(i, pc)
+		idx := p.hist.Index(i, pc)
 		e := &p.tables[i][idx]
 		if !e.valid || e.u == 0 {
 			ref, off := p.regions.Acquire(actual)
 			p.tables[i][idx] = taggedEntry{
-				tag:    p.tableTag(i, pc),
+				tag:    p.hist.Tag(i, pc),
 				ref:    ref,
 				offset: off,
 				ctr:    0,
@@ -421,7 +360,7 @@ func (p *ITTAGE) allocate(pc, actual uint64) {
 	}
 	// Nothing allocatable: decay usefulness on the candidate entries.
 	for i := start; i < p.cfg.Tables; i++ {
-		idx := p.tableIndex(i, pc)
+		idx := p.hist.Index(i, pc)
 		if e := &p.tables[i][idx]; e.valid {
 			e.u = threshold.SatDecU8(e.u, 0)
 		}
@@ -430,15 +369,14 @@ func (p *ITTAGE) allocate(pc, actual uint64) {
 
 // OnCond implements predictor.Indirect.
 func (p *ITTAGE) OnCond(pc uint64, taken bool) {
-	p.ghist.Shift(taken)
-	p.phist = (p.phist<<1 ^ pc>>2) & 0xFFFF
+	p.hist.Shift(pc, taken)
 	p.lastOK = false
 }
 
 // OnOther implements predictor.Indirect: unconditional transfers contribute
 // path history.
 func (p *ITTAGE) OnOther(pc, target uint64, bt trace.BranchType) {
-	p.phist = (p.phist<<1 ^ pc>>2) & 0xFFFF
+	p.hist.ShiftPath(pc)
 	p.lastOK = false
 }
 
@@ -446,39 +384,29 @@ func (p *ITTAGE) OnOther(pc, target uint64, bt trace.BranchType) {
 // shifts into the global and path histories through one call — identical
 // to OnCond per record, with the interface dispatch amortized over the run.
 func (p *ITTAGE) OnCondSpan(c *trace.Columns, start, end int) {
-	phist := p.phist
 	for i := start; i < end; i++ {
 		r := c.At(i)
-		p.ghist.Shift(r.Taken)
-		phist = (phist<<1 ^ r.PC>>2) & 0xFFFF
+		p.hist.Shift(r.PC, r.Taken)
 	}
-	p.phist = phist
 	p.lastOK = false
 }
 
 // OnOtherSpan implements predictor.SpanFeeder: only the path history
 // advances, one whole segment per call.
 func (p *ITTAGE) OnOtherSpan(c *trace.Columns, start, end int, bt trace.BranchType) {
-	phist := p.phist
 	for i := start; i < end; i++ {
-		phist = (phist<<1 ^ c.At(i).PC>>2) & 0xFFFF
+		p.hist.ShiftPath(c.At(i).PC)
 	}
-	p.phist = phist
 	p.lastOK = false
 }
 
 // StorageBits implements predictor.Indirect.
 func (p *ITTAGE) StorageBits() int {
 	regionIndexBits := log2ceil(p.cfg.RegionEntries)
-	bits := 0
-	for i := range p.tables {
-		perEntry := 1 + p.tagBits[i] + 2 + 2 + regionIndexBits + p.cfg.OffsetBits
-		bits += p.cfg.TableEntries * perEntry
-	}
+	bits := p.cfg.Tables * p.cfg.TableEntries * (1 + 2 + 2 + regionIndexBits + p.cfg.OffsetBits)
 	bits += p.cfg.BaseEntries * (1 + 1 + regionIndexBits + p.cfg.OffsetBits)
 	bits += p.cfg.RegionEntries * (44 - p.cfg.OffsetBits + log2ceil(p.cfg.RegionEntries))
-	bits += p.cfg.HistBits + 16 + 4
-	return bits
+	return bits + p.hist.StorageBits()
 }
 
 func log2ceil(n int) int {

@@ -14,13 +14,8 @@ const (
 	secTables  = "tables"
 	secBase    = "base"
 	secRegions = "regions"
-	secGhist   = "ghist"
-	secMisc    = "misc"
 	maxCtr     = 3
 	maxUseful  = 3
-	phistMask  = 0xffff
-	altCtrMin  = -8
-	altCtrMax  = 7
 )
 
 // EncodeState implements predictor.Snapshotter: the trained state framed in
@@ -57,12 +52,7 @@ func (p *ITTAGE) EncodeState(w io.Writer) error {
 		be.Bool(en.valid)
 	}
 	p.regions.EncodeState(c.Section(secRegions))
-	p.ghist.EncodeState(c.Section(secGhist))
-	me := c.Section(secMisc)
-	me.U64(p.phist)
-	me.I8(p.useAltOnNA)
-	me.I64(p.updates)
-	me.U64(p.rng)
+	p.hist.EncodeState(c)
 	return c.EncodeTo(w)
 }
 
@@ -88,7 +78,7 @@ func (p *ITTAGE) RestoreState(r io.Reader) error {
 			return fmt.Errorf("%w: table %d holds %d entries, have %d", snapshot.ErrMismatch, ti, n, len(p.tables[ti]))
 		}
 		tbl := make([]taggedEntry, len(p.tables[ti]))
-		tagMask := uint64(1)<<uint(p.tagBits[ti]) - 1
+		tagMask := uint64(1)<<uint(p.hist.TagBits(ti)) - 1
 		for i := range tbl {
 			en := taggedEntry{
 				tag:    d.U64(),
@@ -102,7 +92,7 @@ func (p *ITTAGE) RestoreState(r io.Reader) error {
 				break
 			}
 			if en.tag&^tagMask != 0 {
-				return fmt.Errorf("%w: table %d tag %#x wider than %d bits", snapshot.ErrCorrupt, ti, en.tag, p.tagBits[ti])
+				return fmt.Errorf("%w: table %d tag %#x wider than %d bits", snapshot.ErrCorrupt, ti, en.tag, p.hist.TagBits(ti))
 			}
 			if en.ctr > maxCtr || en.u > maxUseful {
 				return fmt.Errorf("%w: table %d counters (%d,%d) out of range", snapshot.ErrCorrupt, ti, en.ctr, en.u)
@@ -157,44 +147,14 @@ func (p *ITTAGE) RestoreState(r io.Reader) error {
 		return err
 	}
 
-	if d, err = dc.Section(secGhist); err != nil {
+	if err := p.hist.RestoreState(dc); err != nil {
 		return err
-	}
-	if err := p.ghist.RestoreState(d); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = dc.Section(secMisc); err != nil {
-		return err
-	}
-	phist := d.U64()
-	useAlt := d.I8()
-	updates := d.I64()
-	rng := d.U64()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if phist&^uint64(phistMask) != 0 {
-		return fmt.Errorf("%w: path history %#x wider than 16 bits", snapshot.ErrCorrupt, phist)
-	}
-	if useAlt < altCtrMin || useAlt > altCtrMax {
-		return fmt.Errorf("%w: useAltOnNA %d out of range", snapshot.ErrCorrupt, useAlt)
-	}
-	if updates < 0 {
-		return fmt.Errorf("%w: negative update count", snapshot.ErrCorrupt)
 	}
 
 	for ti := range p.tables {
 		copy(p.tables[ti], tables[ti])
 	}
 	copy(p.base, base)
-	p.phist = phist
-	p.useAltOnNA = useAlt
-	p.updates = updates
-	p.rng = rng
 	p.lastPC, p.lastOK = 0, false
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"blbp/internal/experiments"
-	"blbp/internal/predictor"
 	"blbp/internal/report"
 	"blbp/internal/stats"
 )
@@ -330,7 +329,7 @@ func renderArrays(c *OutputContext) (*report.Table, any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	names, specs := c.variants(experiments.NameITTAGE)
+	names, bits := c.variants(experiments.NameITTAGE)
 	if err := c.requireNames(rows, append(append([]string{}, names...), experiments.NameITTAGE)); err != nil {
 		return nil, nil, err
 	}
@@ -341,11 +340,7 @@ func renderArrays(c *OutputContext) (*report.Table, any, error) {
 	means := map[string]float64{}
 	for i, name := range names {
 		means[name] = meanMPKI(rows, name)
-		bits, err := specStorageBits(specs[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		tb.AddRowf(name, means[name], stats.FormatKB(bits))
+		tb.AddRowf(name, means[name], stats.FormatKB(bits[i]))
 	}
 	means[experiments.NameITTAGE] = meanMPKI(rows, experiments.NameITTAGE)
 	tb.AddRowf("ittage", means[experiments.NameITTAGE], "")
@@ -398,7 +393,7 @@ func renderCombined(c *OutputContext) (*report.Table, any, error) {
 	out.DedicatedIndirectMPKI = stats.Mean(dMPKI)
 	out.ConsolidatedCondAcc = stats.Mean(cAcc)
 	out.ConsolidatedIndirectMPKI = stats.Mean(cMPKI)
-	out.DedicatedBits, out.ConsolidatedBits, err = combinedStorage(c.plan)
+	out.DedicatedBits, out.ConsolidatedBits, err = c.combinedStorage()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -607,88 +602,23 @@ func renderMPKI(c *OutputContext) (*report.Table, any, error) {
 	return tb, rows, nil
 }
 
-// specStorageBits models the hardware budget of one predictor spec by
-// constructing a throwaway instance from its resolved config.
-func specStorageBits(spec PredictorSpec) (int, error) {
-	e, ok := predictor.Lookup(spec.Type)
-	if !ok {
-		return 0, fmt.Errorf("unknown predictor type %q", spec.Type)
-	}
-	cfg, err := e.Config(spec.Config)
-	if err != nil {
-		return 0, err
-	}
-	switch {
-	case e.New != nil:
-		p, err := e.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return p.StorageBits(), nil
-	case e.NewProvider != nil:
-		_, p, err := e.NewProvider(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return p.StorageBits(), nil
-	default:
-		return 0, fmt.Errorf("predictor %q has no standalone storage model", spec.Type)
-	}
-}
-
-// combinedStorage models the two storage budgets of the consolidation
-// experiment from the plan itself: the dedicated split is the conditional
-// substrate plus the dedicated BLBP of the pass that carries it, the
-// consolidated budget is the provider's single structure.
-func combinedStorage(p *Plan) (dedicated, consolidated int, err error) {
+// combinedStorage reads the two storage budgets of the consolidation
+// experiment off the plan's members: the dedicated split is the first
+// standalone member named "blbp" plus its pass's conditional predictor,
+// the consolidated budget is the first consolidated member's single
+// structure.
+func (c *OutputContext) combinedStorage() (dedicated, consolidated int, err error) {
 	foundDed, foundCon := false, false
-	for _, pass := range p.Passes {
-		for _, spec := range pass.Predictors {
-			e, ok := predictor.Lookup(spec.Type)
-			if !ok {
-				continue
-			}
-			switch {
-			case !foundDed && e.New != nil && displayName(spec) == experiments.NameBLBP:
-				bits, err := specStorageBits(spec)
-				if err != nil {
-					return 0, 0, err
-				}
-				cbits, err := passCondStorageBits(pass)
-				if err != nil {
-					return 0, 0, err
-				}
-				dedicated = bits + cbits
-				foundDed = true
-			case !foundCon && e.NewProvider != nil:
-				bits, err := specStorageBits(spec)
-				if err != nil {
-					return 0, 0, err
-				}
-				consolidated = bits
-				foundCon = true
-			}
+	for i, b := range c.cp.budgets {
+		switch {
+		case !foundDed && b.kind == "standalone" && c.cp.names[i] == experiments.NameBLBP:
+			dedicated, foundDed = b.bits+b.condBits, true
+		case !foundCon && b.kind == "consolidated":
+			consolidated, foundCon = b.bits, true
 		}
 	}
 	if !foundDed || !foundCon {
 		return 0, 0, fmt.Errorf("plan needs a dedicated %q pass and a consolidated pass", experiments.NameBLBP)
 	}
 	return dedicated, consolidated, nil
-}
-
-// passCondStorageBits models the storage of a pass's conditional substrate.
-func passCondStorageBits(pass Pass) (int, error) {
-	ce, ok := lookupCond(condNameOrDefault(pass.Cond))
-	if !ok {
-		return 0, fmt.Errorf("unknown conditional substrate %q", pass.Cond)
-	}
-	cfg, err := ce.config(pass.CondConfig)
-	if err != nil {
-		return 0, err
-	}
-	cp, err := ce.build(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return cp.StorageBits(), nil
 }

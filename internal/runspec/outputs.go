@@ -39,19 +39,20 @@ func (c *OutputContext) names() []string {
 	return c.cp.names
 }
 
-// variants returns the display names and specs of every predictor except
-// the named reference (sweep outputs treat "ittage" as the reference arm).
-func (c *OutputContext) variants(reference string) ([]string, []PredictorSpec) {
+// variants returns the display names and storage bits of every predictor
+// except the named reference (sweep outputs treat "ittage" as the
+// reference arm).
+func (c *OutputContext) variants(reference string) ([]string, []int) {
 	var names []string
-	var specs []PredictorSpec
+	var bits []int
 	for i, n := range c.names() {
 		if n == reference {
 			continue
 		}
 		names = append(names, n)
-		specs = append(specs, c.cp.specs[i])
+		bits = append(bits, c.cp.budgets[i].bits)
 	}
-	return names, specs
+	return names, bits
 }
 
 // requireNames checks that every named predictor contributed results.

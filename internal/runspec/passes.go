@@ -14,10 +14,11 @@ import (
 // the bookkeeping outputs need to interpret the results.
 type compiledPlan struct {
 	passes []experiments.Pass
-	// specs/names flatten the plan's predictors in (pass, spec) order;
-	// names[i] is the key specs[i]'s results appear under.
-	specs []PredictorSpec
-	names []string
+	// names and budgets flatten the plan's predictors in (pass, spec)
+	// order: names[i] is the key member i's results appear under, and
+	// budgets[i] its storage, read off its pass's dry-run set.
+	names   []string
+	budgets []budget
 	// obs holds what the probe outputs read: per workload, one
 	// core.Observation per predictor in (pass, spec) order, into which a
 	// task's BLBP members count while it runs. nil when the plan has no
@@ -44,23 +45,28 @@ func compilePasses(p *Plan, workloads int, withProbes bool) (*compiledPlan, erro
 		}
 	}
 	for pi := range p.Passes {
-		pass, names, err := compileOnePass(p.Passes[pi], pi, cp.obs, len(cp.names))
-		if err != nil {
-			return nil, err
+		if err := cp.compilePass(p.Passes[pi], pi); err != nil {
+			return nil, fmt.Errorf("runspec: pass %d: %v", pi, err)
 		}
-		cp.passes = append(cp.passes, pass)
-		cp.specs = append(cp.specs, p.Passes[pi].Predictors...)
-		cp.names = append(cp.names, names...)
 	}
 	return cp, nil
 }
 
-// compileOnePass lowers pass pi, whose members' observation cells start at
-// index first of each obs row.
-func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (experiments.Pass, []string, error) {
-	fail := func(err error) (experiments.Pass, []string, error) {
-		return experiments.Pass{}, nil, fmt.Errorf("runspec: pass %d: %v", pi, err)
-	}
+// budget is one member's modeled hardware storage, with the kind of
+// predictor (predictor.Entry.Kind) the member is.
+type budget struct {
+	kind string
+	// bits is the member's StorageBits; condBits is that of its pass's
+	// conditional predictor (a consolidated member's own).
+	bits, condBits int
+}
+
+// compilePass lowers pass pi and appends it, its members' names and their
+// budgets to cp.
+func (cp *compiledPlan) compilePass(ps Pass, pi int) error {
+	// The pass's members' observation cells start at index first of each
+	// obs row.
+	obs, first := cp.obs, len(cp.names)
 
 	// Materialize every config once; newSet below closes over the
 	// resolved values.
@@ -74,11 +80,11 @@ func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (exper
 	for si, spec := range ps.Predictors {
 		e, ok := predictor.Lookup(spec.Type)
 		if !ok {
-			return fail(fmt.Errorf("unknown predictor type %q", spec.Type))
+			return fmt.Errorf("unknown predictor type %q", spec.Type)
 		}
 		cfg, err := e.Config(spec.Config)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		specs[si] = resolved{entry: e, cfg: cfg}
 		names[si] = displayName(spec)
@@ -87,11 +93,11 @@ func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (exper
 	}
 	ce, ok := lookupCond(condNameOrDefault(ps.Cond))
 	if !ok {
-		return fail(fmt.Errorf("unknown conditional substrate %q", ps.Cond))
+		return fmt.Errorf("unknown conditional substrate %q", ps.Cond)
 	}
 	condCfg, err := ce.config(ps.CondConfig)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	// newSet is the pass's one construction path: the conditional
@@ -138,26 +144,32 @@ func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (exper
 
 	// Dry-run the whole pass once: the conditional predictor, every
 	// indirect predictor, their Resets, and the natural-name fallback
-	// check.
+	// check. The budgets are read off the same set.
 	trial, err := newSet()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if _, ok := trial.cond.(resetter); !ok {
-		return fail(fmt.Errorf("conditional predictor %q has no Reset", trial.cond.Name()))
+		return fmt.Errorf("conditional predictor %q has no Reset", trial.cond.Name())
 	}
 	for si, r := range specs {
 		if _, ok := trial.raw[si].(resetter); !ok {
-			return fail(fmt.Errorf("predictor %q has no Reset", r.entry.Name))
+			return fmt.Errorf("predictor %q has no Reset", r.entry.Name)
 		}
 		// A config override can change what the instance calls itself
 		// (btb's hysteresis flag); without an explicit name the results
 		// would then be keyed differently than the plan expects.
 		if ps.Predictors[si].Name == "" && trial.raw[si].Name() != names[si] {
-			return fail(fmt.Errorf("predictor %q reports results as %q with this config; set \"name\" explicitly",
-				r.entry.Name, trial.raw[si].Name()))
+			return fmt.Errorf("predictor %q reports results as %q with this config; set \"name\" explicitly",
+				r.entry.Name, trial.raw[si].Name())
 		}
+		cp.budgets = append(cp.budgets, budget{
+			kind:     r.entry.Kind(),
+			bits:     trial.raw[si].StorageBits(),
+			condBits: trial.cond.StorageBits(),
+		})
 	}
+	cp.names = append(cp.names, names...)
 
 	// The dry run's set is the first free one. Each task takes a free set
 	// or builds one.
@@ -176,16 +188,14 @@ func compileOnePass(ps Pass, pi int, obs [][]core.Observation, first int) (exper
 		return s.cond, s.inds, s.release
 	}
 
-	if provider || bound {
-		// A pass whose predictor is, or shares (and pollutes), the
-		// conditional predictor owns its conditional state: never
-		// tape-shared.
-		return experiments.Pass{New: newFn}, names, nil
+	pass := experiments.Pass{New: newFn}
+	// A pass whose predictor is, or shares (and pollutes), the conditional
+	// predictor owns its conditional state: never tape-shared.
+	if !provider && !bound {
+		pass.CondKey = ce.key(condCfg, len(ps.CondConfig) > 0)
 	}
-	return experiments.Pass{
-		CondKey: ce.key(condCfg, len(ps.CondConfig) > 0),
-		New:     newFn,
-	}, names, nil
+	cp.passes = append(cp.passes, pass)
+	return nil
 }
 
 // predictorSet is one constructed instance of a pass: its conditional

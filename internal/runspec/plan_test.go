@@ -90,6 +90,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"empty pass", `{"name":"x","passes":[{"predictors":[]}],"outputs":[{"table":"mpki"}]}`, "no predictors"},
 		{"unknown cond", `{"name":"x","passes":[{"cond":"oracle","predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "unknown conditional substrate"},
 		{"bad cond config", `{"name":"x","passes":[{"cond_config":{"Nope":1},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "unknown field"},
+		{"tage without tables", `{"name":"x","passes":[{"cond":"tage","cond_config":{"Tables":0},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "Tables=0"},
+		{"tage negative tag width", `{"name":"x","passes":[{"cond":"tage","cond_config":{"TagBitsMin":-3},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "TagBitsMin=-3"},
+		{"hashed perceptron without entries", `{"name":"x","passes":[{"cond_config":{"TableEntries":0},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "TableEntries=0"},
 		{"unknown predictor", `{"name":"x","passes":[{"predictors":[{"type":"psychic"}]}],"outputs":[{"table":"mpki"}]}`, "unknown type"},
 		{"bad predictor config", `{"name":"x","passes":[{"predictors":[{"type":"blbp","config":{"Nope":1}}]}],"outputs":[{"table":"mpki"}]}`, "unknown field"},
 		{"duplicate names", `{"name":"x","passes":[{"predictors":[{"type":"blbp"},{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`, "duplicate predictor name"},
@@ -126,6 +129,9 @@ func FuzzRunPlanDecode(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte(`{"name":"x","suite":{"kind":"holdout"},"passes":[{"cond":"tage","predictors":[{"type":"ittage"}]}],"outputs":[{"table":"mpki","file":"out"}]}`))
+	f.Add([]byte(`{"name":"x","passes":[{"cond":"tage","cond_config":{"Tables":0},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`))
+	f.Add([]byte(`{"name":"x","passes":[{"cond":"tage","cond_config":{"TagBitsMin":-3},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`))
+	f.Add([]byte(`{"name":"x","passes":[{"cond_config":{"TableEntries":0},"predictors":[{"type":"blbp"}]}],"outputs":[{"table":"mpki"}]}`))
 	f.Add([]byte(`{"name":"x","bogus":true}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{`))

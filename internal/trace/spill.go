@@ -131,8 +131,8 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	bp := spillBlockBuffers.Get().(*[]byte)
-	defer spillBlockBuffers.Put(bp)
+	bp := spillBuffers.take()
+	defer spillBuffers.give(bp)
 	buf := appendSpillHeader((*bp)[:0], h, c.Len())
 	if _, err := w.Write(buf); err != nil {
 		return err
@@ -168,14 +168,40 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	return nil
 }
 
-// spillBlockBuffers holds the writer's block buffers between calls. A
-// buffer starts with room for a block of typical records (8 bytes each,
-// well above the suite's average), so an encoder reallocates it only for a
-// block of unusually long records, and keeps the larger buffer.
-var spillBlockBuffers = sync.Pool{New: func() any {
+// spillBuffers holds the writer's idle block buffers. A buffer starts
+// with room for a block of typical records (8 bytes each, well above the
+// suite's average), so an encoder reallocates it only for a block of
+// unusually long records, and keeps the larger buffer. It is a free list
+// rather than a sync.Pool: a pool drops its objects at collections, and
+// under the race detector Put drops a random share of them. It holds at
+// most one buffer per write ever run at once.
+var spillBuffers blockBuffers
+
+// blockBuffers is a mutex-guarded free list of block buffers.
+type blockBuffers struct {
+	mu   sync.Mutex
+	bufs []*[]byte
+}
+
+// take returns an idle buffer, or a new one when none is idle.
+func (l *blockBuffers) take() *[]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.bufs); n > 0 {
+		b := l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
+		return b
+	}
 	b := make([]byte, 0, blockPrefixRoom+spillBlockRecords*8)
 	return &b
-}}
+}
+
+// give makes b idle.
+func (l *blockBuffers) give(b *[]byte) {
+	l.mu.Lock()
+	l.bufs = append(l.bufs, b)
+	l.mu.Unlock()
+}
 
 // spillReadBuffer sizes the decoder's buffered reader. It serves the
 // header and the block prefixes; io.ReadFull of a block payload longer than
@@ -328,7 +354,7 @@ func decodeBlock(c *Columns, data []byte, nrec int) error {
 		}
 		header := data[off]
 		off++
-		ib, n := uvarintFast(data, off)
+		ib, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return blockError(badInstrCount, i, 0, Record{})
 		}
@@ -336,13 +362,13 @@ func decodeBlock(c *Columns, data []byte, nrec int) error {
 		if ib > uint64(^uint32(0)) {
 			return blockError(instrCountOverflow, i, ib, Record{})
 		}
-		pcDelta, n := uvarintFast(data, off)
+		pcDelta, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return blockError(badPC, i, 0, Record{})
 		}
 		off += n
 		pc := pcDelta ^ prevPC
-		tgtDelta, n := uvarintFast(data, off)
+		tgtDelta, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return blockError(badTarget, i, 0, Record{})
 		}
@@ -390,19 +416,6 @@ func blockError(f blockFault, i int, v uint64, r Record) error {
 		return fmt.Errorf("trace: block record %d: %w", i, r.Validate())
 	}
 	return fmt.Errorf("%w: %d trailing bytes in block", ErrSpillMismatch, v)
-}
-
-// uvarintFast is binary.Uvarint with an inlined single-byte fast path: spill
-// deltas are overwhelmingly one byte (XOR of consecutive loop PCs), so the
-// common case avoids the call and its loop setup entirely. Returns n <= 0
-// exactly when binary.Uvarint would (truncated or oversized varint).
-func uvarintFast(data []byte, off int) (uint64, int) {
-	if off < len(data) {
-		if b := data[off]; b < 0x80 {
-			return uint64(b), 1
-		}
-	}
-	return binary.Uvarint(data[off:])
 }
 
 // fnv64a is an allocation-free FNV-64a over data (hash/fnv's New64a forces
