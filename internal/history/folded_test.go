@@ -55,8 +55,10 @@ func TestFoldedSetMatchesReferenceFold(t *testing.T) {
 		}
 	}
 
+	// The reference register rolls back by copying its own words and head.
 	var snap FoldedSnapshot
-	var refSnap GlobalSnapshot
+	var refWords []uint64
+	var refHead int
 	haveSnap := false
 
 	const steps = 12000
@@ -78,12 +80,13 @@ func TestFoldedSetMatchesReferenceFold(t *testing.T) {
 			ref.Reset()
 		case r < 97: // snapshot both registers
 			fs.SnapshotInto(&snap)
-			refSnap = ref.Snapshot()
+			refWords, refHead = append(refWords[:0], ref.words...), ref.head
 			haveSnap = true
 		default: // roll both back, if a snapshot exists
 			if haveSnap {
 				fs.Restore(&snap)
-				ref.Restore(refSnap)
+				copy(ref.words, refWords)
+				ref.head = refHead
 			}
 		}
 		check(step)

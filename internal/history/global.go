@@ -146,28 +146,3 @@ func (g *Global) Reset() {
 	}
 	g.head = 0
 }
-
-// Snapshot copies the register state; Restore reinstates it. Only tests
-// call them: the reference register of folded_test.go rolls back with them
-// while the FoldedSet under test uses SnapshotInto and Restore, the pair
-// VPC's speculative walk rolls back with.
-func (g *Global) Snapshot() GlobalSnapshot {
-	words := make([]uint64, len(g.words))
-	copy(words, g.words)
-	return GlobalSnapshot{words: words, head: g.head}
-}
-
-// GlobalSnapshot is an opaque copy of a Global register's state.
-type GlobalSnapshot struct {
-	words []uint64
-	head  int
-}
-
-// Restore reinstates a snapshot taken from a register of the same capacity.
-func (g *Global) Restore(s GlobalSnapshot) {
-	if len(s.words) != len(g.words) {
-		panic("history: Restore snapshot from different capacity")
-	}
-	copy(g.words, s.words)
-	g.head = s.head
-}

@@ -166,26 +166,6 @@ func TestFoldPanics(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	g := NewGlobal(256)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		g.Shift(rng.Intn(2) == 1)
-	}
-	snap := g.Snapshot()
-	want := g.Fold(0, 200, 12)
-	for i := 0; i < 50; i++ {
-		g.Shift(true)
-	}
-	if g.Fold(0, 200, 12) == want {
-		t.Log("fold happened to collide after mutation (unlikely but legal)")
-	}
-	g.Restore(snap)
-	if got := g.Fold(0, 200, 12); got != want {
-		t.Errorf("after Restore, Fold = %#x, want %#x", got, want)
-	}
-}
-
 func TestResetClearsState(t *testing.T) {
 	g := NewGlobal(64)
 	for i := 0; i < 64; i++ {

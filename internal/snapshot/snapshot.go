@@ -232,10 +232,9 @@ func ReadContainer(r io.Reader, wantName string, wantFingerprint uint64) (*Decod
 
 // readPayload reads a section's plen payload bytes. Until its checksum
 // verifies, plen is only a claim, so the buffer starts at payloadReserve
-// bytes at most and, like the SPL3 trace decoder's growCapped, at least
-// doubles as bytes arrive but never past plen: a lying length fails at
-// truncation with a buffer no larger than the reserve or twice the bytes
-// read, whichever is larger.
+// bytes at most and at least doubles as bytes arrive, but never past plen:
+// a lying length fails at truncation with a buffer no larger than the
+// reserve or twice the bytes read, whichever is larger.
 func readPayload(r io.Reader, plen int) ([]byte, error) {
 	buf := make([]byte, 0, min(plen, payloadReserve))
 	for len(buf) < plen {

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -33,10 +32,11 @@ import (
 // exactly once in trace order. No segmentation is stored: at about 1.6
 // records per run it would cost more bytes than the index column.
 //
-// A Columns is built once (by a workload generator, a decoder, or Append)
-// and is read-only afterwards: At returns a pointer into the shared table,
-// and callers must not mutate it. A successful Validate is cached so
-// repeated passes skip the check.
+// A workload generator and the SPL3 decoder each build into a scratch
+// Columns they recycle and publish Detach's exactly sized copy. A published
+// trace, like one a caller fills through Append, is read-only: At returns
+// a pointer into the shared table, and callers must not mutate it. A
+// successful Validate is cached so repeated passes skip the check.
 type Columns struct {
 	// Name identifies the workload the trace came from.
 	Name string
@@ -191,31 +191,49 @@ func (c *Columns) Append(r Record) {
 }
 
 // Detach moves the trace built so far into a new Columns that holds
-// exactly its records: the index column at its length, the table at its
-// entry count, and no interning index (a later Append builds one). c is
-// left empty for its next trace, under the same name, with the capacity
-// of its arrays kept, so a builder that reuses it allocates each trace's
-// arrays once, at their final size, and grows its own only for a trace
-// larger than any before.
+// exactly its records: the index column at its length and at the width its
+// table needs, the table at its entry count, and no interning index (a
+// later Append builds one). c is left empty for its next trace, under the
+// same name, with the capacity of its arrays kept, so a scratch trace that
+// is reused allocates each trace's arrays once, at their final size, and
+// grows its own only for a trace larger than any before. The copies are made at
+// their exact length rather than cloned, since a clone's capacity rounds up
+// to the allocator's size class and Bytes would count the slack.
 func (c *Columns) Detach() *Columns {
 	out := &Columns{
 		Name:         c.Name,
-		table:        slices.Clone(c.table),
+		table:        make([]Record, len(c.table)),
 		counts:       c.counts,
 		instructions: c.instructions,
 		validated:    c.validated,
 	}
-	if c.idx32 != nil {
-		out.idx32 = slices.Clone(c.idx32)
-		c.idx16, c.idx32 = make([]uint16, 0, cap(c.idx32)), nil
-	} else {
-		out.idx16 = slices.Clone(c.idx16)
-		c.idx16 = c.idx16[:0]
+	copy(out.table, c.table)
+	switch {
+	case len(c.table) > 1<<16:
+		out.idx32 = make([]uint32, len(c.idx32))
+		copy(out.idx32, c.idx32)
+	case c.idx32 != nil: // a scratch widened by an earlier trace
+		out.idx16 = make([]uint16, len(c.idx32))
+		for i, k := range c.idx32 {
+			out.idx16[i] = uint16(k)
+		}
+	default:
+		out.idx16 = make([]uint16, len(c.idx16))
+		copy(out.idx16, c.idx16)
 	}
+	c.reset()
+	return out
+}
+
+// reset empties c for its next trace, keeping its name and its arrays'
+// capacity. A widened index column stays wide, so a scratch that meets one
+// wide trace after another reuses its column; Detach narrows the copy of
+// each trace whose table fits a 2-byte index.
+func (c *Columns) reset() {
+	c.idx16, c.idx32 = c.idx16[:0], c.idx32[:0]
 	c.table = c.table[:0]
 	clear(c.slots)
 	c.counts, c.instructions, c.validated = [numBranchTypes]int64{}, 0, false
-	return out
 }
 
 // widen moves the index column from two bytes to four per record, at the
@@ -298,17 +316,4 @@ func (c *Columns) Validate() error {
 	}
 	c.validated = true
 	return nil
-}
-
-// growCapped is the growth rule of the SPL3 decoder, which reads untrusted
-// bytes: when need records overflow the capacity, it at least doubles it,
-// but never past total, the record count the input's header declares.
-// Capacity thus stays within twice the records already read and verified,
-// so a lying header fails closed at its first bad block instead of
-// committing memory up front, while an honest trace is reallocated only
-// O(log n) times.
-func (c *Columns) growCapped(need, total int) {
-	if capacity := cap(c.idx16) + cap(c.idx32); need > capacity {
-		c.Grow(min(total, max(need, 2*capacity)))
-	}
 }

@@ -45,8 +45,10 @@ import (
 //
 // The writer emits the header in one Write and each block, its three
 // prefix fields included, in one more, from a single block buffer reused
-// for every block and by the next file written, so it needs no buffered
-// writer of its own.
+// for every block, so it needs no buffered writer of its own. One free
+// list in this package recycles that buffer across files, read and written
+// alike, together with the reader's buffered input and the scratch trace
+// it decodes into.
 //
 // Blocking serves the reader: each block is checksummed and then decoded
 // from one contiguous in-memory slice (binary.Uvarint over []byte instead
@@ -131,9 +133,9 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	bp := spillBuffers.take()
-	defer spillBuffers.give(bp)
-	buf := appendSpillHeader((*bp)[:0], h, c.Len())
+	s := takeCodec()
+	defer s.release()
+	buf := appendSpillHeader(s.block[:0], h, c.Len())
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
@@ -164,43 +166,68 @@ func WriteSpillColumns(w io.Writer, h SpillHeader, c *Columns) error {
 			return err
 		}
 	}
-	*bp = buf
+	s.block = buf
 	return nil
 }
 
-// spillBuffers holds the writer's idle block buffers. A buffer starts
-// with room for a block of typical records (8 bytes each, well above the
-// suite's average), so an encoder reallocates it only for a block of
-// unusually long records, and keeps the larger buffer. It is a free list
-// rather than a sync.Pool: a pool drops its objects at collections, and
-// under the race detector Put drops a random share of them. It holds at
-// most one buffer per write ever run at once.
-var spillBuffers blockBuffers
-
-// blockBuffers is a mutex-guarded free list of block buffers.
-type blockBuffers struct {
-	mu   sync.Mutex
-	bufs []*[]byte
+// codec is the state one SPL3 encode or decode works in, recycled across
+// calls through codecs, so that neither allocates it per file.
+type codec struct {
+	// cols is the decoder's scratch trace. A decode appends into it and
+	// publishes Detach's exactly sized copy, as a workload generator does
+	// with its own scratch, so the scratch grows, by Append's doubling,
+	// only for a trace larger than any it has held. That pays where a state
+	// serves many decodes, as in a warm start; a process that decodes one
+	// file pays for the copy on top, and its idle state keeps the scratch
+	// until the process exits.
+	cols Columns
+	// block is the writer's block buffer and the reader's payload buffer.
+	// It starts with room for a block of typical records (8 bytes each,
+	// well above the suite's average), so the writer reallocates it only
+	// for a block of unusually long records, and keeps the larger buffer.
+	block []byte
+	// br is the reader's buffered input, Reset to each file decoded.
+	br *bufio.Reader
+	// sum holds a block's checksum as read: a local array passed to
+	// io.ReadFull would escape to the heap once per block.
+	sum [8]byte
 }
 
-// take returns an idle buffer, or a new one when none is idle.
-func (l *blockBuffers) take() *[]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.bufs); n > 0 {
-		b := l.bufs[n-1]
-		l.bufs = l.bufs[:n-1]
-		return b
+// codecs holds the idle codec states. It is a free list rather than a
+// sync.Pool: a pool drops its objects at collections, and under the race
+// detector Put drops a random share of them; each miss would regrow a
+// scratch trace. It holds at most one state per encode or decode ever run
+// at once.
+var codecs struct {
+	sync.Mutex
+	idle []*codec
+}
+
+// takeCodec returns an idle codec state, or a new one when none is idle.
+func takeCodec() *codec {
+	codecs.Lock()
+	defer codecs.Unlock()
+	if n := len(codecs.idle); n > 0 {
+		s := codecs.idle[n-1]
+		codecs.idle = codecs.idle[:n-1]
+		return s
 	}
-	b := make([]byte, 0, blockPrefixRoom+spillBlockRecords*8)
-	return &b
+	return newCodec()
 }
 
-// give makes b idle.
-func (l *blockBuffers) give(b *[]byte) {
-	l.mu.Lock()
-	l.bufs = append(l.bufs, b)
-	l.mu.Unlock()
+// newCodec returns a codec state whose scratch trace is empty.
+func newCodec() *codec {
+	return &codec{
+		block: make([]byte, 0, blockPrefixRoom+spillBlockRecords*8),
+		br:    bufio.NewReaderSize(nil, spillReadBuffer),
+	}
+}
+
+// release makes s idle.
+func (s *codec) release() {
+	codecs.Lock()
+	codecs.idle = append(codecs.idle, s)
+	codecs.Unlock()
 }
 
 // spillReadBuffer sizes the decoder's buffered reader. It serves the
@@ -272,77 +299,94 @@ func ReadSpillHeader(r io.Reader) (SpillHeader, error) {
 // ReadSpillColumns decodes a complete spill file into columnar form: the
 // header, then every block, verified against its checksum, the header's
 // record count and the per-record validation. Each block is bulk-decoded
-// straight into the trace's table and index column.
+// straight into a recycled scratch trace's table and index column, and the
+// trace returned is the scratch's exactly sized copy.
 func ReadSpillColumns(r io.Reader) (SpillHeader, *Columns, error) {
-	br := bufio.NewReaderSize(r, spillReadBuffer)
-	h, err := readSpillHeader(br)
-	if err != nil {
-		return h, nil, err
-	}
-	c, err := readSpillBlocks(br, h)
-	if err != nil {
-		return h, nil, err
-	}
-	return h, c, nil
+	s := takeCodec()
+	defer s.release()
+	return s.read(r)
 }
 
-// readSpillBlocks decodes the block sequence into a Columns: each block is
-// bounds-checked and checksummed, then bulk-decoded into the trace.
-func readSpillBlocks(br *bufio.Reader, h SpillHeader) (*Columns, error) {
-	// Reserve at most 64K records up front: a corrupt record count must not
-	// commit gigabytes before any block verifies. Past that, growCapped
-	// grows the index column as verified blocks arrive.
-	c := NewColumns(h.Name, int(min(h.Records, 1<<16)))
-	var block []byte
+// read is ReadSpillColumns through s. A failed decode empties the scratch
+// without copying it.
+func (s *codec) read(r io.Reader) (SpillHeader, *Columns, error) {
+	s.br.Reset(r)
+	defer s.br.Reset(nil) // an idle state keeps no reference to r
+	h, err := readSpillHeader(s.br)
+	if err != nil {
+		return h, nil, err
+	}
+	s.cols.Name = h.Name
+	// A fresh scratch reserves the declared count, up to 64K records (128
+	// KiB of index), so that a state's first decode of a suite-sized trace
+	// fills its index column without doubling it, and a header's claim
+	// commits no more than that before a block verifies. Past it, and in a
+	// scratch that has held a trace, the column grows by Append's doubling.
+	if cap(s.cols.idx16)+cap(s.cols.idx32) == 0 {
+		s.cols.Grow(int(min(h.Records, 1<<16)))
+	}
+	if err := s.readBlocks(h.Records); err != nil {
+		s.cols.reset()
+		return h, nil, err
+	}
+	// Every record was validated during decoding; the copy keeps the mark,
+	// so simulation passes skip revalidation.
+	s.cols.validated = true
+	return h, s.cols.Detach(), nil
+}
+
+// readBlocks decodes the block sequence of a file that declares records
+// records into the scratch trace: each block is bounds-checked and
+// checksummed, then bulk-decoded. Past read's first reservation the
+// scratch grows only by Append's doubling as records are decoded, never
+// toward the declared count, so a header that lies about its count fails
+// at its first bad block or at EOF having grown the scratch to at most 64K
+// records or twice the records the file holds, whichever is more.
+func (s *codec) readBlocks(records int64) error {
 	var decoded int64
-	for decoded < h.Records {
-		nrec, err := binary.ReadUvarint(br)
+	for decoded < records {
+		nrec, err := binary.ReadUvarint(s.br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading spill block record count: %w", err)
+			return fmt.Errorf("trace: reading spill block record count: %w", err)
 		}
-		if nrec == 0 || nrec > spillBlockRecords || int64(nrec) > h.Records-decoded {
-			return nil, fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, h.Records-decoded)
+		if nrec == 0 || nrec > spillBlockRecords || int64(nrec) > records-decoded {
+			return fmt.Errorf("%w: block of %d records with %d remaining", ErrSpillMismatch, nrec, records-decoded)
 		}
-		nbytes, err := binary.ReadUvarint(br)
+		nbytes, err := binary.ReadUvarint(s.br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading spill block size: %w", err)
+			return fmt.Errorf("trace: reading spill block size: %w", err)
 		}
 		if nbytes < nrec || nbytes > nrec*maxSpillRecordLen {
-			return nil, fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec)
+			return fmt.Errorf("%w: block of %d bytes for %d records", ErrSpillMismatch, nbytes, nrec)
 		}
-		var sumBuf [8]byte
-		if _, err := io.ReadFull(br, sumBuf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading spill block checksum: %w", err)
+		if _, err := io.ReadFull(s.br, s.sum[:]); err != nil {
+			return fmt.Errorf("trace: reading spill block checksum: %w", err)
 		}
-		want := binary.LittleEndian.Uint64(sumBuf[:])
-		if uint64(cap(block)) < nbytes {
-			block = make([]byte, nbytes, nbytes+nbytes/4)
+		want := binary.LittleEndian.Uint64(s.sum[:])
+		if uint64(cap(s.block)) < nbytes {
+			s.block = make([]byte, 0, nbytes+nbytes/4)
 		}
-		block = block[:nbytes]
-		if _, err := io.ReadFull(br, block); err != nil {
-			return nil, fmt.Errorf("trace: reading spill block payload: %w", err)
+		block := s.block[:nbytes]
+		if _, err := io.ReadFull(s.br, block); err != nil {
+			return fmt.Errorf("trace: reading spill block payload: %w", err)
 		}
 		if got := fnv64a(block); got != want {
-			return nil, fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want)
+			return fmt.Errorf("%w: block checksum %016x, header says %016x", ErrSpillMismatch, got, want)
 		}
-		c.growCapped(int(decoded)+int(nrec), int(h.Records))
-		if err := decodeBlock(c, block, int(nrec)); err != nil {
-			return nil, err
+		if err := decodeBlock(&s.cols, block, int(nrec)); err != nil {
+			return err
 		}
 		decoded += int64(nrec)
 	}
-	// Every record was validated during decoding; mark the columns so
-	// simulation passes skip revalidation.
-	c.validated = true
-	return c, nil
+	return nil
 }
 
 // decodeBlock decodes one block's records (PC delta chain starting at 0)
-// and appends them to c, within the capacity growCapped reserved. data
-// must be consumed exactly. Validation is inlined — Record.Validate's two
-// conditions plus the varint/overflow checks — and the first malformation
-// returns its diagnostic, built by the cold blockError so that this path
-// builds no error values while the block is well formed.
+// and appends them to c. data must be consumed exactly. Validation is
+// inlined — Record.Validate's two conditions plus the varint/overflow
+// checks — and the first malformation returns its diagnostic, built by the
+// cold blockError so that this path builds no error values while the block
+// is well formed.
 //
 //blbp:hot
 func decodeBlock(c *Columns, data []byte, nrec int) error {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -389,30 +391,52 @@ func TestEncodingIsCompact(t *testing.T) {
 	}
 }
 
-// TestSpillDecodeAllocatesAboutOnce decodes a 300K-record spill file. Past
-// the 64K-record reservation the index column grows by capped doubling,
-// and the table and its interning index (almost every record here is a new
-// entry) by doubling, so the decode allocates at most 3× the trace's Bytes.
+// TestSpillDecodeAllocatesAboutOnce decodes each of two spill files twice
+// through one fresh decoder state. The decoded trace must hold exactly its
+// records: a 2-byte index per record (4 once its table passes 65,536
+// entries) and a 24-byte table entry per distinct record, with no interning
+// index and no slack. A first decode reserves the header's record count, up
+// to 64K records of index, grows the state's scratch trace past them by
+// doubling (its index column, its table and the table's interning index)
+// and then copies the trace out. So for 300K all-distinct records it
+// allocates at most 6× the copy's bytes; for 40,000 records cycling over
+// 1,050, as a suite trace's do, at most 3.5× (about 3.1×, where a scratch
+// that grew its index by doubling from empty took 4.8×). The second decode
+// finds the scratch grown and allocates at most 1.1× the copy's bytes.
 func TestSpillDecodeAllocatesAboutOnce(t *testing.T) {
-	tr := bigSpillTrace(300_000)
-	var spill bytes.Buffer
-	if err := WriteSpillColumns(&spill, SpillHeader{Name: tr.Name, Seed: 2, Instructions: 1e6}, tr); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, got, err := ReadSpillColumns(bytes.NewReader(spill.Bytes()))
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := int64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("decoding %d records allocated %d bytes, %.2f× the trace's %d", got.Len(), alloc, float64(alloc)/float64(got.Bytes()), got.Bytes())
-	if alloc > 3*got.Bytes() {
-		t.Errorf("decode allocated %.2f× the trace's bytes, want ≤ 3×", float64(alloc)/float64(got.Bytes()))
-	}
-	if !sameRecords(got, tr) {
-		t.Error("SPL3 decode differs from the encoded trace")
+	for _, tc := range []struct {
+		tr    *Columns
+		fresh float64
+	}{
+		{bigSpillTrace(300_000), 6},
+		{cyclingSpillTrace(40_000, 1050), 3.5},
+	} {
+		tr, spill := tc.tr, encodeSpill(t, tc.tr)
+		s := newCodec()
+		for _, pass := range []struct {
+			name  string
+			bound float64
+		}{{"fresh", tc.fresh}, {"warmed", 1.1}} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, got, err := s.read(bytes.NewReader(spill))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Bytes() != exactBytes(tr) {
+				t.Errorf("%s decode: the trace holds %d bytes, want exactly %d", pass.name, got.Bytes(), exactBytes(tr))
+			}
+			alloc := int64(after.TotalAlloc - before.TotalAlloc)
+			ratio := float64(alloc) / float64(got.Bytes())
+			t.Logf("%s decode of %d records (%d distinct) allocated %d bytes, %.2f× the trace's %d", pass.name, got.Len(), len(got.table), alloc, ratio, got.Bytes())
+			if ratio > pass.bound {
+				t.Errorf("%s decode of %d records allocated %.2f× the trace's bytes, want ≤ %g×", pass.name, got.Len(), ratio, pass.bound)
+			}
+			if !sameRecords(got, tr) {
+				t.Errorf("%s decode differs from the encoded trace", pass.name)
+			}
+		}
 	}
 }
 
@@ -478,11 +502,167 @@ func TestWriteSpillAllocatesOneBuffer(t *testing.T) {
 	}
 }
 
+// exactBytes is what a decoded copy of want holds: a 2-byte index per
+// record (a 4-byte one past 65,536 distinct records) and a table entry per
+// distinct record, with no interning index and no slack.
+func exactBytes(want *Columns) int64 {
+	idx := int64(2)
+	if len(want.table) > 1<<16 {
+		idx = 4
+	}
+	return int64(want.Len())*idx + int64(len(want.table))*tableEntryBytes
+}
+
+// sameTrace fails t unless got holds want's name, records, per-type counts
+// and instruction total in exactly want's decoded size.
+func sameTrace(t *testing.T, what string, got, want *Columns) {
+	t.Helper()
+	if !sameRecords(got, want) {
+		t.Fatalf("%s: %q/%d records differ from %q/%d", what, got.Name, got.Len(), want.Name, want.Len())
+	}
+	for bt := BranchType(0); bt < numBranchTypes; bt++ {
+		if got.Count(bt) != want.Count(bt) {
+			t.Errorf("%s: Count(%v) = %d, want %d", what, bt, got.Count(bt), want.Count(bt))
+		}
+	}
+	if got.Instructions() != want.Instructions() {
+		t.Errorf("%s: Instructions() = %d, want %d", what, got.Instructions(), want.Instructions())
+	}
+	if got.Bytes() != exactBytes(want) {
+		t.Errorf("%s: Bytes() = %d, want exactly %d", what, got.Bytes(), exactBytes(want))
+	}
+}
+
+// TestSpillDecodeAfterFailure decodes, through a new decoder state, a file
+// that fails after several blocks have been decoded into the state's
+// scratch trace, or a header that claims 2^24 records over three blocks,
+// then a smaller good file that shares some of their records. The failing
+// decode must allocate under 4 MB: a fresh scratch reserves at most 64K
+// records before a block verifies, where the claimed count would commit
+// 32 MB of index. The good file must decode to exactly its own trace:
+// nothing of the failed decode's records, table, interning index, counts
+// or instruction total may survive into it.
+func TestSpillDecodeAfterFailure(t *testing.T) {
+	big := encodeSpill(t, cyclingSpillTrace(5*spillBlockRecords, 2100))
+	badSum := append([]byte(nil), big...)
+	badSum[len(badSum)-3] ^= 0x10 // inside the last block's payload
+	// lying(n) is a three-block file whose header claims n records.
+	mid := cyclingSpillTrace(3*spillBlockRecords, 1050)
+	h := SpillHeader{Name: mid.Name, Seed: 9, Instructions: mid.Instructions()}
+	honest, head := encodeSpill(t, mid), appendSpillHeader(nil, h, mid.Len())
+	if !bytes.HasPrefix(honest, head) {
+		t.Fatal("encodeSpill's header is not the one the test re-encodes")
+	}
+	lying := func(n int) []byte { return append(appendSpillHeader(nil, h, n), honest[len(head):]...) }
+	small := cyclingSpillTrace(3000, 105)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"bad checksum in the last block", badSum},
+		{"header claiming a record more", lying(mid.Len() + 1)},
+		{"header claiming 2^24 records", lying(1 << 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newCodec()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, got, err := s.read(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("the failing file decoded to %d records", got.Len())
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+				t.Errorf("the failing decode allocated %d bytes, want < 4 MB (error: %v)", alloc, err)
+			}
+			if s.cols.Len() != 0 {
+				t.Fatalf("the failed decode left %d records in the scratch", s.cols.Len())
+			}
+			_, got, err = s.read(bytes.NewReader(encodeSpill(t, small)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTrace(t, "good file after a failed one", got, small)
+		})
+	}
+}
+
+// TestSpillDecodeConcurrent decodes eight different files at once, each
+// from its own goroutine and three times over, through ReadSpillColumns'
+// shared free list of decoder states: every decode must return its own
+// file's trace. Under the race detector it also checks that no two decodes
+// share a state.
+func TestSpillDecodeConcurrent(t *testing.T) {
+	traces := make([]*Columns, 8)
+	files := make([][]byte, len(traces))
+	for i := range traces {
+		traces[i] = cyclingSpillTrace(5000*(i+1), 105*(i+1))
+		traces[i].Name = fmt.Sprintf("trace-%d", i)
+		files[i] = encodeSpill(t, traces[i])
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for round := 0; round < 3; round++ {
+				_, got, err := ReadSpillColumns(bytes.NewReader(files[i]))
+				if err != nil {
+					t.Errorf("%s: %v", traces[i].Name, err)
+					return
+				}
+				if !sameRecords(got, traces[i]) || got.Bytes() != exactBytes(traces[i]) {
+					t.Errorf("%s, round %d: decoded %q, %d records in %d bytes, want %d records in %d", traces[i].Name, round, got.Name, got.Len(), got.Bytes(), traces[i].Len(), exactBytes(traces[i]))
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestSpillDecodeWidthPerTrace decodes a widened trace, a narrow one and a
+// larger widened one in a row through one decoder state, whose scratch
+// trace stays wide once widened: each decoded trace must hold its records
+// at the index width its own table needs, 4, 2 and 4 bytes per record.
+func TestSpillDecodeWidthPerTrace(t *testing.T) {
+	distinct := func(name string, n, period int) *Columns {
+		c := NewColumns(name, n)
+		for i := 0; i < n; i++ {
+			c.Append(distinctRecord(i % period))
+		}
+		return c
+	}
+	s := newCodec()
+	for _, tc := range []struct {
+		c        *Columns
+		idxBytes int64
+	}{
+		{distinct("wide", 70_000, 70_000), 4},
+		{distinct("narrow", 50_000, 1000), 2},
+		{distinct("wider", 90_000, 80_000), 4},
+	} {
+		_, got, err := s.read(bytes.NewReader(encodeSpill(t, tc.c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTrace(t, tc.c.Name, got, tc.c)
+		index := got.Bytes() - int64(len(got.table))*tableEntryBytes
+		if want := int64(got.Len()) * tc.idxBytes; index != want {
+			t.Errorf("%s: %d bytes of index for %d records, want %d (%d per record)", tc.c.Name, index, got.Len(), want, tc.idxBytes)
+		}
+	}
+}
+
 // spillBenchCases are the traces the spill benchmarks encode and decode: one
-// that fits the decoder's 64K-record reservation and one that grows past
-// it, each for a trace of all-distinct records (bigSpillTrace) and for one
-// that cycles over 1,050 records, about as many distinct records as a suite
-// trace holds.
+// of 40,000 records, under one uint16 index's reach, and one of 300,000,
+// each for a trace of all-distinct records (bigSpillTrace), whose 300,000
+// widens its index, and for one that cycles over 1,050 records, about as
+// many distinct records as a suite trace holds. BenchmarkReadSpill decodes
+// through the shared free list, so past its first decode a case measures a
+// warmed decoder.
 var spillBenchCases = []struct {
 	name            string
 	records, period int

@@ -106,9 +106,9 @@ grep -q "eon-replay" "$tdir/out/ci-replay.csv"
 rm -rf "$tdir"
 # Warm-start smoke: a second experiments run against a kept spill directory
 # must serve every trace from disk (0 generator builds) and emit
-# byte-identical CSVs. The warm run decodes its spill files through the
-# columnar fast path (trace.ReadSpillColumns), so this also gates that
-# decoder end to end.
+# byte-identical CSVs, serially and at -parallel 4. The warm runs decode
+# their spill files through the columnar fast path
+# (trace.ReadSpillColumns), so this also gates that decoder end to end.
 spill=$(mktemp -d); cold=$(mktemp -d); warm=$(mktemp -d)
 go run ./cmd/experiments -base 4000 -csv "$cold" \
 	-cachespill "$spill" -cachekeep overall >/dev/null
@@ -117,6 +117,13 @@ go run ./cmd/experiments -base 4000 -csv "$warm" \
 	>/dev/null 2>"$warm/stats.txt"
 grep -q "trace cache: 0 builds" "$warm/stats.txt"
 diff "$cold/overall.csv" "$warm/overall.csv"
+# The same warm pass at -parallel 4: four workers decode at once, so they
+# share the decoder's free list of recycled states even on a 2-vCPU host.
+go run ./cmd/experiments -base 4000 -parallel 4 -csv "$warm/p4" \
+	-cachespill "$spill" -cachekeep -cachestats overall \
+	>/dev/null 2>"$warm/stats4.txt"
+grep -q "trace cache: 0 builds" "$warm/stats4.txt"
+diff "$cold/overall.csv" "$warm/p4/overall.csv"
 # A run without -cachekeep only reads the directory: it too serves every
 # trace from disk, and leaves every spill file where it found it.
 kept=$(ls "$spill"/*.blbptrc | wc -l)
